@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     const GeneratedCircuit g = pass_chain(Style::kNmos, n);
 
     // The full discharge stage: driver + n passes, ending at p<n>.
-    const NodeId dest = *g.netlist.find_node("p" + std::to_string(n));
+    const NodeId dest = *g.netlist.find_node(format("p%d", n));
     const auto stages = stages_to(g.netlist, dest, Transition::kFall);
     if (stages.empty()) continue;
     std::size_t longest = 0;

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   // Collect the chain nodes.
   std::vector<NodeId> chain = {g.input};
   for (int i = 1; i <= 4; ++i) {
-    chain.push_back(*g.netlist.find_node("s" + std::to_string(i)));
+    chain.push_back(*g.netlist.find_node(format("s%d", i)));
   }
 
   std::vector<WaveformColumn> columns;

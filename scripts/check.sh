@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer + observability gate, run before merging:
-#   1. strict preset: the whole tree (tests, benches, examples) under
-#      -Wall -Wextra -Wshadow -Wconversion -Wsign-conversion as errors
-#      (also exports compile_commands.json for tooling);
+#   1. an optimized (-O3, CMAKE_BUILD_TYPE=Release) build of the whole
+#      tree (tests, benches, examples) under -Wall -Wextra -Wshadow
+#      -Wconversion -Wsign-conversion as errors -- the one configuration
+#      the default RelWithDebInfo build does not already cover, and the
+#      one where GCC's optimizer-driven warnings (e.g. -Wrestrict) fire;
 #   2. asan preset: the full test suite under AddressSanitizer/UBSan;
 #   3. tsan preset: the concurrency-sensitive suites (parallel stage
 #      extraction, batched wavefront propagation, and the incremental-
@@ -55,9 +57,10 @@ while getopts "j:" opt; do
   esac
 done
 
-cmake --preset strict
-cmake --build --preset strict -j "$jobs"
-echo "check.sh: strict-warnings build clean"
+cmake -S . -B out/check-release -DCMAKE_BUILD_TYPE=Release \
+  -DSLDM_WARNINGS_AS_ERRORS=ON
+cmake --build out/check-release -j "$jobs"
+echo "check.sh: -O3 warnings-as-errors build clean"
 
 cmake --preset asan
 cmake --build --preset asan -j "$jobs"

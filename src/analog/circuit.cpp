@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/contracts.h"
+#include "util/strings.h"
 
 namespace sldm {
 
@@ -141,7 +142,7 @@ MosfetOp eval_mosfet(const Mosfet& m, Volts vd, Volts vg, Volts vs) {
 Circuit::Circuit() { names_.push_back("0"); }
 
 AnalogNode Circuit::add_node(std::string name) {
-  if (name.empty()) name = "n" + std::to_string(names_.size());
+  if (name.empty()) name = format("n%zu", names_.size());
   names_.push_back(std::move(name));
   return names_.size() - 1;
 }

@@ -5,44 +5,23 @@
 
 namespace sldm {
 
-DelayEstimate RphBoundsModel::estimate(const Stage& stage) const {
-  const RcTree tree = to_rc_tree(stage);
-  const std::size_t dest = stage.elements.size();
-  const auto at = [&](double v) {
-    const RcTree::Bounds b = tree.rph_bounds(dest, v);
-    return mode_ == Mode::kUpper ? b.upper : b.lower;
-  };
-  DelayEstimate est;
-  est.delay = at(0.5);
-  // Transition-time estimate from the same bound family; guaranteed
-  // non-negative because the bounds are monotone in v.
-  est.output_slope = (at(0.9) - at(0.1)) / 0.8;
-  if (est.output_slope <= 0.0) {
-    est.output_slope = kSlopeFactor * tree.elmore(dest);
-  }
-  return est;
-}
-
 void RphBoundsModel::estimate_batch(
     const StageStore& store, std::span<const StageStore::StageId> ids,
     std::span<const Seconds> input_slopes,
     std::span<DelayEstimate> out) const {
   SLDM_EXPECTS(ids.size() == input_slopes.size());
   SLDM_EXPECTS(ids.size() == out.size());
-  // The bound formulas need only T_D and T_P, both cached in the store
-  // as the exact doubles RcTree would produce; `at` mirrors
-  // RcTree::rph_bounds (including the lower clamp) term for term.
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const Seconds td = store.elmore(ids[i]);
     const Seconds tp = store.total_time_constant(ids[i]);
     const auto at = [this, td, tp](double v) {
-      if (mode_ == Mode::kUpper) return td / (1.0 - v);
-      Seconds lower = td - (1.0 - v) * tp;
-      if (lower < 0.0) lower = 0.0;
-      return lower;
+      const RcTree::Bounds b = rph_bounds(td, tp, v);
+      return mode_ == Mode::kUpper ? b.upper : b.lower;
     };
     DelayEstimate est;
     est.delay = at(0.5);
+    // Transition-time estimate from the same bound family; guaranteed
+    // non-negative because the bounds are monotone in v.
     est.output_slope = (at(0.9) - at(0.1)) / 0.8;
     if (est.output_slope <= 0.0) {
       est.output_slope = kSlopeFactor * td;

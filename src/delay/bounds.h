@@ -24,11 +24,8 @@ class RphBoundsModel final : public DelayModel {
 
   /// delay = the RPH bound at 50% of the swing; output slope = the
   /// bound-consistent transition estimate (bound at 90% minus bound at
-  /// 10%, scaled to a full swing).
-  DelayEstimate estimate(const Stage& stage) const override;
-  /// Batch kernel over the store's cached T_D / T_P (the RPH bound
-  /// formulas need nothing else; input slopes are ignored like in
-  /// estimate()).
+  /// 10%, scaled to a full swing).  Reads only the store's cached T_D
+  /// and T_P; input slopes are ignored.
   void estimate_batch(const StageStore& store,
                       std::span<const StageStore::StageId> ids,
                       std::span<const Seconds> input_slopes,

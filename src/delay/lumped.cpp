@@ -5,21 +5,12 @@
 
 namespace sldm {
 
-DelayEstimate LumpedRcModel::estimate(const Stage& stage) const {
-  validate(stage);
-  const Seconds tau = stage.total_resistance() * stage.total_cap();
-  return {.delay = kLn2 * tau, .output_slope = kSlopeFactor * tau};
-}
-
 void LumpedRcModel::estimate_batch(const StageStore& store,
                                    std::span<const StageStore::StageId> ids,
                                    std::span<const Seconds> input_slopes,
                                    std::span<DelayEstimate> out) const {
   SLDM_EXPECTS(ids.size() == input_slopes.size());
   SLDM_EXPECTS(ids.size() == out.size());
-  // Store totals carry the exact doubles Stage::total_resistance() /
-  // total_cap() return, so this reproduces estimate() bit for bit;
-  // validation already happened at store insertion.
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const Seconds tau =
         store.total_resistance(ids[i]) * store.total_cap(ids[i]);
@@ -27,14 +18,13 @@ void LumpedRcModel::estimate_batch(const StageStore& store,
   }
 }
 
-DelayEstimate LumpedRcModel::estimate_audited(const Stage& stage,
-                                              DelayAudit& audit) const {
-  fill_stage_audit(stage, audit);
-  const Seconds tau = stage.total_resistance() * stage.total_cap();
-  audit.terms.push_back({"tau_lumped", tau, "s"});
-  audit.terms.push_back({"ln2", kLn2, ""});
-  audit.estimate = estimate(stage);
-  return audit.estimate;
+void LumpedRcModel::append_audit_terms(const StageStore& store,
+                                       StageStore::StageId id,
+                                       Seconds /*input_slope*/,
+                                       std::vector<AuditTerm>& terms) const {
+  terms.push_back(
+      {"tau_lumped", store.total_resistance(id) * store.total_cap(id), "s"});
+  terms.push_back({"ln2", kLn2, ""});
 }
 
 }  // namespace sldm

@@ -13,15 +13,17 @@ namespace sldm {
 class LumpedRcModel final : public DelayModel {
  public:
   std::string name() const override { return "lumped-rc"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  DelayEstimate estimate_audited(const Stage& stage,
-                                 DelayAudit& audit) const override;
-  /// Batch kernel over the store's cached R/C totals (no per-stage
-  /// materialization, no element walk).
+  /// Prices each stage from the store's cached R/C totals.
   void estimate_batch(const StageStore& store,
                       std::span<const StageStore::StageId> ids,
                       std::span<const Seconds> input_slopes,
                       std::span<DelayEstimate> out) const override;
+
+ private:
+  /// Audit terms: tau_lumped, ln2.
+  void append_audit_terms(const StageStore& store, StageStore::StageId id,
+                          Seconds input_slope,
+                          std::vector<AuditTerm>& terms) const override;
 };
 
 }  // namespace sldm

@@ -4,39 +4,35 @@
 
 namespace sldm {
 
-void DelayModel::estimate_batch(const StageStore& store,
-                                std::span<const StageStore::StageId> ids,
-                                std::span<const Seconds> input_slopes,
-                                std::span<DelayEstimate> out) const {
-  SLDM_EXPECTS(ids.size() == input_slopes.size());
-  SLDM_EXPECTS(ids.size() == out.size());
-  // Scalar fallback: materialize through one reused scratch stage and
-  // delegate -- bit-identical to per-stage estimate() by construction,
-  // and correct for any derived model that does not override.
-  Stage scratch;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    store.materialize(ids[i], input_slopes[i], scratch);
-    out[i] = estimate(scratch);
-  }
+DelayEstimate DelayModel::estimate(const Stage& stage) const {
+  StageStore store;
+  const StageStore::StageId id = store.add(stage);
+  DelayEstimate out;
+  estimate_batch(store, {&id, 1}, {&stage.input_slope, 1}, {&out, 1});
+  return out;
 }
 
-void DelayModel::fill_stage_audit(const Stage& stage,
-                                  DelayAudit& audit) const {
+DelayAudit DelayModel::audit(const StageStore& store,
+                             StageStore::StageId id,
+                             Seconds input_slope) const {
+  SLDM_EXPECTS(id < store.size());
+  DelayAudit audit;
   audit.model = name();
-  audit.total_resistance = stage.total_resistance();
-  audit.total_cap = stage.total_cap();
-  audit.destination_cap = stage.destination_cap();
-  audit.elmore = stage_elmore(stage);
-  audit.input_slope = stage.input_slope;
-  audit.path_devices = stage.elements.size();
-  audit.terms.clear();
+  audit.total_resistance = store.total_resistance(id);
+  audit.total_cap = store.total_cap(id);
+  audit.destination_cap = store.destination_cap(id);
+  audit.elmore = store.elmore(id);
+  audit.input_slope = input_slope;
+  audit.path_devices = store.length(id);
+  append_audit_terms(store, id, input_slope, audit.terms);
+  estimate_batch(store, {&id, 1}, {&input_slope, 1}, {&audit.estimate, 1});
+  return audit;
 }
 
-DelayEstimate DelayModel::estimate_audited(const Stage& stage,
-                                           DelayAudit& audit) const {
-  fill_stage_audit(stage, audit);
-  audit.estimate = estimate(stage);
-  return audit.estimate;
+void DelayModel::append_audit_terms(const StageStore& /*store*/,
+                                    StageStore::StageId /*id*/,
+                                    Seconds /*input_slope*/,
+                                    std::vector<AuditTerm>& /*terms*/) const {
 }
 
 }  // namespace sldm

@@ -3,25 +3,23 @@
 // timing analyzer, the experiment harness, and the examples all take a
 // `const DelayModel&`.
 //
-// Besides the hot-path estimate(), every model supports an *audited*
-// evaluation that additionally reports the electrical terms the verdict
-// was built from (path resistance, capacitances, Elmore constant, and
-// model-specific factors such as the slope model's rho and table
-// multipliers).  The explain pipeline (timing/explain.h) re-evaluates
-// each critical-path stage through this hook to produce the paper's
-// Section-6-style per-stage breakdown.
+// Each model is one formula over a stage's electrical summary, and it
+// is written once: estimate_batch() prices a batch of stages resident
+// in a StageStore (delay/stage_store.h) against per-item input slopes,
+// reading the store's cached totals.  It is the only virtual that
+// prices a stage.  The other entry points are non-virtual wrappers
+// over it:
 //
-// For throughput, models also expose estimate_batch(): one call prices
-// a whole batch of stages resident in a StageStore (delay/stage_store.h)
-// against per-item input slopes.  The contract is strict bit-identity:
-// estimate_batch must produce, for every item, exactly the DelayEstimate
-// that estimate() returns for the materialized stage -- same doubles,
-// not merely close ones -- so the analyzer's batched wavefront
-// propagation, the explain re-evaluations, and the fuzz oracles all
-// agree regardless of which entry point priced a stage.  The base-class
-// default materializes and delegates to estimate() (correct for any
-// model); the five concrete models override it with branch-light
-// kernels over the store's cached totals.
+//  * estimate(stage) prices a standalone Stage as a one-element batch
+//    over a one-stage store (tests, examples, the fuzz oracles);
+//  * audit(store, id, slope) prices one store stage the same way and
+//    also reports the electrical terms the verdict was built from: the
+//    generic ones (path resistance, capacitances, Elmore constant) come
+//    from the store caches, and a small virtual hook appends the
+//    model's own factors (e.g. the slope model's rho and table
+//    multipliers).  The explain pipeline (timing/explain.h) audits each
+//    critical-path stage through it to produce the paper's
+//    Section-6-style per-stage breakdown.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +65,7 @@ struct DelayAudit {
   /// Model-specific contributions in evaluation order (e.g. the slope
   /// model's rho and table multipliers).
   std::vector<AuditTerm> terms;
-  DelayEstimate estimate;         ///< identical to estimate(stage)
+  DelayEstimate estimate;         ///< what estimate_batch prices
 };
 
 /// Interface of all switch-level delay models.
@@ -78,44 +76,41 @@ class DelayModel {
   /// Short identifier used in reports ("lumped-rc", "rc-tree", "slope").
   virtual std::string name() const = 0;
 
-  /// Estimates delay and output slope for a validated stage.
-  virtual DelayEstimate estimate(const Stage& stage) const = 0;
-
-  /// Batched kernel: prices stage `ids[i]` of `store` with trigger
-  /// input slope `input_slopes[i]` into `out[i]`, for every i.
+  /// Prices stage `ids[i]` of `store` with trigger input slope
+  /// `input_slopes[i]` into `out[i]`, for every i.
   /// Preconditions: the three spans have equal length; every id is
   /// < store.size(); slopes are >= 0.  Ids may repeat and appear in any
   /// order, and the batch may be empty or larger than the store.
-  ///
-  /// Contract: out[i] is bit-identical to
-  /// estimate(store.materialize(ids[i], input_slopes[i])) -- the default
-  /// implementation computes exactly that through a reused scratch
-  /// stage; overrides must preserve the identity (they read the store's
-  /// caches, which are built with the scalar path's arithmetic).
   /// Implementations are pure over (store, id, slope): concurrent calls
   /// on disjoint output spans are safe, which is what the analyzer's
   /// parallel wavefront relies on.
   virtual void estimate_batch(const StageStore& store,
                               std::span<const StageStore::StageId> ids,
                               std::span<const Seconds> input_slopes,
-                              std::span<DelayEstimate> out) const;
+                              std::span<DelayEstimate> out) const = 0;
 
-  /// Audited evaluation: fills `audit` with the generic stage terms and
-  /// any model-specific contributions, and returns exactly what
-  /// estimate(stage) returns (bit-identical: implementations compute
-  /// the estimate the same way).  The base implementation fills the
-  /// generic terms and delegates to estimate(); models with internal
-  /// factors override it to expose them.
-  virtual DelayEstimate estimate_audited(const Stage& stage,
-                                         DelayAudit& audit) const;
+  /// Estimates delay and output slope for a standalone stage, priced as
+  /// a one-element batch over a one-stage store.  Throws
+  /// ContractViolation if the stage is invalid (see validate()).
+  DelayEstimate estimate(const Stage& stage) const;
+
+  /// Audited evaluation of store stage `id` under `input_slope`: the
+  /// generic fields come from the store caches, `terms` from the
+  /// model's hook, and `estimate` from a one-element estimate_batch.
+  DelayAudit audit(const StageStore& store, StageStore::StageId id,
+                   Seconds input_slope) const;
 
  protected:
   DelayModel() = default;
   DelayModel(const DelayModel&) = default;
   DelayModel& operator=(const DelayModel&) = default;
 
-  /// Fills the generic (model-independent) audit fields from `stage`.
-  void fill_stage_audit(const Stage& stage, DelayAudit& audit) const;
+  /// Appends the model's own audit terms for stage `id` priced under
+  /// `input_slope`.  The default appends none.
+  virtual void append_audit_terms(const StageStore& store,
+                                  StageStore::StageId id,
+                                  Seconds input_slope,
+                                  std::vector<AuditTerm>& terms) const;
 };
 
 }  // namespace sldm

@@ -5,32 +5,24 @@
 
 namespace sldm {
 
-DelayEstimate RcTreeModel::estimate(const Stage& stage) const {
-  const Seconds td = stage_elmore(stage);
-  return {.delay = kLn2 * td, .output_slope = kSlopeFactor * td};
-}
-
 void RcTreeModel::estimate_batch(const StageStore& store,
                                  std::span<const StageStore::StageId> ids,
                                  std::span<const Seconds> input_slopes,
                                  std::span<DelayEstimate> out) const {
   SLDM_EXPECTS(ids.size() == input_slopes.size());
   SLDM_EXPECTS(ids.size() == out.size());
-  // The cached Elmore constant is the exact stage_elmore() double, so
-  // this reproduces estimate() bit for bit without rebuilding a tree.
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const Seconds td = store.elmore(ids[i]);
     out[i] = {.delay = kLn2 * td, .output_slope = kSlopeFactor * td};
   }
 }
 
-DelayEstimate RcTreeModel::estimate_audited(const Stage& stage,
-                                            DelayAudit& audit) const {
-  fill_stage_audit(stage, audit);
-  audit.terms.push_back({"t_elmore", audit.elmore, "s"});
-  audit.terms.push_back({"ln2", kLn2, ""});
-  audit.estimate = estimate(stage);
-  return audit.estimate;
+void RcTreeModel::append_audit_terms(const StageStore& store,
+                                     StageStore::StageId id,
+                                     Seconds /*input_slope*/,
+                                     std::vector<AuditTerm>& terms) const {
+  terms.push_back({"t_elmore", store.elmore(id), "s"});
+  terms.push_back({"ln2", kLn2, ""});
 }
 
 }  // namespace sldm

@@ -13,15 +13,17 @@ namespace sldm {
 class RcTreeModel final : public DelayModel {
  public:
   std::string name() const override { return "rc-tree"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  DelayEstimate estimate_audited(const Stage& stage,
-                                 DelayAudit& audit) const override;
-  /// Batch kernel over the store's cached Elmore constants (no RC tree
-  /// rebuild per evaluation).
+  /// Prices each stage from the store's cached Elmore constant.
   void estimate_batch(const StageStore& store,
                       std::span<const StageStore::StageId> ids,
                       std::span<const Seconds> input_slopes,
                       std::span<DelayEstimate> out) const override;
+
+ private:
+  /// Audit terms: t_elmore, ln2.
+  void append_audit_terms(const StageStore& store, StageStore::StageId id,
+                          Seconds input_slope,
+                          std::vector<AuditTerm>& terms) const override;
 };
 
 }  // namespace sldm

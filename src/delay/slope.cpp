@@ -7,22 +7,18 @@ namespace sldm {
 
 SlopeModel::SlopeModel(SlopeTables tables) : tables_(std::move(tables)) {}
 
-double SlopeModel::slope_ratio(const Stage& stage, Seconds elmore) {
-  SLDM_EXPECTS(elmore > 0.0);
-  return stage.input_slope / elmore;
-}
-
-DelayEstimate SlopeModel::estimate(const Stage& stage) const {
-  const Seconds td = stage_elmore(stage);
-  const TransistorType trigger_type =
-      stage.elements[stage.trigger_index].type;
-  SLDM_EXPECTS(tables_.has(trigger_type, stage.output_dir));
-  const SlopeEntry& e = tables_.entry(trigger_type, stage.output_dir);
-  const double rho = slope_ratio(stage, td);
-  const double dm = e.delay_mult(rho);
-  const double sm = e.slope_mult(rho);
-  SLDM_ENSURES(dm > 0.0 && sm > 0.0);
-  return {.delay = kLn2 * dm * td, .output_slope = kSlopeFactor * sm * td};
+SlopeModel::Factors SlopeModel::factors(const StageStore& store,
+                                        StageStore::StageId id,
+                                        Seconds input_slope) const {
+  const Seconds td = store.elmore(id);
+  const TransistorType trigger_type = store.trigger_type(id);
+  SLDM_EXPECTS(tables_.has(trigger_type, store.output_dir(id)));
+  const SlopeEntry& e = tables_.entry(trigger_type, store.output_dir(id));
+  SLDM_EXPECTS(td > 0.0);
+  const double rho = input_slope / td;
+  const Factors f{td, rho, e.delay_mult(rho), e.slope_mult(rho)};
+  SLDM_ENSURES(f.delay_mult > 0.0 && f.slope_mult > 0.0);
+  return f;
 }
 
 void SlopeModel::estimate_batch(const StageStore& store,
@@ -31,39 +27,22 @@ void SlopeModel::estimate_batch(const StageStore& store,
                                 std::span<DelayEstimate> out) const {
   SLDM_EXPECTS(ids.size() == input_slopes.size());
   SLDM_EXPECTS(ids.size() == out.size());
-  // Same arithmetic as estimate() with the tree walk replaced by the
-  // cached Elmore constant: rho, the table lookups, and the output
-  // formulas see the exact same doubles.
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const StageStore::StageId s = ids[i];
-    const Seconds td = store.elmore(s);
-    const TransistorType trigger_type = store.trigger_type(s);
-    SLDM_EXPECTS(tables_.has(trigger_type, store.output_dir(s)));
-    const SlopeEntry& e = tables_.entry(trigger_type, store.output_dir(s));
-    SLDM_EXPECTS(td > 0.0);
-    const double rho = input_slopes[i] / td;
-    const double dm = e.delay_mult(rho);
-    const double sm = e.slope_mult(rho);
-    SLDM_ENSURES(dm > 0.0 && sm > 0.0);
-    out[i] = {.delay = kLn2 * dm * td,
-              .output_slope = kSlopeFactor * sm * td};
+    const Factors f = factors(store, ids[i], input_slopes[i]);
+    out[i] = {.delay = kLn2 * f.delay_mult * f.t_elmore,
+              .output_slope = kSlopeFactor * f.slope_mult * f.t_elmore};
   }
 }
 
-DelayEstimate SlopeModel::estimate_audited(const Stage& stage,
-                                           DelayAudit& audit) const {
-  fill_stage_audit(stage, audit);
-  const TransistorType trigger_type =
-      stage.elements[stage.trigger_index].type;
-  SLDM_EXPECTS(tables_.has(trigger_type, stage.output_dir));
-  const SlopeEntry& e = tables_.entry(trigger_type, stage.output_dir);
-  const double rho = slope_ratio(stage, audit.elmore);
-  audit.terms.push_back({"t_elmore", audit.elmore, "s"});
-  audit.terms.push_back({"rho", rho, ""});
-  audit.terms.push_back({"delay_mult", e.delay_mult(rho), ""});
-  audit.terms.push_back({"slope_mult", e.slope_mult(rho), ""});
-  audit.estimate = estimate(stage);
-  return audit.estimate;
+void SlopeModel::append_audit_terms(const StageStore& store,
+                                    StageStore::StageId id,
+                                    Seconds input_slope,
+                                    std::vector<AuditTerm>& terms) const {
+  const Factors f = factors(store, id, input_slope);
+  terms.push_back({"t_elmore", f.t_elmore, "s"});
+  terms.push_back({"rho", f.rho, ""});
+  terms.push_back({"delay_mult", f.delay_mult, ""});
+  terms.push_back({"slope_mult", f.slope_mult, ""});
 }
 
 }  // namespace sldm

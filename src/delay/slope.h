@@ -17,27 +17,37 @@ namespace sldm {
 class SlopeModel final : public DelayModel {
  public:
   /// `tables` must contain an entry for every (trigger type, direction)
-  /// that estimate() will see; estimate() enforces this per call.
+  /// that will be priced; pricing enforces this per stage.
   explicit SlopeModel(SlopeTables tables);
 
   std::string name() const override { return "slope"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  /// Additionally exposes rho and the table multipliers as audit terms.
-  DelayEstimate estimate_audited(const Stage& stage,
-                                 DelayAudit& audit) const override;
-  /// Batch kernel: cached Elmore constant + per-item slope ratio and
-  /// table lookups (no RC tree rebuild per evaluation).
+  /// delay = ln2 * delay_mult(rho) * T_elmore and output slope =
+  /// kSlopeFactor * slope_mult(rho) * T_elmore, with
+  /// rho = input_slope / T_elmore and the multipliers looked up in the
+  /// trigger's (type, direction) table.
   void estimate_batch(const StageStore& store,
                       std::span<const StageStore::StageId> ids,
                       std::span<const Seconds> input_slopes,
                       std::span<DelayEstimate> out) const override;
 
-  /// The slope ratio estimate() uses for a stage.
-  static double slope_ratio(const Stage& stage, Seconds elmore);
-
   const SlopeTables& tables() const { return tables_; }
 
  private:
+  /// The slope-model factors of one stage under one input slope.
+  struct Factors {
+    Seconds t_elmore;
+    double rho;
+    double delay_mult;
+    double slope_mult;
+  };
+  Factors factors(const StageStore& store, StageStore::StageId id,
+                  Seconds input_slope) const;
+
+  /// Audit terms: t_elmore, rho, delay_mult, slope_mult.
+  void append_audit_terms(const StageStore& store, StageStore::StageId id,
+                          Seconds input_slope,
+                          std::vector<AuditTerm>& terms) const override;
+
   SlopeTables tables_;
 };
 

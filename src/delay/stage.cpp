@@ -9,26 +9,16 @@ Farads Stage::destination_cap() const {
   return elements.back().cap;
 }
 
-void Stage::refresh_totals() const {
-  Ohms r = 0.0;
-  Farads c = 0.0;
-  for (const StageElement& e : elements) {
-    r += e.resistance;
-    c += e.cap;
-  }
-  cached_total_r_ = r;
-  cached_total_c_ = c;
-  totals_cached_ = true;
-}
-
 Ohms Stage::total_resistance() const {
-  if (!totals_cached_) refresh_totals();
-  return cached_total_r_;
+  Ohms r = 0.0;
+  for (const StageElement& e : elements) r += e.resistance;
+  return r;
 }
 
 Farads Stage::total_cap() const {
-  if (!totals_cached_) refresh_totals();
-  return cached_total_c_;
+  Farads c = 0.0;
+  for (const StageElement& e : elements) c += e.cap;
+  return c;
 }
 
 void validate(const Stage& stage) {
@@ -39,9 +29,6 @@ void validate(const Stage& stage) {
     SLDM_EXPECTS(e.resistance > 0.0);
     SLDM_EXPECTS(e.cap >= 0.0);
   }
-  // Recompute unconditionally: validate() is the refresh point after
-  // direct element mutation, so it must not trust an existing memo.
-  stage.refresh_totals();
   SLDM_EXPECTS(stage.total_cap() > 0.0);
 }
 

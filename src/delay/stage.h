@@ -7,13 +7,12 @@
 // (src/timing) produces it from a netlist, and tests/benches also build
 // stages directly.
 //
-// The analyzer's hot path does not evaluate standalone Stage objects:
-// extracted stages live in the flat StageStore (delay/stage_store.h),
-// which caches every derived electrical total at insertion time.  Stage
-// remains the materialized per-stage view for tests, explain traces,
-// the fuzz oracles, and direct model evaluation -- and it memoizes its
-// own path totals so repeated queries (audits, per-model sweeps) do not
-// re-walk the element vector.
+// Delay models never price a standalone Stage directly: a stage is
+// baked into the flat StageStore (delay/stage_store.h), which caches
+// every derived electrical total at insertion time, and the models read
+// those caches.  Stage is the construction-side record extraction
+// fills, and what tests and examples build by hand;
+// DelayModel::estimate(stage) bakes it into a one-stage store.
 #pragma once
 
 #include <cstddef>
@@ -41,42 +40,21 @@ struct Stage {
   /// time); 0 means an ideal step.
   Seconds input_slope = 0.0;
   /// Path from the value source (front) to the destination (back).
-  /// Mutating this vector directly leaves any memoized totals stale
-  /// until the next validate() -- which every model evaluation performs
-  /// -- or an explicit refresh_totals().
   std::vector<StageElement> elements;
   /// Index into `elements` of the trigger transistor.
   std::size_t trigger_index = 0;
 
   /// Capacitance at the destination node.
   Farads destination_cap() const;
-  /// Sum of path resistances.  Memoized: validate() (and therefore
-  /// every model evaluation) refreshes the cache, so hot callers that
-  /// validate first pay the element walk once per evaluation instead
-  /// of once per query.
+  /// Sum of path resistances, front to back.
   Ohms total_resistance() const;
-  /// Sum of path node capacitances (memoized like total_resistance()).
+  /// Sum of path node capacitances, front to back.
   Farads total_cap() const;
-
-  /// Recomputes the memoized totals from `elements` (same front-to-back
-  /// summation order as the uncached getters, so cached and uncached
-  /// reads are bit-identical).  Called by validate(); call it manually
-  /// after mutating `elements` if totals are read without a
-  /// re-validation.
-  void refresh_totals() const;
-
- private:
-  mutable Ohms cached_total_r_ = 0.0;
-  mutable Farads cached_total_c_ = 0.0;
-  mutable bool totals_cached_ = false;
 };
 
 /// Validates stage invariants: non-empty path, trigger in range,
 /// positive resistances, non-negative caps, positive total cap,
 /// non-negative input slope.  Throws ContractViolation otherwise.
-/// Also refreshes the stage's memoized totals (it walks the elements
-/// anyway), so evaluation paths that validate first get cached totals
-/// for free.
 void validate(const Stage& stage);
 
 /// Builds the (chain-shaped) RC tree of the stage: root at the value
@@ -84,7 +62,8 @@ void validate(const Stage& stage);
 /// node (index elements.size()).
 RcTree to_rc_tree(const Stage& stage);
 
-/// Elmore time constant at the stage destination.
+/// Elmore time constant at the stage destination (the RcTree reference
+/// for the StageStore's cached value).
 Seconds stage_elmore(const Stage& stage);
 
 }  // namespace sldm

@@ -6,33 +6,32 @@
 namespace sldm {
 
 StageStore::StageId StageStore::add(const Stage& stage) {
-  // validate() also refreshes the stage's memoized totals, which add()
-  // then copies verbatim -- the cached store totals are therefore the
-  // exact doubles Stage::total_resistance()/total_cap() return.
   validate(stage);
   SLDM_EXPECTS(offset_.back() + stage.elements.size() <= UINT32_MAX);
 
   const StageId id = static_cast<StageId>(size());
+  Ohms total_r = 0.0;
+  Farads total_c = 0.0;
   for (const StageElement& e : stage.elements) {
     elem_type_.push_back(e.type);
     elem_r_.push_back(e.resistance);
     elem_c_.push_back(e.cap);
+    total_r += e.resistance;
+    total_c += e.cap;
   }
   offset_.push_back(static_cast<std::uint32_t>(elem_r_.size()));
 
   output_dir_.push_back(stage.output_dir);
   trigger_index_.push_back(static_cast<std::uint32_t>(stage.trigger_index));
   trigger_type_.push_back(stage.elements[stage.trigger_index].type);
-  total_r_.push_back(stage.total_resistance());
-  total_c_.push_back(stage.total_cap());
+  total_r_.push_back(total_r);
+  total_c_.push_back(total_c);
   dest_c_.push_back(stage.destination_cap());
 
-  // The Elmore constant and the RPH total time constant replicate the
-  // RcTree arithmetic the scalar models run (to_rc_tree builds a pure
-  // chain: tree node k is element k-1, the destination is the last
-  // node), term for term and in the same summation order, so batch
-  // kernels reading these caches reproduce scalar results bit for bit
-  // -- without allocating a tree per stage:
+  // The Elmore constant and the RPH total time constant follow the
+  // RcTree arithmetic (to_rc_tree builds a pure chain: tree node k is
+  // element k-1, the destination is the last node) term for term and in
+  // the same summation order, without allocating a tree per stage:
   //  * RcTree::path_resistance(k) sums r_up from node k upward
   //    (descending element index);
   //  * elmore(dest) adds path_resistance(k) * cap_k over ascending k,
@@ -86,29 +85,6 @@ void StageStore::reserve(std::size_t stages, std::size_t elements) {
   dest_c_.reserve(stages);
   elmore_.reserve(stages);
   tp_.reserve(stages);
-}
-
-void StageStore::materialize(StageId s, Seconds input_slope,
-                             Stage& out) const {
-  SLDM_EXPECTS(s < size());
-  const std::uint32_t n = length(s);
-  out.output_dir = output_dir_[s];
-  out.input_slope = input_slope;
-  out.trigger_index = trigger_index_[s];
-  out.elements.resize(n);
-  const TransistorType* types = elem_types(s);
-  const Ohms* rs = elem_resistances(s);
-  const Farads* cs = elem_caps(s);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    out.elements[i] = StageElement{types[i], rs[i], cs[i]};
-  }
-  out.refresh_totals();
-}
-
-Stage StageStore::materialize(StageId s, Seconds input_slope) const {
-  Stage stage;
-  materialize(s, input_slope, stage);
-  return stage;
 }
 
 StageStore::RawArrays StageStore::export_arrays() const {

@@ -1,10 +1,10 @@
-// Flat structure-of-arrays storage for extracted stages: the batched
-// delay-kernel core.
+// Flat structure-of-arrays storage for extracted stages: what every
+// delay model prices.
 //
 // The timing analyzer's propagation loop evaluates the same stage set
 // thousands of times; a per-stage `Stage` (vector of StageElement,
-// rebuilt per evaluation) pays an allocation, a pointer chase, and a
-// re-derivation of every electrical total on each visit.  The
+// rebuilt per evaluation) would pay an allocation, a pointer chase, and
+// a re-derivation of every electrical total on each visit.  The
 // StageStore amortizes all of that once, at extraction time:
 //
 //  * element data (type / resistance / capacitance) lives in three
@@ -12,16 +12,14 @@
 //  * every slope-independent derived quantity is cached per stage:
 //    total path resistance, total path capacitance, destination
 //    capacitance, the Elmore constant at the destination, and the RPH
-//    total time constant.  Caches are computed through exactly the same
-//    arithmetic (same summation order, same RcTree walk) as the
-//    standalone Stage/RcTree path, so model results over the store are
-//    bit-identical to scalar evaluation of the materialized stage.
+//    total time constant.  Stage::total_*(), stage_elmore() and
+//    RcTree::total_time_constant() are the reference definitions these
+//    caches are tested against.
 //
 // Only the trigger's input slope varies between evaluations of one
 // stage, so DelayModel::estimate_batch (delay/model.h) takes the store
-// plus parallel (stage id, input slope) spans and never materializes a
-// Stage on the specialized kernels' hot path.  materialize() rebuilds
-// the thin Stage view for tests, explain traces, and the fuzz oracles.
+// plus parallel (stage id, input slope) spans, and DelayModel::audit
+// reads the same caches.
 #pragma once
 
 #include <cstddef>
@@ -58,36 +56,17 @@ class StageStore {
   }
   std::uint32_t trigger_index(StageId s) const { return trigger_index_[s]; }
   TransistorType trigger_type(StageId s) const { return trigger_type_[s]; }
-  /// Sum of path resistances (identical to Stage::total_resistance()).
+  /// Sum of path resistances (Stage::total_resistance()).
   Ohms total_resistance(StageId s) const { return total_r_[s]; }
-  /// Sum of path node capacitances (identical to Stage::total_cap()).
+  /// Sum of path node capacitances (Stage::total_cap()).
   Farads total_cap(StageId s) const { return total_c_[s]; }
   /// Capacitance at the destination node.
   Farads destination_cap(StageId s) const { return dest_c_[s]; }
-  /// Elmore time constant at the destination (identical to
-  /// stage_elmore() of the materialized stage).
+  /// Elmore time constant at the destination (stage_elmore()).
   Seconds elmore(StageId s) const { return elmore_[s]; }
-  /// RPH total time constant T_P of the stage tree (identical to
-  /// to_rc_tree(stage).total_time_constant()).
+  /// RPH total time constant T_P of the stage tree
+  /// (to_rc_tree(stage).total_time_constant()).
   Seconds total_time_constant(StageId s) const { return tp_[s]; }
-
-  // --- Raw element window of stage `s` (length(s) entries each).
-  const TransistorType* elem_types(StageId s) const {
-    return elem_type_.data() + offset_[s];
-  }
-  const Ohms* elem_resistances(StageId s) const {
-    return elem_r_.data() + offset_[s];
-  }
-  const Farads* elem_caps(StageId s) const {
-    return elem_c_.data() + offset_[s];
-  }
-
-  /// Materializes stage `s` as a standalone Stage with the given input
-  /// slope -- element storage of `out` is reused, so a loop-local Stage
-  /// costs no allocation at steady state.  The result is bit-identical
-  /// to the Stage the store was built from (with input_slope replaced).
-  void materialize(StageId s, Seconds input_slope, Stage& out) const;
-  Stage materialize(StageId s, Seconds input_slope) const;
 
   /// Snapshot bridge (design/snapshot.cpp): the store's exact internal
   /// arrays, in declaration order.  Restoring from_arrays() with an

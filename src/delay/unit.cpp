@@ -8,11 +8,6 @@ UnitDelayModel::UnitDelayModel(Seconds unit) : unit_(unit) {
   SLDM_EXPECTS(unit > 0.0);
 }
 
-DelayEstimate UnitDelayModel::estimate(const Stage& stage) const {
-  validate(stage);
-  return {.delay = unit_, .output_slope = unit_};
-}
-
 void UnitDelayModel::estimate_batch(const StageStore& store,
                                     std::span<const StageStore::StageId> ids,
                                     std::span<const Seconds> input_slopes,

@@ -15,8 +15,7 @@ class UnitDelayModel final : public DelayModel {
   explicit UnitDelayModel(Seconds unit);
 
   std::string name() const override { return "unit-delay"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  /// Batch kernel: a constant fill (store stages are pre-validated).
+  /// A constant fill (store stages are validated on insertion).
   void estimate_batch(const StageStore& store,
                       std::span<const StageStore::StageId> ids,
                       std::span<const Seconds> input_slopes,

@@ -105,6 +105,16 @@ class Reader {
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
 
+  /// Checks an untrusted element count against the bytes left: `n`
+  /// records of at least `min_record_bytes` each must fit, so a corrupt
+  /// count fails here by name instead of in a huge reserve().
+  void check_count(std::uint64_t n, std::size_t min_record_bytes) const {
+    if (n > remaining() / min_record_bytes) {
+      fail("count " + std::to_string(n) + " exceeds the " +
+           std::to_string(remaining()) + " byte(s) left");
+    }
+  }
+
   [[noreturn]] void fail(const std::string& why) const {
     throw Error("snapshot " + origin_ + ": " + what_ + ": " + why);
   }
@@ -403,6 +413,9 @@ ExtractOptions read_options_section(Reader& r, const Netlist& nl) {
 std::vector<TimingStage> read_stages_section(Reader& r, const Netlist& nl) {
   std::vector<TimingStage> stages;
   const std::uint64_t count = r.u64();
+  // source, destination, trigger, path length (u32 each), two
+  // transitions and the flags byte.
+  r.check_count(count, 4 * 4 + 3);
   stages.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     TimingStage ts;
@@ -416,6 +429,7 @@ std::vector<TimingStage> read_stages_section(Reader& r, const Netlist& nl) {
     ts.trigger_is_release = (flags & (1u << 0)) != 0;
     ts.source_triggered = (flags & (1u << 1)) != 0;
     const std::uint32_t path_len = r.u32();
+    r.check_count(path_len, 4);
     ts.path.reserve(path_len);
     for (std::uint32_t p = 0; p < path_len; ++p) {
       const DeviceId d(r.u32());
@@ -438,21 +452,25 @@ StageStore read_store_section(Reader& r) {
   StageStore::RawArrays a;
   const auto get_type_vec = [&r](std::vector<TransistorType>& v) {
     const std::uint64_t n = r.u64();
+    r.check_count(n, 1);
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_transistor_type(r));
   };
   const auto get_dir_vec = [&r](std::vector<Transition>& v) {
     const std::uint64_t n = r.u64();
+    r.check_count(n, 1);
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_transition(r));
   };
   const auto get_u32_vec = [&r](std::vector<std::uint32_t>& v) {
     const std::uint64_t n = r.u64();
+    r.check_count(n, 4);
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u32());
   };
   const auto get_f64_vec = [&r](std::vector<double>& v) {
     const std::uint64_t n = r.u64();
+    r.check_count(n, 8);
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.f64());
   };

@@ -201,21 +201,6 @@ FuzzReport run_fuzz(const FuzzOptions& options, std::ostream& log) {
     }
 
     {
-      const OracleResult r =
-          check_batch_parity(*analyzer, options.input_slope);
-      if (!count("batch-parity", r)) {
-        const GeneratedCircuit small =
-            shrink_circuit(g, [&](const GeneratedCircuit& c) {
-              const auto an = analyze(c, model, options.input_slope);
-              return an &&
-                     !check_batch_parity(*an, options.input_slope).ok;
-            });
-        sink.record(i, "batch-parity", small, r.detail, "", iter_seed);
-        continue;
-      }
-    }
-
-    {
       // ISSUE acceptance: bit-identity through the .sldc round trip at
       // one worker and at four.
       const std::vector<int> snapshot_threads{1, 4};

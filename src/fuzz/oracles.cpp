@@ -6,8 +6,6 @@
 #include "delay/bounds.h"
 #include "delay/lumped.h"
 #include "delay/rctree.h"
-#include "delay/slope.h"
-#include "delay/unit.h"
 #include "design/compiled_design.h"
 #include "design/snapshot.h"
 #include "netlist/checks.h"
@@ -107,47 +105,6 @@ OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
           format("stage-bounds: elmore %g exceeds lumped %g on ", d_elmore,
                  d_lumped) +
           describe_stage());
-    }
-  }
-  return OracleResult::pass();
-}
-
-OracleResult check_batch_parity(const TimingAnalyzer& analyzer,
-                                Seconds input_slope) {
-  const LumpedRcModel lumped;
-  const RcTreeModel rctree;
-  const SlopeModel slope(SlopeTables::unit());
-  const RphBoundsModel lower(RphBoundsModel::Mode::kLower);
-  const RphBoundsModel upper(RphBoundsModel::Mode::kUpper);
-  const UnitDelayModel unit(1e-9);
-  const StageStore& store = analyzer.stage_store();
-  if (store.empty()) return OracleResult::skip("no stages extracted");
-
-  std::vector<StageStore::StageId> ids(store.size());
-  std::vector<Seconds> slopes(store.size());
-  for (std::size_t s = 0; s < store.size(); ++s) {
-    ids[s] = static_cast<StageStore::StageId>(s);
-    // Varied per item so slope-sensitive kernels are exercised off the
-    // constant path.
-    slopes[s] = input_slope * (1.0 + 0.25 * static_cast<double>(s % 5));
-  }
-  std::vector<DelayEstimate> batch(store.size());
-  Stage scratch;
-  const DelayModel* const models[] = {&lumped, &rctree, &slope,
-                                      &lower,  &upper,  &unit};
-  for (const DelayModel* model : models) {
-    model->estimate_batch(store, ids, slopes, batch);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      store.materialize(ids[i], slopes[i], scratch);
-      const DelayEstimate scalar = model->estimate(scratch);
-      if (scalar.delay != batch[i].delay ||
-          scalar.output_slope != batch[i].output_slope) {
-        return OracleResult::fail(format(
-            "batch-parity: model %s stage %zu: batch (%.17g, %.17g) vs "
-            "scalar (%.17g, %.17g)",
-            model->name().c_str(), i, batch[i].delay,
-            batch[i].output_slope, scalar.delay, scalar.output_slope));
-      }
     }
   }
   return OracleResult::pass();

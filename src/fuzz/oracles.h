@@ -14,9 +14,6 @@
 //  * stage-bounds      per extracted stage: rph-lower <= elmore point
 //                      estimate <= rph-upper, and elmore <= lumped
 //                      (Elmore never exceeds R_tot*C_tot on a chain);
-//  * batch-parity      every delay model's estimate_batch over the
-//                      analyzer's stage store must be bit-identical to
-//                      scalar estimate() of the materialized stages;
 //  * switchsim         if flipping the stimulated input flips the
 //                      settled output in the switch-level simulator,
 //                      the analyzer must report an arrival for that
@@ -70,14 +67,6 @@ OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer);
 /// relative tolerance for floating-point noise.
 OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
                                 const std::vector<TimingStage>& stages,
-                                Seconds input_slope);
-
-/// For each of the five delay models: estimate_batch over
-/// analyzer.stage_store() must equal scalar estimate() of the
-/// materialized stage, bit for bit, for every stage (slopes varied per
-/// item).  Guards the batched wavefront propagation against kernel
-/// drift.
-OracleResult check_batch_parity(const TimingAnalyzer& analyzer,
                                 Seconds input_slope);
 
 /// Differential functional check against the switch-level simulator.

@@ -205,8 +205,6 @@ OracleResult replay_repro(const ReproCase& c) {
   if (!r.ok) return r;
   r = check_stage_bounds(g.netlist, tech, analyzer.stages(), slope);
   if (!r.ok) return r;
-  r = check_batch_parity(analyzer, slope);
-  if (!r.ok) return r;
   std::vector<int> snapshot_threads{1, 4};
   if (c.threads > 4) snapshot_threads.push_back(c.threads);
   r = check_snapshot_roundtrip(g, snapshot_threads, slope);

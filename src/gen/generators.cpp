@@ -19,7 +19,7 @@ GeneratedCircuit inverter_chain(Style style, int stages, int fanout) {
   g.input = b.input("in");
   NodeId cur = g.input;
   for (int i = 0; i < stages; ++i) {
-    cur = b.inverter(cur, "s" + std::to_string(i + 1));
+    cur = b.inverter(cur, format("s%d", i + 1));
     if (i + 1 < stages) {
       b.add_fanout_load(cur, fanout - 1);
     }
@@ -40,7 +40,7 @@ GeneratedCircuit nand_chain(Style style, int inputs) {
   g.style = style;
   std::vector<NodeId> ins;
   for (int i = 0; i < inputs; ++i) {
-    const NodeId in = b.input("a" + std::to_string(i));
+    const NodeId in = b.input(format("a%d", i));
     ins.push_back(in);
     if (i > 0) g.high_inputs.push_back(in);
   }
@@ -61,7 +61,7 @@ GeneratedCircuit nor_chain(Style style, int inputs) {
   g.style = style;
   std::vector<NodeId> ins;
   for (int i = 0; i < inputs; ++i) {
-    const NodeId in = b.input("a" + std::to_string(i));
+    const NodeId in = b.input(format("a%d", i));
     ins.push_back(in);
     if (i > 0) g.low_inputs.push_back(in);
   }
@@ -85,7 +85,7 @@ GeneratedCircuit pass_chain(Style style, int length) {
   const NodeId sel = b.input("sel");
   g.high_inputs.push_back(sel);
   for (int i = 1; i <= length; ++i) {
-    const NodeId next = b.node("p" + std::to_string(i));
+    const NodeId next = b.node(format("p%d", i));
     b.pass(cur, next, sel);
     cur = next;
   }
@@ -109,14 +109,14 @@ GeneratedCircuit barrel_shifter(Style style, int bits) {
   std::vector<NodeId> data(static_cast<std::size_t>(bits));
   data[0] = b.inverter(g.input, "d0");
   for (int i = 1; i < bits; ++i) {
-    data[static_cast<std::size_t>(i)] = b.input("d" + std::to_string(i));
+    data[static_cast<std::size_t>(i)] = b.input(format("d%d", i));
     g.low_inputs.push_back(data[static_cast<std::size_t>(i)]);
   }
 
   // One-hot shift selects; shift 0 active.
   std::vector<NodeId> sel(static_cast<std::size_t>(bits));
   for (int s = 0; s < bits; ++s) {
-    sel[static_cast<std::size_t>(s)] = b.input("sh" + std::to_string(s));
+    sel[static_cast<std::size_t>(s)] = b.input(format("sh%d", s));
     if (s == 0) {
       g.high_inputs.push_back(sel[static_cast<std::size_t>(s)]);
     } else {
@@ -127,7 +127,7 @@ GeneratedCircuit barrel_shifter(Style style, int bits) {
   // Output lines; out_j connects to data_{(j+s) mod bits} under sh_s.
   std::vector<NodeId> out(static_cast<std::size_t>(bits));
   for (int j = 0; j < bits; ++j) {
-    out[static_cast<std::size_t>(j)] = b.node("o" + std::to_string(j));
+    out[static_cast<std::size_t>(j)] = b.node(format("o%d", j));
   }
   for (int s = 0; s < bits; ++s) {
     for (int j = 0; j < bits; ++j) {
@@ -155,7 +155,7 @@ GeneratedCircuit manchester_carry(Style style, int bits) {
   std::vector<NodeId> carry(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
     carry[static_cast<std::size_t>(i)] =
-        b.netlist().mark_precharged("c" + std::to_string(i));
+        b.netlist().mark_precharged(format("c%d", i));
   }
   const Sizing s = Sizing::standard(style);
 
@@ -166,7 +166,7 @@ GeneratedCircuit manchester_carry(Style style, int bits) {
 
   // Propagate pass transistors chain the carries; all held high.
   for (int i = 1; i < bits; ++i) {
-    const NodeId p = b.input("p" + std::to_string(i));
+    const NodeId p = b.input(format("p%d", i));
     g.high_inputs.push_back(p);
     b.pass(carry[static_cast<std::size_t>(i - 1)],
            carry[static_cast<std::size_t>(i)], p);
@@ -192,9 +192,9 @@ GeneratedCircuit precharged_bus(Style style, int drivers) {
 
   const Sizing s = Sizing::standard(style);
   for (int j = 0; j < drivers; ++j) {
-    const NodeId sel = b.input("sel" + std::to_string(j));
-    const NodeId data = b.input("data" + std::to_string(j));
-    const NodeId mid = b.node("mid" + std::to_string(j));
+    const NodeId sel = b.input(format("sel%d", j));
+    const NodeId data = b.input(format("data%d", j));
+    const NodeId mid = b.node(format("mid%d", j));
     b.netlist().add_transistor(TransistorType::kNEnhancement, sel, mid, bus,
                                s.driver_w, s.driver_l);
     b.netlist().add_transistor(TransistorType::kNEnhancement, data, b.gnd(),
@@ -228,7 +228,7 @@ GeneratedCircuit driver_chain(Style style, int stages, double taper,
   NodeId cur = g.input;
   double strength = 1.0;
   for (int i = 0; i < stages; ++i) {
-    cur = b.inverter(cur, "d" + std::to_string(i + 1), strength);
+    cur = b.inverter(cur, format("d%d", i + 1), strength);
     strength *= taper;
   }
   b.netlist().add_cap(cur, load_fF * units::fF);
@@ -249,17 +249,17 @@ GeneratedCircuit address_decoder(Style style, int bits) {
   std::vector<NodeId> a_true(static_cast<std::size_t>(bits));
   std::vector<NodeId> a_bar(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
-    const NodeId a = b.input("a" + std::to_string(i));
+    const NodeId a = b.input(format("a%d", i));
     if (i == 0) {
       g.input = a;
     } else {
       g.low_inputs.push_back(a);
     }
     a_bar[static_cast<std::size_t>(i)] =
-        b.inverter(a, "abar" + std::to_string(i));
+        b.inverter(a, format("abar%d", i));
     a_true[static_cast<std::size_t>(i)] =
         b.inverter(a_bar[static_cast<std::size_t>(i)],
-                   "atrue" + std::to_string(i));
+                   format("atrue%d", i));
   }
 
   // One NOR row per address value: row r goes high when a == r.
@@ -273,7 +273,7 @@ GeneratedCircuit address_decoder(Style style, int bits) {
       literals.push_back(bit_set ? a_bar[static_cast<std::size_t>(i)]
                                  : a_true[static_cast<std::size_t>(i)]);
     }
-    const NodeId row = b.nor_gate(literals, "row" + std::to_string(r));
+    const NodeId row = b.nor_gate(literals, format("row%d", r));
     if (r == 1) row1 = row;
   }
   SLDM_ASSERT(row1.valid());
@@ -299,17 +299,17 @@ GeneratedCircuit pla(Style style, int inputs, int products, int outputs,
   std::vector<NodeId> a_true(static_cast<std::size_t>(inputs));
   std::vector<NodeId> a_bar(static_cast<std::size_t>(inputs));
   for (int i = 0; i < inputs; ++i) {
-    const NodeId a = b.input("i" + std::to_string(i));
+    const NodeId a = b.input(format("i%d", i));
     if (i == 0) {
       g.input = a;
     } else {
       g.low_inputs.push_back(a);
     }
     a_bar[static_cast<std::size_t>(i)] =
-        b.inverter(a, "ibar" + std::to_string(i));
+        b.inverter(a, format("ibar%d", i));
     a_true[static_cast<std::size_t>(i)] =
         b.inverter(a_bar[static_cast<std::size_t>(i)],
-                   "itrue" + std::to_string(i));
+                   format("itrue%d", i));
   }
 
   // AND plane as NOR rows over literals.  Product 0 is pinned to !a0 so
@@ -334,7 +334,7 @@ GeneratedCircuit pla(Style style, int inputs, int products, int outputs,
       }
     }
     product[static_cast<std::size_t>(p)] =
-        b.nor_gate(literals, "p" + std::to_string(p));
+        b.nor_gate(literals, format("p%d", p));
   }
 
   // OR plane: outputs are NORs of products (active low), re-inverted at
@@ -350,8 +350,8 @@ GeneratedCircuit pla(Style style, int inputs, int products, int outputs,
           static_cast<int>(rng() % static_cast<unsigned>(products)))]);
     }
     const NodeId nor_out =
-        b.nor_gate(terms, "no" + std::to_string(o));
-    const NodeId out = b.inverter(nor_out, "o" + std::to_string(o));
+        b.nor_gate(terms, format("no%d", o));
+    const NodeId out = b.inverter(nor_out, format("o%d", o));
     b.netlist().mark_output(b.netlist().node(out).name);
     if (o == 0) g.output = out;
   }
@@ -403,8 +403,8 @@ GeneratedCircuit sram_read_column(Style style, int rows) {
 
   const Sizing s = Sizing::standard(style);
   for (int r = 0; r < rows; ++r) {
-    const NodeId wl = b.input("wl" + std::to_string(r));
-    const NodeId cell = b.node("cell" + std::to_string(r));
+    const NodeId wl = b.input(format("wl%d", r));
+    const NodeId cell = b.node(format("cell%d", r));
     // Access transistor: bit <-> cell, gated by the wordline.
     b.netlist().add_transistor(TransistorType::kNEnhancement, wl, cell, bit,
                                s.pass_w, s.pass_l);
@@ -439,7 +439,7 @@ GeneratedCircuit random_logic(Style style, int layers, int width,
 
   std::vector<NodeId> prev;
   for (int i = 0; i < width; ++i) {
-    const NodeId in = b.input("in" + std::to_string(i));
+    const NodeId in = b.input(format("in%d", i));
     prev.push_back(in);
     if (i == 0) {
       g.input = in;

@@ -90,10 +90,12 @@ Seconds RcTree::total_time_constant() const {
 
 RcTree::Bounds RcTree::rph_bounds(std::size_t node, double v) const {
   check_node(node);
+  return sldm::rph_bounds(elmore(node), total_time_constant(), v);
+}
+
+RcTree::Bounds rph_bounds(Seconds td, Seconds tp, double v) {
   SLDM_EXPECTS(v > 0.0 && v < 1.0);
-  const Seconds td = elmore(node);
-  const Seconds tp = total_time_constant();
-  Bounds b;
+  RcTree::Bounds b;
   b.lower = td - (1.0 - v) * tp;
   if (b.lower < 0.0) b.lower = 0.0;
   b.upper = td / (1.0 - v);

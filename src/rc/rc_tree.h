@@ -82,6 +82,11 @@ class RcTree {
   std::vector<Farads> cap_;
 };
 
+/// The RPH bounds of RcTree::rph_bounds from the node's Elmore constant
+/// `td` and the tree's total time constant `tp`; the lower bound is
+/// clamped at 0.  Precondition: 0 < v < 1.
+RcTree::Bounds rph_bounds(Seconds td, Seconds tp, double v);
+
 /// ln(2): time-constant -> 50% delay conversion for an exponential.
 inline constexpr double kLn2 = 0.6931471805599453;
 /// ln(9)/0.8: time-constant -> full-swing-equivalent transition time.

@@ -75,13 +75,13 @@ ExplainReport explain_arrival(const Session& session, NodeId node,
     } else {
       const TimingStage& ts = session.stages()[info.via_stage];
       // The predecessor's committed slope is exactly what fed this
-      // stage during propagation, so the audited re-evaluation
-      // reproduces the committed delay bit for bit.
+      // stage during propagation, so the audit (the same batch kernel
+      // over the same store stage) reproduces the committed delay.
       const ArrivalInfo from =
           *session.arrival(info.from_node, info.from_dir);
-      const Stage stage = session.stage_store().materialize(
+      step.audit = session.delay_model().audit(
+          session.stage_store(),
           static_cast<StageStore::StageId>(info.via_stage), from.slope);
-      session.delay_model().estimate_audited(stage, step.audit);
       step.delay = step.audit.estimate.delay;
       step.stage = describe(nl, ts);
     }

@@ -3,16 +3,17 @@
 //
 // An arrival explained is the critical path into one (node, transition)
 // with every stage on it *re-evaluated* through the delay model's audit
-// hook (DelayModel::estimate_audited): each step carries the generic
-// stage electricals (path resistance, capacitances, Elmore constant,
-// input slope) plus the model-specific terms (e.g. the slope model's
-// rho and table multipliers), so a surprising arrival can be traced to
-// the R, C, and slope values it was computed from.
+// (DelayModel::audit): each step carries the generic stage electricals
+// (path resistance, capacitances, Elmore constant, input slope) read
+// from the session's StageStore, plus the model-specific terms (e.g.
+// the slope model's rho and table multipliers), so a surprising arrival
+// can be traced to the R, C, and slope values it was computed from.
 //
-// The re-evaluation is exact, not approximate: the stored predecessor
-// slope feeds make_stage() just as it did during propagation, so each
-// step's audited delay is bit-identical to the delay that was committed
-// -- the per-stage delays sum to the reported arrival.
+// The re-evaluation is exact, not approximate: the audit prices the
+// same store stage with the stored predecessor slope through the same
+// batch kernel propagation used, so each step's audited delay is the
+// delay that was committed -- the per-stage delays sum to the reported
+// arrival.
 #pragma once
 
 #include <string>
@@ -45,7 +46,7 @@ struct ExplainReport {
 };
 
 /// Walks the stored predecessor links from (node, dir) back to its seed
-/// and re-evaluates every stage on the path through estimate_audited.
+/// and re-evaluates every stage on the path through DelayModel::audit.
 /// Preconditions: the session has run and arrival(node, dir) has a
 /// value (Error otherwise).
 ExplainReport explain_arrival(const Session& session, NodeId node,

@@ -40,13 +40,17 @@ std::vector<Session::EnumeratedPath> Session::k_worst_paths(
     if (kk == target) {
       found.push_back(EnumeratedPath{steps, t});
     }
-    for (std::size_t s : by_trigger[kk]) {
-      const TimingStage& ts = stages[s];
-      const Stage stage = store.materialize(
-          static_cast<StageStore::StageId>(s), slope);
-      const DelayEstimate est = model_.estimate(stage);
-      self(self, ts.destination, ts.output_dir, t + est.delay,
-           est.output_slope, describe(nl, ts));
+    // Price the whole fanout of this event in one batch (locals: the
+    // recursion below reuses the enclosing frames' vectors otherwise).
+    const std::vector<std::size_t>& fanout = by_trigger[kk];
+    const std::vector<StageStore::StageId> ids(fanout.begin(), fanout.end());
+    const std::vector<Seconds> slopes(fanout.size(), slope);
+    std::vector<DelayEstimate> est(fanout.size());
+    model_.estimate_batch(store, ids, slopes, est);
+    for (std::size_t i = 0; i < fanout.size(); ++i) {
+      const TimingStage& ts = stages[fanout[i]];
+      self(self, ts.destination, ts.output_dir, t + est[i].delay,
+           est[i].output_slope, describe(nl, ts));
     }
     steps.pop_back();
     on_path[kk] = false;

@@ -9,6 +9,7 @@
 #include "delay/rctree.h"
 #include "delay/slope.h"
 #include "delay/slope_table.h"
+#include "delay/stage_store.h"
 #include "rc/rc_tree.h"
 #include "util/contracts.h"
 #include "util/error.h"
@@ -311,11 +312,23 @@ TEST(SlopeModel, MissingEntryRejected) {
 }
 
 TEST(SlopeModel, SlopeRatioDefinition) {
-  Stage s = single_stage(10e3, 100e-15);
-  s.input_slope = 2e-9;
-  const Seconds td = stage_elmore(s);
-  EXPECT_NEAR(SlopeModel::slope_ratio(s, td), 2e-9 / td, 1e-12);
-  EXPECT_THROW(SlopeModel::slope_ratio(s, 0.0), ContractViolation);
+  // rho = input_slope / T_elmore, reported as an audit term and used
+  // for both table lookups.
+  const SlopeModel slope(ramp_tables());
+  StageStore store;
+  const StageStore::StageId id = store.add(single_stage(10e3, 100e-15));
+  const Seconds td = store.elmore(id);
+  const DelayAudit audit = slope.audit(store, id, 2e-9);
+  ASSERT_EQ(audit.terms.size(), 4u);
+  EXPECT_STREQ(audit.terms[0].name, "t_elmore");
+  EXPECT_EQ(audit.terms[0].value, td);
+  EXPECT_STREQ(audit.terms[1].name, "rho");
+  EXPECT_NEAR(audit.terms[1].value, 2e-9 / td, 1e-12);
+  const SlopeEntry& e =
+      slope.tables().entry(TransistorType::kNEnhancement, Transition::kFall);
+  EXPECT_EQ(audit.terms[2].value, e.delay_mult(audit.terms[1].value));
+  EXPECT_EQ(audit.terms[3].value, e.slope_mult(audit.terms[1].value));
+  EXPECT_EQ(audit.estimate.delay, kLn2 * audit.terms[2].value * td);
 }
 
 }  // namespace

@@ -5,17 +5,23 @@
 // circuit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/cli.h"
+#include "delay/bounds.h"
+#include "delay/lumped.h"
 #include "delay/rctree.h"
+#include "delay/slope.h"
+#include "delay/unit.h"
 #include "gen/generators.h"
 #include "tech/tech.h"
 #include "timing/analyzer.h"
@@ -396,6 +402,65 @@ TEST(Explain, StageDelaysSumToArrivalOnEveryGenerator) {
     }
   }
 }
+
+/// One case per delay model: every audited step's generic fields are
+/// the store caches of the stage that committed the arrival, and the
+/// audit is priced with the committed predecessor slope.
+class ExplainAudit : public ::testing::TestWithParam<const char*> {
+ protected:
+  static std::unique_ptr<DelayModel> make(const std::string& name) {
+    if (name == "lumped-rc") return std::make_unique<LumpedRcModel>();
+    if (name == "rc-tree") return std::make_unique<RcTreeModel>();
+    if (name == "slope") {
+      return std::make_unique<SlopeModel>(SlopeTables::unit());
+    }
+    if (name == "rph-upper") {
+      return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
+    }
+    if (name == "rph-lower") {
+      return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kLower);
+    }
+    return std::make_unique<UnitDelayModel>(1e-9);
+  }
+};
+
+TEST_P(ExplainAudit, GenericFieldsAreStoreCachesOfViaStage) {
+  const std::unique_ptr<DelayModel> model = make(GetParam());
+  ASSERT_EQ(model->name(), GetParam());
+  const GeneratedCircuit g = random_logic(Style::kCmos, 6, 10, 0xABCD);
+  TimingAnalyzer an(g.netlist, tech_for(g), *model);
+  an.add_all_input_events(1e-9);
+  an.run();
+  const auto worst = an.worst_arrival(/*outputs_only=*/false);
+  ASSERT_TRUE(worst.has_value());
+  const ExplainReport report = explain_arrival(an, worst->node, worst->dir);
+  ASSERT_GT(report.steps.size(), 1u);
+  const StageStore& store = an.stage_store();
+  for (const ExplainStep& step : report.steps) {
+    if (step.is_seed) continue;
+    const ArrivalInfo info = *an.arrival(step.node, step.dir);
+    const auto id = static_cast<StageStore::StageId>(info.via_stage);
+    const DelayAudit& a = step.audit;
+    EXPECT_EQ(a.model, model->name());
+    EXPECT_EQ(a.total_resistance, store.total_resistance(id));
+    EXPECT_EQ(a.total_cap, store.total_cap(id));
+    EXPECT_EQ(a.destination_cap, store.destination_cap(id));
+    EXPECT_EQ(a.elmore, store.elmore(id));
+    EXPECT_EQ(a.path_devices, store.length(id));
+    EXPECT_EQ(a.input_slope, an.arrival(info.from_node, info.from_dir)->slope);
+    EXPECT_EQ(a.estimate.output_slope, info.slope);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, ExplainAudit,
+    ::testing::Values("lumped-rc", "rc-tree", "slope", "rph-upper",
+                      "rph-lower", "unit-delay"),
+    [](const ::testing::TestParamInfo<const char*>& param) {
+      std::string name = param.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(Explain, ReportsSeedAndAuditTermsForSlopeModel) {
   TempFile sim("explain_chain.sim", kChainSim);

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/cli.h"
 #include "delay/rctree.h"
 #include "delay/slope.h"
 #include "design/compiled_design.h"
@@ -230,6 +233,60 @@ TEST(Snapshot, RejectsTechFingerprintMismatch) {
   // TECH section no longer hashes to it.
   bytes[8] ^= 0xA5;
   expect_load_error(std::move(bytes), "fingerprint");
+}
+
+/// Reads the little-endian unsigned integer of `width` bytes at `at`.
+std::uint64_t get_le(const std::vector<std::uint8_t>& b, std::size_t at,
+                     int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(b[at + static_cast<std::size_t>(i)])
+         << (8 * i);
+  }
+  return v;
+}
+
+void put_le(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(Snapshot, RejectsInflatedStageCountWithValidChecksum) {
+  // A count is untrusted even when its section checksum verifies (FNV-1a
+  // is trivial to recompute): inflate the STGS stage count, re-seal the
+  // section, and the load must fail by name instead of reserving.
+  auto bytes = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
+  std::size_t pos = 16;  // past the header; each section header is 20
+  while (get_le(bytes, pos, 4) != 0x53475453u) {  // "STGS"
+    pos += 20 + get_le(bytes, pos + 4, 8);
+    ASSERT_LT(pos, bytes.size()) << "no STGS section";
+  }
+  const std::size_t payload = pos + 20;
+  const std::size_t length = get_le(bytes, pos + 4, 8);
+  put_le(bytes, payload, std::uint64_t{1} << 60);
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64
+  for (std::size_t i = 0; i < length; ++i) {
+    hash ^= bytes[payload + i];
+    hash *= 0x100000001b3ull;
+  }
+  put_le(bytes, pos + 12, hash);
+  expect_load_error(bytes, "STGS section: count");
+
+  // Through the CLI: a named error and exit 1, not an abort.
+  const std::string path = "/tmp/sldm_snapshot_test_inflated.sldc";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_cli({"time", "--load", path, "--model", "rc-tree"}, out, err),
+            1);
+  EXPECT_NE(err.str().find("STGS section: count"), std::string::npos)
+      << err.str();
+  std::remove(path.c_str());
 }
 
 TEST(Snapshot, ErrorsNameTheOrigin) {

@@ -9,6 +9,7 @@
 #include "analog/transient.h"
 #include "util/contracts.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace sldm {
 namespace {
@@ -119,7 +120,7 @@ TEST(SparseTransient, MatchesDenseWaveforms) {
   AnalogNode prev = in;
   std::vector<AnalogNode> nodes;
   for (int i = 0; i < 6; ++i) {
-    const AnalogNode n = c.add_node("n" + std::to_string(i));
+    const AnalogNode n = c.add_node(format("n%d", i));
     c.add_resistor(prev, n, 2e3);
     c.add_capacitor(n, kGround, 50e-15);
     nodes.push_back(n);
