@@ -33,7 +33,10 @@
 #      byte, a malformed request line that must come back as a named
 #      error envelope (not a crash), and the checked-in corrupt ledger
 #      corpus (testdata/ledger/) that `sldm ledger summarize` must
-#      reject with a located "bad fingerprint" error.  The serve
+#      reject with a located "bad fingerprint" error; and 30 time
+#      requests to a fresh serve whose `stats` telemetry counter
+#      propagate.stage_evaluations must equal the sum over the 30
+#      responses (retired sessions lose no work).  The serve
 #      concurrency suite itself runs under tsan in stage 3;
 #  10. a chaos smoke under asan: a fixed-seed failpoint schedule
 #      (FORMATS.md section 15) driven through pipe-mode serve and a
@@ -306,6 +309,45 @@ if not eco or not eco.get("ok") or eco.get("applied") != 1 \
     sys.exit(f"serve smoke: eco request failed or did not re-key: {eco}")
 EOF
 echo "check.sh: serve pipe round-trip matches cold CLI, errors enveloped"
+
+# Telemetry conservation through serve: each answered request's session
+# retires into its per-kind rollup when the request ends, and the
+# rollups must lose no work.  A fresh `sldm serve --workers 1` answers
+# one load, then 30 time requests across lumped, rc-tree and slope, then
+# stats; the stats counter propagate.stage_evaluations must equal the
+# sum of the 30 responses' stats.stage_evaluations.  The client waits
+# for each answer, as FORMATS.md section 14 requires after a load.
+python3 - out/asan/examples/sldm "$smoke_dir/chain.sim" <<'EOF'
+import json, subprocess, sys
+sldm, sim = sys.argv[1], sys.argv[2]
+proc = subprocess.Popen([sldm, "serve", "--workers", "1"], text=True,
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+def ask(request):
+    proc.stdin.write(json.dumps(request) + "\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+load = ask({"id": 0, "kind": "load", "path": sim, "model": "slope"})
+if not load.get("ok"):
+    sys.exit(f"serve telemetry smoke: load failed: {load}")
+total = 0
+for i in range(30):
+    model = ("lumped", "rc-tree", "slope")[i % 3]
+    resp = ask({"id": i + 1, "kind": "time", "design": load["design"],
+                "model": model})
+    if not resp.get("ok"):
+        sys.exit(f"serve telemetry smoke: time request failed: {resp}")
+    total += resp["stats"]["stage_evaluations"]
+stats = ask({"id": 31, "kind": "stats"})
+proc.stdin.close()
+if proc.wait() != 0:
+    sys.exit(f"serve telemetry smoke: serve exited {proc.returncode}")
+got = stats.get("telemetry", {}).get("counters", {}) \
+           .get("propagate.stage_evaluations")
+if total < 1 or got != total:
+    sys.exit("serve telemetry smoke: stats propagate.stage_evaluations "
+             f"{got} != {total}, the sum over the 30 time responses")
+EOF
+echo "check.sh: serve stats telemetry counts every retired request"
 
 # Malformed-ledger corpus: the checked-in corrupt line must be rejected
 # with a named, located error -- never an uncaught std::exception.

@@ -188,15 +188,14 @@ void Session::run() {
 }
 
 void Session::publish_telemetry() const {
-  TelemetryHub& hub = TelemetryHub::instance();
-  if (!hub.enabled()) return;
+  if (!TelemetryHub::instance().enabled()) return;
   TelemetryLabels labels;
   labels.session =
       format("s%llu", static_cast<unsigned long long>(session_id_));
   labels.model = model_.name();
   labels.threads = options_.threads;
   labels.request = telemetry_request_;
-  hub.publish(labels, metrics());
+  telemetry_.publish(std::move(labels), metrics());
 }
 
 void Session::evaluate_batch(std::span<const StageStore::StageId> ids,

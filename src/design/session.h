@@ -37,6 +37,7 @@
 #include "design/compiled_design.h"
 #include "util/cancel.h"
 #include "util/metrics.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace sldm {
@@ -224,9 +225,14 @@ class Session {
   /// TelemetryHub (labels: "s<id>", delay-model name, thread count,
   /// plus the request label when set).  Re-publishing replaces this
   /// session's earlier snapshot, so the hub always holds the registry's
-  /// latest cumulative state.  No-op (one relaxed atomic load) while
-  /// the hub is disabled; run() and TimingAnalyzer::update() call this
-  /// at completion.
+  /// latest cumulative state.  The snapshot stays live under "s<id>"
+  /// while the session exists; destroying the session retires it into
+  /// the hub's `session="retired"` rollup for the same (model, threads,
+  /// request) (TelemetryHub::retire), so the hub does not grow with the
+  /// number of sessions ever run.  A moved-from session retires
+  /// nothing.  No-op (one relaxed atomic load) while the hub is
+  /// disabled; run() and TimingAnalyzer::update() call this at
+  /// completion.
   void publish_telemetry() const;
 
   /// Tags this session's telemetry snapshots with a serve-traffic
@@ -303,6 +309,8 @@ class Session {
   bool ran_ = false;
   /// Telemetry `request` label; empty outside the serve layer.
   std::string telemetry_request_;
+  /// This session's published hub snapshot, retired on destruction.
+  mutable LiveSnapshot telemetry_;
   /// Borrowed cooperative deadline; null outside deadline-aware serve.
   const CancelToken* cancel_ = nullptr;
 

@@ -15,6 +15,49 @@ namespace {
 
 constexpr double kCentimicron = 1e-8;  // meters
 
+// Physical ranges (FORMATS.md section 1).  Far wider than any MOS
+// process, yet narrow enough that no resistance, capacitance, or delay
+// the engine derives from them can overflow to inf.
+constexpr double kMinDimension = 1e-9;  // meters (1 nm)
+constexpr double kMaxDimension = 1e-2;  // meters (1 cm)
+constexpr double kMaxCap = 1e-9;        // farads (1 nF) per record
+
+/// A transistor length or width in meters: finite, and within the
+/// physical range once scaled by the units header.
+double parse_dimension(const std::string& token, double unit_m,
+                       const char* what, const std::string& origin,
+                       int lineno) {
+  const auto v = parse_finite_double(token);
+  if (!v || *v <= 0.0) {
+    throw ParseError(origin, lineno, "bad transistor dimensions");
+  }
+  const double meters = *v * unit_m;
+  if (!(meters >= kMinDimension && meters <= kMaxDimension)) {
+    throw ParseError(
+        origin, lineno,
+        format("transistor %s %s (%g um) outside the physical range "
+               "[%g, %g] um",
+               what, token.c_str(), meters / units::um,
+               kMinDimension / units::um, kMaxDimension / units::um));
+  }
+  return meters;
+}
+
+/// A capacitance record value in farads: finite, within [0, kMaxCap].
+double parse_cap(const std::string& token, const std::string& origin,
+                 int lineno) {
+  const auto v = parse_finite_double(token);
+  if (!v || *v < 0.0) throw ParseError(origin, lineno, "bad cap");
+  const double farads = *v * units::fF;
+  if (!(farads <= kMaxCap)) {
+    throw ParseError(origin, lineno,
+                     format("cap %s fF outside the physical range "
+                            "[0, %g] fF",
+                            token.c_str(), kMaxCap / units::fF));
+  }
+  return farads;
+}
+
 bool is_power_name(const std::string& name) {
   const std::string n = to_lower(name);
   return n == "vdd" || n == "vdd!";
@@ -66,11 +109,10 @@ Netlist read_sim(std::istream& in, const std::string& origin) {
         throw ParseError(origin, lineno,
                          "transistor record needs gate src drn length width");
       }
-      const auto l = parse_finite_double(tokens[4]);
-      const auto w = parse_finite_double(tokens[5]);
-      if (!l || !w || *l <= 0.0 || *w <= 0.0) {
-        throw ParseError(origin, lineno, "bad transistor dimensions");
-      }
+      const double l =
+          parse_dimension(tokens[4], unit_m, "length", origin, lineno);
+      const double w =
+          parse_dimension(tokens[5], unit_m, "width", origin, lineno);
       TransistorType type = TransistorType::kNEnhancement;
       if (kind == "d") type = TransistorType::kNDepletion;
       if (kind == "p") type = TransistorType::kPEnhancement;
@@ -92,7 +134,7 @@ Netlist read_sim(std::istream& in, const std::string& origin) {
         throw ParseError(origin, lineno,
                          "transistor source and drain are the same node");
       }
-      nl.add_transistor(type, gate, src, drn, *w * unit_m, *l * unit_m, flow);
+      nl.add_transistor(type, gate, src, drn, w, l, flow);
       continue;
     }
 
@@ -100,9 +142,8 @@ Netlist read_sim(std::istream& in, const std::string& origin) {
       if (tokens.size() != 3) {
         throw ParseError(origin, lineno, "cap record: c <node> <cap_fF>");
       }
-      const auto cap = parse_finite_double(tokens[2]);
-      if (!cap || *cap < 0.0) throw ParseError(origin, lineno, "bad cap");
-      nl.add_cap(intern_node(nl, tokens[1]), *cap * units::fF);
+      nl.add_cap(intern_node(nl, tokens[1]),
+                 parse_cap(tokens[2], origin, lineno));
       continue;
     }
 
@@ -111,11 +152,10 @@ Netlist read_sim(std::istream& in, const std::string& origin) {
         throw ParseError(origin, lineno,
                          "cap record: C <node1> <node2> <cap_fF>");
       }
-      const auto cap = parse_finite_double(tokens[3]);
-      if (!cap || *cap < 0.0) throw ParseError(origin, lineno, "bad cap");
+      const double cap = parse_cap(tokens[3], origin, lineno);
       // Crystal lumps internodal capacitance to ground at both ends.
-      nl.add_cap(intern_node(nl, tokens[1]), *cap * units::fF);
-      nl.add_cap(intern_node(nl, tokens[2]), *cap * units::fF);
+      nl.add_cap(intern_node(nl, tokens[1]), cap);
+      nl.add_cap(intern_node(nl, tokens[2]), cap);
       continue;
     }
 

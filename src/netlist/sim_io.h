@@ -35,8 +35,9 @@
 
 namespace sldm {
 
-/// Parses a .sim stream.  Throws ParseError on malformed input.
-/// `origin` is used in error messages.
+/// Parses a .sim stream.  Throws ParseError on malformed input,
+/// including dimensions and caps outside their physical ranges
+/// (FORMATS.md section 1).  `origin` is used in error messages.
 Netlist read_sim(std::istream& in, const std::string& origin = "<stream>");
 
 /// Parses a .sim file from disk.  Throws Error if unreadable.

@@ -34,6 +34,17 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
+  // Every layout is checked before anything is folded, so a mismatch
+  // leaves this registry unchanged.
+  for (const auto& [name, h] : other.histograms_) {
+    const auto it = histograms_.find(name);
+    if (it == histograms_.end() || it->second.same_layout(h)) continue;
+    try {
+      Histogram(it->second).merge(h);  // throws, naming both layouts
+    } catch (const Error& e) {
+      throw Error("merging histogram '" + name + "': " + e.what());
+    }
+  }
   for (const auto& [name, c] : other.counters_) {
     counters_[name].add(c.value());
   }
@@ -45,11 +56,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     if (it == histograms_.end()) {
       histograms_.emplace(name, h);
     } else {
-      try {
-        it->second.merge(h);
-      } catch (const Error& e) {
-        throw Error("merging histogram '" + name + "': " + e.what());
-      }
+      it->second.merge(h);
     }
   }
 }

@@ -70,8 +70,9 @@ class MetricsRegistry {
   /// Folds `other` into this registry with per-type semantics: counters
   /// sum, gauges take `other`'s value (last write wins), histograms sum
   /// per-bucket counts -- throwing Error when a shared name carries a
-  /// different bucket layout.  Metrics absent on either side are kept
-  /// as-is / copied in, so empty ⊕ x == x.
+  /// different bucket layout, before folding anything (a failed merge
+  /// leaves this registry unchanged).  Metrics absent on either side
+  /// are kept as-is / copied in, so empty ⊕ x == x.
   void merge(const MetricsRegistry& other);
 
   /// Lookup without creation; nullptr when absent.

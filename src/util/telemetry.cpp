@@ -147,17 +147,37 @@ TelemetryHub& TelemetryHub::instance() {
   return hub;
 }
 
+TelemetryHub::Snapshots::iterator TelemetryHub::find_locked(
+    const TelemetryLabels& labels) {
+  return std::find_if(snapshots_.begin(), snapshots_.end(),
+                      [&labels](const auto& s) { return s.first == labels; });
+}
+
 void TelemetryHub::publish(const TelemetryLabels& labels,
                            const MetricsRegistry& registry) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [stored_labels, stored] : snapshots_) {
-    if (stored_labels == labels) {
-      stored = registry;
-      return;
-    }
+  const auto stored = find_locked(labels);
+  if (stored != snapshots_.end()) {
+    stored->second = registry;
+    return;
   }
   snapshots_.emplace_back(labels, registry);
+}
+
+void TelemetryHub::retire(const TelemetryLabels& labels) {
+  TelemetryLabels rollup_labels = labels;
+  rollup_labels.session = kRetiredSession;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto live = find_locked(labels);
+  if (live == snapshots_.end()) return;
+  const auto rollup = find_locked(rollup_labels);
+  if (rollup == snapshots_.end()) {
+    live->first = std::move(rollup_labels);
+    return;
+  }
+  rollup->second.merge(live->second);
+  snapshots_.erase(live);
 }
 
 std::vector<std::pair<TelemetryLabels, MetricsRegistry>>
@@ -208,6 +228,29 @@ std::string TelemetryHub::to_string() const {
     os << "\naggregate over all snapshots:\n" << merged.to_string();
   }
   return os.str();
+}
+
+LiveSnapshot::~LiveSnapshot() {
+  if (!labels_) return;
+  try {
+    TelemetryHub::instance().retire(*labels_);
+  } catch (...) {
+    // retire() leaves the hub unchanged when it throws: the snapshot
+    // stays live, its counts still aggregated.  Count the failure for
+    // operators; nothing may leave a destructor.
+    try {
+      bump_process_counter("telemetry.retire_failures");
+    } catch (...) {
+    }
+  }
+}
+
+void LiveSnapshot::publish(TelemetryLabels labels,
+                           const MetricsRegistry& registry) {
+  TelemetryHub& hub = TelemetryHub::instance();
+  if (labels_ && !(*labels_ == labels)) hub.retire(*labels_);
+  hub.publish(labels, registry);
+  labels_ = std::move(labels);
 }
 
 std::string TelemetryHub::to_prometheus() const {

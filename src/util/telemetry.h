@@ -11,6 +11,16 @@
 // (`sldm stats`, the Prometheus renderer) read the hub instead of
 // chasing individual sessions.
 //
+// The hub's size follows its live publishers, not its history.  A
+// session's snapshot stays live under `session="s<id>"` while the
+// session exists; when the session is destroyed its LiveSnapshot
+// retires it: the stored registry is merged into one rollup per
+// (model, threads, request) labeled `session="retired"`.  A server that
+// answers a million requests therefore holds its in-flight sessions,
+// one rollup per request kind, and its fixed publishers -- a few dozen
+// entries -- so publish() and aggregate() stay cheap however long it
+// runs.
+//
 // Design constraints, in order:
 //   * Zero hot-path cost when disabled.  The hub is off by default;
 //     publish() is gated on one relaxed atomic load, so instrumented
@@ -18,16 +28,18 @@
 //     listening (bench_table5_runtime overhead within noise,
 //     EXPERIMENTS.md).  The CLI enables the hub for its analysis
 //     commands.
-//   * Thread-safe.  publish()/snapshots()/aggregate()/clear() take an
-//     internal mutex; N concurrent sessions may publish while another
-//     thread renders (tsan-covered in tests/telemetry_test.cpp and
-//     scripts/check.sh).
+//   * Thread-safe.  publish()/retire()/snapshots()/aggregate()/clear()
+//     take an internal mutex; N concurrent sessions may publish and
+//     retire while another thread renders (tsan-covered in
+//     tests/telemetry_test.cpp and scripts/check.sh).
 //   * Snapshots replace, aggregation merges.  A session's registry is
 //     cumulative over its lifetime, so re-publishing under the same
 //     labels *replaces* the stored snapshot (summing would double
 //     count); aggregate() then merges *across* label sets with
 //     MetricsRegistry::merge semantics (sum counters, sum histogram
-//     buckets, last-write gauges).
+//     buckets, last-write gauges).  Retirement uses the same merge, so
+//     counter sums and histogram bucket counts are unchanged by it; a
+//     rollup's gauges hold the last retired session's values.
 //
 // The Prometheus renderer (text exposition format v0.0.4) serializes
 // any MetricsRegistry -- or the whole hub, labels included -- as
@@ -39,6 +51,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +59,10 @@
 #include "util/metrics.h"
 
 namespace sldm {
+
+/// The `session` label of the per-kind rollups retired sessions merge
+/// into (TelemetryHub::retire).
+inline constexpr const char* kRetiredSession = "retired";
 
 /// The identity of one published snapshot.  Equal labels replace each
 /// other in the hub; distinct labels aggregate.
@@ -58,7 +75,7 @@ struct TelemetryLabels {
         threads(threads_),
         request(std::move(request_)) {}
 
-  std::string session;  ///< publisher id, e.g. "s12", "compile-4f2a"
+  std::string session;  ///< publisher id: "s12", "retired", "compile", ...
   std::string model;    ///< DelayModel::name(), "-" when not applicable
   int threads = 1;      ///< worker threads the publisher ran with
   /// Serve-traffic request kind ("time", "eco", ...); empty outside the
@@ -106,8 +123,20 @@ class TelemetryHub {
   /// registries).  No-op when disabled.  Thread-safe.
   void publish(const TelemetryLabels& labels, const MetricsRegistry& registry);
 
+  /// Moves the live snapshot stored under `labels` into the rollup
+  /// labeled {kRetiredSession, model, threads, request}: the stored
+  /// registry is merged into the rollup (MetricsRegistry::merge) and the
+  /// live entry removed, or simply relabeled when no rollup exists yet.
+  /// No-op when nothing is stored under `labels` (never published, or
+  /// cleared since).  Works whether or not the hub is enabled: it only
+  /// moves what is already stored.  Thread-safe.  Throws Error, with
+  /// the hub unchanged, if the rollup holds a histogram of the same
+  /// name with a different bucket layout.
+  void retire(const TelemetryLabels& labels);
+
   /// Copies of every stored (labels, registry) pair, in first-publish
-  /// order.  Thread-safe.
+  /// order (a rollup keeps the place of the first session retired into
+  /// it).  Thread-safe.
   std::vector<std::pair<TelemetryLabels, MetricsRegistry>> snapshots() const;
   std::size_t snapshot_count() const;
 
@@ -134,11 +163,42 @@ class TelemetryHub {
   std::string to_prometheus() const;
 
  private:
+  using Snapshots = std::vector<std::pair<TelemetryLabels, MetricsRegistry>>;
+
   TelemetryHub() = default;
+
+  /// The stored entry with labels equal to `labels`, or end().  The
+  /// caller holds mutex_; the scan is linear, which stays cheap because
+  /// retire() bounds the hub to its live publishers and rollups.
+  Snapshots::iterator find_locked(const TelemetryLabels& labels);
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
-  std::vector<std::pair<TelemetryLabels, MetricsRegistry>> snapshots_;
+  Snapshots snapshots_;
+};
+
+/// A publisher's live hub snapshot, retired when the publisher dies.
+/// publish() stores the registry under `labels` and remembers them;
+/// destruction calls TelemetryHub::retire on the last labels published
+/// (a re-publish under different labels retires the earlier ones
+/// first).  Move-only: the moved-from handle retires nothing, so an
+/// owner that is moved retires exactly once.  Holds nothing and costs
+/// nothing until its first publish(); owners skip that call while the
+/// hub is disabled (Session::publish_telemetry).
+class LiveSnapshot {
+ public:
+  LiveSnapshot() = default;
+  LiveSnapshot(LiveSnapshot&& other) noexcept
+      : labels_(std::exchange(other.labels_, std::nullopt)) {}
+  LiveSnapshot& operator=(LiveSnapshot&&) = delete;
+  /// Never throws: a failed retirement leaves the snapshot live and
+  /// bumps the process metric "telemetry.retire_failures".
+  ~LiveSnapshot();
+
+  void publish(TelemetryLabels labels, const MetricsRegistry& registry);
+
+ private:
+  std::optional<TelemetryLabels> labels_;
 };
 
 }  // namespace sldm

@@ -1,7 +1,9 @@
 // Tests for the `sldm serve` layer: protocol error envelopes (including
 // the "deadline" and "too-large" goldens), the design cache's lease /
 // single-writer-eco discipline, bounded admission in the pipe loop,
-// client-disconnect survival on the TCP front end, and the headline
+// client-disconnect survival on the TCP front end, the wait-for-load
+// client rule, exact `stats` telemetry over retired request sessions,
+// and the headline
 // concurrency guarantee -- mixed-model request streams answered
 // concurrently are bit-identical to cold single-shot CLI runs (run
 // under tsan by scripts/check.sh).
@@ -364,6 +366,106 @@ TEST(ServeTcp, ClientDisconnectMidRequestDoesNotKillTheServer) {
   server_thread.join();
 }
 
+namespace {
+
+/// Buffered line reader over a connected socket.
+class SocketLines {
+ public:
+  explicit SocketLines(int fd) : fd_(fd) {}
+
+  /// The next response line (without '\n'); empty once the peer closed.
+  std::string next() {
+    std::size_t nl;
+    while ((nl = buffer_.find('\n')) == std::string::npos) {
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return "";
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+    std::string line = buffer_.substr(0, nl);
+    buffer_.erase(0, nl + 1);
+    return line;
+  }
+
+ private:
+  int fd_;
+  std::string buffer_;
+};
+
+}  // namespace
+
+// FORMATS.md section 14: a client waits for the `load` envelope before
+// it uses the fingerprint.  One that does so never sees unknown-design,
+// even with 4 workers answering out of order.
+TEST(ServeTcp, ClientThatWaitsForLoadNeverSeesUnknownDesign) {
+  HubGuard guard;
+  TimingService service;
+  TempFile inv("wait_inv.sim", kInverterSim);
+  TempFile chain("wait_chain.sim", kChainSim);
+  ServeLoopOptions options;
+  options.workers = 4;
+  options.max_inflight = 512;  // admission is not under test here
+  TcpServer server(service, options, 0);
+  std::thread server_thread([&server] { EXPECT_EQ(server.run(), 0); });
+
+  const int fd = connect_localhost(server.port());
+  SocketLines lines(fd);
+  int unknown = 0;
+  int timed = 0;
+  int time_sent = 0;
+  const auto tally = [&](const std::string& line) {
+    if (line.find("\"error\":\"unknown-design\"") != std::string::npos) {
+      ++unknown;
+    } else if (line.find("\"kind\":\"time\",\"ok\":true") !=
+               std::string::npos) {
+      ++timed;
+    } else {
+      ADD_FAILURE() << "unexpected response: " << line;
+    }
+  };
+  constexpr int kTimesPerLoad = 50;
+  int id = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (const TempFile* sim : {&inv, &chain}) {
+      send_all(fd, "{\"id\":" + std::to_string(++id) +
+                       ",\"kind\":\"load\",\"path\":\"" +
+                       json_escape(sim->path()) + "\",\"model\":\"lumped\"}\n");
+      // Wait for this load's envelope; earlier time answers may arrive
+      // first.
+      std::string fp;
+      while (fp.empty()) {
+        const std::string line = lines.next();
+        ASSERT_FALSE(line.empty()) << "server closed the connection";
+        const std::string key = "\"kind\":\"load\",\"ok\":true,\"design\":\"";
+        const auto pos = line.find(key);
+        if (pos == std::string::npos) {
+          tally(line);
+        } else {
+          fp = line.substr(pos + key.size(), 16);
+        }
+      }
+      std::string batch;
+      for (int i = 0; i < kTimesPerLoad; ++i) {
+        batch += "{\"id\":" + std::to_string(++id) +
+                 ",\"kind\":\"time\",\"design\":\"" + fp +
+                 "\",\"model\":\"lumped\"}\n";
+      }
+      send_all(fd, batch);
+      time_sent += kTimesPerLoad;
+    }
+  }
+  while (unknown + timed < time_sent) {
+    const std::string line = lines.next();
+    ASSERT_FALSE(line.empty()) << "server closed the connection";
+    tally(line);
+  }
+  EXPECT_EQ(unknown, 0);
+  EXPECT_EQ(timed, time_sent);
+  send_all(fd, "{\"kind\":\"shutdown\"}\n");
+  ::close(fd);
+  server_thread.join();
+}
+
 // --- cache + single-writer eco -------------------------------------------
 
 TEST(ServeService, LoadCachesByFingerprintAndStatsSeeIt) {
@@ -383,6 +485,53 @@ TEST(ServeService, LoadCachesByFingerprintAndStatsSeeIt) {
   const std::string stats = service.handle_line("{\"kind\":\"stats\"}");
   EXPECT_NE(stats.find("\"designs\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"telemetry\":{"), std::string::npos) << stats;
+}
+
+// Retired request sessions fold into per-kind rollups: the `stats`
+// telemetry still counts every request's propagation work exactly, and
+// the hub holds one rollup per (model, threads, request) plus the
+// service's own publisher, however many requests were answered.
+TEST(ServeService, StatsTelemetryCountsEveryRetiredRequest) {
+  HubGuard guard;
+  TimingService service;
+  TempFile inv("retire_inv.sim", kInverterSim);
+  TempFile chain("retire_chain.sim", kChainSim);
+  const std::vector<std::string> fps = {
+      load_design(service, inv.path(), "lumped"),
+      load_design(service, chain.path(), "lumped")};
+  const std::vector<std::string> models = {"lumped", "rc-tree", "unit"};
+  double expected = 0.0;
+  for (int round = 0; round < 20; ++round) {
+    for (const std::string& fp : fps) {
+      for (const std::string& model : models) {
+        const std::string timed = service.handle_line(
+            "{\"kind\":\"time\",\"design\":\"" + fp + "\",\"model\":\"" +
+            model + "\"}");
+        ASSERT_NE(timed.find("\"ok\":true"), std::string::npos) << timed;
+        const double evaluations = parse_json(timed)
+                                       .at("stats")
+                                       .at("stage_evaluations")
+                                       .as_number();
+        EXPECT_GT(evaluations, 0.0);
+        // An explain runs the same analysis as a time request over the
+        // same design and model, so it does the same work.
+        const std::string explain = service.handle_line(
+            "{\"kind\":\"explain\",\"design\":\"" + fp +
+            "\",\"model\":\"" + model + "\",\"node\":\"out\"}");
+        ASSERT_NE(explain.find("\"ok\":true"), std::string::npos) << explain;
+        expected += 2.0 * evaluations;
+      }
+    }
+  }
+  const JsonValue stats =
+      parse_json(service.handle_line("{\"kind\":\"stats\"}"));
+  EXPECT_EQ(stats.at("telemetry")
+                .at("counters")
+                .at("propagate.stage_evaluations")
+                .as_number(),
+            expected);
+  EXPECT_LE(TelemetryHub::instance().snapshot_count(),
+            1 + 2 * models.size());
 }
 
 TEST(ServeService, EcoRefusedWhileLeasedThenRehashesTheDesign) {

@@ -1,9 +1,13 @@
 // Tests for the .sim reader/writer, including a round-trip property over
-// every generated benchmark circuit.
+// every generated benchmark circuit and the physical-range checks.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
+#include "cli/cli.h"
 #include "gen/generators.h"
 #include "netlist/sim_io.h"
 #include "util/error.h"
@@ -106,6 +110,81 @@ TEST(SimIo, RejectsMalformedRecords) {
 TEST(SimIo, RejectsBadUnitsAndUnknownRecord) {
   EXPECT_THROW(parse("| units: -5\n"), ParseError);
   EXPECT_THROW(parse("zzz 1 2 3\n"), ParseError);
+}
+
+// A finite but non-physical netlist used to print an `inf` rise
+// arrival and exit 0; every value is now range-checked at parse time.
+constexpr const char* kNonPhysicalSim =
+    "e in gnd s1 1e300 1e-300\n"
+    "c out 1e308\n";
+
+TEST(SimIo, RejectsNonPhysicalValuesWithLocatedErrors) {
+  try {
+    parse(kNonPhysicalSim);
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_NE(std::string(e.what()).find("transistor length 1e300"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto line_of = [](const std::string& text) {
+    try {
+      parse(text);
+    } catch (const ParseError& e) {
+      return e.line();
+    }
+    return 0;
+  };
+  EXPECT_EQ(line_of("e in gnd s1 4 8\ne in gnd s2 4 1e-300\n"), 2);  // W
+  EXPECT_EQ(line_of("e in gnd s1 1e7 8\n"), 1);  // 10 m long
+  EXPECT_EQ(line_of("| units: 1e300\ne in gnd s1 4 8\n"), 2);  // scaled
+  EXPECT_EQ(line_of("| units: 1e-300\ne in gnd s1 4 8\n"), 2);
+  EXPECT_EQ(line_of("e in gnd s1 4 8\nc out 1e308\n"), 2);
+  EXPECT_EQ(line_of("C a b 1e7\n"), 1);  // 10 nF
+  // The edges of the documented ranges still parse.
+  EXPECT_EQ(parse("e in gnd s1 0.001 10000\nc s1 1e6\nc in 0\n")
+                .device_count(),
+            1u);
+}
+
+TEST(SimIo, NonPhysicalNetlistFailsTheTimeCommand) {
+  const std::string path = ::testing::TempDir() + "sldm_nonphysical.sim";
+  {
+    std::ofstream out(path);
+    out << kNonPhysicalSim;
+  }
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_cli({"time", path, "--model", "rc-tree"}, out, err), 1);
+  EXPECT_NE(err.str().find(path + ":1: transistor length"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(out.str().find("inf"), std::string::npos) << out.str();
+  std::remove(path.c_str());
+}
+
+// Every generator family, in both styles, and every checked-in .sim
+// file sits inside the physical ranges.
+TEST(SimIo, EveryGeneratorFamilyAndTestdataFileParses) {
+  for (const Style style : {Style::kNmos, Style::kCmos}) {
+    std::vector<GeneratedCircuit> circuits = accuracy_suite(style);
+    circuits.push_back(shift_register(style, 4));
+    circuits.push_back(sram_read_column(style, 16));
+    circuits.push_back(random_logic(style, 8, 16, 7));
+    circuits.push_back(driver_chain(style, 5, 4.0, 5000.0));
+    for (const GeneratedCircuit& g : circuits) {
+      EXPECT_NO_THROW(reparse(g.netlist)) << g.name;
+    }
+  }
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           std::string(SLDM_SOURCE_DIR) + "/testdata")) {
+    if (entry.path().extension() != ".sim") continue;
+    ++files;
+    EXPECT_NO_THROW(read_sim_file(entry.path().string())) << entry.path();
+  }
+  EXPECT_GT(files, 1u);
 }
 
 TEST(SimIo, MissingFileThrows) {

@@ -1,14 +1,17 @@
 // Tests for the service-grade telemetry layer: MetricsRegistry::merge
 // semantics, the Prometheus text-exposition renderer, the TelemetryHub
-// (replace-vs-aggregate, thread safety, zero perturbation of results),
+// (replace-vs-aggregate, retirement into per-kind rollups, thread
+// safety, zero perturbation of results),
 // the run ledger, and the `sldm stats` / `ledger summarize` /
 // `bench diff` CLI surfaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -18,6 +21,8 @@
 
 #include "cli/cli.h"
 #include "delay/lumped.h"
+#include "delay/rctree.h"
+#include "delay/unit.h"
 #include "design/compiled_design.h"
 #include "netlist/sim_io.h"
 #include "tech/tech.h"
@@ -426,6 +431,242 @@ TEST(TelemetryHub, SessionPublishesOnRunAndHubNeverPerturbsArrivals) {
       0u);
   // ...and the instrumented run is bit-identical to the dark one.
   EXPECT_EQ(off, on);
+}
+
+// --- Retirement: finished sessions fold into per-kind rollups ------------
+
+std::uint64_t aggregate_counter(const std::string& name) {
+  const MetricsRegistry agg = TelemetryHub::instance().aggregate();
+  const Counter* c = agg.find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+TEST(TelemetryHub, RetireMergesIntoThePerKindRollup) {
+  HubGuard guard;
+  TelemetryHub& hub = TelemetryHub::instance();
+  hub.enable();
+  const auto registry = [](std::uint64_t n, double g, double sample) {
+    MetricsRegistry reg;
+    reg.counter("n").add(n);
+    reg.gauge("g").set(g);
+    reg.histogram("h", 0.0, 4.0, 2).add(sample);
+    return reg;
+  };
+  const TelemetryLabels s1("s1", "m", 2, "time");
+  const TelemetryLabels s2("s2", "m", 2, "time");
+  const TelemetryLabels other("s3", "m", 2, "explain");
+  hub.publish(s1, registry(5, 1.0, 1.0));
+  hub.publish(s2, registry(7, 2.0, 3.0));
+  hub.publish(other, registry(11, 3.0, 1.0));
+  const MetricsRegistry before = hub.aggregate();
+
+  // The first retiree becomes the rollup; the second merges into it.
+  hub.retire(s1);
+  EXPECT_EQ(hub.snapshot_count(), 3u);
+  hub.retire(s2);
+  ASSERT_EQ(hub.snapshot_count(), 2u);
+  const auto snaps = hub.snapshots();
+  const TelemetryLabels rollup(kRetiredSession, "m", 2, "time");
+  const auto it = std::find_if(snaps.begin(), snaps.end(), [&](const auto& s) {
+    return s.first == rollup;
+  });
+  ASSERT_NE(it, snaps.end());
+  EXPECT_EQ(it->second.find_counter("n")->value(), 12u);
+  EXPECT_EQ(it->second.find_histogram("h")->count(0), 1u);
+  EXPECT_EQ(it->second.find_histogram("h")->count(1), 1u);
+  // Gauges: last retired wins.
+  EXPECT_DOUBLE_EQ(it->second.find_gauge("g")->value(), 2.0);
+
+  // Counter sums and bucket counts across the hub are unchanged.
+  const MetricsRegistry after = hub.aggregate();
+  EXPECT_EQ(after.find_counter("n")->value(),
+            before.find_counter("n")->value());
+  EXPECT_EQ(after.find_histogram("h")->count(0),
+            before.find_histogram("h")->count(0));
+  EXPECT_EQ(after.find_histogram("h")->count(1),
+            before.find_histogram("h")->count(1));
+  EXPECT_NE(hub.to_prometheus().find(
+                "sldm_n_total{session=\"retired\",model=\"m\",threads=\"2\","
+                "request=\"time\"} 12\n"),
+            std::string::npos);
+
+  // Retiring what is not live (already retired, never published, or
+  // cleared) changes nothing.
+  hub.retire(s1);
+  hub.retire({"s9", "m", 2, "time"});
+  EXPECT_EQ(hub.snapshot_count(), 2u);
+  EXPECT_EQ(hub.aggregate().find_counter("n")->value(), 23u);
+  hub.clear();
+  hub.retire(other);
+  EXPECT_EQ(hub.snapshot_count(), 0u);
+}
+
+TEST(TelemetryHub, RetireWithMismatchedLayoutThrowsAndChangesNothing) {
+  HubGuard guard;
+  TelemetryHub& hub = TelemetryHub::instance();
+  hub.enable();
+  MetricsRegistry a;
+  a.counter("n").add(1);
+  a.histogram("h", 0.0, 4.0, 2).add(1.0);
+  MetricsRegistry b;
+  b.counter("n").add(2);
+  b.histogram("h", 0.0, 8.0, 2).add(1.0);
+  hub.publish({"s1", "m", 1}, a);
+  hub.retire({"s1", "m", 1});
+  hub.publish({"s2", "m", 1}, b);
+  EXPECT_THROW(hub.retire({"s2", "m", 1}), Error);
+  // The failed merge left the rollup untouched and s2 live.
+  const auto snaps = hub.snapshots();
+  ASSERT_EQ(snaps.size(), 2u);
+  EXPECT_EQ(snaps[0].first.session, kRetiredSession);
+  EXPECT_EQ(snaps[0].second.find_counter("n")->value(), 1u);
+  EXPECT_EQ(snaps[1].first.session, "s2");
+}
+
+TEST(TelemetryHub, ThousandSessionsLeaveOneRollupPerKind) {
+  HubGuard guard;
+  TelemetryHub::instance().enable();
+  const std::shared_ptr<const CompiledDesign> design =
+      CompiledDesign::compile(read_sim_file(kSampleSim), nmos4());
+  const LumpedRcModel lumped;
+  const RcTreeModel rc_tree;
+  const UnitDelayModel unit(1e-9);
+  const std::vector<const DelayModel*> models = {&lumped, &rc_tree, &unit};
+  const std::vector<std::string> requests = {"time", "explain"};
+
+  std::uint64_t expected = 0;
+  std::vector<std::unique_ptr<Session>> live;
+  for (int i = 0; i < 1000; ++i) {
+    auto session = std::make_unique<Session>(
+        design, *models[static_cast<std::size_t>(i) % models.size()]);
+    session->set_telemetry_request(
+        requests[static_cast<std::size_t>(i / 3) % requests.size()]);
+    session->add_all_input_events(1e-9);
+    session->run();
+    expected += session->stage_evaluations();
+    // Every 250th session stays alive past the loop.
+    if (i % 250 == 0) live.push_back(std::move(session));
+  }
+  ASSERT_GT(expected, 0u);
+  EXPECT_LE(TelemetryHub::instance().snapshot_count(), 6u + live.size());
+  EXPECT_EQ(aggregate_counter("propagate.stage_evaluations"), expected);
+
+  live.clear();
+  EXPECT_EQ(TelemetryHub::instance().snapshot_count(), 6u);
+  EXPECT_EQ(aggregate_counter("propagate.stage_evaluations"), expected);
+  for (const auto& [labels, registry] : TelemetryHub::instance().snapshots()) {
+    EXPECT_EQ(labels.session, kRetiredSession);
+  }
+}
+
+TEST(TelemetryHub, MovedSessionsRetireExactlyOnce) {
+  HubGuard guard;
+  TelemetryHub& hub = TelemetryHub::instance();
+  hub.enable();
+  const Netlist nl = read_sim_file(kSampleSim);
+  const Tech tech = nmos4();
+  const LumpedRcModel model;
+  std::uint64_t expected = 0;
+
+  // The facade moved into an optional, as fuzz.cpp's analyze() returns it,
+  // and a bare session moved the same way.  The moved-from halves die
+  // first: they must not retire what the moved-to halves still own.
+  std::optional<TimingAnalyzer> analyzer;
+  std::optional<Session> session;
+  {
+    TimingAnalyzer an(nl, tech, model);
+    an.add_all_input_events(1e-9);
+    an.run();
+    expected += an.stage_evaluations();
+    analyzer.emplace(std::move(an));
+    Session bare(analyzer->session().share_design(), model);
+    bare.add_all_input_events(1e-9);
+    bare.run();
+    expected += bare.stage_evaluations();
+    session.emplace(std::move(bare));
+  }
+  ASSERT_EQ(hub.snapshot_count(), 2u);
+  for (const auto& [labels, registry] : hub.snapshots()) {
+    EXPECT_NE(labels.session, kRetiredSession);
+  }
+  // Re-publishing from the moved-to halves still replaces, not adds.
+  analyzer->session().publish_telemetry();
+  session->publish_telemetry();
+  EXPECT_EQ(hub.snapshot_count(), 2u);
+  EXPECT_EQ(aggregate_counter("propagate.stage_evaluations"), expected);
+
+  analyzer.reset();
+  session.reset();
+  ASSERT_EQ(hub.snapshot_count(), 1u);
+  EXPECT_EQ(hub.snapshots()[0].first.session, kRetiredSession);
+  EXPECT_EQ(aggregate_counter("propagate.stage_evaluations"), expected);
+}
+
+TEST(TelemetryHub, RelabeledSessionRetiresItsEarlierSnapshot) {
+  HubGuard guard;
+  TelemetryHub& hub = TelemetryHub::instance();
+  hub.enable();
+  const std::shared_ptr<const CompiledDesign> design =
+      CompiledDesign::compile(read_sim_file(kSampleSim), nmos4());
+  const LumpedRcModel model;
+  {
+    Session session(design, model);
+    session.set_telemetry_request("time");
+    session.add_all_input_events(1e-9);
+    session.run();
+    session.set_telemetry_request("eco");
+    session.publish_telemetry();
+    // The "time" snapshot retired; only the "eco" one is live.
+    const auto snaps = hub.snapshots();
+    ASSERT_EQ(snaps.size(), 2u);
+    EXPECT_EQ(snaps[0].first, TelemetryLabels(kRetiredSession,
+                                              model.name(), 1, "time"));
+    EXPECT_EQ(snaps[1].first.request, "eco");
+    EXPECT_NE(snaps[1].first.session, kRetiredSession);
+  }
+  ASSERT_EQ(hub.snapshot_count(), 2u);
+  for (const auto& [labels, registry] : hub.snapshots()) {
+    EXPECT_EQ(labels.session, kRetiredSession);
+  }
+}
+
+TEST(TelemetryHub, ConcurrentPublishRetireAndRender) {
+  HubGuard guard;
+  TelemetryHub::instance().enable();
+  const std::shared_ptr<const CompiledDesign> design =
+      CompiledDesign::compile(read_sim_file(kSampleSim), nmos4());
+  const LumpedRcModel lumped;
+  const RcTreeModel rc_tree;
+  constexpr int kThreads = 4;
+  constexpr int kSessionsPerThread = 50;
+  std::vector<std::uint64_t> evaluations(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kSessionsPerThread; ++i) {
+        const DelayModel& model =
+            (i % 2 == 0) ? static_cast<const DelayModel&>(lumped) : rc_tree;
+        Session session(design, model);
+        session.set_telemetry_request(t % 2 == 0 ? "time" : "explain");
+        session.add_all_input_events(1e-9);
+        session.run();
+        session.publish_telemetry();
+        evaluations[static_cast<std::size_t>(t)] +=
+            session.stage_evaluations();
+      }
+    });
+  }
+  // Render while sessions publish and retire (tsan-checked in
+  // scripts/check.sh).
+  for (int i = 0; i < 100; ++i) {
+    (void)TelemetryHub::instance().to_prometheus();
+    (void)TelemetryHub::instance().aggregate();
+  }
+  for (std::thread& w : workers) w.join();
+  std::uint64_t expected = 0;
+  for (const std::uint64_t e : evaluations) expected += e;
+  EXPECT_EQ(TelemetryHub::instance().snapshot_count(), 4u);
+  EXPECT_EQ(aggregate_counter("propagate.stage_evaluations"), expected);
 }
 
 // --- Run ledger ----------------------------------------------------------
