@@ -16,9 +16,11 @@
 #      must append a parseable record, and `sldm time --stats --json`
 #      must report identical propagation work counters at --threads 1
 #      and --threads 4 (the wavefront determinism contract);
-#   6. a compiled-design snapshot smoke under asan: `sldm compile` +
-#      `sldm time --load` must match the direct path byte-for-byte at
-#      1 and 4 threads, and a bit-flipped .sldc must be rejected;
+#   6. a compiled-design snapshot smoke under asan and ubsan: `sldm
+#      compile` + `sldm time --load` must match the direct path
+#      byte-for-byte at 1 and 4 threads, and a .sldc with a byte
+#      flipped in its first section or in its STOR arrays must be
+#      rejected by checksum;
 #   7. a fixed-seed differential fuzzing smoke under asan (`sldm fuzz`,
 #      200 iterations: must be clean and deterministic), plus a replay
 #      pass over the checked-in repro corpus in testdata/fuzz/;
@@ -140,35 +142,52 @@ if not records or "bench" not in records[0] or \
 EOF
 echo "check.sh: bench --json record parsed"
 
-# Compiled-design snapshot smoke under asan: `sldm compile` then
-# `time --load` must print byte-identical timing reports to the direct
-# path at 1 and 4 threads (the .sldc round-trip contract, FORMATS.md
-# section 11), and a corrupted snapshot must be rejected by checksum.
-out/asan/examples/sldm compile "$smoke_dir/chain.sim" \
-  -o "$smoke_dir/chain.sldc" > /dev/null
-for t in 1 4; do
-  out/asan/examples/sldm time "$smoke_dir/chain.sim" --threads "$t" \
-    > "$smoke_dir/direct$t.txt" 2> /dev/null
-  out/asan/examples/sldm time --load "$smoke_dir/chain.sldc" \
-    --threads "$t" > "$smoke_dir/loaded$t.txt" 2> /dev/null
-  cmp "$smoke_dir/direct$t.txt" "$smoke_dir/loaded$t.txt" \
-    || { echo "check.sh: --load timing differs from direct at" \
-         "--threads $t" >&2; exit 1; }
-done
-python3 - "$smoke_dir/chain.sldc" <<'EOF'
+# Compiled-design snapshot smoke under asan and under ubsan (whose
+# -fno-sanitize-recover traps any UB in the codec's bulk memcpy
+# decoding): `sldm compile` then `time --load` must print byte-identical
+# timing reports to the direct path at 1 and 4 threads (the .sldc
+# round-trip contract, FORMATS.md section 11), and a snapshot with one
+# byte flipped -- inside the first section payload, or inside the STOR
+# section's arrays -- must be rejected by checksum.
+for build in asan ubsan; do
+  sldm_bin="out/$build/examples/sldm"
+  "$sldm_bin" compile "$smoke_dir/chain.sim" \
+    -o "$smoke_dir/chain.sldc" > /dev/null
+  for t in 1 4; do
+    "$sldm_bin" time "$smoke_dir/chain.sim" --threads "$t" \
+      > "$smoke_dir/direct$t.txt" 2> /dev/null
+    "$sldm_bin" time --load "$smoke_dir/chain.sldc" \
+      --threads "$t" > "$smoke_dir/loaded$t.txt" 2> /dev/null
+    cmp "$smoke_dir/direct$t.txt" "$smoke_dir/loaded$t.txt" \
+      || { echo "check.sh: --load timing differs from direct at" \
+           "--threads $t ($build)" >&2; exit 1; }
+  done
+  for where in first STOR; do
+    python3 - "$smoke_dir/chain.sldc" "$smoke_dir/corrupt.sldc" "$where" <<'EOF'
 import sys
-path = sys.argv[1]
-data = bytearray(open(path, "rb").read())
-data[40] ^= 0x5A  # inside the first section payload
-open(path, "wb").write(data)
+src, dst, where = sys.argv[1:4]
+data = bytearray(open(src, "rb").read())
+if where == "first":
+    at = 40  # inside the first section payload
+else:
+    pos = 16  # past the header; each section header is 20 bytes
+    while data[pos:pos + 4] != b"STOR":
+        pos += 20 + int.from_bytes(data[pos + 4:pos + 12], "little")
+    length = int.from_bytes(data[pos + 4:pos + 12], "little")
+    at = pos + 20 + length // 2
+data[at] ^= 0x5A
+open(dst, "wb").write(data)
 EOF
-if out/asan/examples/sldm time --load "$smoke_dir/chain.sldc" \
-    > /dev/null 2> "$smoke_dir/corrupt.txt"; then
-  echo "check.sh: corrupted snapshot was accepted" >&2; exit 1
-fi
-grep -q 'checksum mismatch' "$smoke_dir/corrupt.txt" \
-  || { echo "check.sh: corrupted snapshot not rejected by checksum" >&2
-       exit 1; }
+    if "$sldm_bin" time --load "$smoke_dir/corrupt.sldc" \
+        > /dev/null 2> "$smoke_dir/corrupt.txt"; then
+      echo "check.sh: snapshot corrupted in $where was accepted ($build)" >&2
+      exit 1
+    fi
+    grep -q 'checksum mismatch' "$smoke_dir/corrupt.txt" \
+      || { echo "check.sh: snapshot corrupted in $where not rejected by" \
+           "checksum ($build)" >&2; exit 1; }
+  done
+done
 echo "check.sh: snapshot compile/load parity holds, corruption rejected"
 
 # Differential fuzzing smoke under asan: a fixed-seed campaign must run

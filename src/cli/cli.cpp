@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -1036,6 +1037,12 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     err << "error: " << e.what() << '\n';
     return 1;
   } catch (const ContractViolation& e) {
+    err << "internal error: " << e.what() << '\n';
+    return 1;
+  } catch (const std::exception& e) {
+    // Anything else (bad_alloc, a system_error from the runtime) is a
+    // defect too, but it must still end as a message and exit 1, never
+    // in std::terminate.
     err << "internal error: " << e.what() << '\n';
     return 1;
   }

@@ -87,12 +87,6 @@ void StageStore::reserve(std::size_t stages, std::size_t elements) {
   tp_.reserve(stages);
 }
 
-StageStore::RawArrays StageStore::export_arrays() const {
-  return RawArrays{elem_type_, elem_r_,   elem_c_, offset_,
-                   output_dir_, trigger_index_, trigger_type_,
-                   total_r_,   total_c_,  dest_c_, elmore_, tp_};
-}
-
 StageStore StageStore::from_arrays(RawArrays arrays) {
   if (arrays.offset.empty() || arrays.offset.front() != 0 ||
       arrays.offset.back() != arrays.elem_r.size()) {

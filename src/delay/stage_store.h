@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "delay/stage.h"
 
@@ -69,10 +70,11 @@ class StageStore {
   Seconds total_time_constant(StageId s) const { return tp_[s]; }
 
   /// Snapshot bridge (design/snapshot.cpp): the store's exact internal
-  /// arrays, in declaration order.  Restoring from_arrays() with an
-  /// unmodified export reproduces a bit-identical store -- the cached
-  /// doubles travel verbatim, so no electrical quantity is re-derived
-  /// on a warm start.
+  /// arrays.  for_each_array() visits them without copying, and
+  /// RawArrays::for_each() visits a restore target, both in RawArrays
+  /// declaration order.  Restoring from_arrays() with an unmodified
+  /// copy reproduces a bit-identical store -- the cached doubles travel
+  /// verbatim, so no electrical quantity is re-derived on a warm start.
   struct RawArrays {
     std::vector<TransistorType> elem_type;
     std::vector<Ohms> elem_r;
@@ -86,8 +88,20 @@ class StageStore {
     std::vector<Farads> dest_c;
     std::vector<Seconds> elmore;
     std::vector<Seconds> tp;
+
+    template <typename F>
+    void for_each(F&& f) {
+      f(elem_type), f(elem_r), f(elem_c), f(offset);
+      f(output_dir), f(trigger_index), f(trigger_type);
+      f(total_r), f(total_c), f(dest_c), f(elmore), f(tp);
+    }
   };
-  RawArrays export_arrays() const;
+  template <typename F>
+  void for_each_array(F&& f) const {
+    f(elem_type_), f(elem_r_), f(elem_c_), f(offset_);
+    f(output_dir_), f(trigger_index_), f(trigger_type_);
+    f(total_r_), f(total_c_), f(dest_c_), f(elmore_), f(tp_);
+  }
   /// Rebuilds a store from exported arrays.  Throws Error if the shapes
   /// are inconsistent (wrong per-stage array lengths, non-monotonic
   /// offsets) -- the snapshot loader's last line of defense.

@@ -1,98 +1,405 @@
 #include "design/snapshot.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
+#include "util/contracts.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 
 namespace sldm {
+
+// The codec copies whole arrays between host memory and the file, whose
+// integers and doubles are little-endian: the two layouts agree only on
+// a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the .sldc codec assumes a little-endian host");
+
 namespace {
 
-// --- Byte-level primitives (explicit little-endian packing) -------------
+// --- Checksum -------------------------------------------------------------
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+constexpr std::uint64_t kMulA = 0x9E3779B97F4A7C15ull;  // odd: invertible
+constexpr std::uint64_t kMulB = 0xC2B2AE3D27D4EB4Full;  // odd: invertible
+
+std::uint64_t load_word(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-using Bytes = std::vector<std::uint8_t>;
+/// One hash step.  For a fixed lane it is a bijection of the word, and
+/// for a fixed word a bijection of the lane: a changed word always
+/// leaves a changed lane, and later steps never merge it back.
+std::uint64_t mix(std::uint64_t lane, std::uint64_t word) {
+  return std::rotl(lane + word * kMulA, 29) * kMulB;
+}
 
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
+}  // namespace
 
-void put_u32(Bytes& out, std::uint32_t v) {
+std::uint64_t snapshot_checksum(const std::uint8_t* data, std::size_t n) {
+  std::uint64_t lane[4] = {kMulA, kMulB, ~kMulA, ~kMulB};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    lane[0] = mix(lane[0], load_word(data + i));
+    lane[1] = mix(lane[1], load_word(data + i + 8));
+    lane[2] = mix(lane[2], load_word(data + i + 16));
+    lane[3] = mix(lane[3], load_word(data + i + 24));
+  }
+  for (; i + 8 <= n; i += 8) lane[0] = mix(lane[0], load_word(data + i));
+  if (i < n) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, data + i, n - i);
+    lane[1] = mix(lane[1], tail);
+  }
+  std::uint64_t h = mix(0, n);
+  for (const std::uint64_t l : lane) h = mix(h, l);
+  h ^= h >> 32;  // xor-shifts and odd multiplies: still a bijection
+  h *= kMulA;
+  h ^= h >> 29;
+  return h;
+}
+
+namespace {
+
+// --- Section tags --------------------------------------------------------
+
+constexpr std::uint32_t tag4(const char (&s)[5]) {
+  return static_cast<std::uint32_t>(static_cast<unsigned char>(s[0])) |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(s[1])) << 8 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(s[2])) << 16 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(s[3])) << 24;
+}
+
+constexpr std::uint32_t kTagTech = tag4("TECH");
+constexpr std::uint32_t kTagNode = tag4("NODE");
+constexpr std::uint32_t kTagDevs = tag4("DEVS");
+constexpr std::uint32_t kTagOpts = tag4("OPTS");
+constexpr std::uint32_t kTagStgs = tag4("STGS");
+constexpr std::uint32_t kTagStor = tag4("STOR");
+constexpr std::uint32_t kTagTbls = tag4("TBLS");
+constexpr std::array<std::uint32_t, 7> kTags = {
+    kTagTech, kTagNode, kTagDevs, kTagOpts, kTagStgs, kTagStor, kTagTbls};
+
+/// [tag u32][payload length u64][checksum u64].
+constexpr std::size_t kSectionHeaderBytes = 20;
+
+std::string tag_name(std::uint32_t tag) {
+  std::string s(4, '?');
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    const char c = static_cast<char>(tag >> (8 * i));
+    s[static_cast<std::size_t>(i)] = (c >= 32 && c < 127) ? c : '?';
+  }
+  return s;
+}
+
+// --- Writing: one layout walk, run twice --------------------------------
+//
+// write_snapshot() walks the layout over a Sink twice: the first walk
+// only adds up sizes, the second fills a buffer allocated once at
+// exactly that size.
+
+class Sink {
+ public:
+  /// Without a buffer the sink only counts bytes.
+  explicit Sink(std::uint8_t* out = nullptr) : out_(out) {}
+
+  bool counting() const { return out_ == nullptr; }
+  std::size_t size() const { return size_; }
+
+  void raw(const void* src, std::size_t n) {
+    if (!counting() && n != 0) std::memcpy(out_ + size_, src, n);
+    size_ += n;
+  }
+  /// Counts `n` bytes whose contents a counting sink never needs.
+  void skip(std::size_t n) {
+    SLDM_ASSERT(counting());
+    size_ += n;
+  }
+  std::size_t open_section() {
+    const std::size_t at = size_;
+    size_ += kSectionHeaderBytes;
+    return at;
+  }
+  /// Seals the header at `at` with the payload's length and checksum.
+  void close_section(std::size_t at, std::uint32_t tag) {
+    if (counting()) return;
+    const std::uint64_t length = size_ - at - kSectionHeaderBytes;
+    const std::uint64_t check =
+        snapshot_checksum(out_ + at + kSectionHeaderBytes, length);
+    std::memcpy(out_ + at, &tag, 4);
+    std::memcpy(out_ + at + 4, &length, 8);
+    std::memcpy(out_ + at + 12, &check, 8);
+  }
+
+ private:
+  std::uint8_t* out_;
+  std::size_t size_ = 0;
+};
+
+template <typename T>
+void put(Sink& s, T v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  s.raw(&v, sizeof v);
+}
+
+void put_string(Sink& s, std::string_view str) {
+  put<std::uint32_t>(s, static_cast<std::uint32_t>(str.size()));
+  s.raw(str.data(), str.size());
+}
+
+/// An array: [count u64][count elements], copied in one piece.
+template <typename T>
+void put_array(Sink& s, const std::vector<T>& v) {
+  put<std::uint64_t>(s, v.size());
+  s.raw(v.data(), v.size() * sizeof(T));
+}
+
+/// An array whose element i is `element(i)`, converted to T.
+template <typename T, typename F>
+void put_array_of(Sink& s, std::size_t n, F&& element) {
+  put<std::uint64_t>(s, n);
+  if (s.counting()) {
+    s.skip(n * sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) put<T>(s, static_cast<T>(element(i)));
   }
 }
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+template <typename Body>
+void put_section(Sink& s, std::uint32_t tag, Body&& body) {
+  const std::size_t at = s.open_section();
+  body();
+  s.close_section(at, tag);
+}
+
+constexpr std::array<TransistorType, 3> kTypes = {
+    TransistorType::kNEnhancement, TransistorType::kNDepletion,
+    TransistorType::kPEnhancement};
+
+void write_tech(Sink& s, const Tech& tech) {
+  put_string(s, tech.name());
+  put<double>(s, tech.vdd());
+  for (const TransistorType t : kTypes) {
+    const DeviceParams& p = tech.params(t);
+    for (const double v : {p.vt, p.kp, p.lambda, p.cox, p.cov_w, p.cj_w,
+                           p.r_up_sq, p.r_down_sq}) {
+      put<double>(s, v);
+    }
   }
 }
 
-void put_f64(Bytes& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
+std::uint8_t node_flags(const Node& info) {
+  return static_cast<std::uint8_t>(
+      (info.is_power ? 1u << 0 : 0u) | (info.is_ground ? 1u << 1 : 0u) |
+      (info.is_input ? 1u << 2 : 0u) | (info.is_output ? 1u << 3 : 0u) |
+      (info.is_precharged ? 1u << 4 : 0u));
 }
 
-void put_string(Bytes& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
+void write_nodes(Sink& s, const Netlist& nl) {
+  const std::size_t n = nl.node_count();
+  const auto node = [&nl](std::size_t i) -> const Node& {
+    return nl.node(NodeId(static_cast<NodeId::underlying_type>(i)));
+  };
+  put<std::uint64_t>(s, n);
+  put_array_of<std::uint32_t>(s, n,
+                              [&](std::size_t i) { return node(i).name.size(); });
+  std::uint64_t name_bytes = 0;
+  for (std::size_t i = 0; i < n; ++i) name_bytes += node(i).name.size();
+  put<std::uint64_t>(s, name_bytes);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string_view name = node(i).name.view();
+    s.raw(name.data(), name.size());
+  }
+  put_array_of<double>(s, n, [&](std::size_t i) { return node(i).cap; });
+  put_array_of<std::uint8_t>(s, n,
+                             [&](std::size_t i) { return node_flags(node(i)); });
+  put_array_of<std::int8_t>(s, n, [&](std::size_t i) { return node(i).fixed; });
 }
+
+void write_devices(Sink& s, const Netlist& nl) {
+  const std::size_t n = nl.device_count();
+  const auto dev = [&nl](std::size_t i) -> const Transistor& {
+    return nl.device(DeviceId(static_cast<DeviceId::underlying_type>(i)));
+  };
+  put<std::uint64_t>(s, n);
+  put_array_of<TransistorType>(s, n, [&](std::size_t i) { return dev(i).type; });
+  put_array_of<std::uint32_t>(s, n,
+                              [&](std::size_t i) { return dev(i).gate.value(); });
+  put_array_of<std::uint32_t>(
+      s, n, [&](std::size_t i) { return dev(i).source.value(); });
+  put_array_of<std::uint32_t>(s, n,
+                              [&](std::size_t i) { return dev(i).drain.value(); });
+  put_array_of<double>(s, n, [&](std::size_t i) { return dev(i).width; });
+  put_array_of<double>(s, n, [&](std::size_t i) { return dev(i).length; });
+  put_array_of<Flow>(s, n, [&](std::size_t i) { return dev(i).flow; });
+}
+
+void write_options(Sink& s, const ExtractOptions& opts) {
+  put<std::uint32_t>(s, static_cast<std::uint32_t>(opts.max_depth));
+  put<std::uint8_t>(s, opts.inputs_as_sources ? 1 : 0);
+  // fixed_values in ascending node order: the map iterates in hash
+  // order, which must not leak into the byte stream (equal designs
+  // must serialize to equal bytes).
+  std::vector<std::pair<std::uint32_t, bool>> fixed;
+  fixed.reserve(opts.fixed_values.size());
+  for (const auto& [node, value] : opts.fixed_values) {
+    fixed.emplace_back(node.value(), value);
+  }
+  std::sort(fixed.begin(), fixed.end());
+  put_array_of<std::uint32_t>(s, fixed.size(),
+                              [&](std::size_t i) { return fixed[i].first; });
+  put_array_of<std::uint8_t>(s, fixed.size(),
+                             [&](std::size_t i) { return fixed[i].second; });
+}
+
+// Stage bits: the two transitions and the two flags of a TimingStage.
+constexpr std::uint8_t kOutputFalls = 1u << 0;
+constexpr std::uint8_t kTriggerGateFalls = 1u << 1;
+constexpr std::uint8_t kTriggerIsRelease = 1u << 2;
+constexpr std::uint8_t kSourceTriggered = 1u << 3;
+constexpr std::uint8_t kAllStageBits = 0x0F;
+
+std::uint8_t stage_bits(const TimingStage& ts) {
+  return static_cast<std::uint8_t>(
+      (ts.output_dir == Transition::kFall ? kOutputFalls : 0) |
+      (ts.trigger_gate_dir == Transition::kFall ? kTriggerGateFalls : 0) |
+      (ts.trigger_is_release ? kTriggerIsRelease : 0) |
+      (ts.source_triggered ? kSourceTriggered : 0));
+}
+
+void write_stages(Sink& s, const std::vector<TimingStage>& stages) {
+  const std::size_t n = stages.size();
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    SLDM_EXPECTS(offsets[i] + stages[i].path.size() <= UINT32_MAX);
+    offsets[i + 1] =
+        offsets[i] + static_cast<std::uint32_t>(stages[i].path.size());
+  }
+  put<std::uint64_t>(s, n);
+  put_array_of<std::uint32_t>(
+      s, n, [&](std::size_t i) { return stages[i].source.value(); });
+  put_array_of<std::uint32_t>(
+      s, n, [&](std::size_t i) { return stages[i].destination.value(); });
+  put_array_of<std::uint32_t>(
+      s, n, [&](std::size_t i) { return stages[i].trigger.value(); });
+  put_array_of<std::uint8_t>(s, n,
+                             [&](std::size_t i) { return stage_bits(stages[i]); });
+  put_array(s, offsets);
+  put<std::uint64_t>(s, offsets.back());
+  if (s.counting()) {
+    s.skip(std::size_t{offsets.back()} * sizeof(std::uint32_t));
+  } else {
+    for (const TimingStage& ts : stages) {
+      for (const DeviceId d : ts.path) put<std::uint32_t>(s, d.value());
+    }
+  }
+}
+
+void write_tables(Sink& s, const SlopeTables& tables) {
+  std::uint32_t count = 0;
+  for (const TransistorType type : kTypes) {
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      if (tables.has(type, dir)) ++count;
+    }
+  }
+  put<std::uint32_t>(s, count);
+  for (const TransistorType type : kTypes) {
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      if (!tables.has(type, dir)) continue;
+      const SlopeEntry& e = tables.entry(type, dir);
+      put<TransistorType>(s, type);
+      put<Transition>(s, dir);
+      for (const PiecewiseLinear* f : {&e.delay_mult, &e.slope_mult}) {
+        put_array(s, f->xs());
+        put_array(s, f->ys());
+      }
+    }
+  }
+}
+
+void write_snapshot(Sink& s, const CompiledDesign& design,
+                    const SlopeTables* tables) {
+  put<std::uint32_t>(s, kSnapshotMagic);
+  put<std::uint32_t>(s, kSnapshotFormatVersion);
+  put<std::uint64_t>(s, design.fingerprint());
+  const Netlist& nl = design.netlist();
+  put_section(s, kTagTech, [&] { write_tech(s, design.tech()); });
+  put_section(s, kTagNode, [&] { write_nodes(s, nl); });
+  put_section(s, kTagDevs, [&] { write_devices(s, nl); });
+  put_section(s, kTagOpts, [&] { write_options(s, design.extract_options()); });
+  put_section(s, kTagStgs, [&] { write_stages(s, design.stages()); });
+  put_section(s, kTagStor, [&] {
+    design.stage_store().for_each_array(
+        [&s](const auto& v) { put_array(s, v); });
+  });
+  if (tables != nullptr) {
+    put_section(s, kTagTbls, [&] { write_tables(s, *tables); });
+  }
+}
+
+// --- Reading -------------------------------------------------------------
+
+/// `n` elements of T at an unaligned spot inside a payload.  Elements
+/// are copied out one at a time or all at once; the bytes are only
+/// trusted after the caller's checks.
+template <typename T>
+class ArrayView {
+ public:
+  static_assert(std::is_trivially_copyable_v<T>);
+  ArrayView(const std::uint8_t* data, std::size_t n) : data_(data), n_(n) {}
+
+  std::size_t size() const { return n_; }
+  T operator[](std::size_t i) const {
+    T v;
+    std::memcpy(&v, data_ + i * sizeof(T), sizeof(T));
+    return v;
+  }
+  const char* chars() const { return reinterpret_cast<const char*>(data_); }
+  std::vector<T> to_vector() const {
+    std::vector<T> v(n_);
+    if (n_ != 0) std::memcpy(v.data(), data_, n_ * sizeof(T));
+    return v;
+  }
+
+ private:
+  const std::uint8_t* data_;
+  std::size_t n_;
+};
 
 /// Bounds-checked reader over one section payload (or the header).
-/// Every primitive read throws a truncation Error instead of walking
-/// off the end, so short files fail loudly wherever the cut lands.
+/// Every read throws a truncation Error instead of walking off the end,
+/// so short files fail loudly wherever the cut lands.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size,
          const std::string& origin, const char* what)
       : data_(data), size_(size), origin_(origin), what_(what) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(
-                                                       i)])
-           << (8 * i);
-    }
-    pos_ += 4;
+  template <typename T>
+  T scalar() {
+    need(sizeof(T));
+    T v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
     return v;
   }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(
-                                                       i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
+  std::uint8_t u8() { return scalar<std::uint8_t>(); }
+  std::uint32_t u32() { return scalar<std::uint32_t>(); }
+  std::uint64_t u64() { return scalar<std::uint64_t>(); }
+  double f64() { return scalar<double>(); }
 
   std::string str() {
     const std::uint32_t n = u32();
@@ -102,8 +409,33 @@ class Reader {
     return s;
   }
 
+  /// The next array ([count u64][count elements]); the count is checked
+  /// against the bytes left before the view is taken.
+  template <typename T>
+  ArrayView<T> array(const char* name) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / sizeof(T)) {
+      fail(std::string(name) + " count " + std::to_string(n) +
+           " exceeds the " + std::to_string(remaining()) + " byte(s) left");
+    }
+    const ArrayView<T> view(data_ + pos_, static_cast<std::size_t>(n));
+    pos_ += static_cast<std::size_t>(n) * sizeof(T);
+    return view;
+  }
+
+  /// array() that must hold exactly `expected` elements (an array
+  /// parallel to a count read earlier).
+  template <typename T>
+  ArrayView<T> array(const char* name, std::uint64_t expected) {
+    const ArrayView<T> view = array<T>(name);
+    if (view.size() != expected) {
+      fail(std::string(name) + " hold " + std::to_string(view.size()) +
+           " entries, expected " + std::to_string(expected));
+    }
+    return view;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
-  bool done() const { return pos_ == size_; }
 
   /// Checks an untrusted element count against the bytes left: `n`
   /// records of at least `min_record_bytes` each must fit, so a corrupt
@@ -112,6 +444,13 @@ class Reader {
     if (n > remaining() / min_record_bytes) {
       fail("count " + std::to_string(n) + " exceeds the " +
            std::to_string(remaining()) + " byte(s) left");
+    }
+  }
+
+  /// Fails unless the whole payload was consumed.
+  void finish() const {
+    if (remaining() != 0) {
+      fail(std::to_string(remaining()) + " unexpected trailing byte(s)");
     }
   }
 
@@ -134,199 +473,34 @@ class Reader {
   const char* what_;
 };
 
-// --- Section tags --------------------------------------------------------
-
-constexpr std::uint32_t tag4(const char (&s)[5]) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(s[0])) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(s[1])) << 8 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(s[2])) << 16 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(s[3])) << 24;
-}
-
-constexpr std::uint32_t kTagTech = tag4("TECH");
-constexpr std::uint32_t kTagNode = tag4("NODE");
-constexpr std::uint32_t kTagDevs = tag4("DEVS");
-constexpr std::uint32_t kTagOpts = tag4("OPTS");
-constexpr std::uint32_t kTagStgs = tag4("STGS");
-constexpr std::uint32_t kTagStor = tag4("STOR");
-constexpr std::uint32_t kTagTbls = tag4("TBLS");
-
-std::string tag_name(std::uint32_t tag) {
-  std::string s(4, '?');
-  for (int i = 0; i < 4; ++i) {
-    const char c = static_cast<char>(tag >> (8 * i));
-    s[static_cast<std::size_t>(i)] = (c >= 32 && c < 127) ? c : '?';
+/// The enum stored in byte `v`, or a named failure for a byte past the
+/// last enumerator.
+template <typename E>
+E to_enum(const Reader& r, std::uint8_t v) {
+  E last;
+  const char* what;
+  if constexpr (std::is_same_v<E, TransistorType>) {
+    last = TransistorType::kPEnhancement;
+    what = "transistor type";
+  } else if constexpr (std::is_same_v<E, Transition>) {
+    last = Transition::kFall;
+    what = "transition";
+  } else {
+    static_assert(std::is_same_v<E, Flow>);
+    last = Flow::kDrainToSource;
+    what = "flow annotation";
   }
-  return s;
-}
-
-void put_section(Bytes& out, std::uint32_t tag, const Bytes& payload) {
-  put_u32(out, tag);
-  put_u64(out, payload.size());
-  put_u64(out, fnv1a(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
-// --- Section writers -----------------------------------------------------
-
-Bytes write_tech(const Tech& tech) {
-  Bytes b;
-  put_string(b, tech.name());
-  put_f64(b, tech.vdd());
-  for (const TransistorType t :
-       {TransistorType::kNEnhancement, TransistorType::kNDepletion,
-        TransistorType::kPEnhancement}) {
-    const DeviceParams& p = tech.params(t);
-    put_f64(b, p.vt);
-    put_f64(b, p.kp);
-    put_f64(b, p.lambda);
-    put_f64(b, p.cox);
-    put_f64(b, p.cov_w);
-    put_f64(b, p.cj_w);
-    put_f64(b, p.r_up_sq);
-    put_f64(b, p.r_down_sq);
+  if (v > static_cast<std::uint8_t>(last)) {
+    r.fail(std::string("bad ") + what + " " + std::to_string(v));
   }
-  return b;
+  return static_cast<E>(v);
 }
 
-Bytes write_nodes(const Netlist& nl) {
-  Bytes b;
-  put_u64(b, nl.node_count());
-  for (NodeId n : nl.all_nodes()) {
-    const Node& info = nl.node(n);
-    put_string(b, info.name.view());
-    put_f64(b, info.cap);
-    std::uint8_t flags = 0;
-    if (info.is_power) flags |= 1u << 0;
-    if (info.is_ground) flags |= 1u << 1;
-    if (info.is_input) flags |= 1u << 2;
-    if (info.is_output) flags |= 1u << 3;
-    if (info.is_precharged) flags |= 1u << 4;
-    put_u8(b, flags);
-    put_u8(b, static_cast<std::uint8_t>(info.fixed));
-  }
-  return b;
-}
-
-Bytes write_devices(const Netlist& nl) {
-  Bytes b;
-  put_u64(b, nl.device_count());
-  for (DeviceId d : nl.all_devices()) {
-    const Transistor& t = nl.device(d);
-    put_u8(b, static_cast<std::uint8_t>(t.type));
-    put_u32(b, t.gate.value());
-    put_u32(b, t.source.value());
-    put_u32(b, t.drain.value());
-    put_f64(b, t.width);
-    put_f64(b, t.length);
-    put_u8(b, static_cast<std::uint8_t>(t.flow));
-  }
-  return b;
-}
-
-Bytes write_options(const ExtractOptions& opts) {
-  Bytes b;
-  put_u32(b, static_cast<std::uint32_t>(opts.max_depth));
-  put_u8(b, opts.inputs_as_sources ? 1 : 0);
-  // fixed_values in ascending node order: the map iterates in hash
-  // order, which must not leak into the byte stream (equal designs
-  // must serialize to equal bytes).
-  std::vector<std::pair<std::uint32_t, bool>> fixed;
-  fixed.reserve(opts.fixed_values.size());
-  for (const auto& [node, value] : opts.fixed_values) {
-    fixed.emplace_back(node.value(), value);
-  }
-  std::sort(fixed.begin(), fixed.end());
-  put_u64(b, fixed.size());
-  for (const auto& [node, value] : fixed) {
-    put_u32(b, node);
-    put_u8(b, value ? 1 : 0);
-  }
-  return b;
-}
-
-Bytes write_stages(const std::vector<TimingStage>& stages) {
-  Bytes b;
-  put_u64(b, stages.size());
-  for (const TimingStage& ts : stages) {
-    put_u32(b, ts.source.value());
-    put_u32(b, ts.destination.value());
-    put_u8(b, ts.output_dir == Transition::kRise ? 0 : 1);
-    put_u32(b, ts.trigger.value());
-    put_u8(b, ts.trigger_gate_dir == Transition::kRise ? 0 : 1);
-    std::uint8_t flags = 0;
-    if (ts.trigger_is_release) flags |= 1u << 0;
-    if (ts.source_triggered) flags |= 1u << 1;
-    put_u8(b, flags);
-    put_u32(b, static_cast<std::uint32_t>(ts.path.size()));
-    for (const DeviceId d : ts.path) put_u32(b, d.value());
-  }
-  return b;
-}
-
-Bytes write_store(const StageStore& store) {
-  const StageStore::RawArrays a = store.export_arrays();
-  Bytes b;
-  const auto put_u8_vec = [&b](const auto& v) {
-    put_u64(b, v.size());
-    for (const auto e : v) put_u8(b, static_cast<std::uint8_t>(e));
-  };
-  const auto put_u32_vec = [&b](const std::vector<std::uint32_t>& v) {
-    put_u64(b, v.size());
-    for (const std::uint32_t e : v) put_u32(b, e);
-  };
-  const auto put_f64_vec = [&b](const std::vector<double>& v) {
-    put_u64(b, v.size());
-    for (const double e : v) put_f64(b, e);
-  };
-  put_u8_vec(a.elem_type);
-  put_f64_vec(a.elem_r);
-  put_f64_vec(a.elem_c);
-  put_u32_vec(a.offset);
-  put_u8_vec(a.output_dir);
-  put_u32_vec(a.trigger_index);
-  put_u8_vec(a.trigger_type);
-  put_f64_vec(a.total_r);
-  put_f64_vec(a.total_c);
-  put_f64_vec(a.dest_c);
-  put_f64_vec(a.elmore);
-  put_f64_vec(a.tp);
-  return b;
-}
-
-// --- Section readers -----------------------------------------------------
-
-TransistorType read_transistor_type(Reader& r) {
-  const std::uint8_t v = r.u8();
-  switch (v) {
-    case static_cast<std::uint8_t>(TransistorType::kNEnhancement):
-      return TransistorType::kNEnhancement;
-    case static_cast<std::uint8_t>(TransistorType::kNDepletion):
-      return TransistorType::kNDepletion;
-    case static_cast<std::uint8_t>(TransistorType::kPEnhancement):
-      return TransistorType::kPEnhancement;
-    default:
-      r.fail("bad transistor type " + std::to_string(v));
-  }
-}
-
-Transition read_transition(Reader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > 1) r.fail("bad transition " + std::to_string(v));
-  return v == 0 ? Transition::kRise : Transition::kFall;
-}
-
-Flow read_flow(Reader& r) {
-  const std::uint8_t v = r.u8();
-  switch (v) {
-    case static_cast<std::uint8_t>(Flow::kBidirectional):
-      return Flow::kBidirectional;
-    case static_cast<std::uint8_t>(Flow::kSourceToDrain):
-      return Flow::kSourceToDrain;
-    case static_cast<std::uint8_t>(Flow::kDrainToSource):
-      return Flow::kDrainToSource;
-    default:
-      r.fail("bad flow annotation " + std::to_string(v));
+/// Checks every byte of an enum array (before its bytes are used).
+template <typename E>
+void check_enums(const Reader& r, const ArrayView<E>& a) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    (void)to_enum<E>(r, static_cast<std::uint8_t>(a[i]));
   }
 }
 
@@ -334,64 +508,98 @@ Tech read_tech_section(Reader& r) {
   const std::string name = r.str();
   const double vdd = r.f64();
   Tech tech(name, vdd);
-  for (const TransistorType t :
-       {TransistorType::kNEnhancement, TransistorType::kNDepletion,
-        TransistorType::kPEnhancement}) {
+  for (const TransistorType t : kTypes) {
     DeviceParams& p = tech.params(t);
-    p.vt = r.f64();
-    p.kp = r.f64();
-    p.lambda = r.f64();
-    p.cox = r.f64();
-    p.cov_w = r.f64();
-    p.cj_w = r.f64();
-    p.r_up_sq = r.f64();
-    p.r_down_sq = r.f64();
+    for (double* v : {&p.vt, &p.kp, &p.lambda, &p.cox, &p.cov_w, &p.cj_w,
+                      &p.r_up_sq, &p.r_down_sq}) {
+      *v = r.f64();
+    }
   }
+  r.finish();
   return tech;
 }
 
 Netlist read_netlist_sections(Reader& nodes, Reader& devs) {
-  Netlist nl;
   const std::uint64_t node_count = nodes.u64();
-  for (std::uint64_t i = 0; i < node_count; ++i) {
-    const std::string name = nodes.str();
-    if (name.empty()) nodes.fail("empty node name");
-    const double cap = nodes.f64();
-    const std::uint8_t flags = nodes.u8();
-    const auto fixed = static_cast<std::int8_t>(nodes.u8());
-    if (flags > 31) nodes.fail("bad node flags");
-    if (fixed < -1 || fixed > 1) nodes.fail("bad pinned value");
-    const NodeId id = nl.add_node(name);
-    if (id.index() != i) nodes.fail("duplicate node name '" + name + "'");
-    Node& info = nl.node(id);
-    info.cap = cap;
-    info.is_power = (flags & (1u << 0)) != 0;
-    info.is_ground = (flags & (1u << 1)) != 0;
-    info.is_input = (flags & (1u << 2)) != 0;
-    info.is_output = (flags & (1u << 3)) != 0;
-    info.is_precharged = (flags & (1u << 4)) != 0;
-    info.fixed = fixed;
-  }
+  // Per node: a name length, at least one name byte, a capacitance,
+  // flags and a pinned value.
+  nodes.check_count(node_count, 4 + 1 + 8 + 1 + 1);
+  const auto name_len = nodes.array<std::uint32_t>("name lengths", node_count);
+  const auto names = nodes.array<char>("names");
+  const auto cap = nodes.array<double>("capacitances", node_count);
+  const auto flags = nodes.array<std::uint8_t>("flags", node_count);
+  const auto fixed = nodes.array<std::int8_t>("pinned values", node_count);
+  nodes.finish();
 
   const std::uint64_t device_count = devs.u64();
-  for (std::uint64_t i = 0; i < device_count; ++i) {
-    const TransistorType type = read_transistor_type(devs);
-    const NodeId gate(devs.u32());
-    const NodeId source(devs.u32());
-    const NodeId drain(devs.u32());
-    const double width = devs.f64();
-    const double length = devs.f64();
-    const Flow flow = read_flow(devs);
-    if (gate.index() >= nl.node_count() ||
-        source.index() >= nl.node_count() ||
-        drain.index() >= nl.node_count()) {
+  // Per device: type and flow bytes, three terminals, two dimensions.
+  devs.check_count(device_count, 2 + 3 * 4 + 2 * 8);
+  const auto type = devs.array<TransistorType>("types", device_count);
+  const auto gate = devs.array<std::uint32_t>("gates", device_count);
+  const auto source = devs.array<std::uint32_t>("sources", device_count);
+  const auto drain = devs.array<std::uint32_t>("drains", device_count);
+  const auto width = devs.array<double>("widths", device_count);
+  const auto length = devs.array<double>("lengths", device_count);
+  const auto flow = devs.array<Flow>("flows", device_count);
+  devs.finish();
+  check_enums(devs, type);
+  check_enums(devs, flow);
+
+  Netlist nl;
+  nl.reserve_nodes(node_count);
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < node_count; ++i) {
+    const std::uint32_t len = name_len[i];
+    if (len == 0) nodes.fail("empty node name");
+    if (len > names.size() - at) nodes.fail("names overrun their array");
+    const std::string_view name(names.chars() + at, len);
+    at += len;
+    const double c = cap[i];
+    const std::int8_t pinned = fixed[i];
+    if (!std::isfinite(c) || c < 0.0) nodes.fail("bad node capacitance");
+    if (flags[i] > 31) nodes.fail("bad node flags");
+    if (pinned < -1 || pinned > 1) nodes.fail("bad pinned value");
+    const NodeId id = nl.add_node(name);
+    if (id.index() != i) {
+      nodes.fail("duplicate node name '" + std::string(name) + "'");
+    }
+    Node& info = nl.node(id);
+    const std::uint8_t f = flags[i];
+    info.cap = c;
+    info.is_power = (f & (1u << 0)) != 0;
+    info.is_ground = (f & (1u << 1)) != 0;
+    info.is_input = (f & (1u << 2)) != 0;
+    info.is_output = (f & (1u << 3)) != 0;
+    info.is_precharged = (f & (1u << 4)) != 0;
+    info.fixed = pinned;
+  }
+  if (at != names.size()) nodes.fail("names do not match their lengths");
+
+  std::vector<Transistor> transistors;
+  transistors.reserve(device_count);
+  for (std::size_t i = 0; i < device_count; ++i) {
+    const NodeId g(gate[i]);
+    const NodeId s(source[i]);
+    const NodeId d(drain[i]);
+    const double w = width[i];
+    const double l = length[i];
+    if (g.index() >= node_count || s.index() >= node_count ||
+        d.index() >= node_count) {
       devs.fail("device terminal out of range");
     }
-    if (source == drain || width <= 0.0 || length <= 0.0) {
+    if (s == d || !std::isfinite(w) || !(w > 0.0) || !std::isfinite(l) ||
+        !(l > 0.0)) {
       devs.fail("bad device geometry");
     }
-    nl.add_transistor(type, gate, source, drain, width, length, flow);
+    transistors.push_back(Transistor{.type = type[i],
+                                     .gate = g,
+                                     .source = s,
+                                     .drain = d,
+                                     .width = w,
+                                     .length = l,
+                                     .flow = flow[i]});
   }
+  nl.add_transistors(std::move(transistors));
   return nl;
 }
 
@@ -399,100 +607,127 @@ ExtractOptions read_options_section(Reader& r, const Netlist& nl) {
   ExtractOptions opts;
   opts.max_depth = static_cast<int>(r.u32());
   opts.inputs_as_sources = r.u8() != 0;
-  const std::uint64_t fixed = r.u64();
-  for (std::uint64_t i = 0; i < fixed; ++i) {
-    const NodeId node(r.u32());
-    const std::uint8_t value = r.u8();
-    if (node.index() >= nl.node_count()) r.fail("pinned node out of range");
-    if (value > 1) r.fail("bad pinned value");
-    opts.fixed_values[node] = value != 0;
+  const auto node = r.array<std::uint32_t>("pinned nodes");
+  const auto value = r.array<std::uint8_t>("pinned values", node.size());
+  r.finish();
+  for (std::size_t i = 0; i < node.size(); ++i) {
+    if (node[i] >= nl.node_count()) r.fail("pinned node out of range");
+    if (value[i] > 1) r.fail("bad pinned value");
+    opts.fixed_values[NodeId(node[i])] = value[i] != 0;
   }
   return opts;
 }
 
 std::vector<TimingStage> read_stages_section(Reader& r, const Netlist& nl) {
-  std::vector<TimingStage> stages;
   const std::uint64_t count = r.u64();
-  // source, destination, trigger, path length (u32 each), two
-  // transitions and the flags byte.
-  r.check_count(count, 4 * 4 + 3);
-  stages.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TimingStage ts;
-    ts.source = NodeId(r.u32());
-    ts.destination = NodeId(r.u32());
-    ts.output_dir = read_transition(r);
-    ts.trigger = DeviceId(r.u32());
-    ts.trigger_gate_dir = read_transition(r);
-    const std::uint8_t flags = r.u8();
-    if (flags > 3) r.fail("bad stage flags");
-    ts.trigger_is_release = (flags & (1u << 0)) != 0;
-    ts.source_triggered = (flags & (1u << 1)) != 0;
-    const std::uint32_t path_len = r.u32();
-    r.check_count(path_len, 4);
-    ts.path.reserve(path_len);
-    for (std::uint32_t p = 0; p < path_len; ++p) {
-      const DeviceId d(r.u32());
-      if (d.index() >= nl.device_count()) {
-        r.fail("stage path device out of range");
-      }
-      ts.path.push_back(d);
-    }
-    if (ts.source.index() >= nl.node_count() ||
-        ts.destination.index() >= nl.node_count() ||
-        ts.trigger.index() >= nl.device_count()) {
+  // Per stage: source, destination, trigger and path offset (u32 each)
+  // and the bits byte.
+  r.check_count(count, 4 * 4 + 1);
+  const auto source = r.array<std::uint32_t>("sources", count);
+  const auto destination = r.array<std::uint32_t>("destinations", count);
+  const auto trigger = r.array<std::uint32_t>("triggers", count);
+  const auto bits = r.array<std::uint8_t>("stage bits", count);
+  const auto offset = r.array<std::uint32_t>("path offsets", count + 1);
+  const auto device = r.array<std::uint32_t>("path devices");
+  r.finish();
+
+  const std::size_t nodes = nl.node_count();
+  const std::size_t devices = nl.device_count();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (source[i] >= nodes || destination[i] >= nodes ||
+        trigger[i] >= devices) {
       r.fail("stage endpoint out of range");
     }
-    stages.push_back(std::move(ts));
+    if (bits[i] > kAllStageBits) r.fail("bad stage bits");
+  }
+  if (offset[0] != 0 || offset[count] != device.size()) {
+    r.fail("path offsets do not span the path devices");
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (offset[i] > offset[i + 1]) r.fail("path offsets not monotonic");
+  }
+  for (std::size_t p = 0; p < device.size(); ++p) {
+    if (device[p] >= devices) r.fail("stage path device out of range");
+  }
+
+  std::vector<TimingStage> stages(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    TimingStage& ts = stages[i];
+    const std::uint8_t b = bits[i];
+    ts.source = NodeId(source[i]);
+    ts.destination = NodeId(destination[i]);
+    ts.output_dir = (b & kOutputFalls) ? Transition::kFall : Transition::kRise;
+    ts.trigger = DeviceId(trigger[i]);
+    ts.trigger_gate_dir =
+        (b & kTriggerGateFalls) ? Transition::kFall : Transition::kRise;
+    ts.trigger_is_release = (b & kTriggerIsRelease) != 0;
+    ts.source_triggered = (b & kSourceTriggered) != 0;
+    ts.path.resize(offset[i + 1] - offset[i]);
+    for (std::size_t p = 0; p < ts.path.size(); ++p) {
+      ts.path[p] = DeviceId(device[offset[i] + p]);
+    }
   }
   return stages;
 }
 
 StageStore read_store_section(Reader& r) {
   StageStore::RawArrays a;
-  const auto get_type_vec = [&r](std::vector<TransistorType>& v) {
-    const std::uint64_t n = r.u64();
-    r.check_count(n, 1);
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_transistor_type(r));
-  };
-  const auto get_dir_vec = [&r](std::vector<Transition>& v) {
-    const std::uint64_t n = r.u64();
-    r.check_count(n, 1);
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_transition(r));
-  };
-  const auto get_u32_vec = [&r](std::vector<std::uint32_t>& v) {
-    const std::uint64_t n = r.u64();
-    r.check_count(n, 4);
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u32());
-  };
-  const auto get_f64_vec = [&r](std::vector<double>& v) {
-    const std::uint64_t n = r.u64();
-    r.check_count(n, 8);
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.f64());
-  };
-  get_type_vec(a.elem_type);
-  get_f64_vec(a.elem_r);
-  get_f64_vec(a.elem_c);
-  get_u32_vec(a.offset);
-  get_dir_vec(a.output_dir);
-  get_u32_vec(a.trigger_index);
-  get_type_vec(a.trigger_type);
-  get_f64_vec(a.total_r);
-  get_f64_vec(a.total_c);
-  get_f64_vec(a.dest_c);
-  get_f64_vec(a.elmore);
-  get_f64_vec(a.tp);
+  a.for_each([&r]<typename T>(std::vector<T>& v) {
+    const ArrayView<T> view = r.array<T>("store array");
+    if constexpr (std::is_enum_v<T>) check_enums(r, view);
+    v = view.to_vector();
+  });
+  r.finish();
   return StageStore::from_arrays(std::move(a));
+}
+
+PiecewiseLinear read_table(Reader& r) {
+  const auto xs = r.array<double>("table abscissae");
+  const auto ys = r.array<double>("table multipliers", xs.size());
+  if (xs.size() == 0) r.fail("empty table");
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    // Lookups clamp to the boundary cells (slope_table.h), so every
+    // cell must be usable: finite increasing x, finite positive y.
+    if (!std::isfinite(xs[i]) || (i > 0 && !(xs[i] > xs[i - 1]))) {
+      r.fail("table abscissae not finite and increasing");
+    }
+    if (!std::isfinite(ys[i]) || !(ys[i] > 0.0)) {
+      r.fail("table multiplier not a finite positive number");
+    }
+  }
+  return PiecewiseLinear(xs.to_vector(), ys.to_vector());
+}
+
+SlopeTables read_tables_section(Reader& r) {
+  SlopeTables tables;
+  const std::uint32_t count = r.u32();
+  if (count > kTypes.size() * 2) r.fail("bad table count");
+  for (std::uint32_t k = 0; k < count; ++k) {
+    const auto type = to_enum<TransistorType>(r, r.u8());
+    const auto dir = to_enum<Transition>(r, r.u8());
+    if (tables.has(type, dir)) r.fail("repeated table entry");
+    PiecewiseLinear delay = read_table(r);
+    PiecewiseLinear slope = read_table(r);
+    tables.set(type, dir, SlopeEntry{std::move(delay), std::move(slope)});
+  }
+  r.finish();
+  return tables;
 }
 
 struct Section {
   const std::uint8_t* data;
   std::size_t size;
 };
+
+/// Closes a file descriptor on scope exit.
+struct FdGuard {
+  int fd;
+  ~FdGuard() { ::close(fd); }
+};
+
+std::string errno_text() {
+  return std::error_code(errno, std::generic_category()).message();
+}
 
 }  // namespace
 
@@ -523,27 +758,16 @@ struct SnapshotAccess {
 
 std::vector<std::uint8_t> serialize_design(const CompiledDesign& design,
                                            const SlopeTables* tables) {
-  Bytes out;
-  put_u32(out, kSnapshotMagic);
-  put_u32(out, kSnapshotFormatVersion);
-  put_u64(out, design.fingerprint());
-  put_section(out, kTagTech, write_tech(design.tech()));
-  put_section(out, kTagNode, write_nodes(design.netlist()));
-  put_section(out, kTagDevs, write_devices(design.netlist()));
-  put_section(out, kTagOpts, write_options(design.extract_options()));
-  put_section(out, kTagStgs, write_stages(design.stages()));
-  put_section(out, kTagStor, write_store(design.stage_store()));
-  if (tables != nullptr) {
-    std::ostringstream os;
-    tables->write(os);
-    const std::string text = os.str();
-    Bytes payload(text.begin(), text.end());
-    put_section(out, kTagTbls, payload);
-  }
+  Sink sizer;
+  write_snapshot(sizer, design, tables);
+  std::vector<std::uint8_t> out(sizer.size());
+  Sink writer(out.data());
+  write_snapshot(writer, design, tables);
+  SLDM_ASSERT(writer.size() == out.size());
   return out;
 }
 
-LoadedDesign deserialize_design(const std::vector<std::uint8_t>& bytes,
+LoadedDesign deserialize_design(std::span<const std::uint8_t> bytes,
                                 const std::string& origin) {
   Reader header(bytes.data(), bytes.size(), origin, "header");
   const std::uint32_t magic = header.u32();
@@ -563,38 +787,52 @@ LoadedDesign deserialize_design(const std::vector<std::uint8_t>& bytes,
   const std::uint64_t claimed_fingerprint = header.u64();
 
   // Walk the section table: verify each checksum, remember each
-  // payload window.
+  // payload window.  Every tag is known and appears at most once.
   std::size_t pos = bytes.size() - header.remaining();
-  std::unordered_map<std::uint32_t, Section> sections;
+  std::array<std::optional<Section>, kTags.size()> sections;
   while (pos < bytes.size()) {
     Reader sec(bytes.data() + pos, bytes.size() - pos, origin,
                "section table");
     const std::uint32_t tag = sec.u32();
     const std::uint64_t length = sec.u64();
     const std::uint64_t checksum = sec.u64();
-    const std::size_t header_size = (bytes.size() - pos) - sec.remaining();
     if (length > sec.remaining()) {
       throw Error("snapshot " + origin + ": section '" + tag_name(tag) +
                   "' truncated (declares " + std::to_string(length) +
                   " byte(s), " + std::to_string(sec.remaining()) +
                   " left in file)");
     }
-    const std::uint8_t* payload = bytes.data() + pos + header_size;
-    if (fnv1a(payload, length) != checksum) {
+    const std::uint8_t* payload = bytes.data() + pos + kSectionHeaderBytes;
+    if (snapshot_checksum(payload, length) != checksum) {
       throw Error("snapshot " + origin + ": section '" + tag_name(tag) +
                   "' checksum mismatch (corrupted file?)");
     }
-    sections[tag] = Section{payload, static_cast<std::size_t>(length)};
-    pos += header_size + length;
+    const auto known = std::find(kTags.begin(), kTags.end(), tag);
+    if (known == kTags.end()) {
+      throw Error("snapshot " + origin + ": unknown section '" +
+                  tag_name(tag) + "'");
+    }
+    std::optional<Section>& slot =
+        sections[static_cast<std::size_t>(known - kTags.begin())];
+    if (slot) {
+      throw Error("snapshot " + origin + ": repeated section '" +
+                  tag_name(tag) + "'");
+    }
+    slot = Section{payload, static_cast<std::size_t>(length)};
+    pos += kSectionHeaderBytes + static_cast<std::size_t>(length);
   }
 
+  const auto found = [&](std::uint32_t tag) -> const std::optional<Section>& {
+    return sections[static_cast<std::size_t>(
+        std::find(kTags.begin(), kTags.end(), tag) - kTags.begin())];
+  };
   const auto section = [&](std::uint32_t tag, const char* what) {
-    const auto it = sections.find(tag);
-    if (it == sections.end()) {
+    const std::optional<Section>& s = found(tag);
+    if (!s) {
       throw Error("snapshot " + origin + ": missing section '" +
                   tag_name(tag) + "'");
     }
-    return Reader(it->second.data, it->second.size, origin, what);
+    return Reader(s->data, s->size, origin, what);
   };
 
   Reader tech_r = section(kTagTech, "TECH section");
@@ -624,15 +862,14 @@ LoadedDesign deserialize_design(const std::vector<std::uint8_t>& bytes,
   }
 
   LoadedDesign loaded;
+  if (found(kTagTbls)) {
+    Reader tbls_r = section(kTagTbls, "TBLS section");
+    loaded.slope_tables = read_tables_section(tbls_r);
+  }
   loaded.design = SnapshotAccess::assemble(std::move(nl), std::move(tech),
                                            std::move(extract),
                                            std::move(stages),
                                            std::move(store));
-  if (const auto it = sections.find(kTagTbls); it != sections.end()) {
-    std::istringstream is(std::string(
-        reinterpret_cast<const char*>(it->second.data), it->second.size));
-    loaded.slope_tables = SlopeTables::read(is, origin + " (TBLS)");
-  }
   return loaded;
 }
 
@@ -643,7 +880,7 @@ void save_design_file(const CompiledDesign& design, const std::string& path,
   // leaving exactly the torn file a crash mid-write would, which the
   // loader must reject by section checksum, never accept.
   const bool partial = failpoint("snapshot.write");
-  const Bytes bytes = serialize_design(design, tables);
+  const std::vector<std::uint8_t> bytes = serialize_design(design, tables);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw Error("cannot create snapshot file " + path);
   const std::size_t n = partial ? bytes.size() / 2 : bytes.size();
@@ -661,12 +898,38 @@ LoadedDesign load_design_file(const std::string& path) {
   // `partial` models a truncated read -- deserialize_design must turn
   // either into a named rejection, never a crash or a wrong design.
   const bool partial = failpoint("snapshot.read");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open snapshot file " + path);
-  Bytes bytes((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  if (partial) bytes.resize(bytes.size() / 2);
-  return deserialize_design(bytes, path);
+  // O_NONBLOCK: opening a FIFO must not wait for a writer; fstat then
+  // rejects it, like every other path that is not a regular file.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (fd < 0) {
+    throw Error("cannot open snapshot file " + path + ": " + errno_text());
+  }
+  const FdGuard guard{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    throw Error("cannot stat snapshot file " + path + ": " + errno_text());
+  }
+  if (!S_ISREG(st.st_mode)) {
+    throw Error("snapshot " + path + ": not a regular file");
+  }
+  // One sized read into a buffer that is never zero-filled first.
+  const auto size = static_cast<std::size_t>(st.st_size);
+  const auto bytes = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(fd, bytes.get() + got, size - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      throw Error("cannot read snapshot file " + path + ": " + errno_text());
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  if (got != size) {
+    throw Error("snapshot " + path + ": short read (" + std::to_string(got) +
+                " of " + std::to_string(size) + " byte(s))");
+  }
+  return deserialize_design({bytes.get(), partial ? size / 2 : size}, path);
 }
 
 }  // namespace sldm

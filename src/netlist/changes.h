@@ -68,6 +68,9 @@ class ChangeLog {
     entries_.push_back(Change{kind, index});
   }
 
+  /// Grows capacity ahead of `n` more records.
+  void reserve_more(std::size_t n) { entries_.reserve(entries_.size() + n); }
+
  private:
   std::vector<Change> entries_;
 };

@@ -142,6 +142,44 @@ DeviceId Netlist::add_transistor(TransistorType type, NodeId gate,
   return id;
 }
 
+void Netlist::reserve_nodes(std::size_t n) {
+  nodes_.reserve(nodes_.size() + n);
+  by_name_.reserve(by_name_.size() + n);
+  gated_by_.reserve(gated_by_.size() + n);
+  channels_at_.reserve(channels_at_.size() + n);
+  log_.reserve_more(n);
+}
+
+void Netlist::add_transistors(std::vector<Transistor> devices) {
+  SLDM_EXPECTS(devices_.empty());
+  std::vector<std::uint32_t> gates(nodes_.size(), 0);
+  std::vector<std::uint32_t> channels(nodes_.size(), 0);
+  for (const Transistor& t : devices) {
+    check_node(t.gate);
+    check_node(t.source);
+    check_node(t.drain);
+    SLDM_EXPECTS(t.source != t.drain);
+    SLDM_EXPECTS(t.width > 0.0 && t.length > 0.0);
+    ++gates[t.gate.index()];
+    ++channels[t.source.index()];
+    ++channels[t.drain.index()];
+  }
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    gated_by_[n].reserve(gates[n]);
+    channels_at_[n].reserve(channels[n]);
+  }
+  devices_ = std::move(devices);
+  log_.reserve_more(devices_.size());
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const DeviceId id(static_cast<DeviceId::underlying_type>(i));
+    const Transistor& t = devices_[i];
+    gated_by_[t.gate.index()].push_back(id);
+    channels_at_[t.source.index()].push_back(id);
+    channels_at_[t.drain.index()].push_back(id);
+    log_.record(ChangeKind::kDeviceAdded, id.value());
+  }
+}
+
 const Node& Netlist::node(NodeId id) const {
   check_node(id);
   return nodes_[id.index()];

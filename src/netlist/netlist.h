@@ -119,6 +119,17 @@ class Netlist {
                           NodeId drain, Meters width, Meters length,
                           Flow flow = Flow::kBidirectional);
 
+  /// Grows the node, name-map, adjacency and journal storage ahead of
+  /// `n` more add_node() calls, so none of them regrows mid-build.
+  void reserve_nodes(std::size_t n);
+
+  /// Adds `devices` to a netlist that has none yet, exactly as
+  /// add_transistor() on each in order would (same ids, adjacency order
+  /// and journal entries), but sizes every adjacency list once instead
+  /// of growing it device by device.  Preconditions: device_count() ==
+  /// 0, and those of add_transistor() for every device.
+  void add_transistors(std::vector<Transistor> devices);
+
   /// Changes a device's flow annotation.
   void set_flow(DeviceId id, Flow flow);
 

@@ -1,5 +1,6 @@
 // Tests for the `sldm` command-line tool, driven in-process.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <fstream>
@@ -404,6 +405,26 @@ TEST(Cli, LoadingGarbageIsAnalysisError) {
                         "rc-tree"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("not a .sldc"), std::string::npos);
+}
+
+TEST(Cli, LoadingADirectoryIsNamedError) {
+  const CliRun r = run({"time", "--load", "/tmp", "--model", "rc-tree"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: snapshot /tmp: not a regular file"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(Cli, LoadingAFifoIsNamedErrorNotAHang) {
+  // Opening a FIFO for reading would block until a writer appears; the
+  // loader must refuse it by name instead.
+  const std::string path = "/tmp/sldm_cli_test_fifo.sldc";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const CliRun r = run({"time", "--load", path, "--model", "rc-tree"});
+  std::remove(path.c_str());
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("not a regular file"), std::string::npos) << r.err;
 }
 
 TEST(Cli, LedgerSummarizeCorruptCorpusIsNamedError) {

@@ -185,6 +185,56 @@ TEST(Netlist, ChangeLogJournalsEveryMutation) {
   EXPECT_EQ(log.entry(10).kind, ChangeKind::kNodeRole);
 }
 
+TEST(Netlist, BulkTransistorsMatchOneByOneAdds) {
+  // Same devices, once through add_transistor and once in bulk: ids,
+  // adjacency lists (order included) and the journal must agree.
+  const auto nodes = [](Netlist& nl) {
+    for (const char* name : {"vdd", "gnd", "a", "b", "c"}) nl.add_node(name);
+  };
+  const std::vector<Transistor> devices = {
+      {TransistorType::kPEnhancement, NodeId(2), NodeId(0), NodeId(3),
+       8 * um, 2 * um, Flow::kBidirectional},
+      {TransistorType::kNEnhancement, NodeId(2), NodeId(3), NodeId(1),
+       4 * um, 2 * um, Flow::kSourceToDrain},
+      {TransistorType::kNDepletion, NodeId(3), NodeId(4), NodeId(3),
+       2 * um, 8 * um, Flow::kDrainToSource},
+      {TransistorType::kNEnhancement, NodeId(3), NodeId(4), NodeId(1),
+       4 * um, 2 * um, Flow::kBidirectional}};
+  Netlist one;
+  nodes(one);
+  for (const Transistor& t : devices) {
+    one.add_transistor(t.type, t.gate, t.source, t.drain, t.width, t.length,
+                       t.flow);
+  }
+  Netlist bulk;
+  nodes(bulk);
+  bulk.add_transistors(devices);
+
+  ASSERT_EQ(bulk.device_count(), one.device_count());
+  for (DeviceId d : one.all_devices()) {
+    const Transistor& a = one.device(d);
+    const Transistor& b = bulk.device(d);
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.gate, b.gate);
+    EXPECT_EQ(a.source, b.source);
+    EXPECT_EQ(a.drain, b.drain);
+    EXPECT_EQ(a.width, b.width);
+    EXPECT_EQ(a.length, b.length);
+    EXPECT_EQ(a.flow, b.flow);
+  }
+  for (NodeId n : one.all_nodes()) {
+    EXPECT_EQ(one.gated_by(n), bulk.gated_by(n));
+    EXPECT_EQ(one.channels_at(n), bulk.channels_at(n));
+  }
+  ASSERT_EQ(bulk.revision(), one.revision());
+  for (std::uint64_t i = 0; i < one.revision(); ++i) {
+    EXPECT_EQ(bulk.changes().entry(i).kind, one.changes().entry(i).kind);
+    EXPECT_EQ(bulk.changes().entry(i).index, one.changes().entry(i).index);
+  }
+  // Only a netlist without devices takes a bulk add.
+  EXPECT_THROW(bulk.add_transistors(devices), ContractViolation);
+}
+
 TEST(TypeNames, LettersAndStrings) {
   EXPECT_EQ(to_letter(TransistorType::kNEnhancement), "e");
   EXPECT_EQ(to_letter(TransistorType::kNDepletion), "d");

@@ -252,25 +252,46 @@ void put_le(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
   }
 }
 
+/// The payload offset of the section tagged `tag` (walks the section
+/// table: a 16-byte header, then [tag u32][length u64][check u64]).
+std::size_t payload_of(const std::vector<std::uint8_t>& b,
+                       std::uint32_t tag) {
+  std::size_t pos = 16;
+  while (get_le(b, pos, 4) != tag) {
+    pos += 20 + get_le(b, pos + 4, 8);
+    if (pos >= b.size()) {
+      ADD_FAILURE() << "no section " << tag;
+      return 0;
+    }
+  }
+  return pos + 20;
+}
+
+/// Recomputes the checksum of the section whose payload is at `payload`.
+void reseal(std::vector<std::uint8_t>& b, std::size_t payload) {
+  const std::size_t length = get_le(b, payload - 16, 8);
+  put_le(b, payload - 8, snapshot_checksum(b.data() + payload, length));
+}
+
+/// The offset just past the array ([count u64][count * width bytes])
+/// that starts at `at`.
+std::size_t skip_array(const std::vector<std::uint8_t>& b, std::size_t at,
+                       std::size_t width) {
+  return at + 8 + get_le(b, at, 8) * width;
+}
+
+constexpr std::uint32_t kDevs = 0x53564544u;  // "DEVS"
+constexpr std::uint32_t kStgs = 0x53475453u;  // "STGS"
+
 TEST(Snapshot, RejectsInflatedStageCountWithValidChecksum) {
-  // A count is untrusted even when its section checksum verifies (FNV-1a
-  // is trivial to recompute): inflate the STGS stage count, re-seal the
-  // section, and the load must fail by name instead of reserving.
+  // A count is untrusted even when its section checksum verifies (the
+  // checksum is public and trivial to recompute): inflate the STGS stage
+  // count, re-seal the section, and the load must fail by name instead
+  // of reserving.
   auto bytes = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
-  std::size_t pos = 16;  // past the header; each section header is 20
-  while (get_le(bytes, pos, 4) != 0x53475453u) {  // "STGS"
-    pos += 20 + get_le(bytes, pos + 4, 8);
-    ASSERT_LT(pos, bytes.size()) << "no STGS section";
-  }
-  const std::size_t payload = pos + 20;
-  const std::size_t length = get_le(bytes, pos + 4, 8);
+  const std::size_t payload = payload_of(bytes, kStgs);
   put_le(bytes, payload, std::uint64_t{1} << 60);
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (std::size_t i = 0; i < length; ++i) {
-    hash ^= bytes[payload + i];
-    hash *= 0x100000001b3ull;
-  }
-  put_le(bytes, pos + 12, hash);
+  reseal(bytes, payload);
   expect_load_error(bytes, "STGS section: count");
 
   // Through the CLI: a named error and exit 1, not an abort.
@@ -287,6 +308,138 @@ TEST(Snapshot, RejectsInflatedStageCountWithValidChecksum) {
   EXPECT_NE(err.str().find("STGS section: count"), std::string::npos)
       << err.str();
   std::remove(path.c_str());
+}
+
+/// Offsets of the flat STGS arrays (FORMATS.md section 11).
+struct StgsLayout {
+  std::uint64_t stages;
+  std::size_t offsets;  ///< the path-offset array (its count field)
+  std::size_t devices;  ///< the path-device array (its count field)
+};
+
+StgsLayout stgs_layout(const std::vector<std::uint8_t>& b) {
+  const std::size_t p = payload_of(b, kStgs);
+  std::size_t at = p + 8;  // past the stage count
+  for (const std::size_t width : {4u, 4u, 4u, 1u}) at = skip_array(b, at, width);
+  return {get_le(b, p, 8), at, skip_array(b, at, 4)};
+}
+
+SlopeTables uneven_tables() {
+  // Multipliers with no short decimal form: a text round trip would
+  // round them, the binary TBLS section must not.
+  SlopeTables t;
+  const std::vector<double> xs{0.1, 1.0 / 3.0, 2.0, 7.0};
+  for (TransistorType type :
+       {TransistorType::kNEnhancement, TransistorType::kPEnhancement}) {
+    for (Transition dir : {Transition::kRise, Transition::kFall}) {
+      const double k = 1.0 + static_cast<double>(type) / 7.0 +
+                       (dir == Transition::kFall ? 1.0 / 9.0 : 0.0);
+      t.set(type, dir,
+            SlopeEntry{PiecewiseLinear(xs, {k, k * 1.1, k * 1.3, k * 1.7}),
+                       PiecewiseLinear(xs, {k / 3.0, k, k * 2.1, k * 3.3})});
+    }
+  }
+  return t;
+}
+
+TEST(Snapshot, EverySingleByteFlipIsRejected) {
+  const GeneratedCircuit g = inverter_chain(Style::kCmos, 3, 1);
+  const auto design = CompiledDesign::compile(g.netlist, tech_for(g));
+  const SlopeTables tables = uneven_tables();
+  const std::vector<std::uint8_t> clean = serialize_design(*design, &tables);
+  ASSERT_NO_THROW(deserialize_design(clean, "<clean>"));
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    for (const int mask : {0x01, 0x80}) {
+      std::vector<std::uint8_t> bytes = clean;
+      bytes[i] = static_cast<std::uint8_t>(bytes[i] ^ mask);
+      try {
+        deserialize_design(bytes, "<flipped>");
+        ++accepted;
+        ADD_FAILURE() << "flip of byte " << i << " by " << mask
+                      << " was accepted";
+      } catch (const Error&) {
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 0u) << "of " << clean.size() << " bytes";
+}
+
+TEST(Snapshot, ReserializingALoadedDesignIsByteIdentical) {
+  const GeneratedCircuit g = random_logic(Style::kCmos, 12, 48, 0x5EED);
+  const std::optional<NodeId> pinned = g.netlist.find_node("in0");
+  ASSERT_TRUE(pinned.has_value());
+  CompileOptions options;
+  options.extract.fixed_values[*pinned] = true;
+  const auto design = CompiledDesign::compile(g.netlist, tech_for(g), options);
+  const SlopeTables tables = uneven_tables();
+  const std::vector<std::uint8_t> first = serialize_design(*design, &tables);
+  const LoadedDesign loaded = deserialize_design(first, g.name);
+  ASSERT_TRUE(loaded.slope_tables.has_value());
+  const std::vector<std::uint8_t> second =
+      serialize_design(*loaded.design, &*loaded.slope_tables);
+  EXPECT_GT(first.size(), 100000u);
+  EXPECT_TRUE(first == second) << first.size() << " vs " << second.size();
+}
+
+TEST(Snapshot, RejectsBadEnumByteInABulkArray) {
+  auto bytes = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
+  const std::size_t p = payload_of(bytes, kDevs);
+  bytes[p + 8 + 8 + 1] = 7;  // device 1 of the type array
+  reseal(bytes, p);
+  expect_load_error(bytes, "DEVS section: bad transistor type 7");
+}
+
+TEST(Snapshot, RejectsNonMonotonicPathOffsets) {
+  auto bytes = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
+  const StgsLayout l = stgs_layout(bytes);
+  ASSERT_GE(l.stages, 2u);
+  // Offset 1 (the end of stage 0's path) past offset 2.
+  const std::size_t at = l.offsets + 8 + 4;
+  bytes[at] = static_cast<std::uint8_t>(get_le(bytes, at + 4, 4) + 1);
+  reseal(bytes, payload_of(bytes, kStgs));
+  expect_load_error(bytes, "STGS section: path offsets not monotonic");
+}
+
+TEST(Snapshot, RejectsOutOfRangePathDevice) {
+  auto bytes = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
+  const StgsLayout l = stgs_layout(bytes);
+  ASSERT_GE(get_le(bytes, l.devices, 8), 1u);
+  put_le(bytes, l.devices + 8, 0xFFFFFFu);  // device 0 (and its neighbor)
+  reseal(bytes, payload_of(bytes, kStgs));
+  expect_load_error(bytes, "STGS section: stage path device out of range");
+}
+
+TEST(Snapshot, RejectsVersionOneWithTheRecompileMessage) {
+  auto bytes = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
+  bytes[4] = 1;
+  expect_load_error(bytes, "format version 1 is not supported");
+  expect_load_error(bytes, "recompile the design with `sldm compile`");
+}
+
+TEST(Snapshot, RejectsUnknownAndRepeatedSections) {
+  const auto clean = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
+  auto unknown = clean;
+  unknown[16] = 'X';  // "TECH" -> "XECH"
+  expect_load_error(unknown, "unknown section 'XECH'");
+
+  // Append a second copy of the first section (TECH).
+  auto repeated = clean;
+  const std::size_t first_end = 16 + 20 + get_le(clean, 16 + 4, 8);
+  repeated.insert(repeated.end(), clean.begin() + 16,
+                  clean.begin() + static_cast<std::ptrdiff_t>(first_end));
+  expect_load_error(repeated, "repeated section 'TECH'");
+}
+
+TEST(Snapshot, LoadingANonRegularFileIsANamedError) {
+  try {
+    load_design_file("/tmp");
+    FAIL() << "a directory loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("/tmp: not a regular file"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Snapshot, ErrorsNameTheOrigin) {
