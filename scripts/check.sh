@@ -20,7 +20,10 @@
 #      compile` + `sldm time --load` must match the direct path
 #      byte-for-byte at 1 and 4 threads, and a .sldc with a byte
 #      flipped in its first section or in its STOR arrays must be
-#      rejected by checksum;
+#      rejected by checksum; `sldm time` on a directory or a FIFO must
+#      exit 1 with "not a regular file" (the FIFO under `timeout 5`),
+#      and a CRLF copy of testdata/sample_datapath.sim must time
+#      byte-identically to the LF original;
 #   7. a fixed-seed differential fuzzing smoke under asan (`sldm fuzz`,
 #      200 iterations: must be clean and deterministic), plus a replay
 #      pass over the checked-in repro corpus in testdata/fuzz/;
@@ -187,8 +190,32 @@ EOF
       || { echo "check.sh: snapshot corrupted in $where not rejected by" \
            "checksum ($build)" >&2; exit 1; }
   done
+  # The .sim reader takes regular files only, and CRLF line ends.
+  if "$sldm_bin" time "$smoke_dir" --model rc-tree \
+      > /dev/null 2> "$smoke_dir/dir.txt"; then
+    echo "check.sh: sldm time on a directory exited 0 ($build)" >&2
+    exit 1
+  fi
+  grep -q 'not a regular file' "$smoke_dir/dir.txt" \
+    || { echo "check.sh: directory .sim not refused by name ($build)" >&2
+         exit 1; }
+  rm -f "$smoke_dir/fifo.sim"
+  mkfifo "$smoke_dir/fifo.sim"
+  fifo_rc=0
+  timeout 5 "$sldm_bin" time "$smoke_dir/fifo.sim" --model rc-tree \
+    > /dev/null 2> "$smoke_dir/fifo.txt" || fifo_rc=$?
+  [ "$fifo_rc" -eq 1 ] && grep -q 'not a regular file' "$smoke_dir/fifo.txt" \
+    || { echo "check.sh: FIFO .sim gave exit $fifo_rc, not a named" \
+         "refusal ($build)" >&2; exit 1; }
+  sed 's/$/\r/' testdata/sample_datapath.sim > "$smoke_dir/crlf.sim"
+  for f in testdata/sample_datapath.sim "$smoke_dir/crlf.sim"; do
+    "$sldm_bin" time "$f" --model rc-tree > "$smoke_dir/$(basename "$f").txt"
+  done
+  cmp "$smoke_dir/sample_datapath.sim.txt" "$smoke_dir/crlf.sim.txt" \
+    || { echo "check.sh: CRLF .sim times differently ($build)" >&2; exit 1; }
 done
 echo "check.sh: snapshot compile/load parity holds, corruption rejected"
+echo "check.sh: .sim refuses directories and FIFOs, CRLF times identically"
 
 # Differential fuzzing smoke under asan: a fixed-seed campaign must run
 # clean twice with byte-identical reports (determinism contract), and

@@ -1,23 +1,18 @@
 #include "design/snapshot.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string_view>
-#include <system_error>
 #include <type_traits>
 
 #include "util/contracts.h"
 #include "util/error.h"
 #include "util/failpoint.h"
+#include "util/file_io.h"
 
 namespace sldm {
 
@@ -719,16 +714,6 @@ struct Section {
   std::size_t size;
 };
 
-/// Closes a file descriptor on scope exit.
-struct FdGuard {
-  int fd;
-  ~FdGuard() { ::close(fd); }
-};
-
-std::string errno_text() {
-  return std::error_code(errno, std::generic_category()).message();
-}
-
 }  // namespace
 
 /// Loader-side assembly: the one place allowed to construct a
@@ -898,38 +883,10 @@ LoadedDesign load_design_file(const std::string& path) {
   // `partial` models a truncated read -- deserialize_design must turn
   // either into a named rejection, never a crash or a wrong design.
   const bool partial = failpoint("snapshot.read");
-  // O_NONBLOCK: opening a FIFO must not wait for a writer; fstat then
-  // rejects it, like every other path that is not a regular file.
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
-  if (fd < 0) {
-    throw Error("cannot open snapshot file " + path + ": " + errno_text());
-  }
-  const FdGuard guard{fd};
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    throw Error("cannot stat snapshot file " + path + ": " + errno_text());
-  }
-  if (!S_ISREG(st.st_mode)) {
-    throw Error("snapshot " + path + ": not a regular file");
-  }
-  // One sized read into a buffer that is never zero-filled first.
-  const auto size = static_cast<std::size_t>(st.st_size);
-  const auto bytes = std::make_unique_for_overwrite<std::uint8_t[]>(size);
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::read(fd, bytes.get() + got, size - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      throw Error("cannot read snapshot file " + path + ": " + errno_text());
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  if (got != size) {
-    throw Error("snapshot " + path + ": short read (" + std::to_string(got) +
-                " of " + std::to_string(size) + " byte(s))");
-  }
-  return deserialize_design({bytes.get(), partial ? size / 2 : size}, path);
+  const FileBytes file = read_regular_file(path, "snapshot");
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(file.data.get());
+  return deserialize_design({bytes, partial ? file.size / 2 : file.size},
+                            path);
 }
 
 }  // namespace sldm

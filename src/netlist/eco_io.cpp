@@ -1,21 +1,23 @@
 #include "netlist/eco_io.h"
 
-#include <cmath>
-#include <fstream>
-#include <istream>
 #include <vector>
 
+#include "netlist/lexer.h"
 #include "util/error.h"
+#include "util/file_io.h"
 #include "util/strings.h"
 #include "util/units.h"
 
 namespace sldm {
 namespace {
 
-NodeId lookup(const Netlist& nl, const std::string& name,
+NodeId lookup(const Netlist& nl, std::string_view name,
               const std::string& origin, int lineno) {
   const auto id = nl.find_node(name);
-  if (!id) throw ParseError(origin, lineno, "unknown node '" + name + "'");
+  if (!id) {
+    throw ParseError(origin, lineno,
+                     "unknown node '" + std::string(name) + "'");
+  }
   return *id;
 }
 
@@ -35,61 +37,47 @@ std::vector<DeviceId> match_devices(const Netlist& nl, NodeId gate,
   return out;
 }
 
-std::vector<DeviceId> require_devices(const Netlist& nl,
-                                      const std::vector<std::string>& tokens,
-                                      const std::string& origin, int lineno) {
+std::vector<DeviceId> require_devices(
+    const Netlist& nl, const std::vector<std::string_view>& tokens,
+    const std::string& origin, int lineno) {
   const NodeId gate = lookup(nl, tokens[1], origin, lineno);
   const NodeId src = lookup(nl, tokens[2], origin, lineno);
   const NodeId drn = lookup(nl, tokens[3], origin, lineno);
   std::vector<DeviceId> devices = match_devices(nl, gate, src, drn);
   if (devices.empty()) {
     throw ParseError(origin, lineno,
-                     "no device matches gate=" + tokens[1] + " channel=" +
-                         tokens[2] + "/" + tokens[3]);
+                     "no device matches gate=" + std::string(tokens[1]) +
+                         " channel=" + std::string(tokens[2]) + "/" +
+                         std::string(tokens[3]));
   }
   return devices;
 }
 
-double require_positive(const std::string& token, const std::string& origin,
-                        int lineno, const char* what) {
-  // parse_finite_double rejects "nan"/"inf" (which strtod accepts and
-  // which would slip through the sign check and poison downstream
-  // resistances) before the positivity test.
-  const auto v = parse_finite_double(token);
-  if (!v || *v <= 0.0) {
-    throw ParseError(origin, lineno, std::string("bad ") + what + " '" +
-                                         token + "' (finite positive number)");
-  }
-  return *v;
-}
-
-}  // namespace
-
-std::size_t apply_eco(std::istream& in, Netlist& nl,
-                      const std::string& origin) {
+/// Applies the records of one buffer.
+std::size_t apply_eco_text(std::string_view text, Netlist& nl,
+                           const std::string& origin) {
   std::size_t applied = 0;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::string stripped = trim(line);
-    if (stripped.empty() || stripped[0] == '|') continue;
-    const auto tokens = split_ws(stripped);
-    const std::string& kind = tokens[0];
+  LineLexer lex(text);
+  while (lex.next()) {
+    const int lineno = lex.line();
+    const std::vector<std::string_view>& tokens = lex.tokens();
+    const std::string_view kind = tokens[0];
+    if (kind[0] == '|') continue;
 
     if (kind == "width" || kind == "length") {
+      const char* what = kind == "width" ? "width" : "length";
       if (tokens.size() != 5) {
         throw ParseError(origin, lineno,
-                         kind + " record: " + kind +
-                             " <gate> <src> <drn> <microns>");
+                         format("%s record: %s <gate> <src> <drn> <microns>",
+                                what, what));
       }
-      const double um =
-          require_positive(tokens[4], origin, lineno, "dimension");
+      const double meters =
+          parse_dimension(tokens[4], units::um, what, origin, lineno);
       for (DeviceId d : require_devices(nl, tokens, origin, lineno)) {
         if (kind == "width") {
-          nl.set_width(d, um * units::um);
+          nl.set_width(d, meters);
         } else {
-          nl.set_length(d, um * units::um);
+          nl.set_length(d, meters);
         }
       }
     } else if (kind == "flow") {
@@ -106,26 +94,23 @@ std::size_t apply_eco(std::istream& in, Netlist& nl,
         flow = Flow::kBidirectional;
       } else {
         throw ParseError(origin, lineno,
-                         "bad flow value '" + tokens[4] + "'");
+                         "bad flow value '" + std::string(tokens[4]) + "'");
       }
       for (DeviceId d : require_devices(nl, tokens, origin, lineno)) {
         nl.set_flow(d, flow);
       }
     } else if (kind == "cap" || kind == "addcap") {
       if (tokens.size() != 3) {
+        const std::string name(kind);
         throw ParseError(origin, lineno,
-                         kind + " record: " + kind + " <node> <fF>");
+                         name + " record: " + name + " <node> <fF>");
       }
-      const auto v = parse_finite_double(tokens[2]);
-      if (!v || *v < 0.0) {
-        throw ParseError(origin, lineno, "bad capacitance '" + tokens[2] +
-                                             "' (finite non-negative fF)");
-      }
+      const double farads = parse_cap(tokens[2], origin, lineno);
       const NodeId n = lookup(nl, tokens[1], origin, lineno);
       if (kind == "cap") {
-        nl.set_capacitance(n, *v * units::fF);
+        nl.set_capacitance(n, farads);
       } else {
-        nl.add_cap(n, *v * units::fF);
+        nl.add_cap(n, farads);
       }
     } else if (kind == "set") {
       if (tokens.size() != 3) {
@@ -140,7 +125,8 @@ std::size_t apply_eco(std::istream& in, Netlist& nl,
         nl.set_fixed(n, std::nullopt);
       } else {
         throw ParseError(origin, lineno,
-                         "bad set value '" + tokens[2] + "' (0, 1, or free)");
+                         "bad set value '" + std::string(tokens[2]) +
+                             "' (0, 1, or free)");
       }
     } else if (kind == "node") {
       if (tokens.size() != 2) {
@@ -162,10 +148,13 @@ std::size_t apply_eco(std::istream& in, Netlist& nl,
         type = TransistorType::kPEnhancement;
       } else {
         throw ParseError(origin, lineno,
-                         "bad transistor type '" + tokens[1] + "'");
+                         "bad transistor type '" + std::string(tokens[1]) +
+                             "'");
       }
-      const double l = require_positive(tokens[5], origin, lineno, "length");
-      const double w = require_positive(tokens[6], origin, lineno, "width");
+      const double l =
+          parse_dimension(tokens[5], units::um, "length", origin, lineno);
+      const double w =
+          parse_dimension(tokens[6], units::um, "width", origin, lineno);
       Flow flow = Flow::kBidirectional;
       if (tokens.size() == 8) {
         if (tokens[7] == "flow=s>d") {
@@ -174,7 +163,8 @@ std::size_t apply_eco(std::istream& in, Netlist& nl,
           flow = Flow::kDrainToSource;
         } else {
           throw ParseError(origin, lineno,
-                           "unknown device attribute '" + tokens[7] + "'");
+                           "unknown device attribute '" +
+                               std::string(tokens[7]) + "'");
         }
       }
       // New terminals may be created on the fly (like .sim parsing).
@@ -185,20 +175,26 @@ std::size_t apply_eco(std::istream& in, Netlist& nl,
         throw ParseError(origin, lineno,
                          "transistor source and drain are the same node");
       }
-      nl.add_transistor(type, gate, src, drn, w * units::um, l * units::um,
-                        flow);
+      nl.add_transistor(type, gate, src, drn, w, l, flow);
     } else {
-      throw ParseError(origin, lineno, "unknown eco record '" + kind + "'");
+      throw ParseError(origin, lineno,
+                       "unknown eco record '" + std::string(kind) + "'");
     }
     ++applied;
   }
   return applied;
 }
 
+}  // namespace
+
+std::size_t apply_eco(std::istream& in, Netlist& nl,
+                      const std::string& origin) {
+  return apply_eco_text(read_stream(in), nl, origin);
+}
+
 std::size_t apply_eco_file(const std::string& path, Netlist& nl) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open eco script: " + path);
-  return apply_eco(in, nl, path);
+  return apply_eco_text(read_regular_file(path, "eco script").view(), nl,
+                        path);
 }
 
 }  // namespace sldm

@@ -30,13 +30,14 @@ namespace sldm {
 
 /// Parses and applies an edit script to `nl`, in order.  Returns the
 /// number of records applied.  Throws ParseError on malformed records,
+/// values outside the .sim physical ranges (FORMATS.md section 1),
 /// unknown node names, or records matching no device; edits up to the
 /// failing line remain applied (the change log records exactly what
 /// happened).
 std::size_t apply_eco(std::istream& in, Netlist& nl,
                       const std::string& origin = "<stream>");
 
-/// File form.  Throws Error if unreadable.
+/// File form.  Throws Error if unreadable or not a regular file.
 std::size_t apply_eco_file(const std::string& path, Netlist& nl);
 
 }  // namespace sldm

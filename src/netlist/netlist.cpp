@@ -1,8 +1,34 @@
 #include "netlist/netlist.h"
 
+#include <algorithm>
+#include <bit>
+#include <functional>
+
 #include "util/contracts.h"
 
 namespace sldm {
+namespace {
+
+constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+
+std::uint32_t name_hash(std::string_view name) {
+  const std::uint64_t h = std::hash<std::string_view>{}(name);
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+std::uint64_t pack_slot(std::uint32_t hash, NodeId id) {
+  return (std::uint64_t{hash} << 32) | id.value();
+}
+
+std::uint32_t slot_hash(std::uint64_t slot) {
+  return static_cast<std::uint32_t>(slot >> 32);
+}
+
+NodeId slot_node(std::uint64_t slot) {
+  return NodeId(static_cast<NodeId::underlying_type>(slot));
+}
+
+}  // namespace
 
 std::string to_letter(TransistorType t) {
   switch (t) {
@@ -69,6 +95,7 @@ std::string to_string(Flow f) {
 Netlist::Netlist(const Netlist& other)
     : nodes_(other.nodes_),
       devices_(other.devices_),
+      name_slots_(other.name_slots_),
       gated_by_(other.gated_by_),
       channels_at_(other.channels_at_),
       log_(other.log_) {
@@ -79,6 +106,7 @@ Netlist& Netlist::operator=(const Netlist& other) {
   if (this == &other) return *this;
   nodes_ = other.nodes_;
   devices_ = other.devices_;
+  name_slots_ = other.name_slots_;
   gated_by_ = other.gated_by_;
   channels_at_ = other.channels_at_;
   log_ = other.log_;
@@ -88,35 +116,56 @@ Netlist& Netlist::operator=(const Netlist& other) {
 }
 
 void Netlist::reintern_names() {
-  by_name_.clear();
-  by_name_.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].name = names_.intern(nodes_[i].name);
-    by_name_.emplace(nodes_[i].name.view(),
-                     NodeId(static_cast<NodeId::underlying_type>(i)));
+  for (Node& n : nodes_) n.name = names_.intern(n.name);
+}
+
+std::size_t Netlist::find_slot(std::string_view name,
+                               std::uint32_t hash) const {
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint64_t slot = name_slots_[i];
+    if (slot == kEmptySlot) return i;
+    if (slot_hash(slot) == hash &&
+        nodes_[slot_node(slot).index()].name.view() == name) {
+      return i;
+    }
   }
+}
+
+void Netlist::reserve_name_index(std::size_t nodes) {
+  const std::size_t want = std::bit_ceil(std::max<std::size_t>(16, 2 * nodes));
+  if (want <= name_slots_.size()) return;
+  std::vector<std::uint64_t> slots(want, kEmptySlot);
+  const std::size_t mask = want - 1;
+  for (const std::uint64_t slot : name_slots_) {
+    if (slot == kEmptySlot) continue;
+    std::size_t i = slot_hash(slot) & mask;
+    while (slots[i] != kEmptySlot) i = (i + 1) & mask;
+    slots[i] = slot;
+  }
+  name_slots_ = std::move(slots);
 }
 
 NodeId Netlist::add_node(std::string_view name) {
   SLDM_EXPECTS(!name.empty());
-  if (auto it = by_name_.find(name); it != by_name_.end()) {
-    return it->second;
-  }
+  const std::uint32_t hash = name_hash(name);
+  reserve_name_index(nodes_.size() + 1);
+  const std::size_t at = find_slot(name, hash);
+  if (name_slots_[at] != kEmptySlot) return slot_node(name_slots_[at]);
   const NodeId id(static_cast<NodeId::underlying_type>(nodes_.size()));
-  const Symbol interned = names_.intern(name);
-  nodes_.push_back(Node{.name = interned});
+  nodes_.push_back(Node{.name = names_.intern(name)});
   gated_by_.emplace_back();
   channels_at_.emplace_back();
-  by_name_.emplace(interned.view(), id);
+  name_slots_[at] = pack_slot(hash, id);
   log_.record(ChangeKind::kNodeAdded, id.value());
   return id;
 }
 
 std::optional<NodeId> Netlist::find_node(std::string_view name) const {
-  if (auto it = by_name_.find(name); it != by_name_.end()) {
-    return it->second;
-  }
-  return std::nullopt;
+  if (name_slots_.empty()) return std::nullopt;
+  const std::uint64_t slot = name_slots_[find_slot(name, name_hash(name))];
+  if (slot == kEmptySlot) return std::nullopt;
+  return slot_node(slot);
 }
 
 DeviceId Netlist::add_transistor(TransistorType type, NodeId gate,
@@ -144,7 +193,7 @@ DeviceId Netlist::add_transistor(TransistorType type, NodeId gate,
 
 void Netlist::reserve_nodes(std::size_t n) {
   nodes_.reserve(nodes_.size() + n);
-  by_name_.reserve(by_name_.size() + n);
+  reserve_name_index(nodes_.size() + n);
   gated_by_.reserve(gated_by_.size() + n);
   channels_at_.reserve(channels_at_.size() + n);
   log_.reserve_more(n);

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/changes.h"
@@ -99,7 +98,8 @@ class Netlist {
   /// Copying re-interns every node name into the copy's own arena, so
   /// the copy is fully independent of the original's lifetime.  Moves
   /// are cheap: the arena's chunks travel by pointer, so interned
-  /// Symbols (and the by-name index) stay valid.
+  /// Symbols stay valid.  The name index holds node ids, not names, so
+  /// both copy and move take it as is.
   Netlist(const Netlist& other);
   Netlist& operator=(const Netlist& other);
   Netlist(Netlist&&) = default;
@@ -197,15 +197,24 @@ class Netlist {
  private:
   void check_node(NodeId id) const;
   void check_device(DeviceId id) const;
-  /// Re-interns node names and rebuilds by_name_ (copy construction).
+  /// Re-interns node names into this netlist's arena (copy construction).
   void reintern_names();
+  /// The index slot holding `name`, or the empty slot where it would go.
+  /// Precondition: name_slots_ is not empty.
+  std::size_t find_slot(std::string_view name, std::uint32_t hash) const;
+  /// Grows name_slots_ to hold `nodes` names at a load factor <= 1/2.
+  void reserve_name_index(std::size_t nodes);
 
   std::vector<Node> nodes_;
   std::vector<Transistor> devices_;
-  /// Owns the bytes of every node name; by_name_ keys and Node::name
-  /// view into it.
+  /// Owns the bytes of every node name; Node::name views into it.
   Interner names_;
-  std::unordered_map<std::string_view, NodeId> by_name_;
+  /// Flat open-addressing name index (linear probing, power-of-two
+  /// size, load factor <= 1/2).  A slot packs the 32-bit hash of a name
+  /// (high half) with its node id (low half), so probes compare names
+  /// only on a hash match and a rehash never rehashes a name; the name
+  /// itself is nodes_[id].name.  kEmptySlot marks a free slot.
+  std::vector<std::uint64_t> name_slots_;
   std::vector<std::vector<DeviceId>> gated_by_;
   std::vector<std::vector<DeviceId>> channels_at_;
   ChangeLog log_;

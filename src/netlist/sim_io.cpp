@@ -1,12 +1,13 @@
 #include "netlist/sim_io.h"
 
+#include <algorithm>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
-#include "util/contracts.h"
+#include "netlist/lexer.h"
 #include "util/error.h"
+#include "util/file_io.h"
 #include "util/strings.h"
 #include "util/units.h"
 
@@ -15,126 +16,92 @@ namespace {
 
 constexpr double kCentimicron = 1e-8;  // meters
 
-// Physical ranges (FORMATS.md section 1).  Far wider than any MOS
-// process, yet narrow enough that no resistance, capacitance, or delay
-// the engine derives from them can overflow to inf.
-constexpr double kMinDimension = 1e-9;  // meters (1 nm)
-constexpr double kMaxDimension = 1e-2;  // meters (1 cm)
-constexpr double kMaxCap = 1e-9;        // farads (1 nF) per record
-
-/// A transistor length or width in meters: finite, and within the
-/// physical range once scaled by the units header.
-double parse_dimension(const std::string& token, double unit_m,
-                       const char* what, const std::string& origin,
-                       int lineno) {
-  const auto v = parse_finite_double(token);
-  if (!v || *v <= 0.0) {
-    throw ParseError(origin, lineno, "bad transistor dimensions");
-  }
-  const double meters = *v * unit_m;
-  if (!(meters >= kMinDimension && meters <= kMaxDimension)) {
-    throw ParseError(
-        origin, lineno,
-        format("transistor %s %s (%g um) outside the physical range "
-               "[%g, %g] um",
-               what, token.c_str(), meters / units::um,
-               kMinDimension / units::um, kMaxDimension / units::um));
-  }
-  return meters;
+bool is_power_name(std::string_view name) {
+  return iequals(name, "vdd") || iequals(name, "vdd!");
 }
 
-/// A capacitance record value in farads: finite, within [0, kMaxCap].
-double parse_cap(const std::string& token, const std::string& origin,
-                 int lineno) {
-  const auto v = parse_finite_double(token);
-  if (!v || *v < 0.0) throw ParseError(origin, lineno, "bad cap");
-  const double farads = *v * units::fF;
-  if (!(farads <= kMaxCap)) {
-    throw ParseError(origin, lineno,
-                     format("cap %s fF outside the physical range "
-                            "[0, %g] fF",
-                            token.c_str(), kMaxCap / units::fF));
-  }
-  return farads;
+bool is_ground_name(std::string_view name) {
+  return iequals(name, "gnd") || iequals(name, "gnd!") ||
+         iequals(name, "vss") || iequals(name, "vss!");
 }
 
-bool is_power_name(const std::string& name) {
-  const std::string n = to_lower(name);
-  return n == "vdd" || n == "vdd!";
-}
-
-bool is_ground_name(const std::string& name) {
-  const std::string n = to_lower(name);
-  return n == "gnd" || n == "gnd!" || n == "vss" || n == "vss!";
-}
-
-NodeId intern_node(Netlist& nl, const std::string& name) {
+NodeId intern_node(Netlist& nl, std::string_view name) {
   const NodeId id = nl.add_node(name);
   if (is_power_name(name)) nl.node(id).is_power = true;
   if (is_ground_name(name)) nl.node(id).is_ground = true;
   return id;
 }
 
-}  // namespace
-
-Netlist read_sim(std::istream& in, const std::string& origin) {
+/// Parses one .sim buffer.  Nodes are interned in line order; devices
+/// are staged and added in one bulk call at the end, so every adjacency
+/// list is sized once.
+Netlist parse_sim(std::string_view text, const std::string& origin) {
   Netlist nl;
+  // Nearly every line of a large netlist is a transistor record.  None
+  // is shorter than "e a b c 1 1", so a file of blank lines cannot
+  // reserve more than a few times its own size.
+  constexpr std::size_t kShortestDeviceRecord = 11;
+  const auto lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  std::vector<Transistor> devices;
+  devices.reserve(std::min(lines + 1, text.size() / kShortestDeviceRecord));
   double unit_m = 100.0 * kCentimicron;  // default: 1 file unit = 1 micron
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::string stripped = trim(line);
-    if (stripped.empty()) continue;
-    if (stripped[0] == '|') {
-      // Comment; may carry the units header.
-      const auto tokens = split_ws(stripped.substr(1));
-      for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-        if (to_lower(tokens[i]) == "units:") {
-          const auto v = parse_finite_double(tokens[i + 1]);
-          if (!v || *v <= 0.0) {
-            throw ParseError(origin, lineno, "bad units value");
-          }
-          unit_m = *v * kCentimicron;
+  LineLexer lex(text);
+  while (lex.next()) {
+    const int lineno = lex.line();
+    const std::vector<std::string_view>& tokens = lex.tokens();
+    const std::string_view kind = tokens[0];
+
+    if (kind[0] == '|') {
+      // Comment; may carry the units header: a "units:" key followed by
+      // its value anywhere among the words after the '|'.
+      std::string_view key = kind.substr(1);
+      std::size_t i = 1;
+      if (key.empty()) {
+        if (tokens.size() < 2) continue;
+        key = tokens[1];
+        i = 2;
+      }
+      for (; i < tokens.size(); key = tokens[i++]) {
+        if (!iequals(key, "units:")) continue;
+        const auto v = parse_finite_double(tokens[i]);
+        if (!v || *v <= 0.0) {
+          throw ParseError(origin, lineno, "bad units value");
         }
+        unit_m = *v * kCentimicron;
       }
       continue;
     }
-    const auto tokens = split_ws(stripped);
-    SLDM_ASSERT(!tokens.empty());
-    const std::string kind = tokens[0];
 
     if (kind == "e" || kind == "n" || kind == "d" || kind == "p") {
       if (tokens.size() < 6) {
         throw ParseError(origin, lineno,
                          "transistor record needs gate src drn length width");
       }
-      const double l =
-          parse_dimension(tokens[4], unit_m, "length", origin, lineno);
-      const double w =
-          parse_dimension(tokens[5], unit_m, "width", origin, lineno);
-      TransistorType type = TransistorType::kNEnhancement;
-      if (kind == "d") type = TransistorType::kNDepletion;
-      if (kind == "p") type = TransistorType::kPEnhancement;
-      Flow flow = Flow::kBidirectional;
+      Transistor t;
+      t.length = parse_dimension(tokens[4], unit_m, "length", origin, lineno);
+      t.width = parse_dimension(tokens[5], unit_m, "width", origin, lineno);
+      if (kind == "d") t.type = TransistorType::kNDepletion;
+      if (kind == "p") t.type = TransistorType::kPEnhancement;
       for (std::size_t i = 6; i < tokens.size(); ++i) {
         if (tokens[i] == "flow=s>d") {
-          flow = Flow::kSourceToDrain;
+          t.flow = Flow::kSourceToDrain;
         } else if (tokens[i] == "flow=d>s") {
-          flow = Flow::kDrainToSource;
+          t.flow = Flow::kDrainToSource;
         } else {
           throw ParseError(origin, lineno,
-                           "unknown device attribute '" + tokens[i] + "'");
+                           "unknown device attribute '" +
+                               std::string(tokens[i]) + "'");
         }
       }
-      const NodeId gate = intern_node(nl, tokens[1]);
-      const NodeId src = intern_node(nl, tokens[2]);
-      const NodeId drn = intern_node(nl, tokens[3]);
-      if (src == drn) {
+      t.gate = intern_node(nl, tokens[1]);
+      t.source = intern_node(nl, tokens[2]);
+      t.drain = intern_node(nl, tokens[3]);
+      if (t.source == t.drain) {
         throw ParseError(origin, lineno,
                          "transistor source and drain are the same node");
       }
-      nl.add_transistor(type, gate, src, drn, w, l, flow);
+      devices.push_back(t);
       continue;
     }
 
@@ -165,15 +132,16 @@ Netlist read_sim(std::istream& in, const std::string& origin) {
                          "@set record needs <name>=<0|1> entries");
       }
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const std::size_t eq = tokens[i].find('=');
-        const std::string value =
-            eq == std::string::npos ? "" : tokens[i].substr(eq + 1);
+        const std::string_view entry = tokens[i];
+        const std::size_t eq = entry.find('=');
+        const std::string_view value =
+            eq == std::string_view::npos ? "" : entry.substr(eq + 1);
         if (eq == 0 || (value != "0" && value != "1")) {
           throw ParseError(origin, lineno,
                            "@set entry must be <name>=<0|1>, got '" +
-                               tokens[i] + "'");
+                               std::string(entry) + "'");
         }
-        nl.set_fixed(intern_node(nl, tokens[i].substr(0, eq)), value == "1");
+        nl.set_fixed(intern_node(nl, entry.substr(0, eq)), value == "1");
       }
       continue;
     }
@@ -194,21 +162,28 @@ Netlist read_sim(std::istream& in, const std::string& origin) {
         } else if (kind == "@precharged") {
           nl.mark_precharged(tokens[i]);
         } else {
-          throw ParseError(origin, lineno, "unknown role record " + kind);
+          throw ParseError(origin, lineno,
+                           "unknown role record " + std::string(kind));
         }
       }
       continue;
     }
 
-    throw ParseError(origin, lineno, "unknown record type '" + kind + "'");
+    throw ParseError(origin, lineno,
+                     "unknown record type '" + std::string(kind) + "'");
   }
+  nl.add_transistors(std::move(devices));
   return nl;
 }
 
+}  // namespace
+
+Netlist read_sim(std::istream& in, const std::string& origin) {
+  return parse_sim(read_stream(in), origin);
+}
+
 Netlist read_sim_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open .sim file: " + path);
-  return read_sim(in, path);
+  return parse_sim(read_regular_file(path, ".sim").view(), path);
 }
 
 void write_sim(const Netlist& nl, std::ostream& out) {

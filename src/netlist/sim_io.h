@@ -35,12 +35,14 @@
 
 namespace sldm {
 
-/// Parses a .sim stream.  Throws ParseError on malformed input,
+/// Parses a .sim stream (read to its end, then parsed as one buffer).
+/// Throws ParseError on malformed input,
 /// including dimensions and caps outside their physical ranges
 /// (FORMATS.md section 1).  `origin` is used in error messages.
 Netlist read_sim(std::istream& in, const std::string& origin = "<stream>");
 
-/// Parses a .sim file from disk.  Throws Error if unreadable.
+/// Parses a .sim file from disk, read whole with one sized read().
+/// Throws Error if it is unreadable or not a regular file.
 Netlist read_sim_file(const std::string& path);
 
 /// Writes `nl` in the dialect above.  Dimensions are written in microns

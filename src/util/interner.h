@@ -5,8 +5,7 @@
 // storage lives exactly as long as the arena.  Structures that hold
 // many small identifiers (the Netlist's node-name table, the snapshot
 // loader) intern once and store 16-byte Symbols instead of per-entry
-// std::string allocations; lookups key hash maps directly by
-// string_view into the arena.
+// std::string allocations.
 //
 // Stability contract: arena chunks are heap blocks owned through
 // unique_ptr, so moving an Interner (or a structure embedding one)
@@ -79,8 +78,8 @@ inline std::string operator+(Symbol lhs, const std::string& rhs) {
 }
 
 /// The arena.  intern() is O(length); no deduplication is performed
-/// (callers that need uniqueness, like Netlist::add_node, already key a
-/// map by the returned view).
+/// (callers that need uniqueness, like Netlist::add_node, look the name
+/// up in their own index first).
 class Interner {
  public:
   Interner() = default;
@@ -111,10 +110,3 @@ class Interner {
 };
 
 }  // namespace sldm
-
-template <>
-struct std::hash<sldm::Symbol> {
-  std::size_t operator()(sldm::Symbol s) const noexcept {
-    return std::hash<std::string_view>{}(s.view());
-  }
-};

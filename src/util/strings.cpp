@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace sldm {
 
@@ -47,12 +48,15 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+bool iequals(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i]))) {
+      return false;
+    }
   }
-  return out;
+  return true;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {
@@ -75,11 +79,22 @@ bool looks_hex(std::string_view token) {
 std::optional<double> parse_double(std::string_view token) {
   if (token.empty()) return std::nullopt;
   if (looks_hex(token)) return std::nullopt;
-  std::string buf(token);
+  // strtod needs a NUL-terminated copy: on the stack for every token a
+  // decoder sees in practice, on the heap past that.
+  char stack[64];
+  std::string heap;
+  char* buf = stack;
+  if (token.size() < sizeof stack) {
+    std::memcpy(stack, token.data(), token.size());
+    stack[token.size()] = '\0';
+  } else {
+    heap.assign(token);
+    buf = heap.data();
+  }
   char* end = nullptr;
   errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  const double v = std::strtod(buf, &end);
+  if (end != buf + token.size()) return std::nullopt;
   // ERANGE overflow saturates to +/-HUGE_VAL: an out-of-range literal,
   // not a representable value.  ERANGE underflow (tiny denormals) is
   // fine — the nearest representable value was returned.

@@ -19,13 +19,14 @@ std::vector<std::string> split(std::string_view line, char delim);
 /// Removes leading and trailing whitespace.
 std::string trim(std::string_view s);
 
-/// ASCII lowercase copy.
-std::string to_lower(std::string_view s);
+/// ASCII case-insensitive equality, without copying either side.
+bool iequals(std::string_view a, std::string_view b);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Parses a double; returns nullopt unless the whole token is consumed.
+/// Allocation-free for tokens under 64 bytes.
 /// Hex-float spellings ("0x1p3") and values that overflow the double
 /// range (errno ERANGE at +/-HUGE_VAL) are rejected; the textual
 /// "nan"/"inf" spellings still parse — use parse_finite_double() when

@@ -427,6 +427,27 @@ TEST(Cli, LoadingAFifoIsNamedErrorNotAHang) {
   EXPECT_NE(r.err.find("not a regular file"), std::string::npos) << r.err;
 }
 
+TEST(Cli, TimingADirectoryIsNamedError) {
+  // A directory must not read as an empty netlist (exit 0, empty report).
+  const CliRun r = run({"time", "/tmp", "--model", "rc-tree"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: .sim /tmp: not a regular file"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.out, "");
+}
+
+TEST(Cli, TimingAFifoIsNamedErrorNotAHang) {
+  const std::string path = "/tmp/sldm_cli_test_fifo.sim";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const CliRun r = run({"time", path, "--model", "rc-tree"});
+  std::remove(path.c_str());
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find(path + ": not a regular file"), std::string::npos)
+      << r.err;
+}
+
 TEST(Cli, LedgerSummarizeCorruptCorpusIsNamedError) {
   // The checked-in corpus carries one good record and one with a
   // non-hex fingerprint; the reader must fail with a located, named

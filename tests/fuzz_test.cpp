@@ -276,6 +276,49 @@ TEST(EcoParser, RejectsMalformedLines) {
   }
 }
 
+TEST(EcoParser, RejectsNonPhysicalValuesWithLocatedErrors) {
+  // Every value shares the .sim decoder's physical ranges: dimensions
+  // within [1 nm, 1 cm], caps within [0, 1 nF] per record.  A finite
+  // "width ... 1e300" is positive, but not physical.
+  const Netlist base =
+      read_sim_file(kFuzzData + "/eco_reject_nan_width.sim");
+  struct Case {
+    const char* record;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"width a gnd out 1e300", "transistor width 1e300"},
+      {"length a gnd out 1e-300", "transistor length 1e-300"},
+      {"width a gnd out 10001", "outside the physical range"},
+      {"length a gnd out 0.0009", "outside the physical range"},
+      {"cap out 1e308", "cap 1e308 fF outside the physical range"},
+      {"addcap out 1000001", "outside the physical range"},
+      {"transistor e a gnd n1 1e300 4", "transistor length 1e300"},
+      {"transistor e a gnd n1 2 1e-300", "transistor width 1e-300"},
+      {"width a gnd out 1x", "bad transistor width '1x'"},
+      {"cap out 5fF", "bad cap '5fF'"},
+  };
+  for (const Case& c : cases) {
+    Netlist nl = base;
+    std::istringstream in(std::string("| header\ncap out 5\n") + c.record +
+                          "\n");
+    try {
+      apply_eco(in, nl, "<eco>");
+      ADD_FAILURE() << "accepted: " << c.record;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << c.record;
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
+  // The edges of the ranges still apply.
+  Netlist nl = base;
+  std::istringstream in(
+      "width a gnd out 10000\nlength a gnd out 0.001\ncap out 1e6\n"
+      "addcap out 0\n");
+  EXPECT_EQ(apply_eco(in, nl, "<eco>"), 4u);
+}
+
 TEST(EcoParser, CliExitsNonZeroOnMalformedScript) {
   const std::string sim = kFuzzData + "/eco_reject_nan_width.sim";
   const std::string eco = temp_path("bad_width.eco");

@@ -2,9 +2,13 @@
 // marking, connectivity queries, and the structural checker.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "netlist/checks.h"
 #include "netlist/netlist.h"
 #include "util/contracts.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -25,6 +29,77 @@ TEST(Netlist, AddNodeIsIdempotentByName) {
 TEST(Netlist, EmptyNameRejected) {
   Netlist nl;
   EXPECT_THROW(nl.add_node(""), ContractViolation);
+}
+
+TEST(Netlist, NameIndexCopiesAreIndependentAndMovesKeepIt) {
+  Netlist a;
+  for (int i = 0; i < 100; ++i) a.add_node(format("n%d", i));
+  Netlist copy = a;
+  a.add_node("only_in_a");
+  copy.add_node("only_in_copy");
+  EXPECT_TRUE(a.find_node("only_in_a").has_value());
+  EXPECT_FALSE(a.find_node("only_in_copy").has_value());
+  EXPECT_TRUE(copy.find_node("only_in_copy").has_value());
+  EXPECT_FALSE(copy.find_node("only_in_a").has_value());
+  EXPECT_EQ(copy.find_node("n42"), a.find_node("n42"));
+
+  Netlist assigned;
+  assigned.add_node("stale");
+  assigned = copy;
+  EXPECT_FALSE(assigned.find_node("stale").has_value());
+  EXPECT_EQ(assigned.find_node("only_in_copy"), NodeId(100));
+  {
+    // The copy's names live in its own arena: it outlives the source.
+    Netlist source;
+    source.add_node("temporary");
+    assigned = source;
+  }
+  EXPECT_EQ(assigned.find_node("temporary"), NodeId(0));
+  EXPECT_EQ(assigned.node(NodeId(0)).name, "temporary");
+
+  Netlist moved = std::move(copy);
+  EXPECT_EQ(moved.find_node("n7"), NodeId(7));
+  EXPECT_EQ(moved.add_node("n7"), NodeId(7));
+  EXPECT_EQ(moved.node_count(), 101u);
+  Netlist move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.find_node("only_in_copy"), NodeId(100));
+}
+
+TEST(Netlist, NameIndexMissesReturnNothing) {
+  Netlist empty;
+  EXPECT_FALSE(empty.find_node("x").has_value());
+  EXPECT_FALSE(empty.find_node("").has_value());
+  Netlist nl;
+  nl.add_node("abc");
+  EXPECT_FALSE(nl.find_node("ab").has_value());
+  EXPECT_FALSE(nl.find_node("abcd").has_value());
+  EXPECT_FALSE(nl.find_node("ABC").has_value());
+  EXPECT_FALSE(nl.find_node(std::string_view("abc\0", 4)).has_value());
+}
+
+TEST(Netlist, NameIndexInternsAMillionNamesWithLongSharedPrefixes) {
+  const std::string prefix =
+      "top/core/datapath/alu/bit_slice/carry_chain/stage_";
+  const auto name = [&](int i) { return prefix + format("%d/q", i); };
+  constexpr int kNames = 1'000'000;
+  Netlist nl;
+  for (int i = 0; i < kNames; ++i) {
+    ASSERT_EQ(nl.add_node(name(i)), NodeId(static_cast<std::uint32_t>(i)));
+  }
+  ASSERT_EQ(nl.node_count(), static_cast<std::size_t>(kNames));
+  EXPECT_EQ(nl.revision(), static_cast<std::uint64_t>(kNames));
+  for (int i = 0; i < kNames; ++i) {
+    const auto id = nl.find_node(name(i));
+    ASSERT_TRUE(id.has_value()) << name(i);
+    ASSERT_EQ(*id, NodeId(static_cast<std::uint32_t>(i)));
+    ASSERT_EQ(nl.node(*id).name, name(i));
+  }
+  // Re-adding returns the existing id and grows nothing.
+  EXPECT_EQ(nl.add_node(name(123456)), NodeId(123456));
+  EXPECT_EQ(nl.node_count(), static_cast<std::size_t>(kNames));
+  EXPECT_FALSE(nl.find_node(name(kNames)).has_value());
+  EXPECT_FALSE(nl.find_node(prefix).has_value());
 }
 
 TEST(Netlist, TransistorConnectivityIndexed) {

@@ -26,6 +26,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "util/failpoint.h"
 #include "util/json.h"
 #include "util/telemetry.h"
 
@@ -642,40 +643,61 @@ TEST(ServePipe, ShutdownStopsTheLoopBeforeRemainingLines) {
 TEST(ServePipe, OverloadedLinesGetStructuredRejections) {
   HubGuard guard;
   TimingService service;
-  // A FIFO makes the overload deterministic: the first request's load
-  // blocks opening it until this test writes the other end, and the
-  // reader thread bumps the in-flight count *before* dispatching, so
-  // the second line must see the service saturated.
-  const std::string fifo =
-      ::testing::TempDir() + "sldm_serve_test_overload.fifo";
-  std::remove(fifo.c_str());
-  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
-
+  // An injected delay on the first request makes the overload
+  // deterministic: the reader thread bumps the in-flight count *before*
+  // dispatching, and the second line arrives while the first request is
+  // still asleep, so it must see the service saturated.
+  FailpointRegistry::instance().configure("serve.request=delay:1000*1");
+  TempFile sim("inv_overload.sim", kInverterSim);
   std::istringstream in(
-      "{\"id\":1,\"kind\":\"load\",\"path\":\"" + json_escape(fifo) +
-      "\"}\n"
+      "{\"id\":1,\"kind\":\"load\",\"path\":\"" + json_escape(sim.path()) +
+      "\",\"model\":\"rc-tree\"}\n"
       "{\"id\":2,\"kind\":\"stats\"}\n");
   std::ostringstream out;
   ServeLoopOptions options;
   options.workers = 2;
   options.max_inflight = 1;
-  std::thread unblock([&fifo] {
-    // Opens block until the loader opens the read side; an immediate
-    // EOF then fails its parse, which is fine -- envelope, not crash.
-    std::ofstream writer(fifo);
-  });
   EXPECT_EQ(serve_pipe(service, in, out, options), 0);
-  unblock.join();
-  std::remove(fifo.c_str());
+  FailpointRegistry::instance().clear();
 
   const std::string text = out.str();
   EXPECT_NE(text.find("\"id\":2,\"error\":\"overloaded\""),
             std::string::npos)
       << text;
   EXPECT_EQ(service.overloads_rejected(), 1u);
-  // The blocked load eventually completed (with an in-band envelope or
-  // a load failure, never a crash) and was counted.
+  // The delayed load completed and was counted.
+  EXPECT_NE(text.find("\"id\":1,\"kind\":\"load\""), std::string::npos)
+      << text;
   EXPECT_EQ(service.requests_handled(), 1u);
+}
+
+TEST(ServePipe, FifoLoadFailsByNameAndTheWorkerStaysLive) {
+  HubGuard guard;
+  TimingService service;
+  // Opening a FIFO for reading would block until a writer appeared and
+  // hold the worker; the loader must refuse it by name instead.
+  const std::string fifo = ::testing::TempDir() + "sldm_serve_test_load.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  TempFile sim("inv_after_fifo.sim", kInverterSim);
+  std::istringstream in(
+      "{\"id\":1,\"kind\":\"load\",\"path\":\"" + json_escape(fifo) +
+      "\",\"model\":\"rc-tree\"}\n"
+      "{\"id\":2,\"kind\":\"load\",\"path\":\"" + json_escape(sim.path()) +
+      "\",\"model\":\"rc-tree\"}\n");
+  std::ostringstream out;
+  ServeLoopOptions options;
+  options.workers = 1;  // one worker: a hung load would starve line 2
+  EXPECT_EQ(serve_pipe(service, in, out, options), 0);
+  std::remove(fifo.c_str());
+
+  const std::string text = out.str();
+  EXPECT_NE(text.find("\"id\":1,\"error\":\"failed\""), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("not a regular file"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"id\":2,\"kind\":\"load\",\"ok\":true"),
+            std::string::npos)
+      << text;
 }
 
 // --- the concurrency guarantee -------------------------------------------

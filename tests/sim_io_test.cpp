@@ -1,7 +1,9 @@
 // Tests for the .sim reader/writer, including a round-trip property over
-// every generated benchmark circuit and the physical-range checks.
+// every generated benchmark circuit, the lexing edge cases of the
+// one-buffer tokenizer, and the physical-range checks.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +13,7 @@
 #include "gen/generators.h"
 #include "netlist/sim_io.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -248,6 +251,289 @@ TEST(SimIo, MutatedNetlistSurvivesRoundTrip) {
   EXPECT_NEAR(rt.device(DeviceId(1)).length, 6e-6, 1e-12);
   EXPECT_NEAR(rt.node(*rt.find_node("s1")).cap, 55e-15, 1e-21);
   EXPECT_EQ(rt.device(DeviceId(2)).flow, Flow::kDrainToSource);
+}
+
+// --- one-buffer parse: equivalence with the line-by-line build --------
+
+/// The reference the bulk parser must match: the netlist a line-by-line
+/// build makes from the same records (getline + split_ws, one
+/// add_transistor per device line), restricted to what write_sim emits.
+Netlist reference_build(const std::string& text) {
+  Netlist nl;
+  const double unit_m = 100.0 * 1e-8;  // the "| units: 100" header
+  const auto intern = [&nl](const std::string& name) {
+    const NodeId id = nl.add_node(name);
+    std::string n = name;
+    for (char& c : n) c = static_cast<char>(std::tolower(c));
+    if (n == "vdd" || n == "vdd!") nl.node(id).is_power = true;
+    if (n == "gnd" || n == "gnd!" || n == "vss" || n == "vss!") {
+      nl.node(id).is_ground = true;
+    }
+    return id;
+  };
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::vector<std::string> t = split_ws(line);
+    if (t.empty() || t[0][0] == '|') continue;
+    if (t[0] == "e" || t[0] == "n" || t[0] == "d" || t[0] == "p") {
+      TransistorType type = TransistorType::kNEnhancement;
+      if (t[0] == "d") type = TransistorType::kNDepletion;
+      if (t[0] == "p") type = TransistorType::kPEnhancement;
+      Flow flow = Flow::kBidirectional;
+      if (t.size() > 6) {
+        flow = t[6] == "flow=s>d" ? Flow::kSourceToDrain
+                                  : Flow::kDrainToSource;
+      }
+      const double l = *parse_double(t[4]) * unit_m;
+      const double w = *parse_double(t[5]) * unit_m;
+      const NodeId g = intern(t[1]);
+      const NodeId src = intern(t[2]);
+      const NodeId drn = intern(t[3]);
+      nl.add_transistor(type, g, src, drn, w, l, flow);
+    } else if (t[0] == "c") {
+      nl.add_cap(intern(t[1]), *parse_double(t[2]) * units::fF);
+    } else if (t[0] == "@set") {
+      for (std::size_t i = 1; i < t.size(); ++i) {
+        const std::size_t eq = t[i].find('=');
+        nl.set_fixed(intern(t[i].substr(0, eq)), t[i][eq + 1] == '1');
+      }
+    } else {
+      for (std::size_t i = 1; i < t.size(); ++i) {
+        if (t[0] == "@vdd") nl.mark_power(t[i]);
+        if (t[0] == "@gnd") nl.mark_ground(t[i]);
+        if (t[0] == "@in") nl.mark_input(t[i]);
+        if (t[0] == "@out") nl.mark_output(t[i]);
+        if (t[0] == "@precharged") nl.mark_precharged(t[i]);
+      }
+    }
+  }
+  return nl;
+}
+
+/// Every observable of two netlists with the same numbering, exactly.
+void expect_identical(const Netlist& a, const Netlist& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.node_count(), b.node_count()) << what;
+  ASSERT_EQ(a.device_count(), b.device_count()) << what;
+  EXPECT_EQ(a.revision(), b.revision()) << what;
+  for (NodeId n : a.all_nodes()) {
+    const Node& x = a.node(n);
+    const Node& y = b.node(n);
+    ASSERT_EQ(x.name, y.name) << what;
+    EXPECT_EQ(b.find_node(x.name), n) << what << " " << x.name;
+    EXPECT_EQ(x.cap, y.cap) << what << " " << x.name;
+    EXPECT_EQ(x.is_power, y.is_power) << what << " " << x.name;
+    EXPECT_EQ(x.is_ground, y.is_ground) << what << " " << x.name;
+    EXPECT_EQ(x.is_input, y.is_input) << what << " " << x.name;
+    EXPECT_EQ(x.is_output, y.is_output) << what << " " << x.name;
+    EXPECT_EQ(x.is_precharged, y.is_precharged) << what << " " << x.name;
+    EXPECT_EQ(x.fixed, y.fixed) << what << " " << x.name;
+    EXPECT_EQ(a.gated_by(n), b.gated_by(n)) << what << " " << x.name;
+    EXPECT_EQ(a.channels_at(n), b.channels_at(n)) << what << " " << x.name;
+  }
+  for (DeviceId d : a.all_devices()) {
+    const Transistor& x = a.device(d);
+    const Transistor& y = b.device(d);
+    EXPECT_EQ(x.type, y.type) << what;
+    EXPECT_EQ(x.gate, y.gate) << what;
+    EXPECT_EQ(x.source, y.source) << what;
+    EXPECT_EQ(x.drain, y.drain) << what;
+    EXPECT_EQ(x.width, y.width) << what;
+    EXPECT_EQ(x.length, y.length) << what;
+    EXPECT_EQ(x.flow, y.flow) << what;
+  }
+}
+
+/// The same circuit under a different node numbering: node names,
+/// device order and terminals, adjacency order, caps (to the written
+/// precision), roles and pins.
+void expect_same_circuit(const Netlist& gen, const Netlist& parsed,
+                         const std::string& what) {
+  ASSERT_EQ(gen.node_count(), parsed.node_count()) << what;
+  ASSERT_EQ(gen.device_count(), parsed.device_count()) << what;
+  const auto name_of = [](const Netlist& nl, NodeId n) {
+    return nl.node(n).name.str();
+  };
+  for (NodeId n : gen.all_nodes()) {
+    const Node& x = gen.node(n);
+    const auto m = parsed.find_node(x.name);
+    ASSERT_TRUE(m.has_value()) << what << " " << x.name;
+    const Node& y = parsed.node(*m);
+    EXPECT_NEAR(y.cap, x.cap, 1e-5 * x.cap) << what << " " << x.name;
+    EXPECT_EQ(y.is_power, x.is_power) << what << " " << x.name;
+    EXPECT_EQ(y.is_ground, x.is_ground) << what << " " << x.name;
+    EXPECT_EQ(y.is_input, x.is_input) << what << " " << x.name;
+    EXPECT_EQ(y.is_output, x.is_output) << what << " " << x.name;
+    EXPECT_EQ(y.is_precharged, x.is_precharged) << what << " " << x.name;
+    EXPECT_EQ(y.fixed, x.fixed) << what << " " << x.name;
+    // Device ids survive (records are written in device order), so the
+    // adjacency lists must match entry for entry.
+    EXPECT_EQ(parsed.gated_by(*m), gen.gated_by(n)) << what << " " << x.name;
+    EXPECT_EQ(parsed.channels_at(*m), gen.channels_at(n))
+        << what << " " << x.name;
+  }
+  for (DeviceId d : gen.all_devices()) {
+    const Transistor& x = gen.device(d);
+    const Transistor& y = parsed.device(d);
+    EXPECT_EQ(y.type, x.type) << what;
+    EXPECT_EQ(name_of(parsed, y.gate), name_of(gen, x.gate)) << what;
+    EXPECT_EQ(name_of(parsed, y.source), name_of(gen, x.source)) << what;
+    EXPECT_EQ(name_of(parsed, y.drain), name_of(gen, x.drain)) << what;
+    EXPECT_NEAR(y.width, x.width, 1e-5 * x.width) << what;
+    EXPECT_NEAR(y.length, x.length, 1e-5 * x.length) << what;
+    EXPECT_EQ(y.flow, x.flow) << what;
+  }
+}
+
+std::vector<GeneratedCircuit> every_generator_family() {
+  std::vector<GeneratedCircuit> out;
+  for (const Style style : {Style::kNmos, Style::kCmos}) {
+    for (GeneratedCircuit& g : accuracy_suite(style)) {
+      out.push_back(std::move(g));
+    }
+    out.push_back(shift_register(style, 4));
+    out.push_back(sram_read_column(style, 16));
+    out.push_back(random_logic(style, 8, 16, 7));
+    out.push_back(driver_chain(style, 5, 4.0, 5000.0));
+  }
+  return out;
+}
+
+TEST(SimIoBulk, EveryGeneratorFamilyRoundTripsToTheSameNetlist) {
+  for (const GeneratedCircuit& g : every_generator_family()) {
+    std::ostringstream text;
+    write_sim(g.netlist, text);
+    std::istringstream in(text.str());
+    const Netlist parsed = read_sim(in, g.name);
+    expect_same_circuit(g.netlist, parsed, g.name);
+    expect_identical(reference_build(text.str()), parsed, g.name);
+    // A second round trip is a fixed point, journal length included.
+    expect_identical(parsed, reparse(parsed), g.name + " (fixed point)");
+  }
+}
+
+TEST(SimIoBulk, FileAndStreamEntryPointsAgree) {
+  const std::string path =
+      std::string(SLDM_SOURCE_DIR) + "/testdata/sample_datapath.sim";
+  std::ifstream in(path);
+  expect_identical(read_sim_file(path), read_sim(in, path), path);
+}
+
+// --- lexing edge cases ---------------------------------------------------
+
+constexpr const char* kLexBase =
+    "| units: 50\n"
+    "e in gnd out 4 8\n"
+    "d out out vdd 8 4 flow=s>d\n"
+    "c out 12.5\n"
+    "@in in\n"
+    "@out out\n";
+
+TEST(SimIoLex, CrlfParsesLikeLf) {
+  std::string crlf;
+  for (const char c : std::string(kLexBase)) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  expect_identical(parse(kLexBase), parse(crlf), "crlf");
+  // The CRLF copy of the checked-in datapath too.
+  const std::string path =
+      std::string(SLDM_SOURCE_DIR) + "/testdata/sample_datapath.sim";
+  std::ifstream file(path);
+  std::stringstream lf;
+  lf << file.rdbuf();
+  std::string dp_crlf;
+  for (const char c : lf.str()) {
+    if (c == '\n') dp_crlf += '\r';
+    dp_crlf += c;
+  }
+  expect_identical(parse(lf.str()), parse(dp_crlf), "datapath crlf");
+}
+
+TEST(SimIoLex, EveryCLocaleSpaceSeparatesTokens) {
+  const Netlist nl = parse(
+      "|\tunits:\v50\n"
+      "e\tin\vgnd\fout 4\r8\n"
+      "d out\t\tout   vdd\f8 4 flow=s>d\n"
+      "c\vout 12.5\n"
+      "@in\fin\n"
+      "@out out \t\n");
+  expect_identical(parse(kLexBase), nl, "whitespace set");
+}
+
+TEST(SimIoLex, BlankAndCommentLinesKeepLineNumbers) {
+  const Netlist nl = parse(
+      "  \t \r\n"
+      "\n"
+      "   | an indented comment: e x y z 4 8\n"
+      "\t|units: 100 (attached to the bar)\n"
+      "e in gnd out 4 8\n"
+      " \f\v \n");
+  EXPECT_EQ(nl.device_count(), 1u);
+  EXPECT_EQ(nl.node_count(), 3u);
+  try {
+    parse("  \t \r\n\n   | comment\n\r\ne in gnd out 4 x8\n");
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 5);
+  }
+}
+
+TEST(SimIoLex, UnitsKeyIsCaseInsensitive) {
+  const Netlist a = parse("| UNITS: 50\ne a gnd b 4 8\n");
+  EXPECT_DOUBLE_EQ(a.device(DeviceId(0)).length, 2e-6);
+  const Netlist b = parse("| Units: 50 then units: 200\ne a gnd b 4 8\n");
+  EXPECT_DOUBLE_EQ(b.device(DeviceId(0)).length, 8e-6);  // last wins
+  EXPECT_THROW(parse("| units:\n| units: units:\n"), ParseError);
+  // A trailing key with no value is just a comment.
+  EXPECT_EQ(parse("| units:\ne a gnd b 4 8\n").device_count(), 1u);
+}
+
+TEST(SimIoLex, LastLineWithoutNewline) {
+  const Netlist nl = parse("e in gnd out 4 8\n@in in");
+  EXPECT_TRUE(nl.node(*nl.find_node("in")).is_input);
+  try {
+    parse("e in gnd out 4 8\nbogus");
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2);
+  }
+  EXPECT_EQ(parse("").node_count(), 0u);
+  EXPECT_EQ(parse("\n\n").node_count(), 0u);
+}
+
+TEST(SimIoLex, LongRoleLine) {
+  std::string text = "@in";
+  for (int i = 0; i < 5000; ++i) text += format(" in%d", i);
+  text += "\n";
+  const Netlist nl = parse(text);
+  ASSERT_EQ(nl.node_count(), 5000u);
+  EXPECT_EQ(nl.revision(), 10000u);  // one add and one mark per name
+  for (int i = 0; i < 5000; i += 499) {
+    const auto id = nl.find_node(format("in%d", i));
+    ASSERT_TRUE(id.has_value()) << i;
+    EXPECT_EQ(*id, NodeId(static_cast<std::uint32_t>(i)));
+    EXPECT_TRUE(nl.node(*id).is_input);
+  }
+}
+
+TEST(SimIoLex, NulByteInARecordIsALocatedError) {
+  // A NUL is an ordinary byte to the tokenizer (as it was to getline),
+  // so it poisons the token it sits in.
+  const auto line_of = [](const std::string& text) {
+    try {
+      parse(text);
+    } catch (const ParseError& e) {
+      return e.line();
+    }
+    return 0;
+  };
+  using namespace std::string_literals;
+  const std::string head = "e in gnd out 4 8\n\n";
+  EXPECT_EQ(line_of(head + "e in gnd out 4\0 8\n"s), 3);
+  EXPECT_EQ(line_of(head + "e\0 in gnd out 4 8\n"s), 3);
+  EXPECT_EQ(line_of(head + "c out \0\n"s), 3);
 }
 
 // Round-trip property: write + reparse preserves the circuit.

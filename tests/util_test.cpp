@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/contracts.h"
 #include "util/error.h"
@@ -184,7 +186,6 @@ TEST(Strings, SplitOnDelimiterKeepsEmptyFields) {
 TEST(Strings, TrimAndLower) {
   EXPECT_EQ(trim("  x y  "), "x y");
   EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(to_lower("VdD!"), "vdd!");
 }
 
 TEST(Strings, ParseDoubleStrict) {
@@ -209,6 +210,61 @@ TEST(Strings, ParseDoubleRejectsOverflowAndHexFloats) {
   EXPECT_FALSE(parse_finite_double("-inf").has_value());
   EXPECT_FALSE(parse_finite_double("nan").has_value());
   EXPECT_DOUBLE_EQ(*parse_finite_double("2.5e-9"), 2.5e-9);
+}
+
+TEST(Strings, ParseDoubleAcceptanceTable) {
+  // Tokens under 64 bytes parse from a stack copy, longer ones from a
+  // heap copy; the accepted set is the same on both paths.
+  struct Case {
+    std::string token;
+    bool finite_ok;
+  };
+  const std::string long_number =
+      std::string("0.") + std::string(67, '0') + "5";
+  ASSERT_EQ(long_number.size(), 70u);
+  const std::vector<Case> cases = {
+      {"+1", true},
+      {".5", true},
+      {"5.", true},
+      {"1E3", true},
+      {"1e-320", true},  // denormal: ERANGE underflow, still a value
+      {std::string(63, '1'), true},  // longest stack-path token
+      {long_number, true},           // heap path
+      {"0x1p3", false},
+      {"1e309", false},
+      {"nan", false},
+      {"inf", false},
+      {"-inf", false},
+      {"1.5junk", false},
+      {"2 ", false},
+      {std::string("1\0", 2), false},  // embedded NUL is trailing junk
+      {long_number.substr(0, 69) + "x", false},  // 70 chars, junk at end
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(parse_finite_double(c.token).has_value(), c.finite_ok)
+        << "'" << c.token << "'";
+  }
+  EXPECT_DOUBLE_EQ(*parse_double("+1"), 1.0);
+  EXPECT_DOUBLE_EQ(*parse_double(".5"), 0.5);
+  EXPECT_DOUBLE_EQ(*parse_double("5."), 5.0);
+  EXPECT_DOUBLE_EQ(*parse_double("1E3"), 1000.0);
+  EXPECT_GT(*parse_double("1e-320"), 0.0);
+  EXPECT_DOUBLE_EQ(*parse_double(long_number), 5e-68);
+  // The non-finite spellings parse only without the finite guard.
+  EXPECT_TRUE(std::isnan(*parse_double("nan")));
+  EXPECT_TRUE(std::isinf(*parse_double("inf")));
+  EXPECT_FALSE(parse_double("1e309").has_value());
+  // A view into a larger buffer parses only its own bytes.
+  const std::string_view inside = std::string_view("12345").substr(1, 2);
+  EXPECT_DOUBLE_EQ(*parse_double(inside), 23.0);
+}
+
+TEST(Strings, IequalsIgnoresAsciiCaseOnly) {
+  EXPECT_TRUE(iequals("VdD!", "vdd!"));
+  EXPECT_TRUE(iequals("UNITS:", "units:"));
+  EXPECT_TRUE(iequals("", ""));
+  EXPECT_FALSE(iequals("vdd", "vdd!"));
+  EXPECT_FALSE(iequals("gnd", "gnc"));
 }
 
 TEST(Strings, ParseLongStrict) {
