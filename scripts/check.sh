@@ -7,8 +7,9 @@
 #      one where GCC's optimizer-driven warnings (e.g. -Wrestrict) fire;
 #   2. asan preset: the full test suite under AddressSanitizer/UBSan;
 #   3. tsan preset: the concurrency-sensitive suites (parallel stage
-#      extraction, batched wavefront propagation, and the incremental-
-#      update pipeline built on them) under ThreadSanitizer;
+#      extraction and its per-node stitch, batched wavefront
+#      propagation, and the incremental-update pipeline built on them)
+#      under ThreadSanitizer;
 #   4. ubsan preset: the timing suites under standalone UBSan with
 #      -fno-sanitize-recover (any report traps);
 #   5. smoke checks of the machine-readable artifacts: a `sldm time
@@ -18,7 +19,8 @@
 #      and --threads 4 (the wavefront determinism contract);
 #   6. a compiled-design snapshot smoke under asan and ubsan: `sldm
 #      compile` + `sldm time --load` must match the direct path
-#      byte-for-byte at 1 and 4 threads, and a .sldc with a byte
+#      byte-for-byte at 1 and 4 threads, `sldm compile` at --threads 1
+#      and 4 must write byte-identical .sldc files, and a .sldc with a byte
 #      flipped in its first section or in its STOR arrays must be
 #      rejected by checksum; `sldm time` on a directory or a FIFO must
 #      exit 1 with "not a regular file" (the FIFO under `timeout 5`),
@@ -77,9 +79,10 @@ echo "check.sh: all tests passed under asan+ubsan"
 
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
-  --target parallel_timing_test eco_timing_test telemetry_test serve_test
+  --target parallel_timing_test eco_timing_test stage_table_test \
+           telemetry_test serve_test
 ctest --preset tsan -j "$jobs" \
-  -R 'parallel_timing_test|eco_timing_test|telemetry_test|serve_test'
+  -R 'parallel_timing_test|eco_timing_test|stage_table_test|telemetry_test|serve_test'
 echo "check.sh: threaded suites passed under tsan"
 
 cmake --preset ubsan
@@ -165,6 +168,17 @@ for build in asan ubsan; do
       || { echo "check.sh: --load timing differs from direct at" \
            "--threads $t ($build)" >&2; exit 1; }
   done
+  # The per-node stitch makes the artifact independent of the thread
+  # count: compiles at 1 and 4 threads must write identical bytes.
+  for sim in "$smoke_dir/chain.sim" testdata/sample_datapath.sim; do
+    for t in 1 4; do
+      "$sldm_bin" compile "$sim" --model rc-tree --threads "$t" \
+        -o "$smoke_dir/threads$t.sldc" > /dev/null
+    done
+    cmp "$smoke_dir/threads1.sldc" "$smoke_dir/threads4.sldc" \
+      || { echo "check.sh: compile of $sim differs between --threads 1" \
+           "and 4 ($build)" >&2; exit 1; }
+  done
   for where in first STOR; do
     python3 - "$smoke_dir/chain.sldc" "$smoke_dir/corrupt.sldc" "$where" <<'EOF'
 import sys
@@ -214,7 +228,8 @@ EOF
   cmp "$smoke_dir/sample_datapath.sim.txt" "$smoke_dir/crlf.sim.txt" \
     || { echo "check.sh: CRLF .sim times differently ($build)" >&2; exit 1; }
 done
-echo "check.sh: snapshot compile/load parity holds, corruption rejected"
+echo "check.sh: snapshot compile/load parity holds, compile is" \
+  "thread-count independent, corruption rejected"
 echo "check.sh: .sim refuses directories and FIFOs, CRLF times identically"
 
 # Differential fuzzing smoke under asan: a fixed-seed campaign must run

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "analog/elaborate.h"
 #include "analog/transient.h"
@@ -21,21 +20,21 @@ struct Canonical {
   Transition in_dir;  ///< gate transition that fires the stage
   NodeId observe;     ///< stage destination
   Transition out_dir;
-  TimingStage ts;
+  StageTable stage;  ///< exactly one stage: the one measured
 };
 
 /// Finds the unique stage at (observe, out_dir) triggered by `in`.
-TimingStage find_stage(const Netlist& nl, NodeId observe, Transition out_dir,
-                       NodeId in) {
-  const auto stages = stages_to(nl, observe, out_dir);
-  std::optional<TimingStage> found;
+StageTable find_stage(const Netlist& nl, NodeId observe, Transition out_dir,
+                      NodeId in) {
+  const StageTable stages = stages_to(nl, observe, out_dir);
+  StageTable found;
   for (const TimingStage& ts : stages) {
     if (nl.device(ts.trigger).gate != in) continue;
-    if (found) throw Error("canonical stage is not unique");
-    found = ts;
+    if (!found.empty()) throw Error("canonical stage is not unique");
+    found.append(ts);
   }
-  if (!found) throw Error("canonical stage not found");
-  return *found;
+  if (found.empty()) throw Error("canonical stage not found");
+  return found;
 }
 
 /// The inverter cell: covers (e, fall), (d, rise) for nMOS and
@@ -51,7 +50,7 @@ Canonical make_inverter_case(Style style, Transition out_dir) {
   c.out_dir = out_dir;
   c.in_dir = opposite(out_dir);  // inverter: input and output oppose
   c.nl = std::move(b.netlist());
-  c.ts = find_stage(c.nl, c.observe, c.out_dir, c.in);
+  c.stage = find_stage(c.nl, c.observe, c.out_dir, c.in);
   return c;
 }
 
@@ -71,7 +70,7 @@ Canonical make_pass_high_case(Style style) {
   c.out_dir = Transition::kRise;
   c.in_dir = Transition::kRise;
   c.nl = std::move(b.netlist());
-  c.ts = find_stage(c.nl, c.observe, c.out_dir, c.in);
+  c.stage = find_stage(c.nl, c.observe, c.out_dir, c.in);
   return c;
 }
 
@@ -156,8 +155,8 @@ CalibrationResult calibrate(const Tech& tech, Style style,
 
   for (Case& c : canonical_cases(style)) {
     // --- 1. Effective resistance from a near-step input. ---------------
-    Stage stage0 = make_stage(c.canonical.nl, result.tech, c.canonical.ts,
-                              /*input_slope=*/0.0);
+    Stage stage0 = make_stage(c.canonical.nl, result.tech,
+                              c.canonical.stage[0], /*input_slope=*/0.0);
     Seconds t_d = stage_elmore(stage0);
     const Measurement step =
         measure(c.canonical, result.tech, std::max(1e-12, 0.01 * t_d),
@@ -169,7 +168,8 @@ CalibrationResult calibrate(const Tech& tech, Style style,
         result.tech.resistance_sq(c.type, c.dir) * r_correction);
 
     // Recompute the stage with the calibrated resistance.
-    stage0 = make_stage(c.canonical.nl, result.tech, c.canonical.ts, 0.0);
+    stage0 =
+        make_stage(c.canonical.nl, result.tech, c.canonical.stage[0], 0.0);
     t_d = stage_elmore(stage0);
 
     // --- 2. Slope-ratio sweep -> multiplier tables. ---------------------

@@ -7,26 +7,39 @@ namespace sldm {
 
 StageStore::StageId StageStore::add(const Stage& stage) {
   validate(stage);
-  SLDM_EXPECTS(offset_.back() + stage.elements.size() <= UINT32_MAX);
+  for (const StageElement& e : stage.elements) {
+    push_element(e.type, e.resistance, e.cap);
+  }
+  return close_stage(stage.output_dir, stage.trigger_index);
+}
 
-  const StageId id = static_cast<StageId>(size());
+StageStore::StageId StageStore::close_stage(Transition output_dir,
+                                            std::size_t trigger_index) {
+  const std::size_t begin = offset_.back();
+  const std::size_t n = elem_r_.size() - begin;
+  SLDM_EXPECTS(n != 0);
+  SLDM_EXPECTS(trigger_index < n);
+  SLDM_EXPECTS(elem_r_.size() <= UINT32_MAX);
+  const Ohms* r = elem_r_.data() + begin;
+  const Farads* c = elem_c_.data() + begin;
   Ohms total_r = 0.0;
   Farads total_c = 0.0;
-  for (const StageElement& e : stage.elements) {
-    elem_type_.push_back(e.type);
-    elem_r_.push_back(e.resistance);
-    elem_c_.push_back(e.cap);
-    total_r += e.resistance;
-    total_c += e.cap;
+  for (std::size_t i = 0; i < n; ++i) {
+    SLDM_EXPECTS(r[i] > 0.0);
+    SLDM_EXPECTS(c[i] >= 0.0);
+    total_r += r[i];
+    total_c += c[i];
   }
-  offset_.push_back(static_cast<std::uint32_t>(elem_r_.size()));
+  SLDM_EXPECTS(total_c > 0.0);
 
-  output_dir_.push_back(stage.output_dir);
-  trigger_index_.push_back(static_cast<std::uint32_t>(stage.trigger_index));
-  trigger_type_.push_back(stage.elements[stage.trigger_index].type);
+  const StageId id = static_cast<StageId>(size());
+  offset_.push_back(static_cast<std::uint32_t>(elem_r_.size()));
+  output_dir_.push_back(output_dir);
+  trigger_index_.push_back(static_cast<std::uint32_t>(trigger_index));
+  trigger_type_.push_back(elem_type_[begin + trigger_index]);
   total_r_.push_back(total_r);
   total_c_.push_back(total_c);
-  dest_c_.push_back(stage.destination_cap());
+  dest_c_.push_back(c[n - 1]);
 
   // The Elmore constant and the RPH total time constant follow the
   // RcTree arithmetic (to_rc_tree builds a pure chain: tree node k is
@@ -40,17 +53,13 @@ StageStore::StageId StageStore::add(const Stage& stage) {
   //  * total_time_constant() is the same sum without the skip (the
   //    zero-cap root contributes +0.0, which no non-negative sum
   //    notices).
-  const std::size_t n = stage.elements.size();
   Seconds td = 0.0;
   Seconds tp = 0.0;
   for (std::size_t k = 1; k <= n; ++k) {
     Ohms path_r = 0.0;
-    for (std::size_t a = k; a != 0; --a) {
-      path_r += stage.elements[a - 1].resistance;
-    }
-    const Farads c = stage.elements[k - 1].cap;
-    if (c != 0.0) td += path_r * c;
-    tp += path_r * c;
+    for (std::size_t a = k; a != 0; --a) path_r += r[a - 1];
+    if (c[k - 1] != 0.0) td += path_r * c[k - 1];
+    tp += path_r * c[k - 1];
   }
   elmore_.push_back(td);
   tp_.push_back(tp);

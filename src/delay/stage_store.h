@@ -40,6 +40,20 @@ class StageStore {
   /// new stage's id (== size() before the call).
   StageId add(const Stage& stage);
 
+  /// Bulk form of add() for bakes that gather elements from precomputed
+  /// arrays: push_element() appends the open stage's elements, source to
+  /// destination, and close_stage() checks them like validate() (a
+  /// non-empty window, trigger inside it, r > 0, c >= 0, total C > 0),
+  /// then caches the totals.  add() is exactly this pair, so both bakes
+  /// produce bit-identical stores.  A close_stage() that throws leaves
+  /// the open elements in place: clear() the store before reusing it.
+  void push_element(TransistorType type, Ohms r, Farads c) {
+    elem_type_.push_back(type);
+    elem_r_.push_back(r);
+    elem_c_.push_back(c);
+  }
+  StageId close_stage(Transition output_dir, std::size_t trigger_index);
+
   /// Drops all stages (capacity is retained for rebuilds).
   void clear();
 

@@ -133,29 +133,47 @@ void CompiledDesign::build(int threads) {
 }
 
 void CompiledDesign::index_stages_by_trigger() {
-  stages_by_trigger_.assign(nl_->node_count() * 2,
-                            std::vector<std::size_t>());
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    const TimingStage& ts = stages_[s];
-    const NodeId fire_node =
-        ts.source_triggered ? ts.source : nl_->device(ts.trigger).gate;
-    stages_by_trigger_[arrival_key(fire_node, ts.trigger_gate_dir)]
-        .push_back(s);
-  }
+  TraceSpan span("trigger-index", "timing");
+  stages_by_trigger_.build(stages_, *nl_, nl_->node_count() * 2);
 }
 
 void CompiledDesign::rebuild_store() {
   TraceSpan span("build-store", "timing");
+  const Netlist& nl = *nl_;
+  // Every electrical input of the store, computed once: C per node and
+  // R per (device, direction) -- make_stage derives them per element.
+  std::vector<Farads> node_c(nl.node_count());
+  for (NodeId n : nl.all_nodes()) {
+    node_c[n.index()] = tech_->node_capacitance(nl, n);
+  }
+  std::vector<Ohms> device_r(nl.device_count() * 2);
+  for (DeviceId d : nl.all_devices()) {
+    const Transistor& t = nl.device(d);
+    device_r[d.index() * 2] = tech_->resistance(t, Transition::kRise);
+    device_r[d.index() * 2 + 1] = tech_->resistance(t, Transition::kFall);
+  }
+
   store_.clear();
-  std::size_t elements = 0;
-  for (const TimingStage& ts : stages_) elements += ts.path.size();
-  store_.reserve(stages_.size(), elements);
-  Stage scratch;  // element storage reused across stages
-  for (const TimingStage& ts : stages_) {
-    // The slope argument is per-evaluation state, not store state: any
-    // non-negative value yields the same stored elements.
-    make_stage(*nl_, *tech_, ts, /*input_slope=*/0.0, scratch);
-    store_.add(scratch);
+  store_.reserve(stages_.size(), stages_.path_device_count());
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    // make_stage's walk and checks, reading the arrays above.
+    const TimingStage ts = stages_[s];
+    SLDM_EXPECTS(!ts.path.empty());
+    const std::size_t dir = ts.output_dir == Transition::kRise ? 0 : 1;
+    std::size_t trigger_index = 0;
+    NodeId cur = ts.source;
+    for (std::size_t i = 0; i < ts.path.size(); ++i) {
+      const DeviceId d = ts.path[i];
+      const Transistor& t = nl.device(d);
+      SLDM_EXPECTS(t.connects(cur));
+      const NodeId next = t.other_end(cur);
+      store_.push_element(t.type, device_r[d.index() * 2 + dir],
+                          node_c[next.index()]);
+      if (!ts.trigger_is_release && d == ts.trigger) trigger_index = i;
+      cur = next;
+    }
+    SLDM_ENSURES(cur == ts.destination);
+    store_.close_stage(ts.output_dir, trigger_index);
   }
   span.arg("stages", static_cast<double>(store_.size()));
   span.arg("elements", static_cast<double>(store_.element_count()));
@@ -163,8 +181,8 @@ void CompiledDesign::rebuild_store() {
 
 void CompiledDesign::recount_stages_per_ccc() {
   per_ccc_.assign(ccc_->count(), 0);
-  for (const TimingStage& ts : stages_) {
-    ++per_ccc_[ccc_->component_of(ts.destination)];
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    ++per_ccc_[ccc_->component_of(stages_.destination(s))];
   }
 }
 

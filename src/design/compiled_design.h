@@ -10,13 +10,13 @@
 //   * the netlist (interned node-name table included) and technology,
 //     either owned (compile(), snapshot load) or borrowed (the
 //     TimingAnalyzer facade over caller-owned references);
-//   * the CccPartition and the extracted TimingStages in canonical
-//     global order;
+//   * the CccPartition and the extracted stages, one flat StageTable in
+//     canonical global order (timing/stage_table.h);
 //   * the StageStore with every slope-independent electrical cache
 //     (delay/stage_store.h), so loaded designs evaluate bit-identically
 //     to freshly extracted ones;
-//   * the trigger index (stages grouped by firing (node, direction))
-//     and per-CCC stage counts;
+//   * the CSR trigger index (stages grouped by firing (node,
+//     direction)) and per-CCC stage counts;
 //   * a technology fingerprint for snapshot compatibility checks.
 //
 // A CompiledDesign is shared as shared_ptr<const CompiledDesign>:
@@ -64,13 +64,6 @@ std::uint64_t tech_fingerprint(const Tech& tech);
 /// value stay comparable across processes and versions.
 std::uint64_t design_fingerprint(const Netlist& nl, const Tech& tech);
 
-/// Packed arrival/trigger key: (node, dir) -> node * 2 + (rise ? 0 : 1).
-/// The index space of stages_by_trigger() and of every per-(node, dir)
-/// session array.
-inline std::size_t arrival_key(NodeId node, Transition dir) {
-  return node.index() * 2 + (dir == Transition::kRise ? 0 : 1);
-}
-
 class CompiledDesign {
  public:
   /// Compiles an owned copy of the netlist and technology.  The
@@ -106,14 +99,12 @@ class CompiledDesign {
   const CccPartition& components() const { return *ccc_; }
   /// All extracted stages in canonical global order (ascending
   /// destination node id, rise before fall).
-  const std::vector<TimingStage>& stages() const { return stages_; }
+  const StageTable& stages() const { return stages_; }
   /// Electrical SoA mirror of stages() (same index space).
   const StageStore& stage_store() const { return store_; }
   /// Stage indices grouped by firing event, indexed by
   /// arrival_key(node, dir).
-  const std::vector<std::vector<std::size_t>>& stages_by_trigger() const {
-    return stages_by_trigger_;
-  }
+  const TriggerIndex& stages_by_trigger() const { return stages_by_trigger_; }
   /// Stage count per CCC (indexed by component id).
   const std::vector<std::size_t>& stages_per_ccc() const { return per_ccc_; }
 
@@ -136,10 +127,13 @@ class CompiledDesign {
 
   /// Runs partition + extraction + store bake over nl_/tech_.
   void build(int threads);
-  /// Rebuilds stages_by_trigger_ from stages_ (load and ECO splice).
+  /// Rebuilds stages_by_trigger_ from stages_ (span "trigger-index").
   void index_stages_by_trigger();
-  /// Rebuilds store_ from stages_ via make_stage (ECO splice only; the
-  /// snapshot loader restores the store verbatim instead).
+  /// Rebuilds store_ from stages_ (span "build-store"): R once per
+  /// device and direction, C once per node, then a per-element gather.
+  /// Bit-identical to make_stage + StageStore::add per stage, which
+  /// stays the reference definition.  The snapshot loader restores the
+  /// store verbatim instead.
   void rebuild_store();
   /// Recomputes per_ccc_ from stages_ and ccc_.
   void recount_stages_per_ccc();
@@ -159,9 +153,9 @@ class CompiledDesign {
 
   ExtractOptions extract_;
   std::optional<CccPartition> ccc_;
-  std::vector<TimingStage> stages_;
+  StageTable stages_;
   StageStore store_;
-  std::vector<std::vector<std::size_t>> stages_by_trigger_;
+  TriggerIndex stages_by_trigger_;
   std::vector<std::size_t> per_ccc_;
 
   std::uint64_t fingerprint_ = 0;

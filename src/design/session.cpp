@@ -54,9 +54,10 @@ void Session::refresh_fan_in() {
   // key that fires at least one stage (rebuilt, not accumulated, so
   // the distribution tracks the latest stage set after an ECO update).
   h_fan_in_.reset();
-  for (const std::vector<std::size_t>& list :
-       design_->stages_by_trigger()) {
-    if (!list.empty()) h_fan_in_.add(static_cast<double>(list.size()));
+  const TriggerIndex& by_trigger = design_->stages_by_trigger();
+  for (std::size_t k = 0; k < by_trigger.key_count(); ++k) {
+    const std::size_t fan_in = by_trigger[k].size();
+    if (fan_in != 0) h_fan_in_.add(static_cast<double>(fan_in));
   }
 }
 
@@ -244,10 +245,9 @@ void Session::propagate(std::deque<std::uint32_t>& work,
                         std::vector<char>& queued) {
   Tracer& tracer = Tracer::instance();
   const bool tracing = tracer.enabled();
-  const std::vector<TimingStage>& stages = design_->stages();
+  const StageTable& stages = design_->stages();
   const StageStore& store = design_->stage_store();
-  const std::vector<std::vector<std::size_t>>& by_trigger =
-      design_->stages_by_trigger();
+  const TriggerIndex& by_trigger = design_->stages_by_trigger();
 
   // Wavefront buffers, reused across rounds of the drain loop.
   std::vector<StageStore::StageId> ids;
@@ -280,8 +280,8 @@ void Session::propagate(std::deque<std::uint32_t>& work,
       work.pop_front();
       queued[fire_key] = 0;
       SLDM_ASSERT(arrival_valid_[fire_key]);
-      for (std::size_t s : by_trigger[fire_key]) {
-        ids.push_back(static_cast<StageStore::StageId>(s));
+      for (const std::uint32_t s : by_trigger[fire_key]) {
+        ids.push_back(s);
         slopes.push_back(arrival_slope_[fire_key]);
         fire_keys.push_back(fire_key);
         fire_times.push_back(arrival_time_[fire_key]);
@@ -312,9 +312,9 @@ void Session::propagate(std::deque<std::uint32_t>& work,
     // bit-identical for any chunking of the evaluation above.
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t s = ids[i];
-      const TimingStage& ts = stages[s];
       const std::uint32_t fire_key = fire_keys[i];
-      const std::size_t dest_key = key(ts.destination, ts.output_dir);
+      const std::size_t dest_key =
+          key(stages.destination(s), stages.output_dir(s));
       const Seconds t_new = fire_times[i] + ests[i].delay;
       bool tie = false;
       if (arrival_valid_[dest_key]) {
@@ -339,7 +339,7 @@ void Session::propagate(std::deque<std::uint32_t>& work,
       if (!tie &&
           ++update_counts_[dest_key] > options_.max_updates_per_arrival) {
         throw Error("timing loop detected at node '" +
-                    design_->netlist().node(ts.destination).name +
+                    design_->netlist().node(stages.destination(s)).name +
                     "': arrival keeps increasing");
       }
       arrival_time_[dest_key] = t_new;
@@ -409,7 +409,7 @@ std::optional<Session::Worst> Session::worst_arrival(
 std::vector<PathStep> Session::critical_path(NodeId node,
                                              Transition dir) const {
   const Netlist& nl = design_->netlist();
-  const std::vector<TimingStage>& stages = design_->stages();
+  const StageTable& stages = design_->stages();
   std::vector<PathStep> steps;
   NodeId cur = node;
   Transition cdir = dir;

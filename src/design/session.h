@@ -193,9 +193,7 @@ class Session {
   /// Conveniences forwarding to the design.
   const Netlist& netlist() const { return design_->netlist(); }
   const Tech& tech() const { return design_->tech(); }
-  const std::vector<TimingStage>& stages() const {
-    return design_->stages();
-  }
+  const StageTable& stages() const { return design_->stages(); }
   const StageStore& stage_store() const { return design_->stage_store(); }
   const CccPartition& components() const { return design_->components(); }
 

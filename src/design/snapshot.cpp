@@ -260,47 +260,12 @@ void write_options(Sink& s, const ExtractOptions& opts) {
                              [&](std::size_t i) { return fixed[i].second; });
 }
 
-// Stage bits: the two transitions and the two flags of a TimingStage.
-constexpr std::uint8_t kOutputFalls = 1u << 0;
-constexpr std::uint8_t kTriggerGateFalls = 1u << 1;
-constexpr std::uint8_t kTriggerIsRelease = 1u << 2;
-constexpr std::uint8_t kSourceTriggered = 1u << 3;
-constexpr std::uint8_t kAllStageBits = 0x0F;
-
-std::uint8_t stage_bits(const TimingStage& ts) {
-  return static_cast<std::uint8_t>(
-      (ts.output_dir == Transition::kFall ? kOutputFalls : 0) |
-      (ts.trigger_gate_dir == Transition::kFall ? kTriggerGateFalls : 0) |
-      (ts.trigger_is_release ? kTriggerIsRelease : 0) |
-      (ts.source_triggered ? kSourceTriggered : 0));
-}
-
-void write_stages(Sink& s, const std::vector<TimingStage>& stages) {
-  const std::size_t n = stages.size();
-  std::vector<std::uint32_t> offsets(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    SLDM_EXPECTS(offsets[i] + stages[i].path.size() <= UINT32_MAX);
-    offsets[i + 1] =
-        offsets[i] + static_cast<std::uint32_t>(stages[i].path.size());
-  }
-  put<std::uint64_t>(s, n);
-  put_array_of<std::uint32_t>(
-      s, n, [&](std::size_t i) { return stages[i].source.value(); });
-  put_array_of<std::uint32_t>(
-      s, n, [&](std::size_t i) { return stages[i].destination.value(); });
-  put_array_of<std::uint32_t>(
-      s, n, [&](std::size_t i) { return stages[i].trigger.value(); });
-  put_array_of<std::uint8_t>(s, n,
-                             [&](std::size_t i) { return stage_bits(stages[i]); });
-  put_array(s, offsets);
-  put<std::uint64_t>(s, offsets.back());
-  if (s.counting()) {
-    s.skip(std::size_t{offsets.back()} * sizeof(std::uint32_t));
-  } else {
-    for (const TimingStage& ts : stages) {
-      for (const DeviceId d : ts.path) put<std::uint32_t>(s, d.value());
-    }
-  }
+/// STGS: the stage table's arrays verbatim -- [count u64], then source,
+/// destination, trigger, bits, path offsets and path devices, each a
+/// put_array.
+void write_stages(Sink& s, const StageTable& stages) {
+  put<std::uint64_t>(s, stages.size());
+  stages.for_each_array([&s](const auto& v) { put_array(s, v); });
 }
 
 void write_tables(Sink& s, const SlopeTables& tables) {
@@ -613,56 +578,39 @@ ExtractOptions read_options_section(Reader& r, const Netlist& nl) {
   return opts;
 }
 
-std::vector<TimingStage> read_stages_section(Reader& r, const Netlist& nl) {
+StageTable read_stages_section(Reader& r, const Netlist& nl) {
   const std::uint64_t count = r.u64();
   // Per stage: source, destination, trigger and path offset (u32 each)
   // and the bits byte.
   r.check_count(count, 4 * 4 + 1);
-  const auto source = r.array<std::uint32_t>("sources", count);
-  const auto destination = r.array<std::uint32_t>("destinations", count);
-  const auto trigger = r.array<std::uint32_t>("triggers", count);
-  const auto bits = r.array<std::uint8_t>("stage bits", count);
-  const auto offset = r.array<std::uint32_t>("path offsets", count + 1);
-  const auto device = r.array<std::uint32_t>("path devices");
+  StageTable::RawArrays a;
+  a.source = r.array<NodeId>("sources", count).to_vector();
+  a.destination = r.array<NodeId>("destinations", count).to_vector();
+  a.trigger = r.array<DeviceId>("triggers", count).to_vector();
+  a.bits = r.array<std::uint8_t>("stage bits", count).to_vector();
+  a.offset = r.array<std::uint32_t>("path offsets", count + 1).to_vector();
+  a.device = r.array<DeviceId>("path devices").to_vector();
   r.finish();
 
   const std::size_t nodes = nl.node_count();
   const std::size_t devices = nl.device_count();
   for (std::size_t i = 0; i < count; ++i) {
-    if (source[i] >= nodes || destination[i] >= nodes ||
-        trigger[i] >= devices) {
+    if (a.source[i].index() >= nodes || a.destination[i].index() >= nodes ||
+        a.trigger[i].index() >= devices) {
       r.fail("stage endpoint out of range");
     }
-    if (bits[i] > kAllStageBits) r.fail("bad stage bits");
+    if (a.bits[i] > StageTable::kAllBits) r.fail("bad stage bits");
   }
-  if (offset[0] != 0 || offset[count] != device.size()) {
+  if (a.offset[0] != 0 || a.offset[count] != a.device.size()) {
     r.fail("path offsets do not span the path devices");
   }
   for (std::size_t i = 0; i < count; ++i) {
-    if (offset[i] > offset[i + 1]) r.fail("path offsets not monotonic");
+    if (a.offset[i] > a.offset[i + 1]) r.fail("path offsets not monotonic");
   }
-  for (std::size_t p = 0; p < device.size(); ++p) {
-    if (device[p] >= devices) r.fail("stage path device out of range");
+  for (const DeviceId d : a.device) {
+    if (d.index() >= devices) r.fail("stage path device out of range");
   }
-
-  std::vector<TimingStage> stages(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    TimingStage& ts = stages[i];
-    const std::uint8_t b = bits[i];
-    ts.source = NodeId(source[i]);
-    ts.destination = NodeId(destination[i]);
-    ts.output_dir = (b & kOutputFalls) ? Transition::kFall : Transition::kRise;
-    ts.trigger = DeviceId(trigger[i]);
-    ts.trigger_gate_dir =
-        (b & kTriggerGateFalls) ? Transition::kFall : Transition::kRise;
-    ts.trigger_is_release = (b & kTriggerIsRelease) != 0;
-    ts.source_triggered = (b & kSourceTriggered) != 0;
-    ts.path.resize(offset[i + 1] - offset[i]);
-    for (std::size_t p = 0; p < ts.path.size(); ++p) {
-      ts.path[p] = DeviceId(device[offset[i] + p]);
-    }
-  }
-  return stages;
+  return StageTable::from_arrays(std::move(a));
 }
 
 StageStore read_store_section(Reader& r) {
@@ -721,7 +669,7 @@ struct Section {
 struct SnapshotAccess {
   static std::shared_ptr<CompiledDesign> assemble(
       Netlist nl, Tech tech, ExtractOptions extract,
-      std::vector<TimingStage> stages, StageStore store) {
+      StageTable stages, StageStore store) {
     auto design = std::shared_ptr<CompiledDesign>(new CompiledDesign());
     design->owned_nl_ = std::make_unique<Netlist>(std::move(nl));
     design->owned_tech_ = std::make_unique<Tech>(std::move(tech));
@@ -836,7 +784,7 @@ LoadedDesign deserialize_design(std::span<const std::uint8_t> bytes,
   ExtractOptions extract = read_options_section(opts_r, nl);
 
   Reader stgs_r = section(kTagStgs, "STGS section");
-  std::vector<TimingStage> stages = read_stages_section(stgs_r, nl);
+  StageTable stages = read_stages_section(stgs_r, nl);
 
   Reader stor_r = section(kTagStor, "STOR section");
   StageStore store = read_store_section(stor_r);

@@ -69,7 +69,7 @@ OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer) {
 }
 
 OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
-                                const std::vector<TimingStage>& stages,
+                                const StageTable& stages,
                                 Seconds input_slope) {
   const LumpedRcModel lumped;
   const RcTreeModel rctree;

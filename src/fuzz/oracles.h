@@ -66,7 +66,7 @@ OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer);
 /// The RPH/Elmore/lumped inequalities on every extracted stage, with a
 /// relative tolerance for floating-point noise.
 OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
-                                const std::vector<TimingStage>& stages,
+                                const StageTable& stages,
                                 Seconds input_slope);
 
 /// Differential functional check against the switch-level simulator.

@@ -66,7 +66,7 @@ void TimingAnalyzer::update() {
   const Seconds t0 = now_seconds();
   const std::uint64_t since = design_->built_revision_;
   CccPartition& ccc = *design_->ccc_;
-  std::vector<TimingStage>& stages = design_->stages_;
+  StageTable& stages = design_->stages_;
 
   // --- Partition sync: which components' stage sets may have changed.
   std::vector<std::size_t> dirty;
@@ -98,59 +98,54 @@ void TimingAnalyzer::update() {
     for (NodeId n : ccc.members(c)) node_dirty[n.index()] = 1;
   }
 
-  // --- Re-extract the dirty components only (same fan-out and per-
-  // component stage order as a full extraction).
-  std::vector<std::vector<TimingStage>> fresh;
+  // --- Re-extract the dirty components only (same fan-out and per-node
+  // stage order as a full extraction).
+  ExtractedChunks fresh;
   std::size_t fresh_total = 0;
   {
     TraceSpan extract_span("update-extract", "timing");
     fresh = extract_components(nl, design_->extract_, ccc, dirty,
                                options_.threads);
-    for (const auto& bucket : fresh) fresh_total += bucket.size();
+    for (const StageTable& t : fresh.tables) fresh_total += t.size();
     extract_span.arg("cccs", static_cast<double>(dirty.size()));
     extract_span.arg("stages", static_cast<double>(fresh_total));
   }
 
-  // --- Splice: walk nodes in ascending id order (the global stage
-  // order), dropping the old stages of dirty nodes and pulling in the
-  // freshly extracted ones; clean nodes keep theirs.  remap[] carries
-  // surviving old stage indices to their new positions so retained
-  // arrivals' via_stage links stay valid.
+  // --- Splice: the extraction stitch over node windows in ascending id
+  // order (the global stage order).  A dirty node takes its window from
+  // the fresh tables, a clean node keeps its window of the old table.
+  // remap[] carries surviving old stage indices to their new positions
+  // so retained arrivals' via_stage links stay valid.
   std::vector<std::size_t> remap(stages.size(), SIZE_MAX);
   std::size_t reused = 0;
   {
     TraceSpan splice_span("update-splice", "timing");
-    std::vector<TimingStage> merged;
-    merged.reserve(stages.size() + fresh_total);
-    std::vector<std::size_t> cursor(fresh.size(), 0);
-    std::vector<TimingStage> old = std::move(stages);
+    // Table 0 is the old table; fresh chunk k is table k + 1.
+    std::vector<const StageTable*> tables{&stages};
+    for (const StageTable& t : fresh.tables) tables.push_back(&t);
+    std::vector<StageWindow> windows(nl.node_count());
     std::size_t old_i = 0;
+    std::size_t new_i = 0;
     for (NodeId n : nl.all_nodes()) {
+      // n's rows in the old table (nodes added by the batch have none,
+      // and are dirty).
+      const std::size_t old_begin = old_i;
+      while (old_i < stages.size() && stages.destination(old_i) == n) ++old_i;
       if (node_dirty[n.index()]) {
-        while (old_i < old.size() && old[old_i].destination == n) ++old_i;
-        const std::size_t c = ccc.component_of(n);
-        const auto it = std::lower_bound(dirty.begin(), dirty.end(), c);
-        SLDM_ASSERT(it != dirty.end() && *it == c);
-        const std::size_t b = static_cast<std::size_t>(it - dirty.begin());
-        std::size_t& cur = cursor[b];
-        while (cur < fresh[b].size() && fresh[b][cur].destination == n) {
-          // fresh is const for the workers' benefit; moving out of the
-          // bucket here would be safe but reads better as an explicit
-          // copy of the small TimingStage records.
-          merged.push_back(fresh[b][cur]);
-          ++cur;
-        }
+        const StageWindow w = fresh.windows[n.index()];
+        windows[n.index()] = StageWindow{w.table + 1, w.begin, w.end};
+        new_i += w.end - w.begin;
       } else {
-        while (old_i < old.size() && old[old_i].destination == n) {
-          remap[old_i] = merged.size();
-          merged.push_back(std::move(old[old_i]));
-          ++old_i;
-          ++reused;
-        }
+        windows[n.index()] =
+            StageWindow{0, static_cast<std::uint32_t>(old_begin),
+                        static_cast<std::uint32_t>(old_i)};
+        for (std::size_t s = old_begin; s < old_i; ++s) remap[s] = new_i++;
+        reused += old_i - old_begin;
       }
     }
-    SLDM_ASSERT(old_i == old.size());
-    stages = std::move(merged);
+    SLDM_ASSERT(old_i == stages.size());
+    stages = stitch_stages(tables, windows);
+    SLDM_ASSERT(stages.size() == new_i);
 
     // --- Refresh the structure-dependent indexes and session census.
     design_->recount_stages_per_ccc();
@@ -252,9 +247,8 @@ void TimingAnalyzer::update() {
   std::vector<char> queued(nkeys, 0);
   for (std::size_t k = 0; k < nkeys; ++k) {
     if (!session_.arrival_valid_[k] || queued[k]) continue;
-    for (const std::size_t s : design_->stages_by_trigger_[k]) {
-      const TimingStage& ts = stages[s];
-      if (damaged[arrival_key(ts.destination, ts.output_dir)]) {
+    for (const std::uint32_t s : design_->stages_by_trigger_[k]) {
+      if (damaged[arrival_key(stages.destination(s), stages.output_dir(s))]) {
         queued[k] = 1;
         work.push_back(static_cast<std::uint32_t>(k));
         session_.ctr_worklist_pushes_.add();

@@ -138,9 +138,7 @@ class TimingAnalyzer {
   }
 
   /// All extracted stages (index space of ArrivalInfo::via_stage).
-  const std::vector<TimingStage>& stages() const {
-    return design_->stages();
-  }
+  const StageTable& stages() const { return design_->stages(); }
 
   /// The SoA store propagation evaluates against: stage ids coincide
   /// with indices into stages() (and so with ArrivalInfo::via_stage).

@@ -16,10 +16,9 @@ std::vector<Session::EnumeratedPath> Session::k_worst_paths(
   SLDM_EXPECTS(ran_);
   SLDM_EXPECTS(k >= 1);
   const Netlist& nl = design_->netlist();
-  const std::vector<TimingStage>& stages = design_->stages();
+  const StageTable& stages = design_->stages();
   const StageStore& store = design_->stage_store();
-  const std::vector<std::vector<std::size_t>>& by_trigger =
-      design_->stages_by_trigger();
+  const TriggerIndex& by_trigger = design_->stages_by_trigger();
   const std::size_t target = key(node, dir);
 
   std::vector<EnumeratedPath> found;
@@ -42,11 +41,10 @@ std::vector<Session::EnumeratedPath> Session::k_worst_paths(
     }
     // Price the whole fanout of this event in one batch (locals: the
     // recursion below reuses the enclosing frames' vectors otherwise).
-    const std::vector<std::size_t>& fanout = by_trigger[kk];
-    const std::vector<StageStore::StageId> ids(fanout.begin(), fanout.end());
+    const std::span<const StageStore::StageId> fanout = by_trigger[kk];
     const std::vector<Seconds> slopes(fanout.size(), slope);
     std::vector<DelayEstimate> est(fanout.size());
-    model_.estimate_batch(store, ids, slopes, est);
+    model_.estimate_batch(store, fanout, slopes, est);
     for (std::size_t i = 0; i < fanout.size(); ++i) {
       const TimingStage& ts = stages[fanout[i]];
       self(self, ts.destination, ts.output_dir, t + est[i].delay,

@@ -26,27 +26,9 @@
 #include "netlist/netlist.h"
 #include "tech/tech.h"
 #include "timing/ccc.h"
+#include "timing/stage_table.h"
 
 namespace sldm {
-
-/// One stage at netlist level (device/node identities preserved).
-struct TimingStage {
-  NodeId source;            ///< value source the charge comes from
-  NodeId destination;       ///< node being switched
-  Transition output_dir;    ///< transition produced at destination
-  std::vector<DeviceId> path;  ///< channel devices, source -> destination
-  /// The transistor whose gate event fires this stage.  For ON-trigger
-  /// stages it lies on `path`; for release stages it lies on the
-  /// opposing network; for source-triggered stages it is the source-side
-  /// path device (used for electrical typing only).
-  DeviceId trigger;
-  Transition trigger_gate_dir;  ///< gate transition that fires the stage
-  bool trigger_is_release = false;
-  /// True when the firing event is the *source node's own transition*
-  /// (a chip input driving through a conducting pass network), not a
-  /// gate: the analyzer indexes such stages by (source, output_dir).
-  bool source_triggered = false;
-};
 
 /// Extraction limits and assumptions.
 struct ExtractOptions {
@@ -94,6 +76,34 @@ struct PathList {
   std::size_t size() const { return offsets.size() - 1; }
 };
 
+/// The per-node facts the extraction predicates read, computed once per
+/// extraction call (one O(nodes) pass) so the DFS never consults
+/// ExtractOptions::fixed_values' hash map: each node's known value
+/// (rails, fixed_values, Node::fixed -- known_value()'s precedence), and
+/// whether it is a chip input or precharged.
+class NodeRoles {
+ public:
+  NodeRoles(const Netlist& nl, const ExtractOptions& options);
+
+  /// known_value(nl, options, n), from the table.
+  std::optional<bool> known_value(NodeId n) const {
+    const std::uint8_t b = bits_[n.index()];
+    if (!(b & kKnown)) return std::nullopt;
+    return (b & kHigh) != 0;
+  }
+  bool is_input(NodeId n) const { return (bits_[n.index()] & kInput) != 0; }
+  bool is_precharged(NodeId n) const {
+    return (bits_[n.index()] & kPrecharged) != 0;
+  }
+
+ private:
+  static constexpr std::uint8_t kKnown = 1u << 0;
+  static constexpr std::uint8_t kHigh = 1u << 1;
+  static constexpr std::uint8_t kInput = 1u << 2;
+  static constexpr std::uint8_t kPrecharged = 1u << 3;
+  std::vector<std::uint8_t> bits_;
+};
+
 /// Reusable workspace for stage extraction.  One scratch per thread;
 /// queries through the same scratch must not run concurrently.  All
 /// buffers grow to the high-water mark of the netlist and stay
@@ -109,54 +119,58 @@ struct ExtractScratch {
 };
 
 /// All stages that can drive `dest` to `dir`, including release stages
-/// through always-on loads.  Appends to `out` in deterministic order.
+/// through always-on loads.  Appends to `out` in deterministic order,
+/// copying each path into the table (no per-stage allocation).
+/// Precondition: `roles` was built from (nl, options).
 void stages_to(const Netlist& nl, NodeId dest, Transition dir,
-               const ExtractOptions& options, ExtractScratch& scratch,
-               std::vector<TimingStage>& out);
+               const ExtractOptions& options, const NodeRoles& roles,
+               ExtractScratch& scratch, StageTable& out);
 
-/// Convenience form (allocates its own scratch).
-std::vector<TimingStage> stages_to(const Netlist& nl, NodeId dest,
-                                   Transition dir,
-                                   const ExtractOptions& options = {});
-
-/// All stages in the whole netlist (every non-rail, channel-connected
-/// node, both directions), in ascending (node id, rise-then-fall)
-/// order.
-std::vector<TimingStage> extract_all_stages(
-    const Netlist& nl, const ExtractOptions& options = {});
+/// Convenience form (builds its own roles and scratch).
+StageTable stages_to(const Netlist& nl, NodeId dest, Transition dir,
+                     const ExtractOptions& options = {});
 
 /// Result of a component-partitioned whole-netlist extraction.
 struct PartitionedStages {
-  /// Same contents and order as extract_all_stages (bit-identical for
-  /// any thread count).
-  std::vector<TimingStage> stages;
+  /// Every stage in ascending (destination node id, rise-then-fall)
+  /// order -- bit-identical for any thread count.
+  StageTable stages;
   /// Stage count per CCC of the partition used for extraction.
   std::vector<std::size_t> per_ccc;
 };
 
 /// Extracts the whole netlist by fanning the channel-connected
 /// components of `ccc` out over `threads` workers (threads == 1 runs
-/// inline with no pool).  Each component is an independent job with its
-/// own scratch; results are merged back into global node-id order, so
-/// stage indices are identical to the sequential path regardless of
+/// inline with no pool).  Each chunk of components fills its own table;
+/// one stitch pass (span "extract-stitch") then copies each node's
+/// window in node-id order, so stage indices are identical for any
 /// thread count.  Precondition: threads >= 1; ccc was built from `nl`.
 PartitionedStages extract_stages_partitioned(const Netlist& nl,
                                              const ExtractOptions& options,
                                              const CccPartition& ccc,
                                              int threads);
 
+/// Output of extract_components: one table per worker chunk, and per
+/// node (indexed by node id) its window of rows in those tables.  Nodes
+/// outside the extracted components have empty windows.
+struct ExtractedChunks {
+  std::vector<StageTable> tables;
+  std::vector<StageWindow> windows;
+};
+
 /// Extracts only the listed components, fanned out over `threads`
-/// workers exactly like extract_stages_partitioned.  Returns one stage
-/// bucket per entry of `components` (same order); each bucket holds the
-/// component's stages in ascending (node id, rise-then-fall) order —
-/// bit-identical to the corresponding slice of a whole-netlist
-/// extraction.  This is the re-extraction primitive of
-/// TimingAnalyzer::update(): dirty components pay, clean ones don't.
+/// workers exactly like extract_stages_partitioned.  Each node's window
+/// holds its stages in rise-then-fall order -- bit-identical to the
+/// node's rows of a whole-netlist extraction.  This is the
+/// re-extraction primitive of TimingAnalyzer::update(): dirty
+/// components pay, clean ones don't.
 /// Preconditions: threads >= 1; components are valid ids of `ccc`,
 /// ascending and unique.
-std::vector<std::vector<TimingStage>> extract_components(
-    const Netlist& nl, const ExtractOptions& options, const CccPartition& ccc,
-    const std::vector<std::size_t>& components, int threads);
+ExtractedChunks extract_components(const Netlist& nl,
+                                   const ExtractOptions& options,
+                                   const CccPartition& ccc,
+                                   const std::vector<std::size_t>& components,
+                                   int threads);
 
 /// Converts a TimingStage into the electrical Stage the delay models
 /// consume: per-device effective resistances for the output direction

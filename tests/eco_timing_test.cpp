@@ -8,6 +8,7 @@
 // with fresh nodes, value pinning) at 1 and 4 extraction threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -27,7 +28,8 @@ namespace {
 
 bool same_stage(const TimingStage& a, const TimingStage& b) {
   return a.source == b.source && a.destination == b.destination &&
-         a.output_dir == b.output_dir && a.path == b.path &&
+         a.output_dir == b.output_dir &&
+         std::ranges::equal(a.path, b.path) &&
          a.trigger == b.trigger &&
          a.trigger_gate_dir == b.trigger_gate_dir &&
          a.trigger_is_release == b.trigger_is_release &&

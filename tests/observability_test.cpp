@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.h"
@@ -305,6 +306,8 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
   const JsonValue doc = parse_json_file(trace.path());
   std::map<int, std::string> thread_names;
   std::set<std::string> span_names;
+  // [ts, ts + dur] of every span, by name.
+  std::map<std::string, std::vector<std::pair<double, double>>> intervals;
   for (const JsonValue& e : doc.at("traceEvents").items()) {
     if (e.at("ph").as_string() == "M") {
       thread_names[static_cast<int>(e.at("tid").as_number())] =
@@ -318,11 +321,33 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
           thread_names.find(static_cast<int>(e.at("tid").as_number())),
           thread_names.end())
           << e.at("name").as_string() << " on unregistered thread";
+      const double ts = e.at("ts").as_number();
+      intervals[e.at("name").as_string()].emplace_back(
+          ts, ts + e.at("dur").as_number());
     }
   }
   for (const char* phase :
        {"ccc-partition", "extract", "extract-chunk", "propagate"}) {
     EXPECT_NE(span_names.find(phase), span_names.end()) << phase;
+  }
+  // The extract span's wall clock is covered by named children: every
+  // one of them runs inside an extract span (chunks on the workers).
+  // Timestamps are printed to the nanosecond, hence the slack.
+  const auto inside_extract = [&](const std::pair<double, double>& span) {
+    constexpr double kSlackUs = 0.01;
+    for (const auto& [begin, end] : intervals["extract"]) {
+      if (span.first >= begin - kSlackUs && span.second <= end + kSlackUs) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (const char* child :
+       {"extract-chunk", "extract-stitch", "trigger-index", "build-store"}) {
+    ASSERT_FALSE(intervals[child].empty()) << child;
+    for (const auto& span : intervals[child]) {
+      EXPECT_TRUE(inside_extract(span)) << child << " outside extract";
+    }
   }
   // The capture is scoped to the traced analysis: no stale spans from
   // other tests, and the file ends the capture.

@@ -6,6 +6,7 @@
 // reset() contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 
@@ -22,7 +23,8 @@ namespace {
 
 bool same_stage(const TimingStage& a, const TimingStage& b) {
   return a.source == b.source && a.destination == b.destination &&
-         a.output_dir == b.output_dir && a.path == b.path &&
+         a.output_dir == b.output_dir &&
+         std::ranges::equal(a.path, b.path) &&
          a.trigger == b.trigger &&
          a.trigger_gate_dir == b.trigger_gate_dir &&
          a.trigger_is_release == b.trigger_is_release &&

@@ -141,6 +141,29 @@ TEST(Snapshot, RoundTripIsBitIdenticalAcrossGeneratorFamilies) {
   }
 }
 
+/// Format 2 is frozen: the bytes of a fixed design are pinned by their
+/// FNV-1a hash, recorded when the stage table replaced per-stage
+/// records.  A change to the STGS/STOR layout, the stage order or any
+/// baked double moves the hash; such a change needs a new format
+/// version, not a new pin.
+TEST(Snapshot, FormatTwoBytesArePinned) {
+  constexpr std::uint64_t kPinnedFnv = 0x5785eb16f2aeaff9ull;
+  constexpr std::size_t kPinnedBytes = 203435;
+  const GeneratedCircuit g = random_logic(Style::kCmos, 8, 32, 7);
+  for (const int threads : {1, 4}) {
+    const auto design = CompiledDesign::compile(
+        g.netlist, cmos3(), CompileOptions{{}, threads});
+    const std::vector<std::uint8_t> bytes = serialize_design(*design);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+      hash ^= b;
+      hash *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(bytes.size(), kPinnedBytes) << "threads=" << threads;
+    EXPECT_EQ(hash, kPinnedFnv) << "threads=" << threads;
+  }
+}
+
 TEST(Snapshot, FileRoundTripPreservesEmbeddedSlopeTables) {
   const GeneratedCircuit g = nand_chain(Style::kCmos, 3);
   const Tech& tech = tech_for(g);

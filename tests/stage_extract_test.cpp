@@ -146,7 +146,9 @@ TEST(StageExtract, DepthLimitPrunesLongPaths) {
 
 TEST(StageExtract, ExtractAllCoversEveryInternalNode) {
   const GeneratedCircuit g = inverter_chain(Style::kNmos, 3, 1);
-  const auto all = extract_all_stages(g.netlist);
+  const CccPartition ccc(g.netlist);
+  const StageTable all =
+      extract_stages_partitioned(g.netlist, {}, ccc, 1).stages;
   // Each of the three stage outputs has one fall and one rise stage;
   // dummy loads add more.  Every destination must be internal.
   EXPECT_GE(all.size(), 6u);
