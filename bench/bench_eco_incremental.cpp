@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     int layers;
     int width;
   };
-  const std::vector<Config> configs = {{6, 10}, {9, 16}, {12, 24}};
+  const std::vector<Config> configs = {{6, 10}, {9, 16}, {12, 24}, {64, 256}};
   constexpr int kEdits = 40;
 
   TextTable table({"circuit", "devices", "rebuild (us)", "update (us)",

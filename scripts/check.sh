@@ -25,7 +25,10 @@
 #      rejected by checksum; `sldm time` on a directory or a FIFO must
 #      exit 1 with "not a regular file" (the FIFO under `timeout 5`),
 #      and a CRLF copy of testdata/sample_datapath.sim must time
-#      byte-identically to the LF original;
+#      byte-identically to the LF original; `sldm eco --verify` on the
+#      chain design must report bit-identity with a rebuild for a
+#      parametric script (sizes and caps: the in-place re-bake) and for
+#      a structural one (a new device: re-extract and splice);
 #   7. a fixed-seed differential fuzzing smoke under asan (`sldm fuzz`,
 #      200 iterations: must be clean and deterministic), plus a replay
 #      pass over the checked-in repro corpus in testdata/fuzz/;
@@ -227,10 +230,23 @@ EOF
   done
   cmp "$smoke_dir/sample_datapath.sim.txt" "$smoke_dir/crlf.sim.txt" \
     || { echo "check.sh: CRLF .sim times differently ($build)" >&2; exit 1; }
+  # Both ECO update paths must stay bit-identical to a full rebuild.
+  printf 'width in gnd s1 16\ncap s1 25\naddcap out 3\n' \
+    > "$smoke_dir/parametric.eco"
+  printf 'transistor e in gnd out 4 8\n' > "$smoke_dir/structural.eco"
+  for eco in parametric structural; do
+    "$sldm_bin" eco "$smoke_dir/chain.sim" "$smoke_dir/$eco.eco" --verify \
+      > "$smoke_dir/eco_$eco.txt" 2> /dev/null \
+      || { echo "check.sh: sldm eco --verify failed on the $eco script" \
+           "($build)" >&2; exit 1; }
+    grep -q 'bit-identical to a full rebuild' "$smoke_dir/eco_$eco.txt" \
+      || { echo "check.sh: $eco eco did not verify ($build)" >&2; exit 1; }
+  done
 done
 echo "check.sh: snapshot compile/load parity holds, compile is" \
   "thread-count independent, corruption rejected"
 echo "check.sh: .sim refuses directories and FIFOs, CRLF times identically"
+echo "check.sh: parametric and structural eco --verify bit-identical"
 
 # Differential fuzzing smoke under asan: a fixed-seed campaign must run
 # clean twice with byte-identical reports (determinism contract), and

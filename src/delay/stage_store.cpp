@@ -1,5 +1,7 @@
 #include "delay/stage_store.h"
 
+#include <algorithm>
+
 #include "util/contracts.h"
 #include "util/error.h"
 
@@ -20,26 +22,50 @@ StageStore::StageId StageStore::close_stage(Transition output_dir,
   SLDM_EXPECTS(n != 0);
   SLDM_EXPECTS(trigger_index < n);
   SLDM_EXPECTS(elem_r_.size() <= UINT32_MAX);
-  const Ohms* r = elem_r_.data() + begin;
-  const Farads* c = elem_c_.data() + begin;
-  Ohms total_r = 0.0;
-  Farads total_c = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    SLDM_EXPECTS(r[i] > 0.0);
-    SLDM_EXPECTS(c[i] >= 0.0);
-    total_r += r[i];
-    total_c += c[i];
-  }
-  SLDM_EXPECTS(total_c > 0.0);
+  const Caches caches =
+      bake_caches(elem_r_.data() + begin, elem_c_.data() + begin, n);
 
   const StageId id = static_cast<StageId>(size());
   offset_.push_back(static_cast<std::uint32_t>(elem_r_.size()));
   output_dir_.push_back(output_dir);
   trigger_index_.push_back(static_cast<std::uint32_t>(trigger_index));
   trigger_type_.push_back(elem_type_[begin + trigger_index]);
-  total_r_.push_back(total_r);
-  total_c_.push_back(total_c);
-  dest_c_.push_back(c[n - 1]);
+  total_r_.push_back(caches.total_r);
+  total_c_.push_back(caches.total_c);
+  dest_c_.push_back(caches.dest_c);
+  elmore_.push_back(caches.elmore);
+  tp_.push_back(caches.tp);
+  return id;
+}
+
+void StageStore::rebake_stage(StageId s, std::span<const Ohms> r,
+                              std::span<const Farads> c) {
+  SLDM_EXPECTS(s < size());
+  const std::size_t begin = offset_[s];
+  const std::size_t n = length(s);
+  SLDM_EXPECTS(r.size() == n && c.size() == n);
+  // Checked before any write, so a throw leaves the stage untouched.
+  const Caches caches = bake_caches(r.data(), c.data(), n);
+  std::copy(r.begin(), r.end(), elem_r_.data() + begin);
+  std::copy(c.begin(), c.end(), elem_c_.data() + begin);
+  total_r_[s] = caches.total_r;
+  total_c_[s] = caches.total_c;
+  dest_c_[s] = caches.dest_c;
+  elmore_[s] = caches.elmore;
+  tp_[s] = caches.tp;
+}
+
+StageStore::Caches StageStore::bake_caches(const Ohms* r, const Farads* c,
+                                           std::size_t n) {
+  Caches out;
+  for (std::size_t i = 0; i < n; ++i) {
+    SLDM_EXPECTS(r[i] > 0.0);
+    SLDM_EXPECTS(c[i] >= 0.0);
+    out.total_r += r[i];
+    out.total_c += c[i];
+  }
+  SLDM_EXPECTS(out.total_c > 0.0);
+  out.dest_c = c[n - 1];
 
   // The Elmore constant and the RPH total time constant follow the
   // RcTree arithmetic (to_rc_tree builds a pure chain: tree node k is
@@ -53,17 +79,13 @@ StageStore::StageId StageStore::close_stage(Transition output_dir,
   //  * total_time_constant() is the same sum without the skip (the
   //    zero-cap root contributes +0.0, which no non-negative sum
   //    notices).
-  Seconds td = 0.0;
-  Seconds tp = 0.0;
   for (std::size_t k = 1; k <= n; ++k) {
     Ohms path_r = 0.0;
     for (std::size_t a = k; a != 0; --a) path_r += r[a - 1];
-    if (c[k - 1] != 0.0) td += path_r * c[k - 1];
-    tp += path_r * c[k - 1];
+    if (c[k - 1] != 0.0) out.elmore += path_r * c[k - 1];
+    out.tp += path_r * c[k - 1];
   }
-  elmore_.push_back(td);
-  tp_.push_back(tp);
-  return id;
+  return out;
 }
 
 void StageStore::clear() {

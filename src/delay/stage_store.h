@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "delay/stage.h"
@@ -53,6 +54,16 @@ class StageStore {
     elem_c_.push_back(c);
   }
   StageId close_stage(Transition output_dir, std::size_t trigger_index);
+
+  /// In-place form for edits that keep every path (device sizes, node
+  /// capacitances): overwrites stage `s`'s element R and C -- `r` and
+  /// `c` hold length(s) values, source to destination -- and re-derives
+  /// its caches with close_stage()'s checks and kernel, so the result is
+  /// bit-identical to a full bake over the same values.  Element types,
+  /// the window and the trigger are kept.  A throw leaves the stage
+  /// untouched.
+  void rebake_stage(StageId s, std::span<const Ohms> r,
+                    std::span<const Farads> c);
 
   /// Drops all stages (capacity is retained for rebuilds).
   void clear();
@@ -122,6 +133,18 @@ class StageStore {
   static StageStore from_arrays(RawArrays arrays);
 
  private:
+  /// One stage's slope-independent caches.
+  struct Caches {
+    Ohms total_r = 0.0;
+    Farads total_c = 0.0;
+    Farads dest_c = 0.0;
+    Seconds elmore = 0.0;
+    Seconds tp = 0.0;
+  };
+  /// The one cache kernel (close_stage and rebake_stage): checks n > 0
+  /// elements like validate() and derives their caches.
+  static Caches bake_caches(const Ohms* r, const Farads* c, std::size_t n);
+
   // Concatenated element arrays; stage s owns [offset_[s], offset_[s+1]).
   std::vector<TransistorType> elem_type_;
   std::vector<Ohms> elem_r_;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/contracts.h"
+#include "util/error.h"
 #include "util/trace.h"
 
 namespace sldm {
@@ -85,6 +86,14 @@ std::uint64_t design_fingerprint(const Netlist& nl, const Tech& tech) {
   return hash;
 }
 
+void require_priced(const Tech& tech, TransistorType type) {
+  if (tech.prices(type)) return;
+  throw Error("the netlist has " + to_string(type) +
+              " devices, but technology '" + tech.name() +
+              "' has no parameters for them (r_up_sq, r_down_sq and cj_w "
+              "must be set); select a technology that has them with --tech");
+}
+
 std::shared_ptr<const CompiledDesign> CompiledDesign::compile(
     Netlist nl, Tech tech, const CompileOptions& options) {
   return compile_owned(std::move(nl), std::move(tech), options);
@@ -116,6 +125,11 @@ void CompiledDesign::build(int threads) {
   SLDM_EXPECTS(threads >= 1);
   TraceSpan span("extract", "timing");
   const Seconds t0 = now_seconds();
+  // A device type the tech cannot price is a named error here, not a
+  // contract failure inside the bake.
+  for (const DeviceId d : nl_->all_devices()) {
+    require_priced(*tech_, nl_->device(d).type);
+  }
   ccc_.emplace(*nl_);
   PartitionedStages extracted =
       extract_stages_partitioned(*nl_, extract_, *ccc_, threads);
@@ -156,27 +170,42 @@ void CompiledDesign::rebuild_store() {
   store_.clear();
   store_.reserve(stages_.size(), stages_.path_device_count());
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    // make_stage's walk and checks, reading the arrays above.
     const TimingStage ts = stages_[s];
-    SLDM_EXPECTS(!ts.path.empty());
     const std::size_t dir = ts.output_dir == Transition::kRise ? 0 : 1;
-    std::size_t trigger_index = 0;
-    NodeId cur = ts.source;
-    for (std::size_t i = 0; i < ts.path.size(); ++i) {
-      const DeviceId d = ts.path[i];
-      const Transistor& t = nl.device(d);
-      SLDM_EXPECTS(t.connects(cur));
-      const NodeId next = t.other_end(cur);
-      store_.push_element(t.type, device_r[d.index() * 2 + dir],
-                          node_c[next.index()]);
-      if (!ts.trigger_is_release && d == ts.trigger) trigger_index = i;
-      cur = next;
-    }
-    SLDM_ENSURES(cur == ts.destination);
+    const std::size_t trigger_index = walk_stage(
+        nl, ts, [&](DeviceId d, const Transistor& t, NodeId next) {
+          store_.push_element(t.type, device_r[d.index() * 2 + dir],
+                              node_c[next.index()]);
+        });
     store_.close_stage(ts.output_dir, trigger_index);
   }
   span.arg("stages", static_cast<double>(store_.size()));
   span.arg("elements", static_cast<double>(store_.element_count()));
+}
+
+std::size_t CompiledDesign::rebake_components(
+    std::span<const std::size_t> cccs) {
+  const Netlist& nl = *nl_;
+  std::vector<Ohms> r;
+  std::vector<Farads> c;
+  std::size_t rebaked = 0;
+  for (const std::size_t comp : cccs) {
+    for (const NodeId n : ccc_->members(comp)) {
+      const auto [begin, end] = stages_.rows_to(n);
+      for (std::size_t s = begin; s < end; ++s) {
+        const TimingStage ts = stages_[s];
+        r.clear();
+        c.clear();
+        walk_stage(nl, ts, [&](DeviceId, const Transistor& t, NodeId next) {
+          r.push_back(tech_->resistance(t, ts.output_dir));
+          c.push_back(tech_->node_capacitance(nl, next));
+        });
+        store_.rebake_stage(static_cast<StageStore::StageId>(s), r, c);
+      }
+      rebaked += end - begin;
+    }
+  }
+  return rebaked;
 }
 
 void CompiledDesign::recount_stages_per_ccc() {

@@ -22,14 +22,15 @@
 // A CompiledDesign is shared as shared_ptr<const CompiledDesign>:
 // Sessions (design/session.h) borrow it concurrently and never write
 // it.  The single sanctioned mutation path is TimingAnalyzer::update()
-// (ECO re-extraction), which requires exclusive ownership -- see the
-// friendship note below.  Snapshots (.sldc, design/snapshot.h) persist
-// exactly the state held here.
+// (ECO re-bake or re-extraction), which requires exclusive ownership
+// -- see the friendship note below.  Snapshots (.sldc,
+// design/snapshot.h) persist exactly the state held here.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "delay/stage_store.h"
@@ -63,6 +64,12 @@ std::uint64_t tech_fingerprint(const Tech& tech);
 /// bit-identical, so ledger records and bench results keyed by this
 /// value stay comparable across processes and versions.
 std::uint64_t design_fingerprint(const Netlist& nl, const Tech& tech);
+
+/// Throws Error, naming the device type and the technology and pointing
+/// at --tech, when `tech` cannot price devices of type `type`
+/// (Tech::prices).  CompiledDesign checks every type its netlist uses
+/// at build; TimingAnalyzer::update() checks each device an ECO adds.
+void require_priced(const Tech& tech, TransistorType type);
 
 class CompiledDesign {
  public:
@@ -130,11 +137,19 @@ class CompiledDesign {
   /// Rebuilds stages_by_trigger_ from stages_ (span "trigger-index").
   void index_stages_by_trigger();
   /// Rebuilds store_ from stages_ (span "build-store"): R once per
-  /// device and direction, C once per node, then a per-element gather.
-  /// Bit-identical to make_stage + StageStore::add per stage, which
-  /// stays the reference definition.  The snapshot loader restores the
-  /// store verbatim instead.
+  /// device and direction, C once per node, then a per-element gather
+  /// (walk_stage) into StageStore's cache kernel.  Bit-identical to
+  /// make_stage + StageStore::add per stage, which stays the reference
+  /// definition.  The snapshot loader restores the store verbatim
+  /// instead.
   void rebuild_store();
+  /// The in-place form for edits that keep every path (ECO device
+  /// sizes and node capacitances): re-bakes the store rows of the
+  /// stages whose destination lies in one of `cccs`, deriving R and C
+  /// only for their paths, through the same walk and cache kernel as
+  /// rebuild_store().  Stage ids, the table and the trigger index stay
+  /// as they are.  Returns the number of stages re-baked.
+  std::size_t rebake_components(std::span<const std::size_t> cccs);
   /// Recomputes per_ccc_ from stages_ and ccc_.
   void recount_stages_per_ccc();
 

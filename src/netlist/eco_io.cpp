@@ -22,13 +22,13 @@ NodeId lookup(const Netlist& nl, std::string_view name,
 }
 
 /// All devices whose (gate, source, drain) names match, channel
-/// terminals in either order.
+/// terminals in either order, in ascending id order (gated_by's order):
+/// only the gate's fan-out is searched.
 std::vector<DeviceId> match_devices(const Netlist& nl, NodeId gate,
                                     NodeId src, NodeId drn) {
   std::vector<DeviceId> out;
-  for (DeviceId d : nl.all_devices()) {
+  for (DeviceId d : nl.gated_by(gate)) {
     const Transistor& t = nl.device(d);
-    if (t.gate != gate) continue;
     if ((t.source == src && t.drain == drn) ||
         (t.source == drn && t.drain == src)) {
       out.push_back(d);

@@ -164,7 +164,7 @@ class Netlist {
     return IdRange<DeviceId>(devices_.size());
   }
 
-  /// Devices whose gate is `n`.
+  /// Devices whose gate is `n`, in ascending id order.
   const std::vector<DeviceId>& gated_by(NodeId n) const;
   /// Devices with a channel terminal on `n`.
   const std::vector<DeviceId>& channels_at(NodeId n) const;

@@ -57,6 +57,14 @@ class Tech {
   /// True if this process has any device of type `t` (kp > 0).
   bool has(TransistorType t) const { return params(t).kp > 0.0; }
 
+  /// True if the delay models can price a device of type `t`: positive
+  /// switch resistances in both directions, and a positive junction
+  /// capacitance (so every node a channel touches has a positive C).
+  bool prices(TransistorType t) const {
+    const DeviceParams& p = params(t);
+    return p.r_up_sq > 0.0 && p.r_down_sq > 0.0 && p.cj_w > 0.0;
+  }
+
   // --- Derived per-device quantities --------------------------------------
 
   /// Gate capacitance of one transistor: Cox*W*L plus two overlaps.

@@ -1,6 +1,8 @@
 #include "tech/tech_io.h"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -19,6 +21,33 @@ TransistorType type_from_letter(const std::string& s, const std::string& origin,
   if (s == "p") return TransistorType::kPEnhancement;
   throw ParseError(origin, lineno, "unknown device type '" + s + "'");
 }
+
+/// A device field's key, its member, and its physical range
+/// (FORMATS.md section 2): (lo, hi] when lo is open, else [lo, hi].
+/// Far wider than any MOS process, and narrow enough that no
+/// resistance, capacitance or delay derived from them overflows.
+struct DeviceField {
+  const char* key;
+  double DeviceParams::*member;
+  double lo;
+  bool lo_open;
+  double hi;
+  const char* unit;
+};
+
+constexpr DeviceField kDeviceFields[] = {
+    {"vt", &DeviceParams::vt, -100.0, false, 100.0, "V"},
+    {"kp", &DeviceParams::kp, 0.0, true, 1.0, "A/V^2"},
+    {"lambda", &DeviceParams::lambda, 0.0, false, 10.0, "1/V"},
+    {"cox", &DeviceParams::cox, 0.0, true, 1.0, "F/m^2"},
+    {"cov_w", &DeviceParams::cov_w, 0.0, true, 1e-6, "F/m"},
+    {"cj_w", &DeviceParams::cj_w, 0.0, true, 1e-6, "F/m"},
+    {"r_up_sq", &DeviceParams::r_up_sq, 0.0, true, 1e9, "ohm"},
+    {"r_down_sq", &DeviceParams::r_down_sq, 0.0, true, 1e9, "ohm"},
+};
+
+/// Largest supply voltage a tech header may declare.
+constexpr double kMaxVdd = 1000.0;
 
 }  // namespace
 
@@ -64,7 +93,12 @@ Tech read_tech(std::istream& in, const std::string& origin) {
         throw ParseError(origin, lineno, "expected: tech <name> vdd <volts>");
       }
       const auto vdd = parse_finite_double(tokens[3]);
-      if (!vdd || *vdd <= 0.0) throw ParseError(origin, lineno, "bad vdd");
+      if (!vdd) throw ParseError(origin, lineno, "bad vdd");
+      if (!(*vdd > 0.0 && *vdd <= kMaxVdd)) {
+        throw ParseError(origin, lineno,
+                         format("vdd %s outside the physical range (0, %g] V",
+                                tokens[3].c_str(), kMaxVdd));
+      }
       tech = Tech(tokens[1], *vdd);
       have_header = true;
       continue;
@@ -86,25 +120,24 @@ Tech read_tech(std::istream& in, const std::string& origin) {
           throw ParseError(origin, lineno, "bad value for " + tokens[i]);
         }
         const std::string& key = tokens[i];
-        if (key == "vt") {
-          p.vt = *v;
-        } else if (key == "kp") {
-          p.kp = *v;
-        } else if (key == "lambda") {
-          p.lambda = *v;
-        } else if (key == "cox") {
-          p.cox = *v;
-        } else if (key == "cov_w") {
-          p.cov_w = *v;
-        } else if (key == "cj_w") {
-          p.cj_w = *v;
-        } else if (key == "r_up_sq") {
-          p.r_up_sq = *v;
-        } else if (key == "r_down_sq") {
-          p.r_down_sq = *v;
-        } else {
+        const auto field =
+            std::find_if(std::begin(kDeviceFields), std::end(kDeviceFields),
+                         [&](const DeviceField& f) { return key == f.key; });
+        if (field == std::end(kDeviceFields)) {
           throw ParseError(origin, lineno, "unknown device field " + key);
         }
+        const bool above_lo =
+            field->lo_open ? *v > field->lo : *v >= field->lo;
+        if (!(above_lo && *v <= field->hi)) {
+          throw ParseError(
+              origin, lineno,
+              format("device %s %s %s outside the physical range %c%g, %g] "
+                     "%s",
+                     tokens[1].c_str(), key.c_str(), tokens[i + 1].c_str(),
+                     field->lo_open ? '(' : '[', field->lo, field->hi,
+                     field->unit));
+        }
+        p.*(field->member) = *v;
       }
       continue;
     }

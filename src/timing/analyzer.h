@@ -13,11 +13,16 @@
 // The facade earns its keep on the ECO path: update() is the single
 // sanctioned writer of a CompiledDesign.  After mutating the netlist
 // through its journaled API, update() absorbs the edits instead of
-// rebuilding -- only dirty components are re-extracted (spliced into
-// the globally ordered stage vector), only arrivals reachable from the
-// damage are invalidated (frontier walk over the recorded predecessor
-// keys), and re-propagation starts from the frontier instead of from
-// all seeds.  Because other sessions may be borrowing the design,
+// rebuilding, and its cost follows the damage, not the design:
+//   * a batch of device sizes and node capacitances keeps every stage
+//     path, so only the dirty components' stages are re-baked in place
+//     in the StageStore (stage ids, table and trigger index stay);
+//   * any other batch re-extracts the dirty components and splices them
+//     into the globally ordered stage table, renumbering stages;
+//   * only arrivals reachable from the damage are invalidated (a walk
+//     over the forward trigger index, close_damage), and re-propagation
+//     starts from the stages that fire into the damage instead of from
+//     all seeds.  Because other sessions may be borrowing the design,
 // update() refuses to run while share_design() handles are outstanding.
 // Invariant (enforced by tests/eco_timing_test.cpp): the analyzer state
 // after update() is bit-identical to a freshly constructed-and-run
@@ -26,6 +31,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +51,19 @@ struct AnalyzerOptions {
   /// bit-identical for any value).  Must be >= 1.
   int threads = 1;
 };
+
+/// The damage closure of an ECO update.  `damaged` (one byte per
+/// arrival key) and `damage` (those keys, in discovery order) enter as
+/// the base set; every key whose valid arrival was set by a damaged key
+/// -- arrival_from[d] == k -- through a stage k fires is added,
+/// transitively, found by walking the forward trigger index.  Stages
+/// that k fires into other keys are skipped, so the result is the set a
+/// reverse (predecessor -> successors) map would give.
+void close_damage(const StageTable& stages, const TriggerIndex& by_trigger,
+                  std::span<const std::uint32_t> arrival_from,
+                  std::span<const char> arrival_valid,
+                  std::vector<char>& damaged,
+                  std::vector<std::uint32_t>& damage);
 
 class TimingAnalyzer {
  public:
@@ -188,6 +207,13 @@ class TimingAnalyzer {
   }
 
  private:
+  /// update()'s path for batches that may change stage paths: re-
+  /// extracts the dirty components, splices them into the stage table
+  /// (spans "update-extract", "update-splice") and rebuilds the
+  /// structure-dependent indexes and the store.  Returns the old ->
+  /// new stage id map (SIZE_MAX for dropped stages).
+  std::vector<std::size_t> resplice(const std::vector<std::size_t>& dirty);
+
   std::shared_ptr<CompiledDesign> design_;
   AnalyzerOptions options_;
   Session session_;

@@ -361,27 +361,17 @@ PartitionedStages extract_stages_partitioned(const Netlist& nl,
 
 void make_stage(const Netlist& nl, const Tech& tech, const TimingStage& ts,
                 Seconds input_slope, Stage& out) {
-  SLDM_EXPECTS(!ts.path.empty());
   out.elements.clear();
   out.output_dir = ts.output_dir;
   out.input_slope = input_slope;
-  out.trigger_index = 0;
-  NodeId cur = ts.source;
-  for (std::size_t i = 0; i < ts.path.size(); ++i) {
-    const Transistor& t = nl.device(ts.path[i]);
-    SLDM_EXPECTS(t.connects(cur));
-    const NodeId next = t.other_end(cur);
-    StageElement el;
-    el.type = t.type;
-    el.resistance = tech.resistance(t, ts.output_dir);
-    el.cap = tech.node_capacitance(nl, next);
-    out.elements.push_back(el);
-    if (!ts.trigger_is_release && ts.path[i] == ts.trigger) {
-      out.trigger_index = i;
-    }
-    cur = next;
-  }
-  SLDM_ENSURES(cur == ts.destination);
+  out.trigger_index =
+      walk_stage(nl, ts, [&](DeviceId, const Transistor& t, NodeId next) {
+        StageElement el;
+        el.type = t.type;
+        el.resistance = tech.resistance(t, ts.output_dir);
+        el.cap = tech.node_capacitance(nl, next);
+        out.elements.push_back(el);
+      });
   validate(out);
 }
 

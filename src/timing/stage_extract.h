@@ -27,6 +27,7 @@
 #include "tech/tech.h"
 #include "timing/ccc.h"
 #include "timing/stage_table.h"
+#include "util/contracts.h"
 
 namespace sldm {
 
@@ -171,6 +172,31 @@ ExtractedChunks extract_components(const Netlist& nl,
                                    const CccPartition& ccc,
                                    const std::vector<std::size_t>& components,
                                    int threads);
+
+/// The channel walk every stage bake shares (make_stage, the design's
+/// gather bake and its in-place ECO re-bake): visits ts.path source to
+/// destination, calling emit(device, transistor, next) with each device
+/// and the node its channel leads to.  Checks that the path is
+/// connected and ends at ts.destination; returns the trigger's element
+/// index (0 for release stages, whose trigger is off the path).
+template <typename Emit>
+std::size_t walk_stage(const Netlist& nl, const TimingStage& ts,
+                       Emit&& emit) {
+  SLDM_EXPECTS(!ts.path.empty());
+  std::size_t trigger_index = 0;
+  NodeId cur = ts.source;
+  for (std::size_t i = 0; i < ts.path.size(); ++i) {
+    const DeviceId d = ts.path[i];
+    const Transistor& t = nl.device(d);
+    SLDM_EXPECTS(t.connects(cur));
+    const NodeId next = t.other_end(cur);
+    emit(d, t, next);
+    if (!ts.trigger_is_release && d == ts.trigger) trigger_index = i;
+    cur = next;
+  }
+  SLDM_ENSURES(cur == ts.destination);
+  return trigger_index;
+}
 
 /// Converts a TimingStage into the electrical Stage the delay models
 /// consume: per-device effective resistances for the output direction

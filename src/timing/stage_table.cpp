@@ -128,10 +128,7 @@ void TriggerIndex::build(const StageTable& table, const Netlist& nl,
   std::vector<std::uint32_t> keys(n);
   offsets_.assign(key_count + 1, 0);
   for (std::size_t s = 0; s < n; ++s) {
-    const TimingStage ts = table[s];
-    const NodeId fire =
-        ts.source_triggered ? ts.source : nl.device(ts.trigger).gate;
-    const std::size_t k = arrival_key(fire, ts.trigger_gate_dir);
+    const std::size_t k = fire_key(table[s], nl);
     SLDM_EXPECTS(k < key_count);
     keys[s] = static_cast<std::uint32_t>(k);
     ++offsets_[k + 1];

@@ -22,10 +22,12 @@
 // path span) taken from it before the append.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -59,6 +61,15 @@ struct TimingStage {
 /// array.
 inline std::size_t arrival_key(NodeId node, Transition dir) {
   return node.index() * 2 + (dir == Transition::kRise ? 0 : 1);
+}
+
+/// The arrival_key of the event that fires `ts` (the key TriggerIndex
+/// files it under): the source's own edge for source-triggered stages,
+/// else the trigger's gate edge.
+inline std::size_t fire_key(const TimingStage& ts, const Netlist& nl) {
+  const NodeId fire =
+      ts.source_triggered ? ts.source : nl.device(ts.trigger).gate;
+  return arrival_key(fire, ts.trigger_gate_dir);
 }
 
 /// One stage's window of a StageTable: rows [begin, end) of table
@@ -147,6 +158,15 @@ class StageTable {
   }
   std::span<const DeviceId> path(std::size_t s) const {
     return {device_.data() + offset_[s], device_.data() + offset_[s + 1]};
+  }
+  /// The rows whose destination is `n`, as [first, second).  Requires
+  /// canonical order (ascending destination), which every design's
+  /// table is in.
+  std::pair<std::size_t, std::size_t> rows_to(NodeId n) const {
+    const auto [lo, hi] =
+        std::equal_range(destination_.begin(), destination_.end(), n);
+    return {static_cast<std::size_t>(lo - destination_.begin()),
+            static_cast<std::size_t>(hi - destination_.begin())};
   }
 
   /// Appends one stage, copying `path` into the shared path array.

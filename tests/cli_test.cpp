@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "cli/cli.h"
+#include "tech/tech_io.h"
 
 namespace sldm {
 namespace {
@@ -176,6 +177,41 @@ TEST(Cli, CalibrateWritesFiles) {
   EXPECT_TRUE(tables.good());
   std::remove("/tmp/sldm_cli_test_cal.tech");
   std::remove("/tmp/sldm_cli_test_cal.slopes");
+}
+
+TEST(Cli, CalibratedTechFilesParse) {
+  for (const std::string style : {"nmos", "cmos"}) {
+    const std::string prefix = "/tmp/sldm_cli_test_cal_" + style;
+    const CliRun r = run({"calibrate", style, "--out", prefix});
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_NO_THROW(read_tech_file(prefix + ".tech")) << style;
+    std::remove((prefix + ".tech").c_str());
+    std::remove((prefix + ".slopes").c_str());
+  }
+}
+
+TEST(Cli, DeviceTypeTheTechCannotPriceIsNamed) {
+  // A CMOS netlist under the default nMOS tech: p devices have no
+  // parameters there.  A named analysis error, not a contract failure.
+  TempFile f("cmos_inv.sim",
+             "e in gnd out 4 8\np in vdd out 4 16\n@in in\n@out out\n");
+  const CliRun r = run({"time", f.path(), "--model", "rc-tree"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("p-enhancement"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("'nmos4'"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--tech"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find("internal error"), std::string::npos) << r.err;
+  EXPECT_EQ(run({"time", f.path(), "--model", "rc-tree", "--tech", "cmos"})
+                .code,
+            0);
+
+  // The same check covers a device an ECO adds.
+  TempFile inv("nmos_inv.sim", kInverterSim);
+  TempFile eco("add_p.eco", "transistor p in vdd out 4 16\n");
+  const CliRun e = run({"eco", inv.path(), eco.path(), "--model", "rc-tree"});
+  EXPECT_EQ(e.code, 1);
+  EXPECT_NE(e.err.find("p-enhancement"), std::string::npos) << e.err;
+  EXPECT_EQ(e.err.find("internal error"), std::string::npos) << e.err;
 }
 
 TEST(Cli, SampleDatapathEndToEnd) {

@@ -6,13 +6,19 @@
 // drives every generator in src/gen through randomized edit batches
 // (device resizes, capacitance changes, flow annotations, device adds
 // with fresh nodes, value pinning) at 1 and 4 extraction threads.
+// Batches of sizes and capacitances only take update()'s in-place
+// re-bake; the tests below hold its store, table and trigger index to a
+// fresh compile array for array, and pin the forward damage walk to the
+// reverse-map closure it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "delay/rctree.h"
@@ -22,6 +28,7 @@
 #include "timing/analyzer.h"
 #include "timing/ccc.h"
 #include "util/error.h"
+#include "util/trace.h"
 
 namespace sldm {
 namespace {
@@ -81,13 +88,19 @@ class Rng {
   std::uint64_t state_;
 };
 
-/// Applies one random edit; returns false if no applicable target was
-/// found (the caller just draws again).
-bool random_edit(Netlist& nl, Rng& rng, NodeId protect, int* new_nodes) {
+/// Edit kinds [0, 4) keep every stage path (sizes and capacitances);
+/// [4, 8) may change paths (flow, device adds, pinning).
+constexpr std::size_t kParametricKinds = 4;
+
+/// Applies one random edit, drawn from kinds [first_kind, first_kind +
+/// kinds); returns false if no applicable target was found (the caller
+/// just draws again).
+bool random_edit(Netlist& nl, Rng& rng, NodeId protect, int* new_nodes,
+                 std::size_t first_kind = 0, std::size_t kinds = 8) {
   if (nl.device_count() == 0) return false;
   const DeviceId d(static_cast<std::uint32_t>(rng.below(nl.device_count())));
   const NodeId n(static_cast<std::uint32_t>(rng.below(nl.node_count())));
-  switch (rng.below(8)) {
+  switch (first_kind + rng.below(kinds)) {
     case 0:
       nl.set_width(d, nl.device(d).width * (rng.below(2) ? 2.0 : 0.5));
       return true;
@@ -235,6 +248,222 @@ TEST(EcoTiming, UpdateBitIdenticalToRebuildUnderRandomEdits) {
         if (inc_looped) break;  // analyzer state is unspecified now
         expect_equivalent(nl, inc, *fresh, tag);
       }
+    }
+  }
+}
+
+/// The byte extent of every array a StageStore or StageTable visits.
+template <typename T>
+std::vector<std::pair<const void*, std::size_t>> array_bytes(const T& x) {
+  std::vector<std::pair<const void*, std::size_t>> out;
+  x.for_each_array([&](const auto& v) {
+    out.emplace_back(v.data(), v.size() * sizeof(v[0]));
+  });
+  return out;
+}
+
+/// `a` and `b` hold the same arrays, byte for byte.
+template <typename T>
+void expect_same_arrays(const T& a, const T& b, const std::string& tag) {
+  const auto x = array_bytes(a);
+  const auto y = array_bytes(b);
+  ASSERT_EQ(x.size(), y.size()) << tag;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(x[i].second, y[i].second) << tag << " array " << i;
+    if (x[i].second == 0) continue;
+    ASSERT_EQ(std::memcmp(x[i].first, y[i].first, x[i].second), 0)
+        << tag << " array " << i;
+  }
+}
+
+/// The compiled structure of `inc` (table, trigger index, store) equals
+/// that of `fresh`, array for array.
+void expect_same_structure(const TimingAnalyzer& inc,
+                           const TimingAnalyzer& fresh,
+                           const std::string& tag) {
+  expect_same_arrays(inc.stages(), fresh.stages(), tag + " table");
+  expect_same_arrays(inc.stage_store(), fresh.stage_store(), tag + " store");
+  const TriggerIndex& a = inc.session().design().stages_by_trigger();
+  const TriggerIndex& b = fresh.session().design().stages_by_trigger();
+  ASSERT_EQ(a.key_count(), b.key_count()) << tag;
+  for (std::size_t k = 0; k < a.key_count(); ++k) {
+    ASSERT_TRUE(std::ranges::equal(a[k], b[k])) << tag << " key " << k;
+  }
+}
+
+/// The update spans a traced update() of `an` opens.
+std::string traced_update(TimingAnalyzer& an) {
+  Tracer& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.enable();
+  an.update();
+  tracer.disable();
+  std::string json = tracer.to_json();
+  tracer.clear();
+  return json;
+}
+
+TEST(EcoTiming, ParametricBatchesRebakeInPlaceBitIdenticalToRebuild) {
+  const RcTreeModel model;
+  for (const int threads : {1, 4}) {
+    for (const GeneratedCircuit& g : generator_suite()) {
+      Netlist nl = g.netlist;
+      AnalyzerOptions opts;
+      opts.threads = threads;
+      opts.max_updates_per_arrival = 512;
+      TimingAnalyzer inc(nl, tech_for(g), model, opts);
+      inc.add_input_event(g.input, Transition::kRise, 0.0, 1e-9);
+      inc.run();
+
+      Rng rng(0x5EED ^ (static_cast<std::uint64_t>(threads) << 32) ^
+              std::hash<std::string>{}(g.name));
+      int new_nodes = 0;
+      for (int step = 0; step < 8; ++step) {
+        const std::size_t edits = 1 + rng.below(4);
+        for (std::size_t e = 0; e < edits;) {
+          if (random_edit(nl, rng, g.input, &new_nodes, 0,
+                          kParametricKinds)) {
+            ++e;
+          }
+        }
+        const std::string tag = g.name + " threads=" +
+                                std::to_string(threads) + " step=" +
+                                std::to_string(step);
+        const std::string spans = traced_update(inc);
+        ASSERT_NE(spans.find("\"update-rebake\""), std::string::npos)
+            << tag;
+        ASSERT_EQ(spans.find("\"update-splice\""), std::string::npos)
+            << tag;
+        const auto fresh = fresh_run(nl, tech_for(g), model, opts, g.input);
+        ASSERT_TRUE(fresh.has_value()) << tag;
+        expect_same_structure(inc, *fresh, tag);
+        expect_equivalent(nl, inc, *fresh, tag);
+        const AnalyzerStats& st = inc.stats();
+        EXPECT_EQ(st.reused_stages + st.reextracted_stages,
+                  inc.stages().size())
+            << tag;
+      }
+    }
+  }
+}
+
+TEST(EcoTiming, MixedBatchesTakeTheSplicePath) {
+  const RcTreeModel model;
+  for (const GeneratedCircuit& g : generator_suite()) {
+    Netlist nl = g.netlist;
+    AnalyzerOptions opts;
+    opts.max_updates_per_arrival = 512;
+    TimingAnalyzer inc(nl, tech_for(g), model, opts);
+    inc.add_input_event(g.input, Transition::kRise, 0.0, 1e-9);
+    inc.run();
+
+    Rng rng(0x313ED ^ std::hash<std::string>{}(g.name));
+    int new_nodes = 0;
+    for (int step = 0; step < 6; ++step) {
+      // One edit that keeps paths, one that may not.
+      while (!random_edit(nl, rng, g.input, &new_nodes, 0,
+                          kParametricKinds)) {
+      }
+      while (!random_edit(nl, rng, g.input, &new_nodes, kParametricKinds,
+                          8 - kParametricKinds)) {
+      }
+      const std::string tag = g.name + " step=" + std::to_string(step);
+      bool inc_looped = false;
+      std::string spans;
+      try {
+        spans = traced_update(inc);
+      } catch (const Error&) {
+        Tracer::instance().disable();
+        Tracer::instance().clear();
+        inc_looped = true;
+      }
+      const auto fresh = fresh_run(nl, tech_for(g), model, opts, g.input);
+      ASSERT_EQ(inc_looped, !fresh.has_value()) << tag;
+      if (inc_looped) break;
+      EXPECT_NE(spans.find("\"update-splice\""), std::string::npos) << tag;
+      EXPECT_EQ(spans.find("\"update-rebake\""), std::string::npos) << tag;
+      expect_same_structure(inc, *fresh, tag);
+      expect_equivalent(nl, inc, *fresh, tag);
+    }
+  }
+}
+
+/// The damage closure the way update() used to compute it: a reverse
+/// (predecessor -> successors) map over every key, then a BFS.
+std::vector<std::uint32_t> reverse_map_closure(
+    const std::vector<std::uint32_t>& from, const std::vector<char>& valid,
+    const std::vector<std::uint32_t>& base) {
+  std::vector<std::vector<std::uint32_t>> successors(from.size());
+  for (std::size_t k = 0; k < from.size(); ++k) {
+    if (valid[k] && from[k] != UINT32_MAX) {
+      successors[from[k]].push_back(static_cast<std::uint32_t>(k));
+    }
+  }
+  std::vector<char> seen(from.size(), 0);
+  std::vector<std::uint32_t> out;
+  for (const std::uint32_t k : base) {
+    if (!seen[k]) {
+      seen[k] = 1;
+      out.push_back(k);
+    }
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (const std::uint32_t succ : successors[out[i]]) {
+      if (!seen[succ]) {
+        seen[succ] = 1;
+        out.push_back(succ);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(EcoTiming, ForwardDamageWalkMatchesReverseMap) {
+  const RcTreeModel model;
+  std::vector<GeneratedCircuit> circuits = generator_suite();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    circuits.push_back(random_logic(Style::kCmos, 8, 12, seed));
+  }
+  for (const GeneratedCircuit& g : circuits) {
+    TimingAnalyzer an(g.netlist, tech_for(g), model);
+    an.add_all_input_events(1e-9);
+    an.run();
+    const Netlist& nl = an.netlist();
+    const std::size_t nkeys = nl.node_count() * 2;
+    std::vector<std::uint32_t> from(nkeys, UINT32_MAX);
+    std::vector<char> valid(nkeys, 0);
+    for (NodeId n : nl.all_nodes()) {
+      for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+        const auto a = an.arrival(n, dir);
+        if (!a) continue;
+        valid[arrival_key(n, dir)] = 1;
+        if (a->from_node.valid()) {
+          from[arrival_key(n, dir)] = static_cast<std::uint32_t>(
+              arrival_key(a->from_node, a->from_dir));
+        }
+      }
+    }
+    Rng rng(0xDA4A6E ^ std::hash<std::string>{}(g.name));
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::uint32_t> base;
+      const std::size_t count = 1 + rng.below(4);
+      for (std::size_t i = 0; i < count; ++i) {
+        base.push_back(static_cast<std::uint32_t>(rng.below(nkeys)));
+      }
+      std::vector<char> damaged(nkeys, 0);
+      std::vector<std::uint32_t> damage;
+      for (const std::uint32_t k : base) {
+        if (!damaged[k]) {
+          damaged[k] = 1;
+          damage.push_back(k);
+        }
+      }
+      close_damage(an.stages(), an.session().design().stages_by_trigger(),
+                   from, valid, damaged, damage);
+      std::sort(damage.begin(), damage.end());
+      EXPECT_EQ(damage, reverse_map_closure(from, valid, base))
+          << g.name << " trial " << trial;
     }
   }
 }

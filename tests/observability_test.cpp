@@ -354,18 +354,17 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
   EXPECT_FALSE(Tracer::instance().enabled());
 }
 
-TEST(Trace, CliEcoTraceCarriesUpdatePhases) {
-  TracerSandbox sandbox;
-  TempFile sim("eco_chain.sim", kChainSim);
-  TempFile eco("edit.eco", "width in gnd s1 16\ncap s1 25\n");
-  TempFile trace("eco_trace.json");
-
+/// The span names of a traced `sldm eco` run of `script` on the chain.
+std::set<std::string> eco_span_names(const std::string& tag,
+                                     const std::string& script) {
+  TempFile sim(tag + ".sim", kChainSim);
+  TempFile eco(tag + ".eco", script);
+  TempFile trace(tag + "_trace.json");
   std::string out;
-  ASSERT_EQ(run({"eco", sim.path(), eco.path(), "--model", "rc-tree",
+  EXPECT_EQ(run({"eco", sim.path(), eco.path(), "--model", "rc-tree",
                  "--trace", trace.path()},
                 &out),
             0);
-
   const JsonValue doc = parse_json_file(trace.path());
   std::set<std::string> span_names;
   for (const JsonValue& e : doc.at("traceEvents").items()) {
@@ -373,11 +372,32 @@ TEST(Trace, CliEcoTraceCarriesUpdatePhases) {
       span_names.insert(e.at("name").as_string());
     }
   }
+  return span_names;
+}
+
+TEST(Trace, CliEcoTraceCarriesUpdatePhases) {
+  TracerSandbox sandbox;
+  // Sizes and capacitances keep every stage path: the dirty stages are
+  // re-baked in place, with no re-extraction and no splice.
+  const std::set<std::string> parametric = eco_span_names(
+      "eco_param", "width in gnd s1 16\ncap s1 25\naddcap out 3\n");
+  for (const char* phase : {"update", "update-partition", "update-rebake",
+                            "update-invalidate", "update-propagate"}) {
+    EXPECT_NE(parametric.find(phase), parametric.end()) << phase;
+  }
+  for (const char* phase : {"update-extract", "update-splice"}) {
+    EXPECT_EQ(parametric.find(phase), parametric.end()) << phase;
+  }
+
+  // A new device may change paths: re-extract and splice instead.
+  const std::set<std::string> structural = eco_span_names(
+      "eco_struct", "transistor e in gnd out 4 8\n");
   for (const char* phase :
        {"update", "update-partition", "update-extract", "update-splice",
         "update-invalidate", "update-propagate"}) {
-    EXPECT_NE(span_names.find(phase), span_names.end()) << phase;
+    EXPECT_NE(structural.find(phase), structural.end()) << phase;
   }
+  EXPECT_EQ(structural.find("update-rebake"), structural.end());
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,8 @@
 
 #include "cli/cli.h"
 #include "gen/generators.h"
+#include "netlist/changes.h"
+#include "netlist/eco_io.h"
 #include "netlist/sim_io.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -534,6 +536,48 @@ TEST(SimIoLex, NulByteInARecordIsALocatedError) {
   EXPECT_EQ(line_of(head + "e in gnd out 4\0 8\n"s), 3);
   EXPECT_EQ(line_of(head + "e\0 in gnd out 4 8\n"s), 3);
   EXPECT_EQ(line_of(head + "c out \0\n"s), 3);
+}
+
+TEST(EcoIo, DeviceRecordsMatchParallelAndSwappedDevicesInIdOrder) {
+  Netlist nl;
+  const NodeId g = nl.add_node("g");
+  const NodeId other = nl.add_node("other");
+  const NodeId a = nl.add_node("a");
+  const NodeId b = nl.add_node("b");
+  const NodeId c = nl.add_node("c");
+  const auto e = TransistorType::kNEnhancement;
+  nl.add_transistor(e, g, a, b, 4e-6, 2e-6);      // 0: matches
+  nl.add_transistor(e, other, a, b, 4e-6, 2e-6);  // 1: other gate
+  nl.add_transistor(e, g, b, a, 4e-6, 2e-6);      // 2: swapped channel
+  nl.add_transistor(e, g, a, c, 4e-6, 2e-6);      // 3: other channel
+  nl.add_transistor(e, g, a, b, 4e-6, 2e-6);      // 4: parallel duplicate
+  const std::uint64_t since = nl.revision();
+
+  std::istringstream script("width g a b 10\n");
+  EXPECT_EQ(apply_eco(script, nl, "edit.eco"), 1u);
+  std::vector<std::uint32_t> sized;
+  for (std::uint64_t i = since; i < nl.revision(); ++i) {
+    EXPECT_EQ(nl.changes().entry(i).kind, ChangeKind::kDeviceSized);
+    sized.push_back(nl.changes().entry(i).index);
+  }
+  EXPECT_EQ(sized, (std::vector<std::uint32_t>{0, 2, 4}));
+  for (const std::uint32_t d : {0u, 2u, 4u}) {
+    EXPECT_DOUBLE_EQ(nl.device(DeviceId(d)).width, 10e-6) << d;
+  }
+  for (const std::uint32_t d : {1u, 3u}) {
+    EXPECT_DOUBLE_EQ(nl.device(DeviceId(d)).width, 4e-6) << d;
+  }
+
+  std::istringstream miss("length other a c 3\n");
+  try {
+    apply_eco(miss, nl, "edit.eco");
+    FAIL() << "a record matching no device must be a parse error";
+  } catch (const ParseError& err) {
+    EXPECT_NE(std::string(err.what()).find(
+                  "no device matches gate=other channel=a/c"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 // Round-trip property: write + reparse preserves the circuit.

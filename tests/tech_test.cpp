@@ -170,6 +170,60 @@ TEST(TechIo, RejectsMalformedInput) {
   EXPECT_THROW(parse("tech x vdd 5\nwhat 1\n"), ParseError);
 }
 
+TEST(TechIo, DeviceFieldsHavePhysicalRanges) {
+  // One record per bound: the last accepted and the first rejected
+  // value of every field (FORMATS.md section 2).
+  const auto line_error = [](const std::string& field,
+                             const std::string& value) -> std::string {
+    std::istringstream in("tech x vdd 5\n\ndevice e " + field + " " +
+                          value + "\n");
+    try {
+      read_tech(in, "range.tech");
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << field << ' ' << value;
+      return e.what();
+    }
+    return {};
+  };
+  const struct {
+    const char* field;
+    const char* ok_lo;
+    const char* bad_lo;
+    const char* ok_hi;
+    const char* bad_hi;
+  } kCases[] = {
+      {"vt", "-100", "-100.5", "100", "100.5"},
+      {"kp", "1e-300", "0", "1", "1.5"},
+      {"lambda", "0", "-1e-9", "10", "10.5"},
+      {"cox", "1e-300", "0", "1", "2"},
+      {"cov_w", "1e-300", "0", "1e-6", "2e-6"},
+      {"cj_w", "1e-300", "-5", "1e-6", "1e300"},
+      {"r_up_sq", "1e-300", "0", "1e9", "2e9"},
+      {"r_down_sq", "1e-300", "-5", "1e9", "2e9"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(line_error(c.field, c.ok_lo), "") << c.field;
+    EXPECT_EQ(line_error(c.field, c.ok_hi), "") << c.field;
+    for (const char* bad : {c.bad_lo, c.bad_hi}) {
+      const std::string what = line_error(c.field, bad);
+      EXPECT_NE(what.find(std::string("device e ") + c.field + " " + bad +
+                          " outside the physical range"),
+                std::string::npos)
+          << what;
+    }
+  }
+  std::istringstream vdd("tech x vdd 1e300\n");
+  EXPECT_THROW(read_tech(vdd, "vdd.tech"), ParseError);
+}
+
+TEST(TechIo, WrittenPresetsParse) {
+  for (const Tech& tech : {nmos4(), cmos3()}) {
+    std::stringstream ss;
+    write_tech(tech, ss);
+    EXPECT_NO_THROW(read_tech(ss, tech.name())) << tech.name();
+  }
+}
+
 TEST(TechIo, MissingFileThrows) {
   EXPECT_THROW(read_tech_file("/nonexistent/tech.txt"), Error);
 }
