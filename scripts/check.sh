@@ -10,8 +10,10 @@
 #      extraction and its per-node stitch, batched wavefront
 #      propagation, and the incremental-update pipeline built on them)
 #      under ThreadSanitizer;
-#   4. ubsan preset: the timing suites under standalone UBSan with
-#      -fno-sanitize-recover (any report traps);
+#   4. ubsan preset: the timing suites, and the analog reference's
+#      sparse LU, transient and calibration suites (int-indexed CSC
+#      arithmetic), under standalone UBSan with -fno-sanitize-recover
+#      (any report traps);
 #   5. smoke checks of the machine-readable artifacts: a `sldm time
 #      --trace` capture must parse as JSON, a bench run with `--json`
 #      must append a parseable record, and `sldm time --stats --json`
@@ -91,10 +93,11 @@ echo "check.sh: threaded suites passed under tsan"
 cmake --preset ubsan
 cmake --build --preset ubsan -j "$jobs" \
   --target analyzer_test parallel_timing_test eco_timing_test \
-           observability_test sldm_tool
+           observability_test sparse_test transient_test calib_test \
+           sldm_tool
 ctest --preset ubsan -j "$jobs" \
-  -R 'analyzer_test|parallel_timing_test|eco_timing_test|observability_test'
-echo "check.sh: timing suites passed under ubsan"
+  -R 'analyzer_test|parallel_timing_test|eco_timing_test|observability_test|sparse_test|transient_test|calib_test'
+echo "check.sh: timing and analog suites passed under ubsan"
 
 # Observability smoke: the trace file must be valid JSON with spans,
 # and a bench --json record must parse.

@@ -1,10 +1,10 @@
-// Dense linear algebra for the modified-nodal-analysis solver.
+// Dense linear algebra: a row-major matrix and an LU with partial
+// pivoting.
 //
-// Circuits in this reproduction are small (tens to a few thousand
-// unknowns), so a dense LU with partial pivoting is simple, robust, and
-// fast enough; the speedup numbers in Table 5 compare the *timing
-// analyzer* against this simulator, and a dense kernel only makes that
-// comparison conservative.
+// The transient engine solves its Newton systems with the sparse LU of
+// analog/sparse.h.  This dense kernel is the reference the sparse tests
+// compare against, and the solver of the small Laplacians in
+// rc/resistive_network.h.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 // Nonlinear transient simulation: modified nodal analysis with
 // Newton-Raphson per time point, trapezoidal integration (backward-Euler
 // first step), and step-size control on per-step voltage change.
+// Every Newton iteration solves its Jacobian with the one sparse LU of
+// analog/sparse.h, over a pattern built once per simulate() call.
 //
 // The solver never steps across a source breakpoint, so edges launched by
 // PwlSource::edge are resolved exactly.
@@ -14,17 +16,9 @@
 
 namespace sldm {
 
-/// Linear-solver selection for the Newton iterations.
-enum class MatrixKind {
-  kAuto,    ///< sparse above ~100 unknowns, dense below
-  kDense,   ///< dense LU with partial pivoting
-  kSparse,  ///< map-per-row sparse LU with partial pivoting
-};
-
 /// Options for simulate().
 struct TransientOptions {
   Seconds t_stop = 0.0;        ///< required; end of the run
-  MatrixKind matrix = MatrixKind::kAuto;
   Seconds dt_init = 1e-12;     ///< first step size
   Seconds dt_min = 1e-18;      ///< below this a failing step is fatal
   Seconds dt_max = 0.0;        ///< 0 = t_stop / 200
