@@ -48,7 +48,10 @@
 #      reject with a located "bad fingerprint" error; and 30 time
 #      requests to a fresh serve whose `stats` telemetry counter
 #      propagate.stage_evaluations must equal the sum over the 30
-#      responses (retired sessions lose no work).  The serve
+#      responses (retired sessions lose no work); and 5 chained rc-tree
+#      ecos on a `sldm gen` design, each sent to the previous answer's
+#      design, whose last report must match a `time` request on the
+#      edited design and a single cold eco of all five edits.  The serve
 #      concurrency suite itself runs under tsan in stage 3;
 #  10. a chaos smoke under asan: a fixed-seed failpoint schedule
 #      (FORMATS.md section 15) driven through pipe-mode serve and a
@@ -428,6 +431,64 @@ if total < 1 or got != total:
              f"{got} != {total}, the sum over the 30 time responses")
 EOF
 echo "check.sh: serve stats telemetry counts every retired request"
+
+# Chained warm ecos: a design from `sldm gen`, then 5 rc-tree ecos in
+# pipe mode, each addressed to the previous response's design and sent
+# only once that envelope arrived, so ecos 2-5 answer from the analysis
+# the previous eco left (update() alone).  The last report must be
+# byte-identical to two cold analyses of the same edited design: a
+# `time` request on its fingerprint (a fresh session's full propagate),
+# and one eco of all five edits on a fresh load of the original (run,
+# apply, update), which must also arrive at the same fingerprint.  No
+# .sim round trip is involved, so no edit value is rounded on the way.
+out/asan/examples/sldm gen random_logic --style nmos --layers 6 --width 16 \
+  --seed 3 -o "$smoke_dir/rl.sim" > /dev/null
+printf '%s\n' 'addcap g1_2 3.14159265' 'cap g2_5 7' \
+  'transistor e in1 gnd g2_3 2 4' 'addcap g3_1 2.5' 'addcap g4_4 6' \
+  > "$smoke_dir/chain_ecos.eco"
+python3 - out/asan/examples/sldm "$smoke_dir/rl.sim" \
+  "$smoke_dir/chain_ecos.eco" <<'EOF'
+import json, subprocess, sys
+sldm, sim, script = sys.argv[1:]
+proc = subprocess.Popen([sldm, "serve"], text=True,
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+def ask(request):
+    proc.stdin.write(json.dumps(request) + "\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+def load():
+    resp = ask({"id": 0, "kind": "load", "path": sim, "model": "rc-tree"})
+    if not resp.get("ok"):
+        sys.exit(f"serve chained-eco smoke: load failed: {resp}")
+    return resp["design"]
+design = load()
+edits = [line for line in open(script) if line.strip()]
+for i, edit in enumerate(edits):
+    resp = ask({"id": i + 1, "kind": "eco", "design": design,
+                "model": "rc-tree", "script": edit})
+    if not resp.get("ok") or resp.get("applied") != 1:
+        sys.exit(f"serve chained-eco smoke: eco {i + 1} failed: {resp}")
+    # Only the first eco runs the full pre-edit propagate.
+    warm = resp["stats"]["propagate_seconds"] == 0
+    if warm != (i > 0):
+        sys.exit(f"serve chained-eco smoke: eco {i + 1} warm={warm}")
+    design = resp["design"]
+chained = resp["report"]
+timed = ask({"id": 10, "kind": "time", "design": design, "model": "rc-tree"})
+once = ask({"id": 11, "kind": "eco", "design": load(), "model": "rc-tree",
+            "script": "".join(edits)})
+proc.stdin.close()
+if proc.wait() != 0:
+    sys.exit(f"serve chained-eco smoke: serve exited {proc.returncode}")
+if not timed.get("ok") or timed["report"] != chained:
+    sys.exit("serve chained-eco smoke: last eco report differs from a time "
+             f"request on its design:\nchained: {chained!r}\ntime: {timed!r}")
+if not once.get("ok") or once["design"] != design or \
+        once["stats"]["propagate_seconds"] == 0 or once["report"] != chained:
+    sys.exit("serve chained-eco smoke: last eco differs from one cold eco "
+             f"of all edits:\nchained: {design} {chained!r}\nonce: {once!r}")
+EOF
+echo "check.sh: chained warm serve ecos match a cold run of the edits"
 
 # Malformed-ledger corpus: the checked-in corrupt line must be rejected
 # with a named, located error -- never an uncaught std::exception.

@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <climits>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "design/compiled_design.h"
 #include "design/snapshot.h"
 #include "fuzz/fuzz.h"
+#include "gen/generators.h"
 #include "netlist/checks.h"
 #include "netlist/eco_io.h"
 #include "netlist/sim_io.h"
@@ -940,6 +942,54 @@ int cmd_serve(const Options& opts, std::ostream& out, std::ostream& err) {
   return serve_pipe(service, std::cin, out, lopts);
 }
 
+/// `--<key> <integer>` in [lo, hi], required.
+long required_long(const Options& opts, const std::string& key, long lo,
+                   long hi) {
+  const auto text = opts.get(key);
+  if (!text) throw UsageError("gen needs --" + key);
+  const auto v = parse_long(*text);
+  if (!v || *v < lo || *v > hi) {
+    throw UsageError(format("bad --%s value '%s' (an integer in [%ld, %ld])",
+                            key.c_str(), text->c_str(), lo, hi));
+  }
+  return *v;
+}
+
+int cmd_gen(const Options& opts, std::ostream& out, std::ostream&) {
+  if (opts.positional.size() != 1) {
+    throw UsageError(
+        "usage: gen random_logic --style cmos|nmos --layers L --width W "
+        "--seed S -o <out.sim>");
+  }
+  if (opts.positional[0] != "random_logic") {
+    throw UsageError("unknown generator family '" + opts.positional[0] +
+                     "' (known: random_logic)");
+  }
+  const std::string style = opts.get("style").value_or("");
+  if (style != "cmos" && style != "nmos") {
+    throw UsageError("gen needs --style cmos|nmos");
+  }
+  // 2^21 gates is about 7M devices, 16x the largest benchmark design;
+  // the bound keeps a mistyped size from exhausting memory.
+  constexpr long kMaxGates = 1L << 21;
+  const long layers = required_long(opts, "layers", 1, kMaxGates);
+  const long width = required_long(opts, "width", 1, kMaxGates);
+  if (layers * width > kMaxGates) {
+    throw UsageError(format("--layers x --width must not exceed %ld gates",
+                            kMaxGates));
+  }
+  const long seed = required_long(opts, "seed", 0, LONG_MAX);
+  const auto path = opts.get("out");
+  if (!path) throw UsageError("gen needs -o <out.sim>");
+  const GeneratedCircuit g = random_logic(
+      style == "cmos" ? Style::kCmos : Style::kNmos, static_cast<int>(layers),
+      static_cast<int>(width), static_cast<std::uint64_t>(seed));
+  write_sim_file(g.netlist, *path);
+  out << format("wrote %s: %zu node(s), %zu device(s)\n", path->c_str(),
+                g.netlist.node_count(), g.netlist.device_count());
+  return 0;
+}
+
 int cmd_version(const Options&, std::ostream& out, std::ostream&) {
   out << "sldm " << sldm_version()
       << " (switch-level delay models, Ousterhout DAC 1984)\n"
@@ -976,6 +1026,9 @@ const CommandSpec kCommands[] = {
      "fit slope tables for a technology", cmd_calibrate},
     {"compile", "compile <file.sim> -o <design.sldc> [options]",
      "bake a reusable compiled-design snapshot", cmd_compile},
+    {"gen", "gen random_logic --style cmos|nmos --layers L --width W "
+     "--seed S -o <out.sim>",
+     "write a generated benchmark netlist", cmd_gen},
     {"fuzz", "fuzz [options] | fuzz --replay <case.repro|dir>",
      "differential fuzzing campaign", cmd_fuzz},
     {"ledger", "ledger summarize <ledger.jsonl>",

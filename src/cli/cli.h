@@ -83,6 +83,12 @@
 //                                            calibrate and embed the
 //                                            tables so later --load runs
 //                                            never recalibrate
+//   sldm gen random_logic [options]          write random_logic(style,
+//        --style cmos|nmos                   layers, width, seed) from
+//        --layers <n> --width <n>            src/gen as a .sim file (the
+//        --seed <n> -o <out.sim>             benchmark's design family);
+//                                            any other family name is a
+//                                            usage error
 //   sldm fuzz [options]                      differential fuzzing
 //        --seed <n> --iterations <n>         campaigns + repro replay
 //        --threads <n> --out <dir>           (see src/fuzz/)

@@ -201,7 +201,8 @@ void Session::publish_telemetry() const {
 
 void Session::evaluate_batch(std::span<const StageStore::StageId> ids,
                              std::span<const Seconds> input_slopes,
-                             std::span<DelayEstimate> out) {
+                             std::span<DelayEstimate> out,
+                             std::unique_ptr<ThreadPool>& pool) {
   const StageStore& store = design_->stage_store();
   const std::size_t n = ids.size();
   if (options_.threads <= 1 || n < 2 * kMinParallelChunk) {
@@ -212,7 +213,7 @@ void Session::evaluate_batch(std::span<const StageStore::StageId> ids,
   // runs on the calling thread so all `threads` threads participate.
   const std::size_t nchunks = std::min<std::size_t>(
       static_cast<std::size_t>(options_.threads), n / kMinParallelChunk);
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.threads);
+  if (!pool) pool = std::make_unique<ThreadPool>(options_.threads);
   const auto run_chunk = [&](std::size_t c) {
     const std::size_t begin = c * n / nchunks;
     const std::size_t end = (c + 1) * n / nchunks;
@@ -224,7 +225,7 @@ void Session::evaluate_batch(std::span<const StageStore::StageId> ids,
   };
   try {
     for (std::size_t c = 1; c < nchunks; ++c) {
-      pool_->submit([&run_chunk, c] { run_chunk(c); });
+      pool->submit([&run_chunk, c] { run_chunk(c); });
     }
     run_chunk(0);
   } catch (...) {
@@ -233,16 +234,21 @@ void Session::evaluate_batch(std::span<const StageStore::StageId> ids,
     // unwinding (their failures, if any, stay suppressed -- the first
     // exception already carries the diagnosis).
     try {
-      pool_->wait();
+      pool->wait();
     } catch (...) {
     }
     throw;
   }
-  pool_->wait();
+  pool->wait();
 }
 
 void Session::propagate(std::deque<std::uint32_t>& work,
                         std::vector<char>& queued) {
+  // The pool lives for one drain, i.e. one run() or update(): the
+  // first batch wide enough to fan out builds it and it is joined on
+  // every return, so a session kept between analyses (a warm serve
+  // eco) holds no threads while it waits.
+  std::unique_ptr<ThreadPool> pool;
   Tracer& tracer = Tracer::instance();
   const bool tracing = tracer.enabled();
   const StageTable& stages = design_->stages();
@@ -293,7 +299,7 @@ void Session::propagate(std::deque<std::uint32_t>& work,
     const std::size_t n = ids.size();
     ests.resize(n);
     const double eval_t0_us = tracer.now_us();
-    evaluate_batch(ids, slopes, ests);
+    evaluate_batch(ids, slopes, ests, pool);
     h_eval_us_.add((tracer.now_us() - eval_t0_us) /
                    static_cast<double>(n));
     ctr_stage_evaluations_.add(n);
@@ -322,9 +328,14 @@ void Session::propagate(std::deque<std::uint32_t>& work,
         if (t_new == arrival_time_[dest_key]) {
           // Canonical tie-break: among equal-time candidates the one
           // with the smallest (stage index, predecessor key) wins, so
-          // the fixpoint winner is independent of processing order --
-          // the property that keeps incremental update() bit-identical
-          // to a from-scratch rebuild.
+          // no tie is settled by processing order.  That keeps
+          // update() bit-identical to a rebuild only when every
+          // arrival is also its predecessor's *final* value plus the
+          // stage delay, which holds when delay ignores the input
+          // slope.  Under the slope model a superseded predecessor
+          // (earlier, slower edge) can leave a larger time here than
+          // its final arrival produces, and whether it does depends on
+          // drain order (DESIGN.md "Incrementality invariant").
           if (arrival_via_[dest_key] < s ||
               (arrival_via_[dest_key] == s &&
                arrival_from_[dest_key] <= fire_key)) {

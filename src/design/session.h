@@ -3,9 +3,10 @@
 // A Session borrows an immutable CompiledDesign and owns everything a
 // single analysis needs that the design does not: the declared input
 // events, the structure-of-arrays arrival store, the propagation
-// worklist scratch, the thread pool for batched evaluation, and the
-// per-session metrics/stats.  N sessions -- different delay models,
-// input slopes, or thread counts -- run concurrently over one shared
+// worklist scratch, the thread pool for batched evaluation (held only
+// while a run() or update() drains), and the per-session
+// metrics/stats.  N sessions -- different delay models, input slopes,
+// or thread counts -- run concurrently over one shared
 // design with no cloning, and each produces results bit-identical to a
 // standalone analyzer over the same inputs (tests/design_test.cpp).
 //
@@ -271,13 +272,15 @@ class Session {
   void refresh_fan_in();
 
   /// Prices one wavefront batch through the model's batch kernel,
-  /// fanning contiguous chunks over the thread pool when
-  /// options_.threads > 1 and the batch is large enough to pay for the
-  /// handoff.  Estimates are pure per item, so the result is identical
-  /// for any thread count or chunking.
+  /// fanning contiguous chunks over `pool` when options_.threads > 1
+  /// and the batch is large enough to pay for the handoff (the first
+  /// such batch builds the pool; propagate() owns it).  Estimates are
+  /// pure per item, so the result is identical for any thread count or
+  /// chunking.
   void evaluate_batch(std::span<const StageStore::StageId> ids,
                       std::span<const Seconds> input_slopes,
-                      std::span<DelayEstimate> out);
+                      std::span<DelayEstimate> out,
+                      std::unique_ptr<ThreadPool>& pool);
 
   /// Drains the worklist to fixpoint in wavefront batches.  `queued` is
   /// the in-queue deduplication mark, sized like the arrival arrays.
@@ -288,9 +291,6 @@ class Session {
   SessionOptions options_;
   /// Dense process-unique id (see session_id()).
   std::uint64_t session_id_ = 0;
-  /// Lazily created pool for batched wavefront evaluation (only when
-  /// options_.threads > 1).
-  std::unique_ptr<ThreadPool> pool_;
 
   // Arrival store: structure-of-arrays keyed by key(node, dir).  The
   // hot propagation loop touches time_/slope_/valid_ only; predecessor

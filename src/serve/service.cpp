@@ -3,6 +3,7 @@
 #include <optional>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "calib/calibrate.h"
 #include "delay/bounds.h"
@@ -29,11 +30,36 @@
 
 namespace sldm {
 
+/// The analysis the last successful eco left on a design, kept so the
+/// next eco with the same key answers with update() alone instead of a
+/// full propagate of the pre-edit design.  The key is everything that
+/// shapes the arrivals besides the design: model token, input slope and
+/// thread count (threads cannot change an answer, but they size the
+/// analyzer's pool and label its telemetry).
+struct WarmEco {
+  std::string model;
+  double slope_ns = 0.0;
+  int threads = 1;
+  std::unique_ptr<DelayModel> delay_model;
+  std::unique_ptr<TimingAnalyzer> analyzer;
+
+  bool serves(const ServeRequest& req) const {
+    return req.model == model && req.slope_ns == slope_ns &&
+           req.threads == threads;
+  }
+};
+
 struct TimingService::Lease::CacheEntry {
   std::shared_ptr<CompiledDesign> design;
   std::shared_ptr<const SlopeTables> tables;  ///< slope calibration, if any
   std::atomic<int> active{0};  ///< outstanding reader leases
   std::uint64_t last_used = 0;
+  /// Touched only by an eco that took the entry out of the cache (or by
+  /// a load that drops it under mutex_), so it needs no lock of its own.
+  /// Its analyzer shares `design`, which is why the eco releases this
+  /// entry's pointer before update(): the single-writer use_count check
+  /// then sees exactly the analyzer and its session.
+  std::unique_ptr<WarmEco> warm;
 };
 
 namespace {
@@ -59,6 +85,16 @@ Style style_for(const Tech& tech) {
 bool known_model(const std::string& name) {
   return name == "slope" || name == "lumped" || name == "rc-tree" ||
          name == "rph-upper" || name == "unit";
+}
+
+/// Whether an eco under `model` may leave a warm analysis behind.
+/// update() equals a rebuild only when a stage's delay ignores its
+/// input slope (DESIGN.md "Incrementality invariant"); under `slope` a
+/// kept analysis would carry one update's divergence into every later
+/// eco, so each slope eco takes the cold path: run(), apply, update().
+bool keeps_warm_state(const std::string& model) {
+  return model == "rc-tree" || model == "lumped" || model == "rph-upper" ||
+         model == "unit";
 }
 
 /// Builds the per-request delay model.  Construction mirrors the CLI's
@@ -133,8 +169,10 @@ void append_worst(std::ostream& os, const Netlist& nl,
 }
 
 /// A ledger record for a finished serve-side analysis (same fields
-/// note_analysis fills on the CLI path).
+/// note_analysis fills on the CLI path); `st` is the request's own
+/// share of the session's work.
 LedgerRecord session_record(const char* kind, const Session& session,
+                            const AnalyzerStats& st,
                             std::uint64_t fingerprint,
                             const std::string& model, int threads) {
   LedgerRecord r;
@@ -145,7 +183,6 @@ LedgerRecord session_record(const char* kind, const Session& session,
   r.fingerprint = fingerprint;
   r.model = model;
   r.threads = threads;
-  const AnalyzerStats& st = session.stats();
   r.extract_seconds = st.extract_seconds;
   r.propagate_seconds = st.propagate_seconds;
   r.update_seconds = st.update_seconds;
@@ -157,6 +194,27 @@ LedgerRecord session_record(const char* kind, const Session& session,
     r.critical_arrival_s = w->time;
   }
   return r;
+}
+
+/// The share of a session's work one request did: the session's
+/// stats after the request, minus its counters from before it.  A warm
+/// eco session lives across requests, so without this each response
+/// would repeat its predecessors' work and break the FORMATS.md
+/// section 14 `stats` conservation rule.  propagate_seconds is kept
+/// only when the request itself ran the full propagate.
+AnalyzerStats request_share(AnalyzerStats st, const AnalyzerStats& before,
+                            bool ran_propagate) {
+  st.stage_evaluations -= before.stage_evaluations;
+  st.worklist_pushes -= before.worklist_pushes;
+  st.arrival_updates -= before.arrival_updates;
+  st.batches -= before.batches;
+  st.incremental_updates -= before.incremental_updates;
+  st.mean_batch_size =
+      st.batches == 0 ? 0.0
+                      : static_cast<double>(st.stage_evaluations) /
+                            static_cast<double>(st.batches);
+  if (!ran_propagate) st.propagate_seconds = 0.0;
+  return st;
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -234,9 +292,14 @@ void TimingService::insert_entry(const std::string& fingerprint,
   // Evaluated before taking the lock so an injected delay never holds
   // mutex_.
   failpoint("cache.insert");
+  // Victims die after the lock is released: an entry may carry a warm
+  // eco analysis, whose teardown has no business holding mutex_.
+  std::vector<std::shared_ptr<Lease::CacheEntry>> evicted;
   std::lock_guard<std::mutex> lock(mutex_);
   entry->last_used = ++use_clock_;
-  cache_[fingerprint] = entry;
+  std::shared_ptr<Lease::CacheEntry>& slot = cache_[fingerprint];
+  if (slot && slot != entry) evicted.push_back(std::move(slot));
+  slot = entry;
   // LRU eviction, skipping leased entries (their readers must stay
   // valid) and the entry just inserted.
   while (cache_.size() >
@@ -255,6 +318,7 @@ void TimingService::insert_entry(const std::string& fingerprint,
     // already happened, so the cache ends over capacity but internally
     // consistent -- every entry still resolves and leases still pin.
     failpoint("cache.evict");
+    evicted.push_back(std::move(victim->second));
     cache_.erase(victim);
   }
 }
@@ -349,16 +413,19 @@ struct TimingService::ServeRequestDispatch {
         design_fingerprint(design->netlist(), design->tech());
     const std::string fp_hex = fingerprint_hex(fp);
     bool cached = false;
+    std::unique_ptr<WarmEco> dropped;  // destroyed after the lock
     {
       std::lock_guard<std::mutex> lock(svc.mutex_);
       const auto it = svc.cache_.find(fp_hex);
       if (it != svc.cache_.end()) {
         // Equal fingerprints mean bit-identical analyses: keep the
         // cached entry (readers may hold leases on it) and just adopt
-        // the calibration tables if the earlier load lacked them.
+        // the calibration tables if the earlier load lacked them.  A
+        // load starts the design afresh, so its warm eco state goes.
         cached = true;
         if (!it->second->tables && tables) it->second->tables = tables;
         it->second->last_used = ++svc.use_clock_;
+        dropped = std::move(it->second->warm);
       }
     }
     if (!cached) {
@@ -434,7 +501,7 @@ struct TimingService::ServeRequestDispatch {
     const Analysis a = run_analysis(svc, req, "time");
     const Session& session = *a.session;
     const Netlist& nl = session.netlist();
-    svc.append_ledger(session_record("run", session,
+    svc.append_ledger(session_record("run", session, session.stats(),
                                      parse_hex_u64(req.design).value_or(0),
                                      a.model->name(), req.threads));
 
@@ -494,30 +561,58 @@ struct TimingService::ServeRequestDispatch {
     return os.str();
   }
 
+  /// Starts the analysis an eco runs on a miss: a fresh analyzer over
+  /// the entry's design, seeded like a `time` request.  The design
+  /// pointer is moved in only once the model exists (a model that
+  /// cannot be built leaves the entry intact for the salvage), so
+  /// use_count lands at exactly facade + session and the single-writer
+  /// check in update() stays armed.
+  static std::unique_ptr<WarmEco> start_eco_analysis(
+      Lease::CacheEntry& entry, const ServeRequest& req) {
+    auto warm = std::make_unique<WarmEco>();
+    warm->model = req.model;
+    warm->slope_ns = req.slope_ns;
+    warm->threads = req.threads;
+    warm->delay_model = make_request_model(req.model, entry.tables);
+    warm->analyzer = std::make_unique<TimingAnalyzer>(
+        std::move(entry.design), *warm->delay_model,
+        AnalyzerOptions{{}, 64, req.threads});
+    warm->analyzer->session().set_telemetry_request("eco");
+    warm->analyzer->add_all_input_events(req.slope_ns * 1e-9);
+    return warm;
+  }
+
   static std::string eco(TimingService& svc, const ServeRequest& req) {
-    auto entry = svc.take_for_eco(req.design);
+    const auto entry = svc.take_for_eco(req.design);
     const std::weak_ptr<CompiledDesign> master = entry->design;
-    const auto model = make_request_model(req.model, entry->tables);
-    // Declared before the analyzer so the analyzer (which borrows it)
-    // dies first on every exit path.
+    const std::uint64_t pristine = entry->design->netlist().revision();
+    // A warm analysis with this request's key is the pre-edit state
+    // already propagated; anything else is dropped here and rebuilt.
+    std::unique_ptr<WarmEco> warm = std::move(entry->warm);
+    const bool hit = warm && warm->serves(req);
+    if (!hit) warm.reset();
+    // Lent to the analyzer and detached on every exit path below,
+    // before the analyzer can reach another request through the cache.
     const CancelToken deadline = deadline_for(req, svc.options_);
 
-    // Move the cache's owning pointer into the analyzer so use_count
-    // lands at exactly facade + session: the PR 6 single-writer check
-    // in update() stays armed as the backstop behind take_for_eco's
-    // lease accounting.
-    TimingAnalyzer analyzer(std::move(entry->design), *model,
-                            AnalyzerOptions{{}, 64, req.threads});
-    analyzer.session().set_telemetry_request("eco");
-    analyzer.add_all_input_events(req.slope_ns * 1e-9);
-    if (deadline.armed()) analyzer.set_cancel_token(&deadline);
-
+    bool propagated = hit;  // the analyzer holds the pre-edit arrivals
+    AnalyzerStats before;
     std::size_t applied = 0;
     try {
-      // run() is inside the salvage scope: a deadline (or any failure)
-      // before the script mutates anything must put the untouched
-      // design back under its old fingerprint.
-      analyzer.run();
+      if (hit) {
+        // The analyzer already shares the design; the entry's pointer
+        // would be a third reference and trip update()'s backstop.
+        entry->design.reset();
+      } else {
+        warm = start_eco_analysis(*entry, req);
+      }
+      TimingAnalyzer& analyzer = *warm->analyzer;
+      before = analyzer.stats();
+      if (deadline.armed()) analyzer.set_cancel_token(&deadline);
+      if (!propagated) {
+        analyzer.run();
+        propagated = true;
+      }
       if (!req.script.empty()) {
         std::istringstream script(req.script);
         applied = apply_eco(script, analyzer.mutable_netlist(),
@@ -526,27 +621,33 @@ struct TimingService::ServeRequestDispatch {
         applied = apply_eco_file(req.path, analyzer.mutable_netlist());
       }
       analyzer.update();
+      analyzer.set_cancel_token(nullptr);
     } catch (...) {
-      // A failed script may have partially mutated the netlist, in
-      // which case the design is lost from the cache (re-load it).
-      // But if nothing was applied yet the design is pristine --
-      // salvage it under its old fingerprint.
-      if (auto design = master.lock()) {
-        if (design->netlist().revision() == design->built_revision()) {
-          entry->design = std::move(design);
-          svc.insert_entry(req.design, entry);
-        }
+      if (warm) warm->analyzer->set_cancel_token(nullptr);
+      // A failure after the script mutated the netlist loses the design
+      // and its analysis (re-load it).  Before that the design is
+      // pristine: it goes back under its old fingerprint, and so does a
+      // completed pre-edit analysis.
+      if (auto design = master.lock();
+          design && design->netlist().revision() == pristine) {
+        entry->design = std::move(design);
+        if (!propagated || !keeps_warm_state(req.model)) warm.reset();
+        entry->warm = std::move(warm);
+        svc.insert_entry(req.design, entry);
       }
       throw;
     }
 
+    const TimingAnalyzer& analyzer = *warm->analyzer;
     const Session& session = analyzer.session();
     const Netlist& nl = analyzer.netlist();
     const std::uint64_t new_fp = design_fingerprint(nl, analyzer.tech());
     const std::string new_hex = fingerprint_hex(new_fp);
+    const AnalyzerStats st = request_share(session.stats(), before, !hit);
+    const std::string model_name = warm->delay_model->name();
 
     LedgerRecord r =
-        session_record("eco", session, new_fp, model->name(), req.threads);
+        session_record("eco", session, st, new_fp, model_name, req.threads);
     r.detail = format("serve: %zu edit(s)", applied);
     svc.append_ledger(r);
 
@@ -554,17 +655,22 @@ struct TimingService::ServeRequestDispatch {
     begin_response(os, req, "eco")
         << ",\"design\":\"" << new_hex << "\",\"was\":\"" << req.design
         << "\",\"applied\":" << applied << ",\"model\":\""
-        << json_escape(model->name()) << "\",\"threads\":" << req.threads
+        << json_escape(model_name) << "\",\"threads\":" << req.threads
         << ",\"report\":\""
-        << json_escape(report_text(model->name(), nl, session))
+        << json_escape(report_text(model_name, nl, session))
         << "\",\"arrivals\":" << arrivals_json(nl, session);
     append_worst(os, nl, session);
-    os << ",\"stats\":" << analyzer_stats_json(session.stats()) << '}';
+    os << ",\"stats\":" << analyzer_stats_json(st) << '}';
 
     // Re-adopt the master pointer (the analyzer still holds it, so the
-    // weak_ptr is live) and publish the rewritten design under its new
-    // identity; the old fingerprint now reports unknown-design.
+    // weak_ptr is live) and publish the rewritten design, with the
+    // analysis that now describes it, under its new identity; the old
+    // fingerprint now reports unknown-design.  An analysis that is not
+    // kept dies before the entry is visible again, so the next eco's
+    // update() never sees its reference to the design.
     entry->design = master.lock();
+    if (!keeps_warm_state(req.model)) warm.reset();
+    entry->warm = std::move(warm);
     svc.insert_entry(new_hex, entry);
     return os.str();
   }

@@ -18,7 +18,17 @@
 //     mutates the design through TimingAnalyzer::update() with the
 //     use_count discipline as a backstop, and re-inserts the result
 //     under its *new* fingerprint -- an edited design is a different
-//     design, and stale fingerprints fail fast with "unknown-design".
+//     design, and stale fingerprints fail fast with "unknown-design";
+//   * the entry keeps the analysis its last successful eco left (a
+//     *warm* analyzer, keyed by model token, slope_ns and threads).
+//     The next eco with the same key applies its script and calls
+//     update() on it, with no full propagate of the pre-edit design;
+//     any other key, a re-load or a failure starts a fresh analyzer,
+//     exactly as a first eco does.  Only models whose delay ignores
+//     input slope keep one: for them update() is bit-identical to a
+//     rebuild, so a warm answer equals a cold one.  A `slope` eco
+//     always starts afresh (ROADMAP item 4).  The response reports
+//     this request's share of the warm session's counters.
 //
 // handle_line() is thread-safe and never throws: every failure becomes
 // a structured error envelope, because a worker-pool task that throws

@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "cli/cli.h"
+#include "gen/generators.h"
+#include "netlist/sim_io.h"
 #include "tech/tech_io.h"
 
 namespace sldm {
@@ -61,6 +63,40 @@ TEST(Cli, OptionWithoutValueIsUsageError) {
   const CliRun r = run({"time", "x.sim", "--model"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("needs a value"), std::string::npos);
+}
+
+TEST(Cli, GenWritesTheGeneratorsNetlist) {
+  const std::string path = "/tmp/sldm_cli_test_gen.sim";
+  const CliRun r = run({"gen", "random_logic", "--style", "cmos", "--layers",
+                        "3", "--width", "5", "--seed", "9", "-o", path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  std::ostringstream want;
+  write_sim(random_logic(Style::kCmos, 3, 5, 9).netlist, want);
+  std::ifstream in(path);
+  std::stringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(), want.str());
+  std::remove(path.c_str());
+}
+
+TEST(Cli, GenRefusesUnknownFamiliesAndBadSizesByName) {
+  CliRun r = run({"gen", "pla", "--style", "cmos", "--layers", "3",
+                  "--width", "5", "--seed", "9", "-o", "/tmp/x.sim"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown generator family 'pla'"), std::string::npos)
+      << r.err;
+  r = run({"gen", "random_logic", "--style", "bipolar", "--layers", "3",
+           "--width", "5", "--seed", "9", "-o", "/tmp/x.sim"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--style cmos|nmos"), std::string::npos) << r.err;
+  r = run({"gen", "random_logic", "--style", "nmos", "--layers", "4096",
+           "--width", "4096", "--seed", "9", "-o", "/tmp/x.sim"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("must not exceed"), std::string::npos) << r.err;
+  r = run({"gen", "random_logic", "--style", "nmos", "--layers", "3",
+           "--width", "5", "--seed", "9"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("-o <out.sim>"), std::string::npos) << r.err;
 }
 
 TEST(Cli, CheckCleanNetlist) {

@@ -9,7 +9,10 @@
 // Batches of sizes and capacitances only take update()'s in-place
 // re-bake; the tests below hold its store, table and trigger index to a
 // fresh compile array for array, and pin the forward damage walk to the
-// reverse-map closure it replaced.
+// reverse-map closure it replaced.  The arrival self-consistency tests
+// at the end hold every committed arrival to its predecessor's final
+// value, and pin the slope model's update/rebuild mismatch on its
+// witness to arrivals that fail that check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,13 +20,18 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "calib/calibrate.h"
+#include "delay/lumped.h"
 #include "delay/rctree.h"
+#include "delay/slope.h"
 #include "gen/generators.h"
 #include "netlist/changes.h"
+#include "netlist/eco_io.h"
 #include "tech/tech.h"
 #include "timing/analyzer.h"
 #include "timing/ccc.h"
@@ -662,6 +670,147 @@ TEST(EcoTiming, OutputMarkIsAbsorbedSilently) {
   an.update();
   EXPECT_EQ(an.stats().incremental_updates, 1u);
   EXPECT_EQ(an.stats().dirty_cccs, 0u);
+}
+
+/// The arrival keys that their recorded predecessor's *final* arrival
+/// does not reproduce: time != pred.time + delay(stage, pred.slope), or
+/// slope != the stage's output slope at pred.slope.  A fixpoint whose
+/// every arrival is the maximum over its predecessors' final values has
+/// none.
+std::vector<std::size_t> inconsistent_arrivals(const TimingAnalyzer& an) {
+  std::vector<std::size_t> out;
+  const Netlist& nl = an.netlist();
+  for (NodeId n : nl.all_nodes()) {
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      const auto a = an.arrival(n, dir);
+      if (!a || a->via_stage == SIZE_MAX) continue;
+      const auto pred = an.arrival(a->from_node, a->from_dir);
+      if (!pred) {  // a dangling predecessor link fails the check too
+        out.push_back(arrival_key(n, dir));
+        continue;
+      }
+      const auto id = static_cast<StageStore::StageId>(a->via_stage);
+      const Seconds slope = pred->slope;
+      DelayEstimate est;
+      an.delay_model().estimate_batch(an.stage_store(), {&id, 1},
+                                      {&slope, 1}, {&est, 1});
+      if (pred->time + est.delay != a->time ||
+          est.output_slope != a->slope) {
+        out.push_back(arrival_key(n, dir));
+      }
+    }
+  }
+  return out;
+}
+
+// Under a model whose delay does not depend on the input slope, a later
+// predecessor arrival always yields a later candidate, so every
+// committed arrival is its predecessor's final value plus the stage
+// delay -- after a full run and after every incremental update.
+TEST(EcoTiming, ArrivalsFollowTheirPredecessorsFinalValues) {
+  const RcTreeModel rc_tree;
+  const LumpedRcModel lumped;
+  for (const DelayModel* model : {static_cast<const DelayModel*>(&rc_tree),
+                                  static_cast<const DelayModel*>(&lumped)}) {
+    for (const GeneratedCircuit& g : generator_suite()) {
+      Netlist nl = g.netlist;
+      AnalyzerOptions opts;
+      opts.max_updates_per_arrival = 512;
+      TimingAnalyzer an(nl, tech_for(g), *model, opts);
+      an.add_all_input_events(1e-9);
+      an.run();
+      const std::string tag = g.name + " " + model->name();
+      EXPECT_EQ(inconsistent_arrivals(an), std::vector<std::size_t>{})
+          << tag << " after run()";
+      Rng rng(0x5E1F ^ std::hash<std::string>{}(tag));
+      int new_nodes = 0;
+      for (int step = 0; step < 6; ++step) {
+        for (int e = 0; e < 2;) {
+          if (random_edit(nl, rng, g.input, &new_nodes)) ++e;
+        }
+        try {
+          an.update();
+        } catch (const Error&) {
+          break;  // a loop: the analyzer state is unspecified now
+        }
+        EXPECT_EQ(inconsistent_arrivals(an), std::vector<std::size_t>{})
+            << tag << " after update " << step;
+      }
+    }
+  }
+}
+
+// The slope model's ECO witness: one `length` edit on the 54k cmos
+// random_logic design makes update() disagree with a rebuild at three
+// arrivals.  Diagnosis: under the slope model a predecessor's arrival
+// can be superseded by a later one with a *faster* edge, whose
+// candidate downstream is earlier than the one its superseded value
+// produced; the commit keeps the larger time, so the downstream arrival
+// is a maximum no final arrival produces.  Whether that happens depends
+// on drain order, which differs between update() and a rebuild.  This
+// test holds the witness to that account: the rebuild is
+// self-consistent, every update arrival that is not is *later* than
+// what its predecessor's final value produces, and every mismatching
+// arrival descends from one of them.  (Were propagation made
+// order-independent, the mismatches and this test's premises would
+// vanish together.)
+TEST(EcoTiming, SlopeModelMismatchesDescendFromSupersededPredecessors) {
+  GeneratedCircuit g = random_logic(Style::kCmos, 64, 256, 5);
+  Netlist& nl = g.netlist;
+  const CalibrationResult cal = calibrate(cmos3(), Style::kCmos);
+  const SlopeModel model(cal.tables);
+  TimingAnalyzer inc(nl, cal.tech, model);
+  inc.add_all_input_events(1e-9);
+  inc.run();
+  std::istringstream edit("length in23 gnd g0_1 4\n");
+  ASSERT_EQ(apply_eco(edit, nl, "<witness>"), 1u);
+  inc.update();
+  TimingAnalyzer fresh(nl, cal.tech, model);
+  fresh.add_all_input_events(1e-9);
+  fresh.run();
+
+  EXPECT_EQ(inconsistent_arrivals(fresh), std::vector<std::size_t>{});
+  const std::vector<std::size_t> phantoms = inconsistent_arrivals(inc);
+  std::vector<char> phantom(nl.node_count() * 2, 0);
+  for (const std::size_t k : phantoms) {
+    phantom[k] = 1;
+    const NodeId n(static_cast<std::uint32_t>(k / 2));
+    const Transition dir = k % 2 == 0 ? Transition::kRise : Transition::kFall;
+    const auto a = inc.arrival(n, dir);
+    const auto pred = inc.arrival(a->from_node, a->from_dir);
+    const auto id = static_cast<StageStore::StageId>(a->via_stage);
+    const Seconds slope = pred->slope;
+    DelayEstimate est;
+    model.estimate_batch(inc.stage_store(), {&id, 1}, {&slope, 1}, {&est, 1});
+    EXPECT_GT(a->time, pred->time + est.delay) << nl.node(n).name;
+  }
+  std::vector<std::string> mismatches;
+  for (NodeId n : nl.all_nodes()) {
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      const auto a = inc.arrival(n, dir);
+      const auto b = fresh.arrival(n, dir);
+      if (a.has_value() == b.has_value() &&
+          (!a || (a->time == b->time && a->slope == b->slope))) {
+        continue;
+      }
+      mismatches.push_back(nl.node(n).name.str() + " " +
+                           std::string(to_string(dir)));
+      ASSERT_TRUE(a.has_value()) << mismatches.back();
+      bool descends = false;
+      NodeId cur = n;
+      Transition cur_dir = dir;
+      for (auto at = a; at && !descends; at = inc.arrival(cur, cur_dir)) {
+        descends = phantom[arrival_key(cur, cur_dir)] != 0;
+        if (!at->from_node.valid()) break;
+        cur = at->from_node;
+        cur_dir = at->from_dir;
+      }
+      EXPECT_TRUE(descends) << mismatches.back();
+    }
+  }
+  // Recorded at the time of writing: g7_85 fall (the one phantom),
+  // g8_125 rise and pu1431 rise (fed by it).
+  EXPECT_LE(mismatches.size(), 3u);
 }
 
 }  // namespace

@@ -3,31 +3,52 @@
 // single-writer-eco discipline, bounded admission in the pipe loop,
 // client-disconnect survival on the TCP front end, the wait-for-load
 // client rule, exact `stats` telemetry over retired request sessions,
-// and the headline
+// warm eco sessions (chained ecos equal a cold analysis at every step;
+// key changes, deadlines, failures, eviction and re-load), and the
+// headline
 // concurrency guarantee -- mixed-model request streams answered
 // concurrently are bit-identical to cold single-shot CLI runs (run
 // under tsan by scripts/check.sh).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "calib/calibrate.h"
 #include "cli/cli.h"
+#include "delay/bounds.h"
+#include "delay/lumped.h"
+#include "delay/rctree.h"
+#include "delay/slope.h"
+#include "delay/unit.h"
+#include "design/compiled_design.h"
+#include "design/snapshot.h"
+#include "gen/generators.h"
+#include "netlist/eco_io.h"
+#include "netlist/sim_io.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "tech/tech.h"
+#include "timing/analyzer.h"
+#include "timing/report.h"
 #include "util/failpoint.h"
 #include "util/json.h"
+#include "util/ledger.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 namespace sldm {
@@ -698,6 +719,461 @@ TEST(ServePipe, FifoLoadFailsByNameAndTheWorkerStaysLive) {
   EXPECT_NE(text.find("\"id\":2,\"kind\":\"load\",\"ok\":true"),
             std::string::npos)
       << text;
+}
+
+// --- warm eco sessions ----------------------------------------------------
+
+/// An nMOS random_logic design as .sim text (6x16 is about 300
+/// devices): big enough that an eco's damage is a small part of it.
+std::string generated_sim(int layers, int width) {
+  std::ostringstream out;
+  write_sim(random_logic(Style::kNmos, layers, width, 11).netlist, out);
+  return out.str();
+}
+
+/// The slope-independent serve models, built as the service builds
+/// them.
+std::unique_ptr<DelayModel> test_model(const std::string& model) {
+  if (model == "lumped") return std::make_unique<LumpedRcModel>();
+  if (model == "rph-upper") {
+    return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
+  }
+  if (model == "unit") return std::make_unique<UnitDelayModel>(1e-9);
+  return std::make_unique<RcTreeModel>();
+}
+
+/// The `report`, `arrivals` and `worst` members of an eco or time
+/// response, rendered from `analyzer` the way the service renders them.
+std::string rendered_members(const TimingAnalyzer& analyzer,
+                             const std::string& model_name) {
+  const Netlist& nl = analyzer.netlist();
+  std::ostringstream os;
+  os << ",\"report\":\""
+     << json_escape("model: " + model_name + "\n\n" +
+                    format_output_arrivals(nl, analyzer) + "\n")
+     << "\",\"arrivals\":[";
+  bool first = true;
+  for (NodeId n : nl.all_nodes()) {
+    if (!nl.node(n).is_output) continue;
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      const auto a = analyzer.arrival(n, dir);
+      if (!a) continue;
+      os << (first ? "" : ",") << "{\"node\":\""
+         << json_escape(nl.node(n).name.str()) << "\",\"dir\":\""
+         << to_string(dir) << "\",\"time_s\":" << json_number(a->time)
+         << ",\"slope_s\":" << json_number(a->slope) << '}';
+      first = false;
+    }
+  }
+  os << ']';
+  if (const auto w = analyzer.worst_arrival(true)) {
+    os << ",\"worst\":{\"node\":\"" << json_escape(nl.node(w->node).name.str())
+       << "\",\"dir\":\"" << to_string(w->dir)
+       << "\",\"time_s\":" << json_number(w->time) << '}';
+  }
+  return os.str();
+}
+
+/// The response members a cold analysis of `nl` must reproduce byte for
+/// byte: everything between the envelope header and "stats".
+std::string cold_members(const Netlist& nl, const std::string& model) {
+  const std::unique_ptr<DelayModel> dm = test_model(model);
+  TimingAnalyzer cold(nl, nmos4(), *dm);
+  cold.add_all_input_events(1e-9);
+  cold.run();
+  return rendered_members(cold, dm->name());
+}
+
+/// The `report` .. `worst` members of an eco or time response.
+std::string answer_members(const std::string& response) {
+  const auto begin = response.find(",\"report\":");
+  const auto end = response.find(",\"stats\":");
+  if (begin == std::string::npos || end == std::string::npos) return response;
+  return response.substr(begin, end - begin);
+}
+
+std::string design_member(const std::string& response) {
+  const std::string key = "\"design\":\"";
+  const auto pos = response.find(key);
+  return pos == std::string::npos ? "" : response.substr(pos + key.size(), 16);
+}
+
+std::string eco_request(const std::string& fp, const std::string& model,
+                        const std::string& script,
+                        const std::string& extra = "") {
+  return "{\"kind\":\"eco\",\"design\":\"" + fp + "\",\"model\":\"" + model +
+         "\",\"script\":\"" + json_escape(script) + "\"" + extra + "}";
+}
+
+/// Whether an ok eco response ran the full pre-edit propagate (a miss)
+/// rather than update() alone on the warm analysis (a hit).
+bool ran_full_propagate(const std::string& response) {
+  return parse_json(response).at("stats").at("propagate_seconds").as_number() >
+         0.0;
+}
+
+/// Step `i` of a chained eco stream over the current netlist: `addcap`
+/// and `width` edits (the in-place re-bake), with step 7 adding a
+/// pull-down device (re-extract + splice).
+std::string chained_edit(const Netlist& nl, int i) {
+  if (i == 7) return "transistor e in3 gnd g2_5 2 4\n";
+  if (i % 2 == 0) {
+    return format("addcap g%d_%d %.1f\n", i % 6, (5 * i) % 16, 1.0 + 0.5 * i);
+  }
+  const Transistor& t = nl.device(DeviceId(static_cast<std::uint32_t>(
+      (37u * static_cast<unsigned>(i)) % nl.device_count())));
+  return format("width %s %s %s %d\n", nl.node(t.gate).name.c_str(),
+                nl.node(t.source).name.c_str(), nl.node(t.drain).name.c_str(),
+                2 + i % 5);
+}
+
+class ServeWarmEco : public ::testing::TestWithParam<std::string> {};
+
+// Twenty chained ecos on one design and one key: the first is a miss
+// (full propagate, then update), every later one a hit (update alone on
+// the analysis the previous eco left).  After each, the answer is
+// byte-equal to a cold analyzer over the same edited netlist.
+TEST_P(ServeWarmEco, ChainedEcosEqualAColdAnalyzerAtEveryStep) {
+  HubGuard guard;
+  const std::string model = GetParam();
+  TimingService service;
+  TempFile sim("warm_chain_" + model + ".sim", generated_sim(6, 16));
+  std::string fp = load_design(service, sim.path(), model);
+  Netlist shadow = read_sim_file(sim.path());
+  for (int i = 0; i < 20; ++i) {
+    const std::string script = chained_edit(shadow, i);
+    std::istringstream in(script);
+    apply_eco(in, shadow, "<shadow>");
+    const std::string r = service.handle_line(eco_request(fp, model, script));
+    ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << i << ": " << r;
+    EXPECT_EQ(ran_full_propagate(r), i == 0) << "step " << i;
+    EXPECT_EQ(answer_members(r), cold_members(shadow, model))
+        << "step " << i << ": " << script;
+    fp = design_member(r);
+  }
+  EXPECT_EQ(service.design_count(), 1u);
+}
+
+std::string model_case_name(
+    const ::testing::TestParamInfo<std::string>& param) {
+  if (param.param == "rc-tree") return "RcTree";
+  if (param.param == "rph-upper") return "RphUpper";
+  return param.param == "unit" ? "Unit" : "Lumped";
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, ServeWarmEco,
+                         ::testing::Values("rc-tree", "lumped", "rph-upper",
+                                           "unit"),
+                         model_case_name);
+
+// The slope model keeps no warm state: update() is not bit-identical to
+// a rebuild when delay depends on input slope (ROADMAP item 4), and a
+// kept analysis would carry one eco's divergence into the next.  So
+// every slope eco in a chain runs the full pre-edit propagate, and its
+// answer is exactly that of a fresh analyzer over the pre-edit design
+// that runs, applies the script and updates.
+TEST(ServeWarmEcoKeys, SlopeEcosAlwaysMissAndMatchRunThenUpdate) {
+  HubGuard guard;
+  CalibrationOptions calibration;
+  calibration.ratios = {0.1, 1.0, 8.0};
+  const CalibrationResult cal =
+      calibrate(nmos4(), Style::kNmos, calibration);
+  const SlopeTables& tables = cal.tables;
+  const SlopeModel model(tables);
+  Netlist pre = random_logic(Style::kNmos, 6, 16, 11).netlist;
+  TempFile sldc("warm_slope.sldc", "");
+  save_design_file(*CompiledDesign::compile_owned(Netlist(pre), cal.tech),
+                   sldc.path(), &tables);
+  TimingService service;
+  std::string fp = load_design(service, sldc.path(), "slope");
+  for (int i = 0; i < 10; ++i) {
+    const std::string script = chained_edit(pre, i);
+    // The analyzer borrows `pre`, so the script edits it in place.
+    TimingAnalyzer reference(pre, cal.tech, model);
+    reference.add_all_input_events(1e-9);
+    reference.run();
+    std::istringstream in(script);
+    apply_eco(in, pre, "<reference>");
+    reference.update();
+
+    const std::string r = service.handle_line(eco_request(fp, "slope", script));
+    ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << i << ": " << r;
+    EXPECT_TRUE(ran_full_propagate(r)) << "step " << i;
+    EXPECT_EQ(answer_members(r), rendered_members(reference, "slope"))
+        << "step " << i << ": " << script;
+    fp = design_member(r);
+  }
+  EXPECT_EQ(service.design_count(), 1u);
+}
+
+// A model switch or a slope change is a different key: the eco misses,
+// runs the full propagate, and its answer still equals a cold analysis;
+// the analysis it leaves serves the next eco with that key.
+TEST(ServeWarmEcoKeys, KeyChangesMissAndStayEqual) {
+  HubGuard guard;
+  TimingService service;
+  TempFile sim("warm_keys.sim", generated_sim(6, 16));
+  std::string fp = load_design(service, sim.path(), "rc-tree");
+  Netlist shadow = read_sim_file(sim.path());
+  struct Step {
+    std::string model;
+    std::string extra;
+    bool miss;
+  };
+  const std::vector<Step> steps = {
+      {"rc-tree", "", true},  {"rc-tree", "", false}, {"lumped", "", true},
+      {"lumped", "", false},  {"rc-tree", "", true},  {"rc-tree", "", false},
+      {"rc-tree", ",\"slope_ns\":2", true}, {"rc-tree", ",\"slope_ns\":2", false},
+      {"rc-tree", ",\"slope_ns\":1", true}};
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const std::string script = chained_edit(shadow, static_cast<int>(2 * i));
+    std::istringstream in(script);
+    apply_eco(in, shadow, "<shadow>");
+    const Step& st = steps[i];
+    const std::string r =
+        service.handle_line(eco_request(fp, st.model, script, st.extra));
+    ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << i << ": " << r;
+    EXPECT_EQ(ran_full_propagate(r), st.miss) << "step " << i;
+    if (st.extra.find("slope_ns\":2") == std::string::npos) {
+      EXPECT_EQ(answer_members(r), cold_members(shadow, st.model))
+          << "step " << i;
+    } else {
+      // The cold oracle seeds 1 ns inputs; at 2 ns compare against a
+      // time request over the same edited design instead.
+      const std::string timed = service.handle_line(
+          "{\"kind\":\"time\",\"design\":\"" + design_member(r) +
+          "\",\"model\":\"" + st.model + "\"" + st.extra + "}");
+      EXPECT_EQ(answer_members(r), answer_members(timed)) << "step " << i;
+    }
+    fp = design_member(r);
+  }
+}
+
+// A warm hit's only propagate runs inside update(), after the script
+// mutated the netlist: a deadline that expires there loses the design.
+TEST(ServeWarmEcoKeys, DeadlineExpiredWarmEcoEvictsTheDesign) {
+  HubGuard guard;
+  TimingService service;
+  TempFile sim("warm_deadline.sim", generated_sim(6, 16));
+  const std::string fp0 = load_design(service, sim.path(), "rc-tree");
+  const std::string first =
+      service.handle_line(eco_request(fp0, "rc-tree", "addcap g3_3 4\n"));
+  ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+  const std::string fp1 = design_member(first);
+  const std::string expired = service.handle_line(eco_request(
+      fp1, "rc-tree", "addcap g3_3 4\n", ",\"deadline_ms\":1e-6"));
+  EXPECT_NE(expired.find("\"error\":\"deadline\""), std::string::npos)
+      << expired;
+  EXPECT_EQ(service.design_count(), 0u);
+  const std::string stale = service.handle_line(
+      "{\"kind\":\"time\",\"design\":\"" + fp1 + "\",\"model\":\"rc-tree\"}");
+  EXPECT_NE(stale.find("\"error\":\"unknown-design\""), std::string::npos)
+      << stale;
+}
+
+// A script that fails before it mutates anything leaves the design and
+// its warm analysis in place: the next eco is still a hit, and equal.
+TEST(ServeWarmEcoKeys, PristineFailureKeepsTheWarmState) {
+  HubGuard guard;
+  TimingService service;
+  TempFile sim("warm_pristine.sim", generated_sim(6, 16));
+  Netlist shadow = read_sim_file(sim.path());
+  const std::string fp0 = load_design(service, sim.path(), "rc-tree");
+  const std::string first =
+      service.handle_line(eco_request(fp0, "rc-tree", "addcap g2_2 3\n"));
+  ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+  const std::string fp1 = design_member(first);
+  const std::string bad =
+      service.handle_line(eco_request(fp1, "rc-tree", "cap nosuchnode 5\n"));
+  EXPECT_NE(bad.find("\"error\":\"failed\""), std::string::npos) << bad;
+  const std::string next =
+      service.handle_line(eco_request(fp1, "rc-tree", "addcap g4_9 2\n"));
+  ASSERT_NE(next.find("\"ok\":true"), std::string::npos) << next;
+  EXPECT_FALSE(ran_full_propagate(next));
+  std::istringstream edits("addcap g2_2 3\naddcap g4_9 2\n");
+  apply_eco(edits, shadow, "<shadow>");
+  EXPECT_EQ(answer_members(next), cold_members(shadow, "rc-tree"));
+}
+
+// An eco that fails before it touches the design -- here its model
+// cannot be built, as the design carries no slope tables -- leaves the
+// design cached under its old fingerprint.
+TEST(ServeWarmEcoKeys, EcoWhoseModelCannotBeBuiltKeepsTheDesign) {
+  HubGuard guard;
+  TimingService service;
+  TempFile sim("warm_nomodel.sim", kChainSim);
+  const std::string fp = load_design(service, sim.path(), "lumped");
+  const std::string r =
+      service.handle_line(eco_request(fp, "slope", "addcap out 2\n"));
+  EXPECT_NE(r.find("\"error\":\"failed\""), std::string::npos) << r;
+  EXPECT_EQ(service.design_count(), 1u);
+  const std::string again =
+      service.handle_line(eco_request(fp, "lumped", "addcap out 2\n"));
+  EXPECT_NE(again.find("\"ok\":true"), std::string::npos) << again;
+}
+
+// Eviction drops the entry and with it the warm analysis; a re-load of
+// a cached design drops the warm analysis and keeps the entry.  Either
+// way the next eco misses.
+TEST(ServeWarmEcoKeys, EvictionAndReloadDropWarmState) {
+  HubGuard guard;
+  ServeOptions options;
+  options.cache_capacity = 1;
+  TimingService service(options);
+  TempFile a("warm_reload_a.sim", kChainSim);
+  // kChainSim after `width in gnd s1 16`, spelled as a .sim.
+  TempFile edited("warm_reload_b.sim",
+                  "e in gnd s1 4 16\n"
+                  "d s1 s1 vdd 8 4\n"
+                  "e s1 gnd out 4 8\n"
+                  "d out out vdd 8 4\n"
+                  "@in in\n"
+                  "@out out\n");
+  TempFile other("warm_reload_c.sim", kInverterSim);
+  const std::string fp_a = load_design(service, a.path(), "lumped");
+  const std::string r1 =
+      service.handle_line(eco_request(fp_a, "lumped", "width in gnd s1 16\n"));
+  ASSERT_NE(r1.find("\"ok\":true"), std::string::npos) << r1;
+  const std::string fp_b = design_member(r1);
+
+  // Re-load: same fingerprint, a cache hit, and the warm state is gone.
+  const std::string reload = service.handle_line(
+      "{\"kind\":\"load\",\"path\":\"" + json_escape(edited.path()) +
+      "\",\"model\":\"lumped\"}");
+  ASSERT_EQ(design_member(reload), fp_b) << reload;
+  EXPECT_NE(reload.find("\"cached\":true"), std::string::npos) << reload;
+  const std::string r2 =
+      service.handle_line(eco_request(fp_b, "lumped", "addcap out 2\n"));
+  ASSERT_NE(r2.find("\"ok\":true"), std::string::npos) << r2;
+  EXPECT_TRUE(ran_full_propagate(r2));
+  const std::string fp_c = design_member(r2);
+
+  // Eviction: loading another design at capacity 1 evicts the warm
+  // entry; loading it again compiles afresh, so the next eco misses.
+  load_design(service, other.path(), "lumped");
+  EXPECT_EQ(service.design_count(), 1u);
+  const std::string gone = service.handle_line(
+      eco_request(fp_c, "lumped", "addcap out 2\n"));
+  EXPECT_NE(gone.find("\"error\":\"unknown-design\""), std::string::npos)
+      << gone;
+  const std::string r3 =
+      service.handle_line(eco_request(fp_b, "lumped", "addcap out 2\n"));
+  EXPECT_NE(r3.find("\"error\":\"unknown-design\""), std::string::npos) << r3;
+  ASSERT_EQ(load_design(service, edited.path(), "lumped"), fp_b);
+  const std::string r4 =
+      service.handle_line(eco_request(fp_b, "lumped", "addcap out 2\n"));
+  ASSERT_NE(r4.find("\"ok\":true"), std::string::npos) << r4;
+  EXPECT_TRUE(ran_full_propagate(r4));
+  EXPECT_EQ(answer_members(r4), answer_members(r2));
+}
+
+// Each eco response carries its own share of the warm session's work,
+// so `stats` still equals the sum over the answered responses, and each
+// eco's ledger record carries the same share as its response.
+TEST(ServeWarmEcoKeys, StatsCountEachEcoOnce) {
+  HubGuard guard;
+  TempFile ledger("warm_stats.jsonl", "");
+  ServeOptions options;
+  options.ledger_path = ledger.path();
+  TimingService service(options);
+  TempFile sim("warm_stats.sim", generated_sim(6, 16));
+  std::string fp = load_design(service, sim.path(), "rc-tree");
+  Netlist shadow = read_sim_file(sim.path());
+  double sum = 0.0;
+  std::vector<JsonValue> answered;
+  for (int i = 0; i < 12; ++i) {
+    const std::string model = i == 6 ? "lumped" : "rc-tree";
+    const std::string script = chained_edit(shadow, i);
+    std::istringstream in(script);
+    apply_eco(in, shadow, "<shadow>");
+    const std::string r = service.handle_line(eco_request(fp, model, script));
+    ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << r;
+    answered.push_back(parse_json(r).at("stats"));
+    EXPECT_EQ(answered.back().at("incremental_updates").as_number(), 1.0)
+        << i;
+    sum += answered.back().at("stage_evaluations").as_number();
+    fp = design_member(r);
+  }
+  const std::vector<LedgerRecord> records = read_ledger_file(ledger.path());
+  ASSERT_EQ(records.size(), 1 + answered.size());  // the load, then ecos
+  for (std::size_t i = 0; i < answered.size(); ++i) {
+    const LedgerRecord& rec = records[i + 1];
+    EXPECT_EQ(rec.kind, "eco");
+    EXPECT_EQ(static_cast<double>(rec.stage_evaluations),
+              answered[i].at("stage_evaluations").as_number())
+        << i;
+    EXPECT_EQ(rec.propagate_seconds,
+              answered[i].at("propagate_seconds").as_number())
+        << i;
+    // Ecos 0 and 6 (the model switch) and 7 (back) run the full
+    // pre-edit propagate; the rest answer from the warm analysis.
+    EXPECT_EQ(rec.propagate_seconds > 0.0, i == 0 || i == 6 || i == 7) << i;
+  }
+  const JsonValue stats =
+      parse_json(service.handle_line("{\"kind\":\"stats\"}"));
+  EXPECT_GT(sum, 0.0);
+  EXPECT_EQ(stats.at("telemetry")
+                .at("counters")
+                .at("propagate.stage_evaluations")
+                .as_number(),
+            sum);
+}
+
+/// Names of this process's threads that are thread-pool workers.
+std::vector<std::string> pool_worker_threads() {
+  std::vector<std::string> out;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return out;
+  while (const dirent* e = readdir(dir)) {
+    if (e->d_name[0] == '.') continue;
+    std::ifstream comm(std::string("/proc/self/task/") + e->d_name + "/comm");
+    std::string name;
+    std::getline(comm, name);
+    if (name.rfind("sldm-w", 0) == 0) out.push_back(name);
+  }
+  closedir(dir);
+  return out;
+}
+
+/// pool_worker_threads() once every joined worker has left
+/// /proc/self/task.  pthread_join returns when the kernel clears an
+/// exiting thread's tid, a moment before it removes the thread's task
+/// entry, so a pool destroyed just now can still be listed briefly; a
+/// pool that is kept alive stays listed, and after 5 s the listing is
+/// returned as it stands.
+std::vector<std::string> pool_workers_after_join() {
+  std::vector<std::string> names = pool_worker_threads();
+  for (int i = 0; i < 5000 && !names.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    names = pool_worker_threads();
+  }
+  return names;
+}
+
+// A warm session outlives its request, but its thread pool does not: a
+// `threads: 8` eco that fanned batches out over workers leaves none
+// alive once it has answered.
+TEST(ServeWarmEcoKeys, WarmSessionHoldsNoWorkerThreads) {
+  HubGuard guard;
+  TimingService service;
+  TempFile sim("warm_threads.sim", generated_sim(8, 128));
+  const std::string fp = load_design(service, sim.path(), "rc-tree");
+  // Counts submissions without perturbing them, to show the pool ran.
+  FailpointRegistry::instance().configure("pool.submit=delay:0");
+  const std::string r = service.handle_line(
+      eco_request(fp, "rc-tree", "addcap g3_3 4\n", ",\"threads\":8"));
+  const std::uint64_t submits =
+      FailpointRegistry::instance().counts("pool.submit").visits;
+  FailpointRegistry::instance().clear();
+  ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << r;
+  EXPECT_GT(submits, 0u) << "the eco never fanned a batch out";
+  EXPECT_EQ(pool_workers_after_join(), std::vector<std::string>{});
+  // And the warm state it left still serves the next eco.
+  const std::string next = service.handle_line(eco_request(
+      design_member(r), "rc-tree", "addcap g5_7 4\n", ",\"threads\":8"));
+  ASSERT_NE(next.find("\"ok\":true"), std::string::npos) << next;
+  EXPECT_FALSE(ran_full_propagate(next));
+  EXPECT_EQ(pool_workers_after_join(), std::vector<std::string>{});
 }
 
 // --- the concurrency guarantee -------------------------------------------
