@@ -7,9 +7,9 @@
 #      one where GCC's optimizer-driven warnings (e.g. -Wrestrict) fire;
 #   2. asan preset: the full test suite under AddressSanitizer/UBSan;
 #   3. tsan preset: the concurrency-sensitive suites (parallel stage
-#      extraction and its per-node stitch, batched wavefront
-#      propagation, and the incremental-update pipeline built on them)
-#      under ThreadSanitizer;
+#      extraction and its per-node stitch, the incremental-update
+#      pipeline's parallel re-extraction, telemetry, and the serve
+#      request workers) under ThreadSanitizer;
 #   4. ubsan preset: the timing suites, and the analog reference's
 #      sparse LU, transient and calibration suites (int-indexed CSC
 #      arithmetic), under standalone UBSan with -fno-sanitize-recover
@@ -18,7 +18,8 @@
 #      --trace` capture must parse as JSON, a bench run with `--json`
 #      must append a parseable record, and `sldm time --stats --json`
 #      must report identical propagation work counters at --threads 1
-#      and --threads 4 (the wavefront determinism contract);
+#      and --threads 4 (propagation is sequential, so this guards the
+#      stage order parallel extraction hands it);
 #   6. a compiled-design snapshot smoke under asan and ubsan: `sldm
 #      compile` + `sldm time --load` must match the direct path
 #      byte-for-byte at 1 and 4 threads, `sldm compile` at --threads 1
@@ -45,7 +46,8 @@
 #      byte, a malformed request line that must come back as a named
 #      error envelope (not a crash), and the checked-in corrupt ledger
 #      corpus (testdata/ledger/) that `sldm ledger summarize` must
-#      reject with a located "bad fingerprint" error; and 30 time
+#      reject with located errors ("bad fingerprint" in corrupt.jsonl,
+#      "bad propagate_seconds" in huge_seconds.jsonl); and 30 time
 #      requests to a fresh serve whose `stats` telemetry counter
 #      propagate.stage_evaluations must equal the sum over the 30
 #      responses (retired sessions lose no work); and 5 chained rc-tree
@@ -120,8 +122,9 @@ if missing:
 EOF
 echo "check.sh: trace smoke file parsed"
 
-# Propagation-metrics sanity: the wavefront engine must do identical
-# work (and reach identical arrivals) regardless of the thread count.
+# Propagation-metrics sanity: propagation must do identical work (and
+# reach identical arrivals) whatever the extraction thread count, i.e.
+# parallel extraction must hand it the same stage order.
 for t in 1 4; do
   out/ubsan/examples/sldm time "$smoke_dir/chain.sim" --model rc-tree \
     --threads "$t" --stats --json > "$smoke_dir/stats$t.json"
@@ -501,6 +504,17 @@ grep -q 'bad fingerprint' "$smoke_dir/ledger_err.txt" \
 grep -q 'corrupt.jsonl:2' "$smoke_dir/ledger_err.txt" \
   || { echo "check.sh: corrupt ledger error lacks file:line" >&2; exit 1; }
 echo "check.sh: corrupt ledger corpus rejected with located error"
+
+# Out-of-range ledger numbers: a seconds value that used to turn every
+# summarize prop column into `inf` must be a located error instead.
+if out/asan/examples/sldm ledger summarize testdata/ledger/huge_seconds.jsonl \
+    > /dev/null 2> "$smoke_dir/ledger_err.txt"; then
+  echo "check.sh: huge-seconds ledger witness was accepted" >&2; exit 1
+fi
+grep -q 'huge_seconds.jsonl:2: bad propagate_seconds' \
+    "$smoke_dir/ledger_err.txt" \
+  || { echo "check.sh: huge-seconds ledger not rejected by name" >&2; exit 1; }
+echo "check.sh: out-of-range ledger seconds rejected with located error"
 
 # Chaos smoke under asan: arm a fixed-seed failpoint schedule
 # (FORMATS.md section 15) and drive the same request mix through

@@ -19,10 +19,6 @@ Seconds now_seconds() {
       .count();
 }
 
-/// Below this many candidates a wavefront batch is evaluated inline:
-/// the pool handoff costs more than the evaluations save.
-constexpr std::size_t kMinParallelChunk = 128;
-
 /// Dense process-unique session ids for the telemetry `session` label.
 std::uint64_t next_session_id() {
   static std::atomic<std::uint64_t> next{1};
@@ -38,7 +34,6 @@ Session::Session(std::shared_ptr<const CompiledDesign> design,
       options_(options),
       session_id_(next_session_id()) {
   SLDM_EXPECTS(design_ != nullptr);
-  SLDM_EXPECTS(options.threads >= 1);
   const std::size_t nkeys = design_->netlist().node_count() * 2;
   arrival_time_.assign(nkeys, 0.0);
   arrival_slope_.assign(nkeys, 0.0);
@@ -94,7 +89,7 @@ const AnalyzerStats& Session::stats() const {
   stats_.widest_ccc = design_->components().widest();
   stats_.stages_per_ccc = design_->stages_per_ccc();
   stats_.stage_count = design_->stages().size();
-  stats_.threads = options_.threads;
+  stats_.threads = design_->build_threads();
   stats_.stage_evaluations =
       static_cast<std::size_t>(ctr_stage_evaluations_.value());
   stats_.worklist_pushes =
@@ -194,61 +189,13 @@ void Session::publish_telemetry() const {
   labels.session =
       format("s%llu", static_cast<unsigned long long>(session_id_));
   labels.model = model_.name();
-  labels.threads = options_.threads;
+  labels.threads = design_->build_threads();
   labels.request = telemetry_request_;
   telemetry_.publish(std::move(labels), metrics());
 }
 
-void Session::evaluate_batch(std::span<const StageStore::StageId> ids,
-                             std::span<const Seconds> input_slopes,
-                             std::span<DelayEstimate> out,
-                             std::unique_ptr<ThreadPool>& pool) {
-  const StageStore& store = design_->stage_store();
-  const std::size_t n = ids.size();
-  if (options_.threads <= 1 || n < 2 * kMinParallelChunk) {
-    model_.estimate_batch(store, ids, input_slopes, out);
-    return;
-  }
-  // Contiguous chunks, workers write disjoint out[] windows; chunk 0
-  // runs on the calling thread so all `threads` threads participate.
-  const std::size_t nchunks = std::min<std::size_t>(
-      static_cast<std::size_t>(options_.threads), n / kMinParallelChunk);
-  if (!pool) pool = std::make_unique<ThreadPool>(options_.threads);
-  const auto run_chunk = [&](std::size_t c) {
-    const std::size_t begin = c * n / nchunks;
-    const std::size_t end = (c + 1) * n / nchunks;
-    TraceSpan span("propagate-chunk", "timing");
-    span.arg("evaluations", static_cast<double>(end - begin));
-    model_.estimate_batch(store, ids.subspan(begin, end - begin),
-                          input_slopes.subspan(begin, end - begin),
-                          out.subspan(begin, end - begin));
-  };
-  try {
-    for (std::size_t c = 1; c < nchunks; ++c) {
-      pool->submit([&run_chunk, c] { run_chunk(c); });
-    }
-    run_chunk(0);
-  } catch (...) {
-    // Both a refused submit and a failing inline chunk land here.  The
-    // workers still hold references into this frame; drain them before
-    // unwinding (their failures, if any, stay suppressed -- the first
-    // exception already carries the diagnosis).
-    try {
-      pool->wait();
-    } catch (...) {
-    }
-    throw;
-  }
-  pool->wait();
-}
-
 void Session::propagate(std::deque<std::uint32_t>& work,
                         std::vector<char>& queued) {
-  // The pool lives for one drain, i.e. one run() or update(): the
-  // first batch wide enough to fan out builds it and it is joined on
-  // every return, so a session kept between analyses (a warm serve
-  // eco) holds no threads while it waits.
-  std::unique_ptr<ThreadPool> pool;
   Tracer& tracer = Tracer::instance();
   const bool tracing = tracer.enabled();
   const StageTable& stages = design_->stages();
@@ -299,7 +246,7 @@ void Session::propagate(std::deque<std::uint32_t>& work,
     const std::size_t n = ids.size();
     ests.resize(n);
     const double eval_t0_us = tracer.now_us();
-    evaluate_batch(ids, slopes, ests, pool);
+    model_.estimate_batch(store, ids, slopes, ests);
     h_eval_us_.add((tracer.now_us() - eval_t0_us) /
                    static_cast<double>(n));
     ctr_stage_evaluations_.add(n);
@@ -312,10 +259,9 @@ void Session::propagate(std::deque<std::uint32_t>& work,
       h_rc_depth_.add(static_cast<double>(store.length(ids[i])));
     }
 
-    // --- Commit sequentially in gather order (FIFO event order, then
-    // ascending stage index per event): thread-independent, so the
-    // accepted arrivals -- and the next wavefront's contents -- are
-    // bit-identical for any chunking of the evaluation above.
+    // --- Commit in gather order (FIFO event order, then ascending
+    // stage index per event), so the accepted arrivals -- and the next
+    // wavefront's contents -- follow from the snapshot alone.
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t s = ids[i];
       const std::uint32_t fire_key = fire_keys[i];

@@ -3,23 +3,20 @@
 // A Session borrows an immutable CompiledDesign and owns everything a
 // single analysis needs that the design does not: the declared input
 // events, the structure-of-arrays arrival store, the propagation
-// worklist scratch, the thread pool for batched evaluation (held only
-// while a run() or update() drains), and the per-session
-// metrics/stats.  N sessions -- different delay models, input slopes,
-// or thread counts -- run concurrently over one shared
-// design with no cloning, and each produces results bit-identical to a
-// standalone analyzer over the same inputs (tests/design_test.cpp).
+// worklist scratch, and the per-session metrics/stats.  N sessions --
+// different delay models or input slopes -- run concurrently over one
+// shared design with no cloning, and each produces results
+// bit-identical to a standalone analyzer over the same inputs
+// (tests/design_test.cpp).
 //
-// Propagation drains an explicit FIFO worklist with in-queue
-// deduplication in *wavefronts*: each round snapshots the ready
-// frontier, gathers every (stage, firing event) candidate it triggers
-// into one batch, prices the whole batch through
-// DelayModel::estimate_batch (fanned over the thread pool in contiguous
-// chunks when threads > 1), and commits the results sequentially in
-// canonical order (FIFO event order, ascending stage index per event).
-// Estimates are pure per (stage, slope) and the commit order is
-// thread-independent, so arrivals, predecessors, and every work counter
-// are bit-identical for any SessionOptions::threads.
+// Propagation runs on the calling thread and drains an explicit FIFO
+// worklist with in-queue deduplication in *wavefronts*: each round
+// snapshots the ready frontier, gathers every (stage, firing event)
+// candidate it triggers into one batch, prices the whole batch with one
+// DelayModel::estimate_batch call, and commits the results in canonical
+// order (FIFO event order, ascending stage index per event).  A stage
+// costs a handful of arithmetic operations, too little to hand to
+// another thread (EXPERIMENTS.md "Sequential propagation").
 //
 // The legacy TimingAnalyzer (timing/analyzer.h) is now a facade over
 // {CompiledDesign, Session}; ECO updates go through it because they
@@ -30,7 +27,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +35,6 @@
 #include "util/cancel.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace sldm {
 
@@ -48,10 +43,6 @@ struct SessionOptions {
   /// Safety valve: maximum times a (node, direction) arrival may be
   /// improved before the session reports a structural loop.
   int max_updates_per_arrival = 64;
-  /// Worker threads for batched wavefront evaluation (1 = fully
-  /// sequential; results are bit-identical for any value).  Must be
-  /// >= 1.
-  int threads = 1;
 };
 
 /// Observability counters for one session lifetime: where did the time
@@ -76,7 +67,7 @@ struct AnalyzerStats {
   std::size_t arrival_updates = 0;  ///< arrival improvements committed
   Seconds extract_seconds = 0.0;    ///< design build wall clock (0: loaded)
   Seconds propagate_seconds = 0.0;  ///< run() wall clock
-  int threads = 1;                  ///< session worker count
+  int threads = 1;                  ///< the design's extraction workers
 
   // Batch shape of wavefront propagation.  `batches` accumulates like
   // stage_evaluations; mean/max describe the whole session lifetime.
@@ -118,7 +109,7 @@ struct PathStep {
 class Session {
  public:
   /// Attaches to a design.  `model` must outlive the session.
-  /// Precondition: design is non-null; options.threads >= 1.
+  /// Precondition: design is non-null.
   Session(std::shared_ptr<const CompiledDesign> design,
           const DelayModel& model, SessionOptions options = {});
 
@@ -221,14 +212,14 @@ class Session {
   std::uint64_t session_id() const { return session_id_; }
 
   /// Publishes a labeled snapshot of metrics() into the process-wide
-  /// TelemetryHub (labels: "s<id>", delay-model name, thread count,
-  /// plus the request label when set).  Re-publishing replaces this
-  /// session's earlier snapshot, so the hub always holds the registry's
-  /// latest cumulative state.  The snapshot stays live under "s<id>"
-  /// while the session exists; destroying the session retires it into
-  /// the hub's `session="retired"` rollup for the same (model, threads,
-  /// request) (TelemetryHub::retire), so the hub does not grow with the
-  /// number of sessions ever run.  A moved-from session retires
+  /// TelemetryHub (labels: "s<id>", delay-model name, the design's
+  /// extraction thread count, plus the request label when set).
+  /// Re-publishing replaces this session's earlier snapshot, so the hub
+  /// always holds the registry's latest cumulative state.  The snapshot
+  /// stays live under "s<id>" while the session exists; destroying the
+  /// session retires it into the hub's `session="retired"` rollup for
+  /// the same (model, threads, request) (TelemetryHub::retire), so the
+  /// hub does not grow with the number of sessions ever run.  A moved-from session retires
   /// nothing.  No-op (one relaxed atomic load) while the hub is
   /// disabled; run() and TimingAnalyzer::update() call this at
   /// completion.
@@ -270,17 +261,6 @@ class Session {
   /// Re-censuses the trigger fan-in histogram from the design
   /// structure (construction and after ECO updates).
   void refresh_fan_in();
-
-  /// Prices one wavefront batch through the model's batch kernel,
-  /// fanning contiguous chunks over `pool` when options_.threads > 1
-  /// and the batch is large enough to pay for the handoff (the first
-  /// such batch builds the pool; propagate() owns it).  Estimates are
-  /// pure per item, so the result is identical for any thread count or
-  /// chunking.
-  void evaluate_batch(std::span<const StageStore::StageId> ids,
-                      std::span<const Seconds> input_slopes,
-                      std::span<DelayEstimate> out,
-                      std::unique_ptr<ThreadPool>& pool);
 
   /// Drains the worklist to fixpoint in wavefront batches.  `queued` is
   /// the in-queue deduplication mark, sized like the arrival arrays.

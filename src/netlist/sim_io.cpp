@@ -1,6 +1,8 @@
 #include "netlist/sim_io.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -15,6 +17,8 @@ namespace sldm {
 namespace {
 
 constexpr double kCentimicron = 1e-8;  // meters
+/// One file unit under the "units: 100" header write_sim emits.
+constexpr double kWrittenUnit = 100.0 * kCentimicron;
 
 bool is_power_name(std::string_view name) {
   return iequals(name, "vdd") || iequals(name, "vdd!");
@@ -176,6 +180,37 @@ Netlist parse_sim(std::string_view text, const std::string& origin) {
   return nl;
 }
 
+/// `value / unit` in the fewest significant digits (6 up to 17) that
+/// parse_sim reads back, as text * unit, to exactly `value`, so a
+/// written design re-loads with the same fingerprint (a value that
+/// round-trips at 6 digits keeps its %.6g text); "" if none does, as a
+/// sum of caps may not.
+std::string exact_text(double value, double unit) {
+  char buf[32];
+  for (int digits = 6; digits <= 17; ++digits) {
+    char* end = std::to_chars(buf, buf + sizeof buf, value / unit,
+                              std::chars_format::general, digits).ptr;
+    std::string text(buf, end);
+    if (*parse_double(text) * unit == value) return text;
+  }
+  return "";
+}
+
+/// The `c` records that give `cap` back.  parse_sim adds up a node's
+/// records, so a cap no one record reaches is written as the largest
+/// one-record cap below it plus the (exact) rest.
+void write_cap(std::ostream& out, std::string_view name, double cap) {
+  if (const std::string text = exact_text(cap, units::fF); !text.empty()) {
+    out << "c " << name << ' ' << text << '\n';
+    return;
+  }
+  double base = cap / units::fF;
+  while (base * units::fF >= cap) base = std::nextafter(base, 0.0);
+  const double rest = cap - base * units::fF;
+  out << "c " << name << ' ' << format("%.17g", base) << "\nc " << name
+      << ' ' << format("%.17g", rest / units::fF) << '\n';
+}
+
 }  // namespace
 
 Netlist read_sim(std::istream& in, const std::string& origin) {
@@ -187,12 +222,16 @@ Netlist read_sim_file(const std::string& path) {
 }
 
 void write_sim(const Netlist& nl, std::ostream& out) {
+  const auto dimension = [](double meters) {
+    const std::string text = exact_text(meters, kWrittenUnit);
+    return text.empty() ? format("%.17g", meters / kWrittenUnit) : text;
+  };
   out << "| units: 100 (1 unit = 1 micron); written by sldm\n";
   for (DeviceId d : nl.all_devices()) {
     const Transistor& t = nl.device(d);
     out << to_letter(t.type) << ' ' << nl.node(t.gate).name << ' '
         << nl.node(t.source).name << ' ' << nl.node(t.drain).name << ' '
-        << format("%.6g %.6g", t.length / units::um, t.width / units::um);
+        << dimension(t.length) << ' ' << dimension(t.width);
     if (t.flow != Flow::kBidirectional) {
       out << " flow=" << to_string(t.flow);
     }
@@ -200,10 +239,7 @@ void write_sim(const Netlist& nl, std::ostream& out) {
   }
   for (NodeId n : nl.all_nodes()) {
     const Node& info = nl.node(n);
-    if (info.cap > 0.0) {
-      out << "c " << info.name << ' ' << format("%.6g", to_fF(info.cap))
-          << '\n';
-    }
+    if (info.cap > 0.0) write_cap(out, info.name, info.cap);
   }
   auto emit_role = [&](const char* tag, auto pred) {
     bool any = false;

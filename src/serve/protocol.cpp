@@ -121,7 +121,8 @@ ServeRequest parse_request(const std::string& line) {
                                 : RequestKind::kEco;
     req.design = require_string(obj, "design");
     req.model = optional_string(obj, "model", "slope");
-    req.threads = optional_threads(obj);
+    // Threads size extraction, which time and explain never run.
+    if (req.kind == RequestKind::kEco) req.threads = optional_threads(obj);
     req.slope_ns = optional_slope_ns(obj);
     req.deadline_ms = optional_deadline_ms(obj);
     if (req.kind == RequestKind::kExplain) {

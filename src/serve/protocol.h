@@ -53,7 +53,7 @@ struct ServeRequest {
   // load / time / explain / eco
   std::string design;          ///< 16-hex design fingerprint
   std::string model = "slope";
-  int threads = 1;
+  int threads = 1;  ///< extraction workers; read by load and eco only
   double slope_ns = 1.0;
   /// Cooperative per-request deadline in milliseconds; 0 (the default)
   /// means no request-level deadline (the server-wide default, if any,

@@ -35,7 +35,7 @@ namespace sldm {
 /// full propagate of the pre-edit design.  The key is everything that
 /// shapes the arrivals besides the design: model token, input slope and
 /// thread count (threads cannot change an answer, but they size the
-/// analyzer's pool and label its telemetry).
+/// analyzer's re-extraction in update()).
 struct WarmEco {
   std::string model;
   double slope_ns = 0.0;
@@ -174,7 +174,7 @@ void append_worst(std::ostream& os, const Netlist& nl,
 LedgerRecord session_record(const char* kind, const Session& session,
                             const AnalyzerStats& st,
                             std::uint64_t fingerprint,
-                            const std::string& model, int threads) {
+                            const std::string& model) {
   LedgerRecord r;
   r.kind = kind;
   r.version = sldm_version();
@@ -182,7 +182,7 @@ LedgerRecord session_record(const char* kind, const Session& session,
   r.detail = "serve";
   r.fingerprint = fingerprint;
   r.model = model;
-  r.threads = threads;
+  r.threads = st.threads;
   r.extract_seconds = st.extract_seconds;
   r.propagate_seconds = st.propagate_seconds;
   r.update_seconds = st.update_seconds;
@@ -441,7 +441,7 @@ struct TimingService::ServeRequestDispatch {
       r.detail = "serve";
       r.source = req.path;
       r.model = req.model;
-      r.threads = req.threads;
+      r.threads = design->build_threads();
       r.fingerprint = fp;
       r.extract_seconds = design->extract_seconds();
       svc.append_ledger(r);
@@ -472,8 +472,7 @@ struct TimingService::ServeRequestDispatch {
     Analysis a;
     a.lease = svc.lease(req.design);
     a.model = make_request_model(req.model, a.lease.tables());
-    a.session = std::make_unique<Session>(a.lease.design(), *a.model,
-                                          SessionOptions{64, req.threads});
+    a.session = std::make_unique<Session>(a.lease.design(), *a.model);
     a.session->set_telemetry_request(request_label);
     a.session->add_all_input_events(req.slope_ns * 1e-9);
     const CancelToken deadline = deadline_for(req, svc.options_);
@@ -503,13 +502,12 @@ struct TimingService::ServeRequestDispatch {
     const Netlist& nl = session.netlist();
     svc.append_ledger(session_record("run", session, session.stats(),
                                      parse_hex_u64(req.design).value_or(0),
-                                     a.model->name(), req.threads));
+                                     a.model->name()));
 
     std::ostringstream os;
     begin_response(os, req, "time")
         << ",\"design\":\"" << req.design << "\",\"model\":\""
-        << json_escape(a.model->name()) << "\",\"threads\":" << req.threads
-        << ",\"report\":\""
+        << json_escape(a.model->name()) << "\",\"report\":\""
         << json_escape(report_text(a.model->name(), nl, session))
         << "\",\"arrivals\":" << arrivals_json(nl, session);
     append_worst(os, nl, session);
@@ -647,7 +645,7 @@ struct TimingService::ServeRequestDispatch {
     const std::string model_name = warm->delay_model->name();
 
     LedgerRecord r =
-        session_record("eco", session, st, new_fp, model_name, req.threads);
+        session_record("eco", session, st, new_fp, model_name);
     r.detail = format("serve: %zu edit(s)", applied);
     svc.append_ledger(r);
 

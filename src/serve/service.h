@@ -12,7 +12,9 @@
 //     fresh Session over the shared immutable design -- any number of
 //     mixed-model requests proceed concurrently with no cloning, each
 //     bit-identical to an independent cold analyzer
-//     (tests/design_test.cpp extends that guarantee here);
+//     (tests/design_test.cpp extends that guarantee here).  They run no
+//     extraction, so they do not read `threads`, which sizes only the
+//     extraction of a `load` and of an eco's update();
 //   * `eco` is the single writer: it removes the entry from the cache
 //     (refusing with "eco-shared" while reader leases are outstanding),
 //     mutates the design through TimingAnalyzer::update() with the
@@ -20,7 +22,8 @@
 //     under its *new* fingerprint -- an edited design is a different
 //     design, and stale fingerprints fail fast with "unknown-design";
 //   * the entry keeps the analysis its last successful eco left (a
-//     *warm* analyzer, keyed by model token, slope_ns and threads).
+//     *warm* analyzer, keyed by model token, slope_ns and threads --
+//     the last because it sizes update()'s re-extraction).
 //     The next eco with the same key applies its script and calls
 //     update() on it, with no full propagate of the pre-edit design;
 //     any other key, a re-load or a failure starts a fresh analyzer,

@@ -43,8 +43,7 @@ TimingAnalyzer::TimingAnalyzer(const Netlist& nl, const Tech& tech,
           nl, tech, CompileOptions{options.extract, options.threads})),
       options_(options),
       session_(design_, model,
-               SessionOptions{options.max_updates_per_arrival,
-                              options.threads}) {}
+               SessionOptions{options.max_updates_per_arrival}) {}
 
 TimingAnalyzer::TimingAnalyzer(std::shared_ptr<CompiledDesign> design,
                                const DelayModel& model,
@@ -52,8 +51,7 @@ TimingAnalyzer::TimingAnalyzer(std::shared_ptr<CompiledDesign> design,
     : design_(std::move(design)),
       options_(options),
       session_(design_, model,
-               SessionOptions{options.max_updates_per_arrival,
-                              options.threads}) {
+               SessionOptions{options.max_updates_per_arrival}) {
   options_.extract = design_->extract_options();
 }
 

@@ -6,6 +6,8 @@
 // extraction fanned over AnalyzerOptions::threads workers with a
 // deterministic merge, and the baked StageStore) and attaches one
 // Session (design/session.h) that owns all mutable analysis state.
+// The thread count sizes extraction only -- at construction and in
+// update()'s re-extraction; propagation is sequential.
 // Every query -- arrivals, critical paths, k-worst enumeration, stats,
 // metrics -- delegates to that session, so results are bit-identical
 // to driving the two layers directly.
@@ -46,8 +48,8 @@ struct AnalyzerOptions {
   /// Safety valve: maximum times a (node, direction) arrival may be
   /// improved before the analyzer reports a structural loop.
   int max_updates_per_arrival = 64;
-  /// Worker threads for stage extraction and for batched wavefront
-  /// evaluation during propagation (1 = fully sequential; results are
+  /// Worker threads for stage extraction, at construction and in
+  /// update()'s re-extraction (1 = fully sequential; results are
   /// bit-identical for any value).  Must be >= 1.
   int threads = 1;
 };

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -32,6 +34,23 @@ std::string string_or(const JsonValue& obj, const char* key) {
 double number_or(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.find(key);
   return v && v->kind() == JsonValue::Kind::kNumber ? v->as_number() : 0.0;
+}
+
+/// A member in [0, max] (and integral if asked), 0 when absent; else a
+/// located `bad <key>` error.  Casting a double outside the target type
+/// is undefined behaviour, and one huge seconds value turned every
+/// summarize column it entered into `inf`.
+constexpr double kMaxSeconds = 1e9;  ///< ~32 years: keeps ms sums finite
+constexpr double kMaxInteger = 0x1p53;  ///< every integer up to it is exact
+double checked_number(const JsonValue& obj, const char* key, double max,
+                      bool integral, const std::string& where) {
+  const double v = number_or(obj, key);
+  if (!(v >= 0.0 && v <= max) || (integral && v != std::floor(v))) {
+    throw Error(where + ": bad " + key + " " + json_number(v) +
+                format(" (want %s in [0, %g])",
+                       integral ? "an integer" : "seconds", max));
+  }
+  return v;
 }
 
 }  // namespace
@@ -117,44 +136,47 @@ std::vector<LedgerRecord> read_ledger_file(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (trim(line).empty()) continue;
+    const std::string where = path + ":" + std::to_string(lineno);
     JsonValue obj;
     try {
       obj = parse_json(line);
     } catch (const Error& e) {
-      throw Error(path + ":" + std::to_string(lineno) + ": " + e.what());
+      throw Error(where + ": " + e.what());
     }
     if (!obj.is_object()) {
-      throw Error(path + ":" + std::to_string(lineno) +
-                  ": ledger record is not a JSON object");
+      throw Error(where + ": ledger record is not a JSON object");
     }
     LedgerRecord r;
     r.kind = string_or(obj, "kind");
     if (r.kind.empty()) {
-      throw Error(path + ":" + std::to_string(lineno) +
-                  ": ledger record has no \"kind\"");
+      throw Error(where + ": ledger record has no \"kind\"");
     }
     r.version = string_or(obj, "version");
-    r.unix_ms = static_cast<std::int64_t>(number_or(obj, "unix_ms"));
+    r.unix_ms = static_cast<std::int64_t>(
+        checked_number(obj, "unix_ms", kMaxInteger, true, where));
     const std::string fp = string_or(obj, "fingerprint");
     if (!fp.empty()) {
       // Untrusted field: a hand-edited or corrupt ledger must produce a
       // diagnostic, not std::invalid_argument out of std::stoull.
       const auto parsed = parse_hex_u64(fp);
       if (!parsed) {
-        throw Error(path + ":" + std::to_string(lineno) +
-                    ": bad fingerprint '" + fp +
+        throw Error(where + ": bad fingerprint '" + fp +
                     "' (want 1-16 hex digits)");
       }
       r.fingerprint = *parsed;
     }
     r.source = string_or(obj, "source");
     r.model = string_or(obj, "model");
-    r.threads = static_cast<int>(number_or(obj, "threads"));
-    r.extract_seconds = number_or(obj, "extract_seconds");
-    r.propagate_seconds = number_or(obj, "propagate_seconds");
-    r.update_seconds = number_or(obj, "update_seconds");
-    r.stage_evaluations =
-        static_cast<std::uint64_t>(number_or(obj, "stage_evaluations"));
+    r.threads =
+        static_cast<int>(checked_number(obj, "threads", INT_MAX, true, where));
+    r.extract_seconds =
+        checked_number(obj, "extract_seconds", kMaxSeconds, false, where);
+    r.propagate_seconds =
+        checked_number(obj, "propagate_seconds", kMaxSeconds, false, where);
+    r.update_seconds =
+        checked_number(obj, "update_seconds", kMaxSeconds, false, where);
+    r.stage_evaluations = static_cast<std::uint64_t>(
+        checked_number(obj, "stage_evaluations", kMaxInteger, true, where));
     if (const JsonValue* crit = obj.find("critical")) {
       r.has_critical = true;
       r.critical_node = string_or(*crit, "node");

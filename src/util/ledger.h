@@ -80,7 +80,8 @@ bool try_append_ledger_record(const std::string& path,
 
 /// Parses every record in the JSONL file at `path` (blank lines
 /// skipped).  Throws Error on I/O failure or, with `path:line:`
-/// context, on malformed records.
+/// context, on malformed records (`bad <member>` for a number out of
+/// its member's range).
 std::vector<LedgerRecord> read_ledger_file(const std::string& path);
 
 /// A per-fingerprint summary table: record counts by kind, the models

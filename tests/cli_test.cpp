@@ -533,6 +533,42 @@ TEST(Cli, LedgerSummarizeCorruptCorpusIsNamedError) {
   EXPECT_NE(r.err.find(":2:"), std::string::npos) << r.err;
 }
 
+TEST(Cli, LedgerSummarizeRejectsOutOfRangeNumbers) {
+  // The checked-in witness: one seconds value so large that every prop
+  // column of the summary used to read `inf`.
+  const std::string path =
+      std::string(SLDM_SOURCE_DIR) + "/testdata/ledger/huge_seconds.jsonl";
+  const CliRun huge = run({"ledger", "summarize", path});
+  EXPECT_EQ(huge.code, 1);
+  EXPECT_NE(huge.err.find("huge_seconds.jsonl:2: bad propagate_seconds"),
+            std::string::npos)
+      << huge.err;
+  EXPECT_EQ(huge.out.find("inf"), std::string::npos) << huge.out;
+
+  // Numbers no cast may take: out of the member's range or fractional.
+  const std::string good = "{\"kind\":\"run\",\"threads\":1}\n";
+  for (const auto& [member, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"threads", "1e300"},
+           {"threads", "-1"},
+           {"threads", "2.5"},
+           {"unix_ms", "-5"},
+           {"unix_ms", "1e300"},
+           {"stage_evaluations", "1e300"},
+           {"stage_evaluations", "-1"},
+           {"extract_seconds", "-0.5"},
+           {"update_seconds", "1e300"},
+       }) {
+    TempFile ledger("ledger_range.jsonl",
+                    good + "{\"kind\":\"run\",\"" + member + "\":" + value +
+                        "}\n");
+    const CliRun r = run({"ledger", "summarize", ledger.path()});
+    EXPECT_EQ(r.code, 1) << member << "=" << value;
+    EXPECT_NE(r.err.find(":2: bad " + member), std::string::npos)
+        << member << "=" << value << ": " << r.err;
+  }
+}
+
 TEST(Cli, BenchDiffRejectsMalformedRecordsWithLocation) {
   TempFile good("bench_good.jsonl",
                 "{\"bench\":\"a\",\"wall_seconds\":1.0}\n");

@@ -113,31 +113,6 @@ TEST(Design, ConcurrentSessionsMatchIndependentColdRuns) {
   }
 }
 
-TEST(Design, SessionsWithDifferentThreadCountsAgree) {
-  const GeneratedCircuit g = manchester_carry(Style::kNmos, 6);
-  const std::shared_ptr<const CompiledDesign> design =
-      CompiledDesign::compile(g.netlist, tech_for(g));
-  const RcTreeModel model;
-
-  Session seq(design, model, SessionOptions{64, 1});
-  Session par(design, model, SessionOptions{64, 4});
-  seq.add_all_input_events(kSlope);
-  par.add_all_input_events(kSlope);
-  seq.run();
-  par.run();
-  for (NodeId n : g.netlist.all_nodes()) {
-    for (Transition dir : {Transition::kRise, Transition::kFall}) {
-      const auto a = seq.arrival(n, dir);
-      const auto b = par.arrival(n, dir);
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (!a) continue;
-      EXPECT_EQ(a->time, b->time);
-      EXPECT_EQ(a->slope, b->slope);
-      EXPECT_EQ(a->via_stage, b->via_stage);
-    }
-  }
-}
-
 TEST(Design, UpdateRefusesWhileDesignIsShared) {
   const GeneratedCircuit g = inverter_chain(Style::kCmos, 4, 2);
   Netlist nl = g.netlist;

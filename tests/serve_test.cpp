@@ -161,7 +161,9 @@ TEST(ServeProtocol, MissingOrBadFieldsAreBadRequest) {
            "{\"kind\":\"load\"}",                          // no path
            "{\"kind\":\"time\"}",                          // no design
            "{\"kind\":\"explain\",\"design\":\"0\"}",      // no node
-           "{\"kind\":\"time\",\"design\":\"0\",\"threads\":0}",
+           "{\"kind\":\"load\",\"path\":\"x.sim\",\"threads\":0}",
+           "{\"kind\":\"eco\",\"design\":\"0\",\"script\":\"x\","
+           "\"threads\":0}",
            "{\"kind\":\"time\",\"design\":\"0\",\"slope_ns\":-1}",
            "{\"kind\":\"eco\",\"design\":\"0\"}",          // script xor path
            "{\"kind\":\"eco\",\"design\":\"0\",\"script\":\"x\","
@@ -243,6 +245,31 @@ TEST(ServeDeadline, CompletedRunIsByteIdenticalToUndeadlinedRun) {
       "\",\"model\":\"lumped\",\"deadline_ms\":60000}");
   ASSERT_NE(without.find("\"ok\":true"), std::string::npos) << without;
   EXPECT_EQ(deterministic_prefix(with), deterministic_prefix(without));
+}
+
+// `threads` sizes extraction, which a time request never runs: the
+// member is ignored, so the answer is the same bytes with or without it
+// (the propagate wall clock, erased here, aside).
+TEST(ServeService, TimeIgnoresThreads) {
+  HubGuard guard;
+  TimingService service;
+  TempFile sim("threads_chain.sim", kChainSim);
+  const std::string fp = load_design(service, sim.path(), "lumped");
+  const auto answer = [&](const std::string& extra) {
+    std::string r = service.handle_line(
+        "{\"id\":1,\"kind\":\"time\",\"design\":\"" + fp +
+        "\",\"model\":\"lumped\"" + extra + "}");
+    const std::string key = "\"propagate_seconds\":";
+    const auto begin = r.find(key);
+    EXPECT_NE(begin, std::string::npos) << r;
+    if (begin == std::string::npos) return r;
+    const auto end = r.find_first_of(",}", begin + key.size());
+    return r.erase(begin + key.size(), end - begin - key.size());
+  };
+  const std::string without = answer("");
+  ASSERT_NE(without.find("\"ok\":true"), std::string::npos) << without;
+  EXPECT_EQ(answer(",\"threads\":4"), without);
+  EXPECT_EQ(answer(",\"threads\":0"), without);
 }
 
 TEST(ServeDeadline, ServerDefaultAppliesAndRequestsOverrideIt) {
@@ -1150,9 +1177,10 @@ std::vector<std::string> pool_workers_after_join() {
   return names;
 }
 
-// A warm session outlives its request, but its thread pool does not: a
-// `threads: 8` eco that fanned batches out over workers leaves none
-// alive once it has answered.
+// A warm session outlives its request, but no worker does: a
+// `threads: 8` eco whose structural edit fanned update()'s
+// re-extraction out over workers leaves none alive once it has
+// answered.
 TEST(ServeWarmEcoKeys, WarmSessionHoldsNoWorkerThreads) {
   HubGuard guard;
   TimingService service;
@@ -1160,17 +1188,18 @@ TEST(ServeWarmEcoKeys, WarmSessionHoldsNoWorkerThreads) {
   const std::string fp = load_design(service, sim.path(), "rc-tree");
   // Counts submissions without perturbing them, to show the pool ran.
   FailpointRegistry::instance().configure("pool.submit=delay:0");
-  const std::string r = service.handle_line(
-      eco_request(fp, "rc-tree", "addcap g3_3 4\n", ",\"threads\":8"));
+  const std::string r = service.handle_line(eco_request(
+      fp, "rc-tree", "transistor e in3 gnd g2_5 2 4\n", ",\"threads\":8"));
   const std::uint64_t submits =
       FailpointRegistry::instance().counts("pool.submit").visits;
   FailpointRegistry::instance().clear();
   ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << r;
-  EXPECT_GT(submits, 0u) << "the eco never fanned a batch out";
+  EXPECT_GT(submits, 0u) << "the eco never fanned its re-extraction out";
   EXPECT_EQ(pool_workers_after_join(), std::vector<std::string>{});
   // And the warm state it left still serves the next eco.
-  const std::string next = service.handle_line(eco_request(
-      design_member(r), "rc-tree", "addcap g5_7 4\n", ",\"threads\":8"));
+  const std::string next = service.handle_line(
+      eco_request(design_member(r), "rc-tree",
+                  "transistor e in5 gnd g5_7 2 4\n", ",\"threads\":8"));
   ASSERT_NE(next.find("\"ok\":true"), std::string::npos) << next;
   EXPECT_FALSE(ran_full_propagate(next));
   EXPECT_EQ(pool_workers_after_join(), std::vector<std::string>{});

@@ -15,6 +15,7 @@
 #include "netlist/eco_io.h"
 #include "netlist/sim_io.h"
 #include "util/error.h"
+#include "util/ledger.h"
 #include "util/strings.h"
 #include "util/units.h"
 
@@ -253,6 +254,65 @@ TEST(SimIo, MutatedNetlistSurvivesRoundTrip) {
   EXPECT_NEAR(rt.device(DeviceId(1)).length, 6e-6, 1e-12);
   EXPECT_NEAR(rt.node(*rt.find_node("s1")).cap, 55e-15, 1e-21);
   EXPECT_EQ(rt.device(DeviceId(2)).flow, Flow::kDrainToSource);
+}
+
+// write_sim prints each size and cap with as many digits as it takes
+// to re-load the stored double, so `sldm eco --write` saves the edited
+// design: re-loading the written file gives the eco's fingerprint.
+TEST(SimIo, EcoWriteSavesTheEditedDesign) {
+  const std::string dir = ::testing::TempDir();
+  const std::string sim = dir + "sldm_eco_write_in.sim";
+  const std::string edits = dir + "sldm_eco_write.eco";
+  const std::string written = dir + "sldm_eco_write_out.sim";
+  const std::string ledger = dir + "sldm_eco_write.jsonl";
+  std::remove(ledger.c_str());
+  write_sim_file(random_logic(Style::kNmos, 6, 16, 11).netlist, sim);
+  {
+    std::ofstream out(edits);
+    out << "cap g1_2 1.23456789\n"
+        << "cap g3_3 0.1\naddcap g3_3 0.2\n";  // a sum no decimal reaches
+  }
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_EQ(run_cli({"eco", sim, edits, "--model", "rc-tree", "--write",
+                     written, "--ledger", ledger},
+                    out, err),
+            0)
+      << err.str();
+  ASSERT_EQ(run_cli({"time", written, "--model", "rc-tree", "--ledger",
+                     ledger},
+                    out, err),
+            0)
+      << err.str();
+  const std::vector<LedgerRecord> records = read_ledger_file(ledger);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, "eco");
+  EXPECT_EQ(records[1].fingerprint, records[0].fingerprint);
+  for (const std::string& path : {sim, edits, written, ledger}) {
+    std::remove(path.c_str());
+  }
+}
+
+// Values as a .sim or .eco parse stores them (a decimal times the
+// unit), with more digits than %.6g keeps, and a sum of two caps.
+TEST(SimIo, SizesAndCapsRoundTripExactly) {
+  const GeneratedCircuit g = inverter_chain(Style::kNmos, 3, 1);
+  Netlist nl = g.netlist;
+  nl.set_width(DeviceId(0), 1.23456789 * units::um);
+  nl.set_length(DeviceId(1), (0.1 + 0.2) * units::um);  // 0.30000000000000004
+  nl.set_capacitance(*nl.find_node("s1"), (100.0 / 3.0) * units::fF);
+  // 0.1 + 0.2 fF is no decimal times fF: written as two `c` records.
+  nl.set_capacitance(g.output, 0.1 * units::fF);
+  nl.add_cap(g.output, 0.2 * units::fF);
+  const Netlist rt = reparse(nl);
+  for (DeviceId d : nl.all_devices()) {
+    EXPECT_EQ(rt.device(d).width, nl.device(d).width) << d.index();
+    EXPECT_EQ(rt.device(d).length, nl.device(d).length) << d.index();
+  }
+  for (NodeId n : nl.all_nodes()) {
+    const Node& node = nl.node(n);
+    EXPECT_EQ(rt.node(*rt.find_node(node.name)).cap, node.cap) << node.name;
+  }
 }
 
 // --- one-buffer parse: equivalence with the line-by-line build --------
