@@ -5,7 +5,6 @@
 // combinatorial pile of backward paths; annotating data->output flow
 // (Crystal's fix for exactly this structure) collapses the stage count
 // and the analysis time while leaving the reported arrival intact.
-#include <chrono>
 #include <iostream>
 
 #include "bench_io.h"
@@ -18,12 +17,6 @@
 namespace {
 
 using namespace sldm;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Annotates every select-gated pass device with data->output flow.
 void annotate(GeneratedCircuit& g) {
@@ -45,12 +38,12 @@ struct Row {
 
 Row analyze(const GeneratedCircuit& g, const Tech& tech) {
   const RcTreeModel model;
-  const double t0 = now_s();
+  const double t0 = now_seconds();
   TimingAnalyzer an(g.netlist, tech, model);
   an.add_input_event(g.input, Transition::kRise, 0.0, 1e-9);
   an.run();
   Row row;
-  row.seconds = now_s() - t0;
+  row.seconds = now_seconds() - t0;
   row.stages = an.stages().size();
   const auto worst = an.worst_arrival(true);
   row.arrival = worst ? worst->time : 0.0;

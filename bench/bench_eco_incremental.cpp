@@ -6,7 +6,6 @@
 // channel-connected components and re-propagates from the damage
 // frontier.  This bench measures both on the random-logic scaling
 // family and checks that the answers stay bit-identical.
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -18,16 +17,6 @@
 #include "timing/analyzer.h"
 #include "util/strings.h"
 #include "util/text_table.h"
-
-namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sldm;

@@ -15,7 +15,9 @@
 #      arithmetic), under standalone UBSan with -fno-sanitize-recover
 #      (any report traps);
 #   5. smoke checks of the machine-readable artifacts: a `sldm time
-#      --trace` capture must parse as JSON, a bench run with `--json`
+#      --trace` capture must parse as JSON, a `sldm compile --trace`
+#      capture must carry the `netlist.read_sim`, `extract` and
+#      `design.write` spans, a bench run with `--json`
 #      must append a parseable record, and `sldm time --stats --json`
 #      must report identical propagation work counters at --threads 1
 #      and --threads 4 (propagation is sequential, so this guards the
@@ -108,8 +110,8 @@ ctest --preset ubsan -j "$jobs" \
   -R 'analyzer_test|parallel_timing_test|eco_timing_test|observability_test|sparse_test|transient_test|calib_test'
 echo "check.sh: timing and analog suites passed under ubsan"
 
-# Observability smoke: the trace file must be valid JSON with spans,
-# and a bench --json record must parse.
+# Observability smoke: the trace files of `time` and `compile` must be
+# valid JSON with their spans, and a bench --json record must parse.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 printf 'e in gnd s1 4 8\nd s1 s1 vdd 8 4\ne s1 gnd out 4 8\nd out out vdd 8 4\n@in in\n@out out\n' \
@@ -124,7 +126,19 @@ missing = {"extract", "propagate"} - names
 if missing:
     sys.exit(f"trace smoke: missing spans {missing}")
 EOF
-echo "check.sh: trace smoke file parsed"
+out/ubsan/examples/sldm compile "$smoke_dir/chain.sim" --model rc-tree \
+  -o "$smoke_dir/traced.sldc" --trace "$smoke_dir/compile_trace.json" \
+  > /dev/null
+python3 - "$smoke_dir/compile_trace.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+spans = {e["cat"] + "." + e["name"] for e in doc["traceEvents"]
+         if e.get("ph") == "X"}
+missing = {"netlist.read_sim", "timing.extract", "design.write"} - spans
+if missing:
+    sys.exit(f"compile trace smoke: missing spans {missing}")
+EOF
+echo "check.sh: trace smoke files parsed"
 
 # Propagation-metrics sanity: propagation must do identical work (and
 # reach identical arrivals) whatever the extraction thread count, i.e.

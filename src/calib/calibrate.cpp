@@ -143,6 +143,11 @@ std::vector<Case> canonical_cases(Style style) {
 
 }  // namespace
 
+Style style_for(const Tech& tech) {
+  return tech.has(TransistorType::kPEnhancement) ? Style::kCmos
+                                                 : Style::kNmos;
+}
+
 CalibrationResult calibrate(const Tech& tech, Style style,
                             const CalibrationOptions& options) {
   SLDM_EXPECTS(!options.ratios.empty());

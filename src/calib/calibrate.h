@@ -53,6 +53,10 @@ struct CalibrationResult {
   std::vector<CalibrationCurve> curves;
 };
 
+/// The logic style whose circuits calibrate `tech`: CMOS when it has
+/// p-channel devices, nMOS otherwise.
+Style style_for(const Tech& tech);
+
 /// Calibrates `tech` for circuits in logic style `style`.
 /// Which entries are calibrated depends on the style:
 ///  * nMOS: (e, fall), (e, rise: pass-high), (d, rise: load pull-up);

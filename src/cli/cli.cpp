@@ -16,11 +16,7 @@
 #include "analog/export.h"
 #include "analog/transient.h"
 #include "calib/calibrate.h"
-#include "delay/bounds.h"
-#include "delay/lumped.h"
-#include "delay/rctree.h"
 #include "delay/slope.h"
-#include "delay/unit.h"
 #include "design/compiled_design.h"
 #include "design/snapshot.h"
 #include "fuzz/fuzz.h"
@@ -32,6 +28,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "tech/tech_io.h"
+#include "timing/analyzer.h"
 #include "timing/charge_sharing.h"
 #include "timing/constraints.h"
 #include "timing/explain.h"
@@ -101,17 +98,9 @@ Options parse_options(const std::vector<std::string>& args,
   return out;
 }
 
-/// Loads a technology: a preset name or a .tech file path.
+/// Loads --tech (default nmos): a preset name or a .tech file path.
 Tech load_tech(const Options& opts) {
-  const std::string spec = opts.get("tech").value_or("nmos");
-  if (spec == "nmos") return nmos4();
-  if (spec == "cmos") return cmos3();
-  return read_tech_file(spec);
-}
-
-Style style_for(const Tech& tech) {
-  return tech.has(TransistorType::kPEnhancement) ? Style::kCmos
-                                                 : Style::kNmos;
+  return read_tech_spec(opts.get("tech").value_or("nmos"));
 }
 
 /// Builds the requested delay model; calibrates if the slope model is
@@ -120,12 +109,7 @@ Style style_for(const Tech& tech) {
 std::unique_ptr<DelayModel> make_model(const Options& opts, Tech& tech,
                                        std::ostream& err) {
   const std::string name = opts.get("model").value_or("slope");
-  if (name == "lumped") return std::make_unique<LumpedRcModel>();
-  if (name == "rc-tree") return std::make_unique<RcTreeModel>();
-  if (name == "rph-upper") {
-    return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
-  }
-  if (name == "unit") return std::make_unique<UnitDelayModel>(1e-9);
+  if (auto model = make_closed_form_model(name)) return model;
   if (name != "slope") throw Error("unknown model '" + name + "'");
   if (const auto tables = opts.get("tables")) {
     return std::make_unique<SlopeModel>(SlopeTables::read_file(*tables));
@@ -275,11 +259,11 @@ class LedgerScope {
 /// Seeds input events from --constraints or --slope-ns (both commands
 /// share the convention).  Returns the constraints for slack reporting.
 Constraints seed_events(const Options& opts, const Netlist& nl,
-                        TimingAnalyzer& analyzer) {
+                        Session& session) {
   Constraints constraints;
   if (const auto ct = opts.get("constraints")) {
     constraints = read_constraints_file(*ct);
-    constraints.apply(nl, analyzer);
+    constraints.apply(nl, session);
   } else {
     const auto slope_opt = opts.get("slope-ns");
     double slope_ns = 1.0;
@@ -288,7 +272,7 @@ Constraints seed_events(const Options& opts, const Netlist& nl,
       if (!v || *v < 0.0) throw Error("bad --slope-ns value");
       slope_ns = *v;
     }
-    analyzer.add_all_input_events(slope_ns * 1e-9);
+    session.add_all_input_events(slope_ns * 1e-9);
   }
   return constraints;
 }
@@ -368,29 +352,29 @@ void note_analysis(LedgerScope& ledger, const Options& opts,
   r.source = opts.get("load").value_or(
       opts.positional.empty() ? std::string() : opts.positional[0]);
   r.model = s.model->name();
-  const TimingAnalyzer& analyzer = *s.analyzer;
-  r.fingerprint = design_fingerprint(analyzer.netlist(), analyzer.tech());
-  const AnalyzerStats& stats = analyzer.stats();
+  const Session& session = *s.analyzer;
+  r.fingerprint = design_fingerprint(session.netlist(), session.tech());
+  const AnalyzerStats& stats = session.stats();
   r.threads = stats.threads;
   r.extract_seconds = stats.extract_seconds;
   r.propagate_seconds = stats.propagate_seconds;
   r.update_seconds = stats.update_seconds;
   r.stage_evaluations = stats.stage_evaluations;
-  if (const auto worst = analyzer.worst_arrival(true)) {
+  if (const auto worst = session.worst_arrival(true)) {
     r.has_critical = true;
-    r.critical_node = analyzer.netlist().node(worst->node).name.str();
+    r.critical_node = session.netlist().node(worst->node).name.str();
     r.critical_dir = to_string(worst->dir);
     r.critical_arrival_s = worst->time;
   }
 }
 
 void emit_stats(const Options& opts, const Netlist& nl,
-                const TimingAnalyzer& analyzer, std::ostream& out) {
+                const Session& session, std::ostream& out) {
   if (!opts.flag("stats") && !opts.flag("json")) return;
   if (opts.flag("json")) {
-    out << analyzer_stats_json(analyzer) << '\n';
+    out << analyzer_stats_json(session) << '\n';
   } else {
-    out << format_analyzer_stats(nl, analyzer) << '\n';
+    out << format_analyzer_stats(nl, session) << '\n';
   }
 }
 
@@ -722,10 +706,11 @@ int cmd_fuzz(const Options& opts, std::ostream& out, std::ostream& err) {
 int cmd_compile(const Options& opts, std::ostream& out, std::ostream& err) {
   TelemetryHub::instance().enable();
   LedgerScope ledger(opts, "compile");
+  TraceCapture trace(opts.get("trace"));
   if (opts.positional.size() != 1) {
     throw UsageError(
         "usage: compile <file.sim> -o <design.sldc> [--tech ...] "
-        "[--tables <file.slopes>] [--threads N]");
+        "[--tables <file.slopes>] [--threads N] [--trace <out.json>]");
   }
   const auto out_path = opts.get("out");
   if (!out_path) throw UsageError("compile needs -o <design.sldc>");
@@ -758,6 +743,7 @@ int cmd_compile(const Options& opts, std::ostream& out, std::ostream& err) {
   // Tables that cannot price every stage would fail each later load.
   if (tables) SlopeModel(*tables).require_covers(design->stage_store());
   save_design_file(*design, *out_path, tables ? &*tables : nullptr);
+  trace.write(out);
   out << format(
       "compiled %zu node(s), %zu device(s) -> %zu ccc(s), %zu stage(s)\n",
       design->netlist().node_count(), design->netlist().device_count(),

@@ -76,8 +76,8 @@
 //        (inputs rise at t=2ns unless --constraints is given)
 //   sldm calibrate nmos|cmos --out <prefix>  fit + write tech/tables
 //   sldm compile <file.sim> -o <out.sldc>    bake a CompiledDesign
-//        (tech/model/threads options above)  snapshot: parse, partition,
-//                                            extract stages, cache the
+//        (tech/model/threads/trace options   snapshot: parse, partition,
+//        above)                              extract stages, cache the
 //                                            StageStore; with the slope
 //                                            model (the default) also
 //                                            calibrate and embed the

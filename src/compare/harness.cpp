@@ -1,6 +1,5 @@
 #include "compare/harness.h"
 
-#include <chrono>
 #include <map>
 #include <mutex>
 
@@ -15,12 +14,6 @@
 
 namespace sldm {
 namespace {
-
-Seconds now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr Seconds kEdgeTime = 2e-9;  ///< input edge start (settling margin)
 

@@ -1,8 +1,22 @@
 #include "delay/model.h"
 
+#include "delay/bounds.h"
+#include "delay/lumped.h"
+#include "delay/rctree.h"
+#include "delay/unit.h"
 #include "util/contracts.h"
 
 namespace sldm {
+
+std::unique_ptr<DelayModel> make_closed_form_model(const std::string& name) {
+  if (name == "lumped") return std::make_unique<LumpedRcModel>();
+  if (name == "rc-tree") return std::make_unique<RcTreeModel>();
+  if (name == "rph-upper") {
+    return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
+  }
+  if (name == "unit") return std::make_unique<UnitDelayModel>(1e-9);
+  return nullptr;
+}
 
 DelayEstimate DelayModel::estimate(const Stage& stage) const {
   StageStore store;

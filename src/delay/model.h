@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -117,5 +118,12 @@ class DelayModel {
                                   Seconds input_slope,
                                   std::vector<AuditTerm>& terms) const;
 };
+
+/// The model a CLI or serve request names, for every name whose model
+/// needs no calibration: "lumped", "rc-tree", "rph-upper" and "unit" (a
+/// 1 ns unit delay).  nullptr for any other name, "slope" included:
+/// where its tables come from is each caller's own policy.  One mapping
+/// keeps serve answers byte-identical to cold CLI runs.
+std::unique_ptr<DelayModel> make_closed_form_model(const std::string& name);
 
 }  // namespace sldm

@@ -1,6 +1,5 @@
 #include "design/compiled_design.h"
 
-#include <chrono>
 #include <cstring>
 
 #include "util/contracts.h"
@@ -9,12 +8,6 @@
 
 namespace sldm {
 namespace {
-
-Seconds now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t n) {
   const auto* bytes = static_cast<const unsigned char*>(data);

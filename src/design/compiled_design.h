@@ -8,8 +8,8 @@
 // of times.  CompiledDesign is that phase reified as a value:
 //
 //   * the netlist (interned node-name table included) and technology,
-//     either owned (compile(), snapshot load) or borrowed (the
-//     TimingAnalyzer facade over caller-owned references);
+//     either owned (compile(), snapshot load) or borrowed (a
+//     TimingAnalyzer built over caller-owned references);
 //   * the CccPartition and the extracted stages, one flat StageTable in
 //     canonical global order (timing/stage_table.h);
 //   * the StageStore with every slope-independent electrical cache
@@ -86,10 +86,11 @@ class CompiledDesign {
   static std::shared_ptr<CompiledDesign> compile_owned(
       Netlist nl, Tech tech, const CompileOptions& options = {});
 
-  /// Compiles over borrowed references (the TimingAnalyzer facade
-  /// path).  `nl` and `tech` must outlive the design.  Returned
-  /// non-const so the single owner may run ECO updates through
-  /// TimingAnalyzer; share it onward as shared_ptr<const ...>.
+  /// Compiles over borrowed references (what a TimingAnalyzer built
+  /// from a caller's netlist does).  `nl` and `tech` must outlive the
+  /// design.  Returned non-const so the single owner may run ECO
+  /// updates through TimingAnalyzer; share it onward as
+  /// shared_ptr<const ...>.
   static std::shared_ptr<CompiledDesign> build_over(
       const Netlist& nl, const Tech& tech, const CompileOptions& options = {});
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 
 #include "util/contracts.h"
 #include "util/error.h"
@@ -12,12 +11,6 @@
 
 namespace sldm {
 namespace {
-
-Seconds now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Dense process-unique session ids for the telemetry `session` label.
 std::uint64_t next_session_id() {
@@ -29,8 +22,8 @@ std::uint64_t next_session_id() {
 
 Session::Session(std::shared_ptr<const CompiledDesign> design,
                  const DelayModel& model, SessionOptions options)
-    : design_(std::move(design)),
-      model_(model),
+    : model_(model),
+      design_(std::move(design)),
       options_(options),
       session_id_(next_session_id()) {
   SLDM_EXPECTS(design_ != nullptr);
@@ -42,7 +35,16 @@ Session::Session(std::shared_ptr<const CompiledDesign> design,
   arrival_via_.assign(nkeys, SIZE_MAX);
   arrival_valid_.assign(nkeys, 0);
   update_counts_.assign(nkeys, 0);
+  refresh_census();
   refresh_fan_in();
+}
+
+void Session::refresh_census() {
+  stats_.ccc_count = design_->components().count();
+  stats_.widest_ccc = design_->components().widest();
+  stats_.stage_count = design_->stages().size();
+  stats_.threads = design_->build_threads();
+  stats_.extract_seconds = design_->extract_seconds();
 }
 
 void Session::refresh_fan_in() {
@@ -59,21 +61,23 @@ void Session::refresh_fan_in() {
 
 const MetricsRegistry& Session::metrics() const {
   metrics_.counter("propagate.stage_evaluations")
-      .set(ctr_stage_evaluations_.value());
-  metrics_.counter("propagate.worklist_pushes")
-      .set(ctr_worklist_pushes_.value());
-  metrics_.counter("propagate.arrival_updates")
-      .set(ctr_arrival_updates_.value());
-  metrics_.counter("propagate.batches").set(ctr_batches_.value());
-  metrics_.counter("eco.updates").set(ctr_incremental_updates_.value());
-  metrics_.gauge("extract.seconds").set(design_->extract_seconds());
-  metrics_.gauge("propagate.seconds").set(g_propagate_seconds_.value());
-  metrics_.gauge("eco.update_seconds").set(g_update_seconds_.value());
-  metrics_.gauge("eco.dirty_cccs").set(g_dirty_cccs_.value());
-  metrics_.gauge("eco.reextracted_stages").set(g_reextracted_stages_.value());
-  metrics_.gauge("eco.reused_stages").set(g_reused_stages_.value());
-  metrics_.gauge("eco.frontier_keys").set(g_frontier_keys_.value());
-  metrics_.gauge("propagate.max_batch_size").set(g_max_batch_size_.value());
+      .set(stats_.stage_evaluations);
+  metrics_.counter("propagate.worklist_pushes").set(stats_.worklist_pushes);
+  metrics_.counter("propagate.arrival_updates").set(stats_.arrival_updates);
+  metrics_.counter("propagate.batches").set(stats_.batches);
+  metrics_.counter("eco.updates").set(stats_.incremental_updates);
+  metrics_.gauge("extract.seconds").set(stats_.extract_seconds);
+  metrics_.gauge("propagate.seconds").set(stats_.propagate_seconds);
+  metrics_.gauge("eco.update_seconds").set(stats_.update_seconds);
+  metrics_.gauge("eco.dirty_cccs").set(static_cast<double>(stats_.dirty_cccs));
+  metrics_.gauge("eco.reextracted_stages")
+      .set(static_cast<double>(stats_.reextracted_stages));
+  metrics_.gauge("eco.reused_stages")
+      .set(static_cast<double>(stats_.reused_stages));
+  metrics_.gauge("eco.frontier_keys")
+      .set(static_cast<double>(stats_.frontier_keys));
+  metrics_.gauge("propagate.max_batch_size")
+      .set(static_cast<double>(stats_.max_batch_size));
   metrics_.histogram("propagate.batch_size", 0.0, 4096.0, 16) =
       h_batch_size_;
   metrics_.histogram("extract.stage_fan_in", 0.0, 64.0, 16) = h_fan_in_;
@@ -83,39 +87,6 @@ const MetricsRegistry& Session::metrics() const {
       h_queue_depth_;
   metrics_.histogram("eco.frontier_size", 0.0, 2048.0, 16) = h_frontier_;
   return metrics_;
-}
-
-const AnalyzerStats& Session::stats() const {
-  stats_.ccc_count = design_->components().count();
-  stats_.widest_ccc = design_->components().widest();
-  stats_.stages_per_ccc = design_->stages_per_ccc();
-  stats_.stage_count = design_->stages().size();
-  stats_.threads = design_->build_threads();
-  stats_.stage_evaluations =
-      static_cast<std::size_t>(ctr_stage_evaluations_.value());
-  stats_.worklist_pushes =
-      static_cast<std::size_t>(ctr_worklist_pushes_.value());
-  stats_.arrival_updates =
-      static_cast<std::size_t>(ctr_arrival_updates_.value());
-  stats_.batches = static_cast<std::size_t>(ctr_batches_.value());
-  stats_.mean_batch_size =
-      stats_.batches == 0
-          ? 0.0
-          : static_cast<double>(ctr_stage_evaluations_.value()) /
-                static_cast<double>(stats_.batches);
-  stats_.max_batch_size =
-      static_cast<std::size_t>(g_max_batch_size_.value());
-  stats_.incremental_updates =
-      static_cast<std::size_t>(ctr_incremental_updates_.value());
-  stats_.extract_seconds = design_->extract_seconds();
-  stats_.propagate_seconds = g_propagate_seconds_.value();
-  stats_.update_seconds = g_update_seconds_.value();
-  stats_.dirty_cccs = static_cast<std::size_t>(g_dirty_cccs_.value());
-  stats_.reextracted_stages =
-      static_cast<std::size_t>(g_reextracted_stages_.value());
-  stats_.reused_stages = static_cast<std::size_t>(g_reused_stages_.value());
-  stats_.frontier_keys = static_cast<std::size_t>(g_frontier_keys_.value());
-  return stats_;
 }
 
 void Session::require_not_ran(const char* what) const {
@@ -166,7 +137,7 @@ void Session::run() {
   ran_ = true;
   TraceSpan span("propagate", "timing");
   const Seconds t0 = now_seconds();
-  const std::uint64_t evals_before = ctr_stage_evaluations_.value();
+  const std::size_t evals_before = stats_.stage_evaluations;
 
   // Explicit FIFO worklist of packed (node, dir) keys with in-queue
   // deduplication: an event already awaiting processing is not enqueued
@@ -174,13 +145,12 @@ void Session::run() {
   std::deque<std::uint32_t> work(seeds_.begin(), seeds_.end());
   std::vector<char> queued(arrival_valid_.size(), 0);
   for (const std::uint32_t k : seeds_) queued[k] = 1;
-  ctr_worklist_pushes_.add(seeds_.size());
+  stats_.worklist_pushes += seeds_.size();
   propagate(work, queued);
-  g_propagate_seconds_.set(now_seconds() - t0);
+  stats_.propagate_seconds = now_seconds() - t0;
   span.arg("seeds", static_cast<double>(seeds_.size()));
   span.arg("stage_evaluations",
-           static_cast<double>(ctr_stage_evaluations_.value() -
-                               evals_before));
+           static_cast<double>(stats_.stage_evaluations - evals_before));
   publish_telemetry();
 }
 
@@ -250,12 +220,12 @@ void Session::propagate(std::deque<std::uint32_t>& work,
     model_.estimate_batch(store, ids, slopes, ests);
     h_eval_us_.add((tracer.now_us() - eval_t0_us) /
                    static_cast<double>(n));
-    ctr_stage_evaluations_.add(n);
-    ctr_batches_.add();
+    stats_.stage_evaluations += n;
+    ++stats_.batches;
+    stats_.mean_batch_size = static_cast<double>(stats_.stage_evaluations) /
+                             static_cast<double>(stats_.batches);
+    stats_.max_batch_size = std::max(stats_.max_batch_size, n);
     h_batch_size_.add(static_cast<double>(n));
-    if (static_cast<double>(n) > g_max_batch_size_.value()) {
-      g_max_batch_size_.set(static_cast<double>(n));
-    }
     for (std::size_t i = 0; i < n; ++i) {
       h_rc_depth_.add(static_cast<double>(store.length(ids[i])));
     }
@@ -305,11 +275,11 @@ void Session::propagate(std::deque<std::uint32_t>& work,
       arrival_from_[dest_key] = fire_key;
       arrival_via_[dest_key] = s;
       arrival_valid_[dest_key] = 1;
-      ctr_arrival_updates_.add();
+      ++stats_.arrival_updates;
       if (!queued[dest_key]) {
         queued[dest_key] = 1;
         work.push_back(static_cast<std::uint32_t>(dest_key));
-        ctr_worklist_pushes_.add();
+        ++stats_.worklist_pushes;
       }
     }
 

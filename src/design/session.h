@@ -1,9 +1,10 @@
-// A timing-analysis session: the mutable half of the split analyzer.
+// A timing-analysis session: the query half of the analyzer.
 //
 // A Session borrows an immutable CompiledDesign and owns everything a
 // single analysis needs that the design does not: the declared input
 // events, the structure-of-arrays arrival store, the propagation
-// worklist scratch, and the per-session metrics/stats.  N sessions --
+// worklist scratch, and the session's work counters and phase timings
+// (one AnalyzerStats) plus its distribution histograms.  N sessions --
 // different delay models or input slopes -- run concurrently over one
 // shared design with no cloning, and each produces results
 // bit-identical to a standalone analyzer over the same inputs
@@ -18,9 +19,9 @@
 // costs a handful of arithmetic operations, too little to hand to
 // another thread (EXPERIMENTS.md "Sequential propagation").
 //
-// The legacy TimingAnalyzer (timing/analyzer.h) is now a facade over
-// {CompiledDesign, Session}; ECO updates go through it because they
-// mutate the design (single-writer discipline).
+// TimingAnalyzer (timing/analyzer.h) is the Session that owns its
+// design: it adds update(), the ECO path, because that path mutates the
+// design (single-writer discipline).
 #pragma once
 
 #include <cstdint>
@@ -49,18 +50,17 @@ struct SessionOptions {
 /// go (extraction vs propagation), and how much work did each phase do.
 /// Counter fields accumulate across run()/reset() cycles; wall-clock
 /// fields hold the most recent phase execution.  Structural fields
-/// (component and stage counts, extract_seconds) mirror the borrowed
-/// CompiledDesign.
+/// (component and stage counts, extract_seconds, threads) mirror the
+/// borrowed CompiledDesign.
 ///
-/// This struct is a *view*: the session stores its work counters and
-/// phase timings in plain Counter/Gauge/Histogram members (also
-/// exported by name through Session::metrics(), which additionally
-/// carries distribution histograms), and stats() refreshes these fields
-/// from those members on each call.
+/// This struct is the session's counter store: propagate() and
+/// TimingAnalyzer::update() write it directly, stats() returns it, and
+/// Session::metrics() exports the same values by name beside the
+/// distribution histograms.  The per-CCC stage census is not copied
+/// here: read CompiledDesign::stages_per_ccc().
 struct AnalyzerStats {
   std::size_t ccc_count = 0;        ///< channel-connected components
   std::size_t widest_ccc = 0;       ///< member nodes in the largest CCC
-  std::vector<std::size_t> stages_per_ccc;  ///< indexed by CCC id
   std::size_t stage_count = 0;      ///< total extracted stages
   std::size_t stage_evaluations = 0;  ///< delay-model calls during run()
   std::size_t worklist_pushes = 0;  ///< events enqueued (incl. seeds)
@@ -189,23 +189,21 @@ class Session {
   const StageStore& stage_store() const { return design_->stage_store(); }
   const CccPartition& components() const { return design_->components(); }
 
-  /// Phase timings and work counters (see AnalyzerStats); refreshed
-  /// from the metric members on each call.
-  const AnalyzerStats& stats() const;
+  /// Phase timings and work counters (see AnalyzerStats): the
+  /// session's counter store itself, no copy.
+  const AnalyzerStats& stats() const { return stats_; }
 
-  /// The named metric registry: counters, phase-timing gauges, and
-  /// distribution histograms (stage fan-in, RC path depth, sampled
-  /// delay-model evaluation time, worklist queue depth, ECO frontier
-  /// size).  Names are listed in FORMATS.md.  Materialized from the
-  /// plain metric members on each call, so observers pay for the name
-  /// table and the hot paths do not; the reference stays valid (and is
-  /// re-refreshed by later calls) for the session's lifetime.
+  /// The named metric registry: the counters and phase timings of
+  /// stats() under their FORMATS.md names, plus distribution histograms
+  /// (stage fan-in, RC path depth, sampled delay-model evaluation time,
+  /// worklist queue depth, ECO frontier size).  Materialized on each
+  /// call, so observers pay for the name table and the hot paths do
+  /// not; the reference stays valid (and is re-refreshed by later
+  /// calls) for the session's lifetime.
   const MetricsRegistry& metrics() const;
 
   /// Work counter for the Table 5 runtime comparison.
-  std::size_t stage_evaluations() const {
-    return static_cast<std::size_t>(ctr_stage_evaluations_.value());
-  }
+  std::size_t stage_evaluations() const { return stats_.stage_evaluations; }
 
   /// Process-unique session id (dense, assigned at construction) --
   /// the `session` telemetry label is "s<id>".
@@ -241,11 +239,42 @@ class Session {
   /// (the default) detaches.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
- private:
-  /// ECO repair (TimingAnalyzer::update()) grows the key arrays,
-  /// invalidates damaged arrivals, and re-propagates in place.
-  friend class TimingAnalyzer;
+ protected:
+  // The ECO repair in TimingAnalyzer::update() grows the key arrays,
+  // invalidates damaged arrivals, and re-propagates in place.
 
+  /// Re-reads the structural fields of stats_ (component and stage
+  /// counts, extract_seconds, threads) from the design (construction
+  /// and after ECO updates).
+  void refresh_census();
+
+  /// Re-censuses the trigger fan-in histogram from the design
+  /// structure (construction and after ECO splices).
+  void refresh_fan_in();
+
+  /// Drains the worklist to fixpoint in wavefront batches.  `queued` is
+  /// the in-queue deduplication mark, sized like the arrival arrays.
+  void propagate(std::deque<std::uint32_t>& work, std::vector<char>& queued);
+
+  const DelayModel& model_;
+
+  // Arrival store: structure-of-arrays keyed by arrival_key(node, dir).
+  // The hot propagation loop touches time_/slope_/valid_ only;
+  // predecessor bookkeeping lives in parallel arrays instead of an
+  // optional-of-struct so the inner loop stays on dense doubles.
+  std::vector<Seconds> arrival_time_;
+  std::vector<Seconds> arrival_slope_;
+  std::vector<std::uint32_t> arrival_from_;  ///< packed key; UINT32_MAX none
+  std::vector<std::size_t> arrival_via_;     ///< stage idx; SIZE_MAX seeds
+  std::vector<char> arrival_valid_;
+  std::vector<int> update_counts_;
+  bool ran_ = false;
+
+  /// Work counters and phase timings, written where the work happens.
+  AnalyzerStats stats_;
+  Histogram h_frontier_{0.0, 2048.0, 16};
+
+ private:
   /// Flat arrival key: (node, dir) -> node * 2 + dir.
   std::size_t key(NodeId node, Transition dir) const {
     return arrival_key(node, dir);
@@ -258,33 +287,11 @@ class Session {
   /// pointing at TimingAnalyzer::update() otherwise).
   void require_synced(const char* what) const;
 
-  /// Re-censuses the trigger fan-in histogram from the design
-  /// structure (construction and after ECO updates).
-  void refresh_fan_in();
-
-  /// Drains the worklist to fixpoint in wavefront batches.  `queued` is
-  /// the in-queue deduplication mark, sized like the arrival arrays.
-  void propagate(std::deque<std::uint32_t>& work, std::vector<char>& queued);
-
   std::shared_ptr<const CompiledDesign> design_;
-  const DelayModel& model_;
   SessionOptions options_;
   /// Dense process-unique id (see session_id()).
   std::uint64_t session_id_ = 0;
-
-  // Arrival store: structure-of-arrays keyed by key(node, dir).  The
-  // hot propagation loop touches time_/slope_/valid_ only; predecessor
-  // bookkeeping lives in parallel arrays instead of an optional-of-
-  // struct so the inner loop stays on dense doubles.
-  std::vector<Seconds> arrival_time_;
-  std::vector<Seconds> arrival_slope_;
-  std::vector<std::uint32_t> arrival_from_;  ///< packed key; UINT32_MAX none
-  std::vector<std::size_t> arrival_via_;     ///< stage idx; SIZE_MAX seeds
-  std::vector<char> arrival_valid_;
-
-  std::vector<int> update_counts_;
   std::vector<std::uint32_t> seeds_;  ///< packed keys, insertion order
-  bool ran_ = false;
   /// Telemetry `request` label; empty outside the serve layer.
   std::string telemetry_request_;
   /// This session's published hub snapshot, retired on destruction.
@@ -292,34 +299,14 @@ class Session {
   /// Borrowed cooperative deadline; null outside deadline-aware serve.
   const CancelToken* cancel_ = nullptr;
 
-  // Metric storage: plain members, so constructing a session and the
-  // hot loops pay a field update and never a map lookup or a string
-  // allocation.  metrics() materializes these into the named registry
-  // below on demand.
-  Counter ctr_stage_evaluations_;
-  Counter ctr_worklist_pushes_;
-  Counter ctr_arrival_updates_;
-  Counter ctr_batches_;
-  Counter ctr_incremental_updates_;
-  Gauge g_propagate_seconds_;
-  Gauge g_update_seconds_;
-  Gauge g_dirty_cccs_;
-  Gauge g_reextracted_stages_;
-  Gauge g_reused_stages_;
-  Gauge g_frontier_keys_;
-  Gauge g_max_batch_size_;
   Histogram h_fan_in_{0.0, 64.0, 16};
   Histogram h_batch_size_{0.0, 4096.0, 16};
   Histogram h_rc_depth_{0.0, 16.0, 16};
   Histogram h_eval_us_{0.0, 50.0, 20};
   Histogram h_queue_depth_{0.0, 4096.0, 16};
-  Histogram h_frontier_{0.0, 2048.0, 16};
 
-  /// Named export refreshed from the members above by metrics().
+  /// Named export refreshed from stats_ and the histograms by metrics().
   mutable MetricsRegistry metrics_;
-
-  /// View refreshed from the metric members by stats().
-  mutable AnalyzerStats stats_;
 };
 
 }  // namespace sldm

@@ -38,10 +38,10 @@ OracleResult check_netlist(const Netlist& nl) {
   return OracleResult::fail("netlist-check: " + to_string(nl, ds));
 }
 
-OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer) {
+OracleResult check_sanity(const Netlist& nl, const Session& session) {
   for (NodeId n : nl.all_nodes()) {
     for (Transition dir : {Transition::kRise, Transition::kFall}) {
-      const auto a = analyzer.arrival(n, dir);
+      const auto a = session.arrival(n, dir);
       if (!a) continue;
       if (!std::isfinite(a->time) || a->time < 0.0 ||
           !std::isfinite(a->slope) || a->slope < 0.0) {
@@ -52,9 +52,9 @@ OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer) {
       }
     }
   }
-  const auto worst = analyzer.worst_arrival(/*outputs_only=*/false);
+  const auto worst = session.worst_arrival(/*outputs_only=*/false);
   if (worst) {
-    const auto path = analyzer.critical_path(worst->node, worst->dir);
+    const auto path = session.critical_path(worst->node, worst->dir);
     for (std::size_t i = 1; i < path.size(); ++i) {
       if (path[i].time < path[i - 1].time) {
         return OracleResult::fail(format(
@@ -111,7 +111,7 @@ OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
 }
 
 OracleResult check_switchsim(const GeneratedCircuit& g,
-                             const TimingAnalyzer& analyzer) {
+                             const Session& session) {
   const auto settle_with_input = [&](bool value) {
     SwitchSimulator sim(g.netlist);
     for (NodeId n : g.high_inputs) sim.set_input(n, true);
@@ -145,7 +145,7 @@ OracleResult check_switchsim(const GeneratedCircuit& g,
   // transitions on every input) must know a path producing that edge.
   const Transition dir =
       v1 == Logic::k1 ? Transition::kRise : Transition::kFall;
-  if (!analyzer.arrival(g.output, dir)) {
+  if (!session.arrival(g.output, dir)) {
     return OracleResult::fail(format(
         "switchsim: output %s settles %c->%c when %s rises, but the "
         "analyzer has no %s arrival there",

@@ -61,7 +61,7 @@ OracleResult check_netlist(const Netlist& nl);
 
 /// Every arrival finite and non-negative (time and slope), and the
 /// worst critical path's event times non-decreasing.
-OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer);
+OracleResult check_sanity(const Netlist& nl, const Session& session);
 
 /// The RPH/Elmore/lumped inequalities on every extracted stage, with a
 /// relative tolerance for floating-point noise.
@@ -70,10 +70,10 @@ OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
                                 Seconds input_slope);
 
 /// Differential functional check against the switch-level simulator.
-/// `analyzer` must have been run with events on *all* inputs (both
+/// `session` must have been run with events on *all* inputs (both
 /// directions) over g.netlist.
 OracleResult check_switchsim(const GeneratedCircuit& g,
-                             const TimingAnalyzer& analyzer);
+                             const Session& session);
 
 /// Differential accuracy check against the analog transient engine;
 /// `max_error_pct` bounds the RC-tree model's |signed % error|.

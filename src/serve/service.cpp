@@ -6,11 +6,7 @@
 #include <vector>
 
 #include "calib/calibrate.h"
-#include "delay/bounds.h"
-#include "delay/lumped.h"
-#include "delay/rctree.h"
 #include "delay/slope.h"
-#include "delay/unit.h"
 #include "design/session.h"
 #include "design/snapshot.h"
 #include "netlist/eco_io.h"
@@ -70,21 +66,8 @@ std::string fingerprint_hex(std::uint64_t fp) {
   return format("%016llx", static_cast<unsigned long long>(fp));
 }
 
-/// Mirror of the CLI's tech loading: preset name or .tech file path.
-Tech load_tech_spec(const std::string& spec) {
-  if (spec == "nmos") return nmos4();
-  if (spec == "cmos") return cmos3();
-  return read_tech_file(spec);
-}
-
-Style style_for(const Tech& tech) {
-  return tech.has(TransistorType::kPEnhancement) ? Style::kCmos
-                                                 : Style::kNmos;
-}
-
 bool known_model(const std::string& name) {
-  return name == "slope" || name == "lumped" || name == "rc-tree" ||
-         name == "rph-upper" || name == "unit";
+  return name == "slope" || make_closed_form_model(name) != nullptr;
 }
 
 /// Whether an eco under `model` may leave a warm analysis behind.
@@ -92,24 +75,17 @@ bool known_model(const std::string& name) {
 /// input slope (DESIGN.md "Incrementality invariant"); under `slope` a
 /// kept analysis would carry one update's divergence into every later
 /// eco, so each slope eco takes the cold path: run(), apply, update().
-bool keeps_warm_state(const std::string& model) {
-  return model == "rc-tree" || model == "lumped" || model == "rph-upper" ||
-         model == "unit";
-}
+bool keeps_warm_state(const std::string& model) { return model != "slope"; }
 
-/// Builds the per-request delay model.  Construction mirrors the CLI's
-/// make_model exactly -- same classes, same parameters -- which is half
-/// of the cold-run parity contract (the other half is that the design
-/// was compiled with the same tech transformation at load time).
+/// Builds the per-request delay model through the CLI's own mapping
+/// (make_closed_form_model), which is half of the cold-run parity
+/// contract (the other half is that the design was compiled with the
+/// same tech transformation at load time).  Slope tables come from the
+/// design's entry.
 std::unique_ptr<DelayModel> make_request_model(
     const std::string& name,
     const std::shared_ptr<const SlopeTables>& tables) {
-  if (name == "lumped") return std::make_unique<LumpedRcModel>();
-  if (name == "rc-tree") return std::make_unique<RcTreeModel>();
-  if (name == "rph-upper") {
-    return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
-  }
-  if (name == "unit") return std::make_unique<UnitDelayModel>(1e-9);
+  if (auto model = make_closed_form_model(name)) return model;
   if (name != "slope") {
     throw RequestError(kBadRequest, "unknown model '" + name + "'");
   }
@@ -394,7 +370,7 @@ struct TimingService::ServeRequestDispatch {
       }
     } else {
       Netlist nl = read_sim_file(req.path);
-      Tech tech = load_tech_spec(req.tech.empty() ? svc.options_.default_tech
+      Tech tech = read_tech_spec(req.tech.empty() ? svc.options_.default_tech
                                                   : req.tech);
       if (req.model == "slope") {
         // Same deterministic in-process calibration the cold CLI runs
@@ -563,8 +539,9 @@ struct TimingService::ServeRequestDispatch {
   /// the entry's design, seeded like a `time` request.  The design
   /// pointer is moved in only once the model exists (a model that
   /// cannot be built leaves the entry intact for the salvage), so
-  /// use_count lands at exactly facade + session and the single-writer
-  /// check in update() stays armed.
+  /// use_count lands at exactly the analyzer's two handles (its
+  /// writable one and its Session half's) and the single-writer check
+  /// in update() stays armed.
   static std::unique_ptr<WarmEco> start_eco_analysis(
       Lease::CacheEntry& entry, const ServeRequest& req) {
     auto warm = std::make_unique<WarmEco>();
@@ -575,7 +552,7 @@ struct TimingService::ServeRequestDispatch {
     warm->analyzer = std::make_unique<TimingAnalyzer>(
         std::move(entry.design), *warm->delay_model,
         AnalyzerOptions{{}, 64, req.threads});
-    warm->analyzer->session().set_telemetry_request("eco");
+    warm->analyzer->set_telemetry_request("eco");
     warm->analyzer->add_all_input_events(req.slope_ns * 1e-9);
     return warm;
   }
@@ -636,10 +613,9 @@ struct TimingService::ServeRequestDispatch {
       throw;
     }
 
-    const TimingAnalyzer& analyzer = *warm->analyzer;
-    const Session& session = analyzer.session();
-    const Netlist& nl = analyzer.netlist();
-    const std::uint64_t new_fp = design_fingerprint(nl, analyzer.tech());
+    const Session& session = *warm->analyzer;
+    const Netlist& nl = session.netlist();
+    const std::uint64_t new_fp = design_fingerprint(nl, session.tech());
     const std::string new_hex = fingerprint_hex(new_fp);
     const AnalyzerStats st = request_share(session.stats(), before, !hit);
     const std::string model_name = warm->delay_model->name();

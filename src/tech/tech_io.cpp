@@ -155,4 +155,10 @@ Tech read_tech_file(const std::string& path) {
   return read_tech(in, path);
 }
 
+Tech read_tech_spec(const std::string& spec) {
+  if (spec == "nmos") return nmos4();
+  if (spec == "cmos") return cmos3();
+  return read_tech_file(spec);
+}
+
 }  // namespace sldm

@@ -25,4 +25,8 @@ void write_tech_file(const Tech& tech, const std::string& path);
 Tech read_tech(std::istream& in, const std::string& origin = "<stream>");
 Tech read_tech_file(const std::string& path);
 
+/// The technology a `--tech` option or serve request names: the preset
+/// "nmos" (nmos4()) or "cmos" (cmos3()), else a .tech file path.
+Tech read_tech_spec(const std::string& spec);
+
 }  // namespace sldm

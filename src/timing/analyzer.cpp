@@ -1,22 +1,12 @@
 #include "timing/analyzer.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "util/contracts.h"
 #include "util/error.h"
 #include "util/trace.h"
 
 namespace sldm {
-namespace {
-
-Seconds now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 void close_damage(const StageTable& stages, const TriggerIndex& by_trigger,
                   std::span<const std::uint32_t> arrival_from,
@@ -39,50 +29,46 @@ void close_damage(const StageTable& stages, const TriggerIndex& by_trigger,
 TimingAnalyzer::TimingAnalyzer(const Netlist& nl, const Tech& tech,
                                const DelayModel& model,
                                AnalyzerOptions options)
-    : design_(CompiledDesign::build_over(
-          nl, tech, CompileOptions{options.extract, options.threads})),
-      options_(options),
-      session_(design_, model,
-               SessionOptions{options.max_updates_per_arrival}) {}
+    : TimingAnalyzer(CompiledDesign::build_over(
+                         nl, tech,
+                         CompileOptions{options.extract, options.threads}),
+                     model, options) {}
 
 TimingAnalyzer::TimingAnalyzer(std::shared_ptr<CompiledDesign> design,
                                const DelayModel& model,
                                AnalyzerOptions options)
-    : design_(std::move(design)),
-      options_(options),
-      session_(design_, model,
-               SessionOptions{options.max_updates_per_arrival}) {
-  options_.extract = design_->extract_options();
-}
+    : Session(design, model, SessionOptions{options.max_updates_per_arrival}),
+      compiled_(std::move(design)),
+      threads_(options.threads) {}
 
 Netlist& TimingAnalyzer::mutable_netlist() {
-  if (!design_->owns_netlist()) {
+  if (!compiled_->owns_netlist()) {
     throw Error(
         "mutable_netlist() on an analyzer over a borrowed netlist; "
         "mutate the caller-owned Netlist directly");
   }
-  return *design_->owned_nl_;
+  return *compiled_->owned_nl_;
 }
 
 void TimingAnalyzer::update() {
-  const Netlist& nl = design_->netlist();
+  const Netlist& nl = compiled_->netlist();
   const ChangeLog& log = nl.changes();
-  if (log.revision() == design_->built_revision_) return;  // in sync
-  // Single-writer discipline: the facade and its session hold the only
-  // two references when the design is unshared.  Any outstanding
+  if (log.revision() == compiled_->built_revision_) return;  // in sync
+  // Single-writer discipline: compiled_ and the Session half's handle
+  // are the only two references when the design is unshared.  Any outstanding
   // share_design() handle (another session, a snapshot writer) sees the
   // design as immutable, so in-place ECO mutation is forbidden.
-  if (design_.use_count() > 2) {
+  if (compiled_.use_count() > 2) {
     throw Error(
         "update() on a shared CompiledDesign: " +
-        std::to_string(design_.use_count() - 2) +
+        std::to_string(compiled_.use_count() - 2) +
         " other reference(s) outstanding; drop them or rebuild instead");
   }
   TraceSpan span("update", "timing");
   const Seconds t0 = now_seconds();
-  const std::uint64_t since = design_->built_revision_;
-  CccPartition& ccc = *design_->ccc_;
-  const StageTable& stages = design_->stages_;
+  const std::uint64_t since = compiled_->built_revision_;
+  CccPartition& ccc = *compiled_->ccc_;
+  const StageTable& stages = compiled_->stages_;
 
   // Classify the batch before anything is mutated.
   bool grew = false;
@@ -91,7 +77,7 @@ void TimingAnalyzer::update() {
     const Change& c = log.entry(i);
     if (c.kind == ChangeKind::kNodeAdded) grew = true;
     if (c.kind == ChangeKind::kDeviceAdded) {
-      require_priced(design_->tech(), nl.device(c.device()).type);
+      require_priced(compiled_->tech(), nl.device(c.device()).type);
     }
     // Sizes and capacitances change R and C only: extraction reads
     // neither, so every stage and its id survive the batch.
@@ -109,17 +95,17 @@ void TimingAnalyzer::update() {
     sync_span.arg("edits", static_cast<double>(log.revision() - since));
     sync_span.arg("dirty_cccs", static_cast<double>(dirty.size()));
   }
-  design_->built_revision_ = log.revision();
+  compiled_->built_revision_ = log.revision();
 
   // Grow the flat per-(node, dir) arrays for nodes added by the batch.
   const std::size_t nkeys = nl.node_count() * 2;
   if (grew) {
-    session_.arrival_time_.resize(nkeys, 0.0);
-    session_.arrival_slope_.resize(nkeys, 0.0);
-    session_.arrival_from_.resize(nkeys, UINT32_MAX);
-    session_.arrival_via_.resize(nkeys, SIZE_MAX);
-    session_.arrival_valid_.resize(nkeys, 0);
-    session_.update_counts_.resize(nkeys, 0);
+    arrival_time_.resize(nkeys, 0.0);
+    arrival_slope_.resize(nkeys, 0.0);
+    arrival_from_.resize(nkeys, UINT32_MAX);
+    arrival_via_.resize(nkeys, SIZE_MAX);
+    arrival_valid_.resize(nkeys, 0);
+    update_counts_.resize(nkeys, 0);
   }
 
   // --- Structure: re-bake the dirty components' stages where they sit
@@ -128,24 +114,24 @@ void TimingAnalyzer::update() {
   std::vector<std::size_t> remap;
   if (keeps_paths) {
     TraceSpan rebake_span("update-rebake", "timing");
-    const std::size_t rebaked = design_->rebake_components(dirty);
-    session_.g_reused_stages_.set(
-        static_cast<double>(stages.size() - rebaked));
-    session_.g_reextracted_stages_.set(static_cast<double>(rebaked));
+    const std::size_t rebaked = compiled_->rebake_components(dirty);
+    stats_.reused_stages = stages.size() - rebaked;
+    stats_.reextracted_stages = rebaked;
     rebake_span.arg("cccs", static_cast<double>(dirty.size()));
     rebake_span.arg("stages", static_cast<double>(rebaked));
   } else {
     remap = resplice(dirty);
   }
-  session_.g_dirty_cccs_.set(static_cast<double>(dirty.size()));
-  session_.ctr_incremental_updates_.add();
+  stats_.dirty_cccs = dirty.size();
+  ++stats_.incremental_updates;
+  refresh_census();
 
-  if (!session_.ran_) {
+  if (!ran_) {
     // Structure-only sync: no arrivals to repair yet (declared seeds,
     // if any, are untouched and stages carry no arrival state).
-    session_.g_frontier_keys_.set(0.0);
-    session_.g_update_seconds_.set(now_seconds() - t0);
-    session_.publish_telemetry();
+    stats_.frontier_keys = 0;
+    stats_.update_seconds = now_seconds() - t0;
+    publish_telemetry();
     return;
   }
 
@@ -154,7 +140,7 @@ void TimingAnalyzer::update() {
   // closure: everything downstream through the recorded predecessor
   // links (close_damage).  Primary-input seeds are never stage
   // destinations, so they keep their declared arrivals.
-  const TriggerIndex& by_trigger = design_->stages_by_trigger_;
+  const TriggerIndex& by_trigger = compiled_->stages_by_trigger_;
   std::vector<char> damaged(nkeys, 0);
   std::vector<std::uint32_t> damage;  // the damaged keys, BFS order
   {
@@ -164,8 +150,8 @@ void TimingAnalyzer::update() {
         for (const Transition dir :
              {Transition::kRise, Transition::kFall}) {
           const std::size_t k = arrival_key(n, dir);
-          if (session_.arrival_valid_[k] &&
-              session_.arrival_via_[k] == SIZE_MAX) {
+          if (arrival_valid_[k] &&
+              arrival_via_[k] == SIZE_MAX) {
             continue;
           }
           if (!damaged[k]) {
@@ -175,28 +161,28 @@ void TimingAnalyzer::update() {
         }
       }
     }
-    close_damage(stages, by_trigger, session_.arrival_from_,
-                 session_.arrival_valid_, damaged, damage);
+    close_damage(stages, by_trigger, arrival_from_,
+                 arrival_valid_, damaged, damage);
 
     std::size_t invalidated = 0;
     for (const std::uint32_t k : damage) {
-      if (session_.arrival_valid_[k]) ++invalidated;
-      session_.arrival_valid_[k] = 0;
-      session_.update_counts_[k] = 0;
+      if (arrival_valid_[k]) ++invalidated;
+      arrival_valid_[k] = 0;
+      update_counts_[k] = 0;
     }
     // Retained arrivals follow a splice's renumbering (their stages
     // survived it by construction).
     if (!keeps_paths) {
       for (std::size_t k = 0; k < nkeys; ++k) {
-        if (session_.arrival_valid_[k] &&
-            session_.arrival_via_[k] != SIZE_MAX) {
-          SLDM_ASSERT(remap[session_.arrival_via_[k]] != SIZE_MAX);
-          session_.arrival_via_[k] = remap[session_.arrival_via_[k]];
+        if (arrival_valid_[k] &&
+            arrival_via_[k] != SIZE_MAX) {
+          SLDM_ASSERT(remap[arrival_via_[k]] != SIZE_MAX);
+          arrival_via_[k] = remap[arrival_via_[k]];
         }
       }
     }
-    session_.g_frontier_keys_.set(static_cast<double>(invalidated));
-    session_.h_frontier_.add(static_cast<double>(invalidated));
+    stats_.frontier_keys = invalidated;
+    h_frontier_.add(static_cast<double>(invalidated));
     invalidate_span.arg("frontier_keys", static_cast<double>(invalidated));
   }
 
@@ -214,7 +200,7 @@ void TimingAnalyzer::update() {
     for (std::size_t s = begin; s < end; ++s) {
       if (stages.output_dir(s) != dir) continue;
       const std::size_t f = fire_key(stages[s], nl);
-      if (session_.arrival_valid_[f]) {
+      if (arrival_valid_[f]) {
         seeds.push_back(static_cast<std::uint32_t>(f));
       }
     }
@@ -224,18 +210,18 @@ void TimingAnalyzer::update() {
   std::deque<std::uint32_t> work(seeds.begin(), seeds.end());
   std::vector<char> queued(nkeys, 0);
   for (const std::uint32_t k : seeds) queued[k] = 1;
-  session_.ctr_worklist_pushes_.add(seeds.size());
+  stats_.worklist_pushes += seeds.size();
   repropagate_span.arg("seeds", static_cast<double>(work.size()));
-  session_.propagate(work, queued);
-  session_.g_update_seconds_.set(now_seconds() - t0);
-  session_.publish_telemetry();
+  propagate(work, queued);
+  stats_.update_seconds = now_seconds() - t0;
+  publish_telemetry();
 }
 
 std::vector<std::size_t> TimingAnalyzer::resplice(
     const std::vector<std::size_t>& dirty) {
-  const Netlist& nl = design_->netlist();
-  const CccPartition& ccc = *design_->ccc_;
-  StageTable& stages = design_->stages_;
+  const Netlist& nl = compiled_->netlist();
+  const CccPartition& ccc = *compiled_->ccc_;
+  StageTable& stages = compiled_->stages_;
 
   std::vector<char> node_dirty(nl.node_count(), 0);
   for (const std::size_t c : dirty) {
@@ -248,8 +234,8 @@ std::vector<std::size_t> TimingAnalyzer::resplice(
   std::size_t fresh_total = 0;
   {
     TraceSpan extract_span("update-extract", "timing");
-    fresh = extract_components(nl, design_->extract_, ccc, dirty,
-                               options_.threads);
+    fresh = extract_components(nl, compiled_->extract_, ccc, dirty,
+                               threads_);
     for (const StageTable& t : fresh.tables) fresh_total += t.size();
     extract_span.arg("cccs", static_cast<double>(dirty.size()));
     extract_span.arg("stages", static_cast<double>(fresh_total));
@@ -291,17 +277,17 @@ std::vector<std::size_t> TimingAnalyzer::resplice(
   SLDM_ASSERT(stages.size() == new_i);
 
   // --- Refresh the structure-dependent indexes and session census.
-  design_->recount_stages_per_ccc();
-  session_.g_reused_stages_.set(static_cast<double>(reused));
-  session_.g_reextracted_stages_.set(static_cast<double>(fresh_total));
-  design_->index_stages_by_trigger();
+  compiled_->recount_stages_per_ccc();
+  stats_.reused_stages = reused;
+  stats_.reextracted_stages = fresh_total;
+  compiled_->index_stages_by_trigger();
   // The splice renumbered stages, so the SoA mirror must follow; a
   // full rebuild keeps store ids == stage indices (the invariant the
   // propagation and explain paths rely on).
-  design_->rebuild_store();
+  compiled_->rebuild_store();
   // A new device may trigger a stage kind the model cannot price.
-  session_.model_.require_covers(design_->stage_store());
-  session_.refresh_fan_in();
+  model_.require_covers(compiled_->stage_store());
+  refresh_fan_in();
   splice_span.arg("reused", static_cast<double>(reused));
   splice_span.arg("reextracted", static_cast<double>(fresh_total));
   return remap;

@@ -1,18 +1,17 @@
-// The Crystal-style static timing analyzer, as a facade over the
-// compiled-design / session split.
+// The Crystal-style static timing analyzer: a Session that owns its
+// compiled design and may therefore edit it.
 //
-// Construction compiles the netlist into an immutable CompiledDesign
+// Construction compiles the netlist into a CompiledDesign
 // (design/compiled_design.h: CCC partition, per-component stage
 // extraction fanned over AnalyzerOptions::threads workers with a
-// deterministic merge, and the baked StageStore) and attaches one
-// Session (design/session.h) that owns all mutable analysis state.
-// The thread count sizes extraction only -- at construction and in
-// update()'s re-extraction; propagation is sequential.
-// Every query -- arrivals, critical paths, k-worst enumeration, stats,
-// metrics -- delegates to that session, so results are bit-identical
-// to driving the two layers directly.
+// deterministic merge, and the baked StageStore), or adopts one (a
+// .sldc load), and attaches the Session (design/session.h) half over
+// it.  Every query -- arrivals, critical paths, k-worst enumeration,
+// stats, metrics -- is the Session's own.  The thread count sizes
+// extraction only -- at construction and in update()'s re-extraction;
+// propagation is sequential.
 //
-// The facade earns its keep on the ECO path: update() is the single
+// What TimingAnalyzer adds is the ECO path: update() is the single
 // sanctioned writer of a CompiledDesign.  After mutating the netlist
 // through its journaled API, update() absorbs the edits instead of
 // rebuilding, and its cost follows the damage, not the design:
@@ -32,9 +31,7 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "design/compiled_design.h"
@@ -67,10 +64,10 @@ void close_damage(const StageTable& stages, const TriggerIndex& by_trigger,
                   std::vector<char>& damaged,
                   std::vector<std::uint32_t>& damage);
 
-class TimingAnalyzer {
+class TimingAnalyzer : public Session {
  public:
   /// Compiles the design up-front (per channel-connected component,
-  /// over options.threads workers) and attaches a session.  `nl`,
+  /// over options.threads workers) and attaches the session.  `nl`,
   /// `tech`, and `model` must outlive the analyzer.
   TimingAnalyzer(const Netlist& nl, const Tech& tech, const DelayModel& model,
                  AnalyzerOptions options = {});
@@ -83,27 +80,6 @@ class TimingAnalyzer {
   /// shared with other sessions.
   TimingAnalyzer(std::shared_ptr<CompiledDesign> design,
                  const DelayModel& model, AnalyzerOptions options = {});
-
-  /// Declares a primary-input event.  Precondition: `input` is marked
-  /// is_input; slope >= 0.  May be called repeatedly before run().
-  /// Throws Error if run() already completed (reset() first).
-  void add_input_event(NodeId input, Transition dir, Seconds time,
-                       Seconds slope) {
-    session_.add_input_event(input, dir, time, slope);
-  }
-
-  /// Convenience: both transitions on every input at t=0 with `slope`
-  /// (full worst-case analysis).  Same post-run() Error as
-  /// add_input_event.
-  void add_all_input_events(Seconds slope) {
-    session_.add_all_input_events(slope);
-  }
-
-  /// Propagates to fixpoint.  Throws Error if a structural loop exceeds
-  /// the update bound, or if run() already completed (reset() first),
-  /// or if the netlist was mutated since the analyzer synchronized
-  /// (update() first).
-  void run() { session_.run(); }
 
   /// Absorbs all netlist mutations since the analyzer last
   /// synchronized (construction or previous update()): synchronizes the
@@ -120,93 +96,10 @@ class TimingAnalyzer {
   /// other sessions rely on forbids in-place mutation).
   void update();
 
-  /// Discards arrivals and seeds so a new set of input events can be
-  /// analyzed without re-extracting stages.  Wall-clock stats of the
-  /// extraction phase are kept; propagation counters keep accumulating.
-  void reset() { session_.reset(); }
-
-  /// Arrival at (node, dir), if the node can switch that way at all.
-  std::optional<ArrivalInfo> arrival(NodeId node, Transition dir) const {
-    return session_.arrival(node, dir);
-  }
-
-  /// The latest arrival over all nodes (or only output-marked nodes).
-  using Worst = Session::Worst;
-  std::optional<Worst> worst_arrival(bool outputs_only) const {
-    return session_.worst_arrival(outputs_only);
-  }
-
-  /// The chain of events ending at (node, dir), input first.
-  /// Precondition: arrival(node, dir) has a value.
-  std::vector<PathStep> critical_path(NodeId node, Transition dir) const {
-    return session_.critical_path(node, dir);
-  }
-
-  using PathQueryOptions = Session::PathQueryOptions;
-  using EnumeratedPath = Session::EnumeratedPath;
-
-  /// The k latest-arriving distinct event paths ending at (node, dir),
-  /// sorted latest first (see Session::k_worst_paths).
-  /// Precondition: run() has completed; k >= 1.
-  std::vector<EnumeratedPath> k_worst_paths(
-      NodeId node, Transition dir, std::size_t k,
-      const PathQueryOptions& options) const {
-    return session_.k_worst_paths(node, dir, k, options);
-  }
-  std::vector<EnumeratedPath> k_worst_paths(NodeId node, Transition dir,
-                                            std::size_t k) const {
-    return session_.k_worst_paths(node, dir, k);
-  }
-
-  /// All extracted stages (index space of ArrivalInfo::via_stage).
-  const StageTable& stages() const { return design_->stages(); }
-
-  /// The SoA store propagation evaluates against: stage ids coincide
-  /// with indices into stages() (and so with ArrivalInfo::via_stage).
-  const StageStore& stage_store() const { return design_->stage_store(); }
-
-  /// The channel-connected component partition extraction ran over.
-  const CccPartition& components() const { return design_->components(); }
-
-  /// The analyzed netlist / technology / delay model (explain traces
-  /// re-evaluate stages through these).
-  const Netlist& netlist() const { return design_->netlist(); }
   /// Mutable access to a design-owned netlist (snapshot loads), the
   /// ECO edit surface for adopted designs.  Throws Error when the
   /// design borrows the caller's netlist -- mutate that one instead.
   Netlist& mutable_netlist();
-  const Tech& tech() const { return design_->tech(); }
-  const DelayModel& delay_model() const { return session_.delay_model(); }
-
-  /// The immutable compiled artifact this analyzer drives.  Additional
-  /// Sessions may borrow it concurrently; while any such handle is
-  /// outstanding, update() refuses to mutate the design.
-  std::shared_ptr<const CompiledDesign> share_design() const {
-    return design_;
-  }
-
-  /// The attached session (the mutable half of this analyzer).
-  Session& session() { return session_; }
-  const Session& session() const { return session_; }
-
-  /// Forwards a cooperative deadline token to the session, covering
-  /// both run() and the re-propagation inside update().  Borrowed; pass
-  /// nullptr to detach (callers must detach before the token dies).
-  void set_cancel_token(const CancelToken* token) {
-    session_.set_cancel_token(token);
-  }
-
-  /// Phase timings and work counters (see AnalyzerStats); refreshed
-  /// from the metrics registry on each call.
-  const AnalyzerStats& stats() const { return session_.stats(); }
-
-  /// The named metric registry (names listed in FORMATS.md).
-  const MetricsRegistry& metrics() const { return session_.metrics(); }
-
-  /// Work counter for the Table 5 runtime comparison.
-  std::size_t stage_evaluations() const {
-    return session_.stage_evaluations();
-  }
 
  private:
   /// update()'s path for batches that may change stage paths: re-
@@ -216,9 +109,10 @@ class TimingAnalyzer {
   /// new stage id map (SIZE_MAX for dropped stages).
   std::vector<std::size_t> resplice(const std::vector<std::size_t>& dirty);
 
-  std::shared_ptr<CompiledDesign> design_;
-  AnalyzerOptions options_;
-  Session session_;
+  /// The same design the Session half reads, held writable.
+  std::shared_ptr<CompiledDesign> compiled_;
+  /// Extraction workers for update()'s re-extraction.
+  int threads_;
 };
 
 }  // namespace sldm

@@ -11,7 +11,7 @@
 
 namespace sldm {
 
-void Constraints::apply(const Netlist& nl, TimingAnalyzer& analyzer) const {
+void Constraints::apply(const Netlist& nl, Session& session) const {
   for (const InputConstraint& c : inputs) {
     const auto node = nl.find_node(c.node);
     if (!node) throw Error("constraint names unknown node '" + c.node + "'");
@@ -19,10 +19,10 @@ void Constraints::apply(const Netlist& nl, TimingAnalyzer& analyzer) const {
       throw Error("constraint node '" + c.node + "' is not a chip input");
     }
     if (c.dir) {
-      analyzer.add_input_event(*node, *c.dir, c.time, c.slope);
+      session.add_input_event(*node, *c.dir, c.time, c.slope);
     } else {
-      analyzer.add_input_event(*node, Transition::kRise, c.time, c.slope);
-      analyzer.add_input_event(*node, Transition::kFall, c.time, c.slope);
+      session.add_input_event(*node, Transition::kRise, c.time, c.slope);
+      session.add_input_event(*node, Transition::kFall, c.time, c.slope);
     }
   }
 }

@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "design/session.h"
 #include "netlist/netlist.h"
-#include "timing/analyzer.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -38,9 +38,9 @@ struct Constraints {
   std::vector<InputConstraint> inputs;
   std::optional<Seconds> required;  ///< cycle budget, if declared
 
-  /// Seeds the analyzer with every declared event.  Throws Error if a
+  /// Seeds the session with every declared event.  Throws Error if a
   /// named node does not exist or is not an input.
-  void apply(const Netlist& nl, TimingAnalyzer& analyzer) const;
+  void apply(const Netlist& nl, Session& session) const;
 };
 
 /// Parses a constraint stream.  Throws ParseError on malformed input.

@@ -90,11 +90,6 @@ ExplainReport explain_arrival(const Session& session, NodeId node,
   return report;
 }
 
-ExplainReport explain_arrival(const TimingAnalyzer& analyzer, NodeId node,
-                              Transition dir) {
-  return explain_arrival(analyzer.session(), node, dir);
-}
-
 std::string format_explain(const Netlist& nl, const ExplainReport& report) {
   std::ostringstream os;
   os << format("explain: %s %s  arrival %.6f ns  (%zu events)\n",

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "timing/analyzer.h"
+#include "design/session.h"
 
 namespace sldm {
 
@@ -50,10 +50,6 @@ struct ExplainReport {
 /// Preconditions: the session has run and arrival(node, dir) has a
 /// value (Error otherwise).
 ExplainReport explain_arrival(const Session& session, NodeId node,
-                              Transition dir);
-
-/// Facade form over the analyzer's attached session.
-ExplainReport explain_arrival(const TimingAnalyzer& analyzer, NodeId node,
                               Transition dir);
 
 /// Multi-line human-readable rendering: one block per event with the

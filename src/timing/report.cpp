@@ -21,13 +21,7 @@ std::string format_path(const Netlist& nl, const std::vector<PathStep>& path) {
   return os.str();
 }
 
-std::string format_output_arrivals(const Netlist& nl,
-                                   const TimingAnalyzer& analyzer) {
-  return format_output_arrivals(nl, analyzer.session());
-}
-
-std::string format_output_arrivals(const Netlist& nl,
-                                   const Session& session) {
+std::string format_output_arrivals(const Netlist& nl, const Session& session) {
   TextTable table({"output", "rise (ns)", "fall (ns)"});
   for (NodeId n : nl.all_nodes()) {
     if (!nl.node(n).is_output) continue;
@@ -40,14 +34,13 @@ std::string format_output_arrivals(const Netlist& nl,
   return table.to_string();
 }
 
-std::string format_all_arrivals(const Netlist& nl,
-                                const TimingAnalyzer& analyzer) {
+std::string format_all_arrivals(const Netlist& nl, const Session& session) {
   TextTable table({"node", "rise (ns)", "rise slope", "fall (ns)",
                    "fall slope"});
   for (NodeId n : nl.all_nodes()) {
     if (nl.node(n).is_input || nl.is_rail(n)) continue;
-    const auto rise = analyzer.arrival(n, Transition::kRise);
-    const auto fall = analyzer.arrival(n, Transition::kFall);
+    const auto rise = session.arrival(n, Transition::kRise);
+    const auto fall = session.arrival(n, Transition::kFall);
     if (!rise && !fall) continue;
     table.add_row({nl.node(n).name.str(),
                    rise ? format("%.3f", to_ns(rise->time)) : "-",
@@ -58,10 +51,9 @@ std::string format_all_arrivals(const Netlist& nl,
   return table.to_string();
 }
 
-std::string format_analyzer_stats(const Netlist& nl,
-                                  const TimingAnalyzer& analyzer,
+std::string format_analyzer_stats(const Netlist& nl, const Session& session,
                                   std::size_t max_cccs) {
-  const AnalyzerStats& st = analyzer.stats();
+  const AnalyzerStats& st = session.stats();
   std::ostringstream os;
   os << "analyzer stats:\n"
      << format("  extraction : %9.3f ms  (%zu stages, %zu CCCs, "
@@ -87,20 +79,21 @@ std::string format_analyzer_stats(const Netlist& nl,
   }
 
   // Per-CCC census, largest stage contribution first.
-  std::vector<std::size_t> order(st.stages_per_ccc.size());
+  const std::vector<std::size_t>& per_ccc = session.design().stages_per_ccc();
+  std::vector<std::size_t> order(per_ccc.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return st.stages_per_ccc[a] > st.stages_per_ccc[b];
+                     return per_ccc[a] > per_ccc[b];
                    });
   if (order.size() > max_cccs) order.resize(max_cccs);
-  const CccPartition& ccc = analyzer.components();
+  const CccPartition& ccc = session.components();
   TextTable table({"ccc", "nodes", "devices", "stages", "example node"});
   for (std::size_t c : order) {
     table.add_row({std::to_string(c),
                    std::to_string(ccc.members(c).size()),
                    std::to_string(ccc.device_count(c)),
-                   std::to_string(st.stages_per_ccc[c]),
+                   std::to_string(per_ccc[c]),
                    nl.node(ccc.members(c).front()).name.str()});
   }
   os << table.to_string();
@@ -130,11 +123,11 @@ std::string analyzer_stats_json(const AnalyzerStats& st) {
   return os.str();
 }
 
-std::string analyzer_stats_json(const TimingAnalyzer& analyzer) {
-  std::string json = analyzer_stats_json(analyzer.stats());
+std::string analyzer_stats_json(const Session& session) {
+  std::string json = analyzer_stats_json(session.stats());
   json.pop_back();  // drop the closing brace
   json += ",\"metrics\":";
-  json += analyzer.metrics().to_json();
+  json += session.metrics().to_json();
   json += '}';
   return json;
 }

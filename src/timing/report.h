@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "timing/analyzer.h"
+#include "design/session.h"
 
 namespace sldm {
 
@@ -11,26 +11,17 @@ namespace sldm {
 std::string format_path(const Netlist& nl, const std::vector<PathStep>& path);
 
 /// A table of arrivals at all output-marked nodes.
-std::string format_output_arrivals(const Netlist& nl,
-                                   const TimingAnalyzer& analyzer);
-
-/// Session variant of the same table: the serve layer runs bare
-/// Sessions (no facade) and must emit byte-identical report text to
-/// the cold CLI path for the parity contract.
-std::string format_output_arrivals(const Netlist& nl,
-                                   const Session& session);
+std::string format_output_arrivals(const Netlist& nl, const Session& session);
 
 /// A table of arrivals at every node that has any (Crystal's full
 /// listing); nodes with no arrivals are omitted.
-std::string format_all_arrivals(const Netlist& nl,
-                                const TimingAnalyzer& analyzer);
+std::string format_all_arrivals(const Netlist& nl, const Session& session);
 
-/// The analyzer's instrumentation report: per-phase wall clock
+/// The session's instrumentation report: per-phase wall clock
 /// (extraction vs propagation), work counters, incremental-update
-/// counters when update() has run, and a per-CCC stage census (largest
-/// components first, up to `max_cccs` rows).
-std::string format_analyzer_stats(const Netlist& nl,
-                                  const TimingAnalyzer& analyzer,
+/// counters when update() has run, and the design's per-CCC stage
+/// census (largest components first, up to `max_cccs` rows).
+std::string format_analyzer_stats(const Netlist& nl, const Session& session,
                                   std::size_t max_cccs = 10);
 
 /// One-line JSON object of the stats counters (machine-readable
@@ -39,10 +30,10 @@ std::string format_analyzer_stats(const Netlist& nl,
 /// --json`, and the compare harness all emit this.
 std::string analyzer_stats_json(const AnalyzerStats& stats);
 
-/// Same object with a trailing "metrics" member holding the analyzer's
+/// Same object with a trailing "metrics" member holding the session's
 /// full metrics registry (counters / gauges / histograms; see
-/// FORMATS.md).  The legacy fields stay first, so consumers keyed on
+/// FORMATS.md).  The scalar fields stay first, so consumers keyed on
 /// them are unaffected.
-std::string analyzer_stats_json(const TimingAnalyzer& analyzer);
+std::string analyzer_stats_json(const Session& session);
 
 }  // namespace sldm

@@ -22,7 +22,7 @@ std::optional<Seconds> SlackReport::worst_slack() const {
   return entries.front().slack;
 }
 
-SlackReport compute_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+SlackReport compute_slack(const Netlist& nl, const Session& session,
                           Seconds required) {
   SLDM_EXPECTS(required > 0.0);
   SlackReport report;
@@ -30,7 +30,7 @@ SlackReport compute_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
   for (NodeId n : nl.all_nodes()) {
     if (!nl.node(n).is_output) continue;
     for (Transition dir : {Transition::kRise, Transition::kFall}) {
-      const auto info = analyzer.arrival(n, dir);
+      const auto info = session.arrival(n, dir);
       if (!info) continue;
       SlackEntry e;
       e.node = n;
@@ -48,7 +48,7 @@ SlackReport compute_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
   return report;
 }
 
-std::string format_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+std::string format_slack(const Netlist& nl, const Session& session,
                          const SlackReport& report) {
   std::ostringstream os;
   os << format("required time: %.3f ns\n", to_ns(report.required));
@@ -61,7 +61,7 @@ std::string format_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
   if (!report.entries.empty() && report.entries.front().slack < 0.0) {
     const SlackEntry& worst = report.entries.front();
     os << "\nworst violating path:\n"
-       << format_path(nl, analyzer.critical_path(worst.node, worst.dir));
+       << format_path(nl, session.critical_path(worst.node, worst.dir));
   }
   return os.str();
 }

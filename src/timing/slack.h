@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "timing/analyzer.h"
+#include "design/session.h"
 
 namespace sldm {
 
@@ -33,13 +33,13 @@ struct SlackReport {
 
 /// Computes slack at every output-marked node (both transitions that
 /// have arrivals) against a single required time.
-/// Precondition: analyzer.run() has completed; required > 0.
-SlackReport compute_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+/// Precondition: session.run() has completed; required > 0.
+SlackReport compute_slack(const Netlist& nl, const Session& session,
                           Seconds required);
 
 /// Renders the report; violating entries are flagged, and for the worst
 /// violation the full critical path is appended.
-std::string format_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+std::string format_slack(const Netlist& nl, const Session& session,
                          const SlackReport& report);
 
 }  // namespace sldm

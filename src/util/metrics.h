@@ -1,21 +1,20 @@
 // A named-metrics registry: monotonic counters, point-in-time gauges,
 // and fixed-bucket histograms, addressable by string name.
 //
-// The timing analyzer's instrumentation stores plain Counter / Gauge /
-// Histogram members (one field update per increment -- no map lookup,
-// no allocation on the hot path) and materializes them into a named
-// registry on demand via TimingAnalyzer::metrics(); the legacy
-// AnalyzerStats struct is likewise refreshed from those members -- both
-// the registry and the struct are *views* of the same counters.  `sldm
-// time --stats --json` and the compare harness (per-ModelResult
-// snapshots) dump the whole registry (schema in FORMATS.md).
+// A timing Session keeps its work counters and phase timings as plain
+// fields of one AnalyzerStats (design/session.h) and its distributions
+// as Histogram members (one field update per increment -- no map
+// lookup, no allocation on the hot path); Session::metrics()
+// materializes both into a named registry on demand.  `sldm time
+// --stats --json` and the compare harness (per-ModelResult snapshots)
+// dump the whole registry (schema in FORMATS.md).
 //
 // Registration is not thread-safe; register every metric up front, then
 // mutate through the returned references.  Mutation itself is as cheap
 // as the underlying field update -- there is no internal locking, so a
-// metric must only be written from one thread at a time (the analyzer's
-// parallel phases aggregate into per-task locals and flush on the
-// coordinating thread).
+// metric must only be written from one thread at a time (a Session is
+// driven from one thread; process-wide counters go through
+// bump_process_counter() below).
 //
 // Maps are node-based (std::map), so references returned by counter() /
 // gauge() / histogram() stay valid for the registry's lifetime, and the

@@ -7,6 +7,8 @@
 // (see netlist/types.h).
 #pragma once
 
+#include <chrono>
+
 namespace sldm {
 
 using Seconds = double;
@@ -15,6 +17,14 @@ using Ohms = double;
 using Farads = double;
 using Amperes = double;
 using Meters = double;
+
+/// Monotonic wall clock in seconds (steady_clock; only differences
+/// mean anything).  Phase timings and bench loops measure with this.
+inline Seconds now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 namespace units {
 

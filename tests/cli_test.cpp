@@ -5,12 +5,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "cli/cli.h"
 #include "gen/generators.h"
 #include "netlist/sim_io.h"
 #include "tech/tech_io.h"
+#include "util/json.h"
 
 namespace sldm {
 namespace {
@@ -347,6 +349,29 @@ TEST(Cli, TimeTraceWritesFile) {
   EXPECT_NE(ss.str().find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(ss.str().find("\"propagate\""), std::string::npos);
   std::remove(trace_path.c_str());
+}
+
+TEST(Cli, CompileTraceCoversParseExtractAndWrite) {
+  TempFile f("inv.sim", kInverterSim);
+  const std::string trace_path = "/tmp/sldm_cli_test_compile_trace.json";
+  const std::string sldc_path = "/tmp/sldm_cli_test_traced.sldc";
+  const CliRun r = run({"compile", f.path(), "-o", sldc_path, "--model",
+                        "rc-tree", "--trace", trace_path});
+  std::remove(sldc_path.c_str());
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("wrote trace"), std::string::npos) << r.out;
+  const JsonValue doc = parse_json_file(trace_path);
+  std::remove(trace_path.c_str());
+  // Spans as "<cat>.<name>", the layer keys of FORMATS.md section 7.
+  std::set<std::string> spans;
+  for (const JsonValue& e : doc.at("traceEvents").items()) {
+    if (e.at("ph").as_string() != "X") continue;
+    spans.insert(e.at("cat").as_string() + "." + e.at("name").as_string());
+  }
+  for (const char* span : {"netlist.read_sim", "timing.extract",
+                           "design.write"}) {
+    EXPECT_EQ(spans.count(span), 1u) << span;
+  }
 }
 
 TEST(Cli, ExplainPrintsBreakdown) {

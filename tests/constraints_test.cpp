@@ -6,6 +6,7 @@
 #include "delay/rctree.h"
 #include "gen/generators.h"
 #include "tech/tech.h"
+#include "timing/analyzer.h"
 #include "timing/constraints.h"
 #include "timing/slack.h"
 #include "util/error.h"

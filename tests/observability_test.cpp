@@ -580,5 +580,71 @@ TEST(StatsJson, EmbedsMetricsRegistry) {
   ASSERT_NE(metrics.at("histograms").find("extract.stage_fan_in"), nullptr);
 }
 
+/// FORMATS.md section 6 after an ECO: the scalar members come in the
+/// documented order, and each one that the registry also names carries
+/// the same value there.  The structural edit dirties one component and
+/// keeps the other, so every ECO field is non-zero.
+TEST(StatsJson, EcoScalarsFollowTheDocumentedOrderAndTheRegistry) {
+  TempFile sim("statsjson_eco.sim", kChainSim);
+  TempFile eco("statsjson_eco.eco", "transistor e in gnd out 4 8\n");
+  std::string out;
+  ASSERT_EQ(run({"eco", sim.path(), eco.path(), "--model", "rc-tree",
+                 "--stats", "--json"},
+                &out),
+            0);
+  std::string json_line;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && line.front() == '{') json_line = line;
+  }
+  ASSERT_FALSE(json_line.empty()) << out;
+  const JsonValue doc = parse_json(json_line);
+
+  const std::vector<std::string> documented = {
+      "ccc_count",         "widest_ccc",      "stage_count",
+      "stage_evaluations", "worklist_pushes", "arrival_updates",
+      "batches",           "mean_batch_size", "max_batch_size",
+      "extract_seconds",   "propagate_seconds", "threads",
+      "incremental_updates", "dirty_cccs",    "reextracted_stages",
+      "reused_stages",     "frontier_keys",   "update_seconds",
+      "metrics"};
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.members()) keys.push_back(key);
+  EXPECT_EQ(keys, documented);
+
+  const JsonValue& metrics = doc.at("metrics");
+  const std::vector<std::pair<std::string, std::string>> counters = {
+      {"stage_evaluations", "propagate.stage_evaluations"},
+      {"worklist_pushes", "propagate.worklist_pushes"},
+      {"arrival_updates", "propagate.arrival_updates"},
+      {"batches", "propagate.batches"},
+      {"incremental_updates", "eco.updates"}};
+  for (const auto& [field, name] : counters) {
+    EXPECT_EQ(doc.at(field).as_number(),
+              metrics.at("counters").at(name).as_number())
+        << field;
+  }
+  const std::vector<std::pair<std::string, std::string>> gauges = {
+      {"max_batch_size", "propagate.max_batch_size"},
+      {"dirty_cccs", "eco.dirty_cccs"},
+      {"reextracted_stages", "eco.reextracted_stages"},
+      {"reused_stages", "eco.reused_stages"},
+      {"frontier_keys", "eco.frontier_keys"},
+      {"extract_seconds", "extract.seconds"},
+      {"propagate_seconds", "propagate.seconds"},
+      {"update_seconds", "eco.update_seconds"}};
+  for (const auto& [field, name] : gauges) {
+    EXPECT_EQ(doc.at(field).as_number(),
+              metrics.at("gauges").at(name).as_number())
+        << field;
+  }
+  EXPECT_EQ(doc.at("incremental_updates").as_number(), 1.0);
+  for (const char* field :
+       {"dirty_cccs", "reextracted_stages", "reused_stages", "frontier_keys",
+        "stage_evaluations", "batches", "max_batch_size"}) {
+    EXPECT_GT(doc.at(field).as_number(), 0.0) << field;
+  }
+}
+
 }  // namespace
 }  // namespace sldm

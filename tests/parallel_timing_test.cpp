@@ -134,7 +134,7 @@ TEST(ParallelTiming, WholeTestsuiteSeedSlopeAllInputs) {
   a4.run();
   EXPECT_EQ(a1.stats().stage_count, a4.stats().stage_count);
   EXPECT_EQ(a1.stats().ccc_count, a4.stats().ccc_count);
-  EXPECT_EQ(a1.stats().stages_per_ccc, a4.stats().stages_per_ccc);
+  EXPECT_EQ(a1.design().stages_per_ccc(), a4.design().stages_per_ccc());
   EXPECT_EQ(a1.stats().stage_evaluations, a4.stats().stage_evaluations);
   EXPECT_EQ(a1.stats().worklist_pushes, a4.stats().worklist_pushes);
   EXPECT_EQ(a1.stats().arrival_updates, a4.stats().arrival_updates);
@@ -150,9 +150,9 @@ TEST(ParallelTiming, StatsPhasesPopulated) {
   const AnalyzerStats& st = an.stats();
   EXPECT_GT(st.stage_count, 0u);
   EXPECT_GT(st.ccc_count, 0u);
-  EXPECT_EQ(st.stages_per_ccc.size(), st.ccc_count);
+  EXPECT_EQ(an.design().stages_per_ccc().size(), st.ccc_count);
   std::size_t sum = 0;
-  for (std::size_t s : st.stages_per_ccc) sum += s;
+  for (std::size_t s : an.design().stages_per_ccc()) sum += s;
   EXPECT_EQ(sum, st.stage_count);
   EXPECT_GE(st.extract_seconds, 0.0);
   EXPECT_GE(st.propagate_seconds, 0.0);

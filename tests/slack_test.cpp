@@ -4,6 +4,7 @@
 #include "delay/rctree.h"
 #include "gen/generators.h"
 #include "tech/tech.h"
+#include "timing/analyzer.h"
 #include "timing/slack.h"
 #include "util/contracts.h"
 

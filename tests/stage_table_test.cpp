@@ -378,7 +378,7 @@ TEST(TriggerIndex, CsrAndBakeMatchReferencesAfterRandomEcoEdits) {
             break;
         }
         an.update();
-        const CompiledDesign& design = an.session().design();
+        const CompiledDesign& design = an.design();
         const std::string tag = g.name + " threads=" +
                                 std::to_string(threads) +
                                 " step=" + std::to_string(step);

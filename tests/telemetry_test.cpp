@@ -579,7 +579,7 @@ TEST(TelemetryHub, MovedSessionsRetireExactlyOnce) {
     an.run();
     expected += an.stage_evaluations();
     analyzer.emplace(std::move(an));
-    Session bare(analyzer->session().share_design(), model);
+    Session bare(analyzer->share_design(), model);
     bare.add_all_input_events(1e-9);
     bare.run();
     expected += bare.stage_evaluations();
@@ -590,7 +590,7 @@ TEST(TelemetryHub, MovedSessionsRetireExactlyOnce) {
     EXPECT_NE(labels.session, kRetiredSession);
   }
   // Re-publishing from the moved-to halves still replaces, not adds.
-  analyzer->session().publish_telemetry();
+  analyzer->publish_telemetry();
   session->publish_telemetry();
   EXPECT_EQ(hub.snapshot_count(), 2u);
   EXPECT_EQ(aggregate_counter("propagate.stage_evaluations"), expected);
