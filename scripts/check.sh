@@ -5,6 +5,10 @@
 #      -Wconversion -Wsign-conversion as errors -- the one configuration
 #      the default RelWithDebInfo build does not already cover, and the
 #      one where GCC's optimizer-driven warnings (e.g. -Wrestrict) fire;
+#      then `python3 perfbench/run.py --self-test`, which builds the
+#      benchmark against this tree into the git-ignored .bench_build/
+#      and runs its unit tests, so an engine change that breaks the
+#      benchmark's build fails here;
 #   2. asan preset: the full test suite under AddressSanitizer/UBSan;
 #   3. tsan preset: the concurrency-sensitive suites (parallel stage
 #      extraction and its per-node stitch, the incremental-update
@@ -37,7 +41,10 @@
 #      byte-identically to the LF original; `sldm eco --verify` on the
 #      chain design must report bit-identity with a rebuild for a
 #      parametric script (sizes and caps: the in-place re-bake) and for
-#      a structural one (a new device: re-extract and splice);
+#      a structural one (a new device: re-extract and splice), and under
+#      the slope model for the `length in23 gnd g0_1 4` edit on the
+#      54k-device random_logic(cmos, 64, 256, seed 5) design (the
+#      witness whose update once kept superseded-predecessor maxima);
 #   7. a fixed-seed differential fuzzing smoke under asan (`sldm fuzz`,
 #      200 iterations: must be clean and deterministic), plus a replay
 #      pass over the checked-in repro corpus in testdata/fuzz/;
@@ -87,6 +94,8 @@ cmake -S . -B out/check-release -DCMAKE_BUILD_TYPE=Release \
   -DSLDM_WARNINGS_AS_ERRORS=ON
 cmake --build out/check-release -j "$jobs"
 echo "check.sh: -O3 warnings-as-errors build clean"
+python3 perfbench/run.py --self-test
+echo "check.sh: perfbench builds against the tree and its tests pass"
 
 cmake --preset asan
 cmake --build --preset asan -j "$jobs"
@@ -185,6 +194,9 @@ echo "check.sh: bench --json record parsed"
 # round-trip contract, FORMATS.md section 11), and a snapshot with one
 # byte flipped -- inside the first section payload, or inside the STOR
 # section's arrays -- must be rejected by checksum.
+out/ubsan/examples/sldm gen random_logic --style cmos --layers 64 \
+  --width 256 --seed 5 -o "$smoke_dir/witness.sim" > /dev/null
+printf 'length in23 gnd g0_1 4\n' > "$smoke_dir/witness.eco"
 for build in asan ubsan; do
   sldm_bin="out/$build/examples/sldm"
   "$sldm_bin" compile "$smoke_dir/chain.sim" \
@@ -322,12 +334,19 @@ EOF
     grep -q 'bit-identical to a full rebuild' "$smoke_dir/eco_$eco.txt" \
       || { echo "check.sh: $eco eco did not verify ($build)" >&2; exit 1; }
   done
+  # The slope-model witness: update() must equal a rebuild under slope.
+  "$sldm_bin" eco "$smoke_dir/witness.sim" "$smoke_dir/witness.eco" \
+    --tech cmos --verify > "$smoke_dir/eco_witness.txt" 2> /dev/null \
+    || { echo "check.sh: sldm eco --verify failed on the slope witness" \
+         "($build)" >&2; exit 1; }
+  grep -q 'bit-identical to a full rebuild' "$smoke_dir/eco_witness.txt" \
+    || { echo "check.sh: slope witness did not verify ($build)" >&2; exit 1; }
 done
 echo "check.sh: snapshot compile/load parity holds, compile is" \
   "thread-count independent, corruption rejected"
 echo "check.sh: .sim refuses directories and FIFOs, CRLF times identically"
 echo "check.sh: cut snapshots, FIFO options and empty tables refused by name"
-echo "check.sh: parametric and structural eco --verify bit-identical"
+echo "check.sh: parametric, structural and slope eco --verify bit-identical"
 
 # Differential fuzzing smoke under asan: a fixed-seed campaign must run
 # clean twice with byte-identical reports (determinism contract), and

@@ -741,7 +741,7 @@ int cmd_compile(const Options& opts, std::ostream& out, std::ostream& err) {
       CompiledDesign::compile(std::move(nl), std::move(tech),
                               CompileOptions{aopts.extract, aopts.threads});
   // Tables that cannot price every stage would fail each later load.
-  if (tables) SlopeModel(*tables).require_covers(design->stage_store());
+  if (tables) SlopeModel(*tables).require_covers(design->stage_kinds());
   save_design_file(*design, *out_path, tables ? &*tables : nullptr);
   trace.write(out);
   out << format(

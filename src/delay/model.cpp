@@ -43,7 +43,7 @@ DelayAudit DelayModel::audit(const StageStore& store,
   return audit;
 }
 
-void DelayModel::require_covers(const StageStore& /*store*/) const {}
+void DelayModel::require_covers(StageKinds /*used*/) const {}
 
 void DelayModel::append_audit_terms(const StageStore& /*store*/,
                                     StageStore::StageId /*id*/,

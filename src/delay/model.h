@@ -83,8 +83,8 @@ class DelayModel {
   /// < store.size(); slopes are >= 0.  Ids may repeat and appear in any
   /// order, and the batch may be empty or larger than the store.
   /// Implementations are pure over (store, id, slope): concurrent calls
-  /// on disjoint output spans are safe, which is what the analyzer's
-  /// parallel wavefront relies on.
+  /// on disjoint output spans are safe, and an element's result does
+  /// not depend on the rest of the batch.
   virtual void estimate_batch(const StageStore& store,
                               std::span<const StageStore::StageId> ids,
                               std::span<const Seconds> input_slopes,
@@ -101,10 +101,11 @@ class DelayModel {
   DelayAudit audit(const StageStore& store, StageStore::StageId id,
                    Seconds input_slope) const;
 
-  /// Throws Error if the model cannot price some stage of `store`.  A
-  /// Session calls it where it meets a design, before any pricing.  The
-  /// default prices every stage.
-  virtual void require_covers(const StageStore& store) const;
+  /// Throws Error if the model cannot price some stage kind in `used`
+  /// (a design's CompiledDesign::stage_kinds()).  A Session calls it
+  /// where it meets a design, before any pricing.  The default prices
+  /// every stage.
+  virtual void require_covers(StageKinds used) const;
 
  protected:
   DelayModel() = default;

@@ -22,19 +22,12 @@ SlopeModel::Factors SlopeModel::factors(const StageStore& store,
   return f;
 }
 
-void SlopeModel::require_covers(const StageStore& store) const {
-  // One flag per (trigger type, output transition) the stages use.
-  bool used[3][2] = {};
-  for (StageStore::StageId s = 0; s < store.size(); ++s) {
-    used[static_cast<std::size_t>(store.trigger_type(s))]
-        [static_cast<std::size_t>(store.output_dir(s))] = true;
-  }
+void SlopeModel::require_covers(StageKinds used) const {
   for (const TransistorType type :
        {TransistorType::kNEnhancement, TransistorType::kNDepletion,
         TransistorType::kPEnhancement}) {
     for (const Transition dir : {Transition::kRise, Transition::kFall}) {
-      if (used[static_cast<std::size_t>(type)][static_cast<std::size_t>(dir)] &&
-          !tables_.has(type, dir)) {
+      if ((used & stage_kind_bit(type, dir)) && !tables_.has(type, dir)) {
         throw Error("slope tables have no entry for " + to_string(type) +
                     " " + to_string(dir) + " ('entry " + to_letter(type) +
                     " " + to_string(dir) +

@@ -17,8 +17,8 @@ namespace sldm {
 class SlopeModel final : public DelayModel {
  public:
   /// `tables` must contain an entry for every (trigger type, direction)
-  /// that will be priced: require_covers() checks a design's stages once,
-  /// and pricing asserts it per stage.
+  /// that will be priced: require_covers() checks a design's stage kinds
+  /// once, and pricing asserts it per stage.
   explicit SlopeModel(SlopeTables tables);
 
   std::string name() const override { return "slope"; }
@@ -31,9 +31,9 @@ class SlopeModel final : public DelayModel {
                       std::span<const Seconds> input_slopes,
                       std::span<DelayEstimate> out) const override;
 
-  /// Throws Error naming the first (trigger type, transition) that a
-  /// stage of `store` uses and the tables lack.
-  void require_covers(const StageStore& store) const override;
+  /// Throws Error naming the first (trigger type, transition) in `used`
+  /// that the tables lack.
+  void require_covers(StageKinds used) const override;
 
   const SlopeTables& tables() const { return tables_; }
 

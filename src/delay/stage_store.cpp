@@ -88,6 +88,14 @@ StageStore::Caches StageStore::bake_caches(const Ohms* r, const Farads* c,
   return out;
 }
 
+StageKinds StageStore::kinds() const {
+  StageKinds used = 0;
+  for (std::size_t s = 0; s < output_dir_.size(); ++s) {
+    used |= stage_kind_bit(trigger_type_[s], output_dir_[s]);
+  }
+  return used;
+}
+
 void StageStore::clear() {
   elem_type_.clear();
   elem_r_.clear();

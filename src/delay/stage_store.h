@@ -31,6 +31,15 @@
 
 namespace sldm {
 
+/// The (trigger type, output transition) pairs a set of stages uses,
+/// one bit per pair (stage_kind_bit).
+using StageKinds = std::uint8_t;
+
+constexpr StageKinds stage_kind_bit(TransistorType type, Transition dir) {
+  return static_cast<StageKinds>(
+      1u << (static_cast<unsigned>(type) * 2 + static_cast<unsigned>(dir)));
+}
+
 class StageStore {
  public:
   /// Index of a stage within the store (assigned densely by add()).
@@ -82,6 +91,8 @@ class StageStore {
   }
   std::uint32_t trigger_index(StageId s) const { return trigger_index_[s]; }
   TransistorType trigger_type(StageId s) const { return trigger_type_[s]; }
+  /// The kinds every stage of the store uses (one walk).
+  StageKinds kinds() const;
   /// Sum of path resistances (Stage::total_resistance()).
   Ohms total_resistance(StageId s) const { return total_r_[s]; }
   /// Sum of path node capacitances (Stage::total_cap()).

@@ -131,17 +131,34 @@ void CompiledDesign::build(int threads) {
   span.arg("cccs", static_cast<double>(ccc_->count()));
   span.arg("stages", static_cast<double>(stages_.size()));
   span.arg("threads", static_cast<double>(threads));
-  index_stages_by_trigger();
+  index_stages();
   rebuild_store();
+  refresh_census();
   fingerprint_ = tech_fingerprint(*tech_);
   built_revision_ = nl_->revision();
   build_threads_ = threads;
   extract_seconds_ = now_seconds() - t0;
 }
 
-void CompiledDesign::index_stages_by_trigger() {
-  TraceSpan span("trigger-index", "timing");
-  stages_by_trigger_.build(stages_, *nl_, nl_->node_count() * 2);
+void CompiledDesign::index_stages() {
+  {
+    TraceSpan span("trigger-index", "timing");
+    stages_by_trigger_.build(stages_, *nl_, nl_->node_count() * 2);
+  }
+  TraceSpan span("levels", "timing");
+  levels_.build(stages_, stages_by_trigger_);
+  span.arg("levels", static_cast<double>(levels_.level_count()));
+  span.arg("cycles", static_cast<double>(levels_.cycles().size()));
+}
+
+void CompiledDesign::refresh_census() {
+  stage_kinds_ = store_.kinds();
+  widest_ccc_ = ccc_->widest();
+  fan_in_.reset();
+  for (std::size_t k = 0; k < stages_by_trigger_.key_count(); ++k) {
+    const std::size_t fan_in = stages_by_trigger_[k].size();
+    if (fan_in != 0) fan_in_.add(static_cast<double>(fan_in));
+  }
 }
 
 void CompiledDesign::rebuild_store() {
@@ -184,7 +201,11 @@ std::size_t CompiledDesign::rebake_components(
   std::size_t rebaked = 0;
   for (const std::size_t comp : cccs) {
     for (const NodeId n : ccc_->members(comp)) {
-      const auto [begin, end] = stages_.rows_to(n);
+      // n's rows: its rise stages, then its fall stages.
+      const std::size_t begin =
+          levels_.rows(arrival_key(n, Transition::kRise)).first;
+      const std::size_t end =
+          levels_.rows(arrival_key(n, Transition::kFall)).second;
       for (std::size_t s = begin; s < end; ++s) {
         const TimingStage ts = stages_[s];
         r.clear();

@@ -16,7 +16,10 @@
 //     (delay/stage_store.h), so loaded designs evaluate bit-identically
 //     to freshly extracted ones;
 //   * the CSR trigger index (stages grouped by firing (node,
-//     direction)) and per-CCC stage counts;
+//     direction)), the level schedule propagation sweeps in
+//     (timing/stage_table.h: LevelSchedule) and per-CCC stage counts;
+//   * the census every session reads: the stage kinds a delay model
+//     must cover, the trigger fan-in histogram and the widest CCC;
 //   * a technology fingerprint for snapshot compatibility checks.
 //
 // A CompiledDesign is shared as shared_ptr<const CompiledDesign>:
@@ -37,6 +40,7 @@
 #include "tech/tech.h"
 #include "timing/ccc.h"
 #include "timing/stage_extract.h"
+#include "util/stats.h"
 
 namespace sldm {
 
@@ -113,8 +117,18 @@ class CompiledDesign {
   /// Stage indices grouped by firing event, indexed by
   /// arrival_key(node, dir).
   const TriggerIndex& stages_by_trigger() const { return stages_by_trigger_; }
+  /// The arrival keys in topological order over the trigger graph.
+  const LevelSchedule& levels() const { return levels_; }
   /// Stage count per CCC (indexed by component id).
   const std::vector<std::size_t>& stages_per_ccc() const { return per_ccc_; }
+  /// The (trigger type, output transition) kinds the stages use
+  /// (DelayModel::require_covers).
+  StageKinds stage_kinds() const { return stage_kinds_; }
+  /// Member nodes of the largest CCC.
+  std::size_t widest_ccc() const { return widest_ccc_; }
+  /// Stage fan-in: one sample per trigger key that fires at least one
+  /// stage, its stage count (the `extract.stage_fan_in` histogram).
+  const Histogram& stage_fan_in() const { return fan_in_; }
 
   /// The extraction options the stages were produced under (an ECO
   /// update re-extracts with the same options).
@@ -135,8 +149,12 @@ class CompiledDesign {
 
   /// Runs partition + extraction + store bake over nl_/tech_.
   void build(int threads);
-  /// Rebuilds stages_by_trigger_ from stages_ (span "trigger-index").
-  void index_stages_by_trigger();
+  /// Rebuilds stages_by_trigger_ (span "trigger-index") and levels_
+  /// (span "levels") from stages_.
+  void index_stages();
+  /// Recomputes stage_kinds_, widest_ccc_ and fan_in_ from the store,
+  /// the partition and the trigger index.
+  void refresh_census();
   /// Rebuilds store_ from stages_ (span "build-store"): R once per
   /// device and direction, C once per node, then a per-element gather
   /// (walk_stage) into StageStore's cache kernel.  Bit-identical to
@@ -172,7 +190,11 @@ class CompiledDesign {
   StageTable stages_;
   StageStore store_;
   TriggerIndex stages_by_trigger_;
+  LevelSchedule levels_;
   std::vector<std::size_t> per_ccc_;
+  StageKinds stage_kinds_ = 0;
+  std::size_t widest_ccc_ = 0;
+  Histogram fan_in_{0.0, 64.0, 16};
 
   std::uint64_t fingerprint_ = 0;
   std::uint64_t built_revision_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "util/contracts.h"
 #include "util/error.h"
@@ -27,36 +28,22 @@ Session::Session(std::shared_ptr<const CompiledDesign> design,
       options_(options),
       session_id_(next_session_id()) {
   SLDM_EXPECTS(design_ != nullptr);
-  model_.require_covers(design_->stage_store());
+  model_.require_covers(design_->stage_kinds());
   const std::size_t nkeys = design_->netlist().node_count() * 2;
   arrival_time_.assign(nkeys, 0.0);
   arrival_slope_.assign(nkeys, 0.0);
-  arrival_from_.assign(nkeys, UINT32_MAX);
-  arrival_via_.assign(nkeys, SIZE_MAX);
+  arrival_from_.assign(nkeys, kNone);
+  arrival_via_.assign(nkeys, kNone);
   arrival_valid_.assign(nkeys, 0);
-  update_counts_.assign(nkeys, 0);
   refresh_census();
-  refresh_fan_in();
 }
 
 void Session::refresh_census() {
   stats_.ccc_count = design_->components().count();
-  stats_.widest_ccc = design_->components().widest();
+  stats_.widest_ccc = design_->widest_ccc();
   stats_.stage_count = design_->stages().size();
   stats_.threads = design_->build_threads();
   stats_.extract_seconds = design_->extract_seconds();
-}
-
-void Session::refresh_fan_in() {
-  // Fan-in census of the *current* structure: one sample per trigger
-  // key that fires at least one stage (rebuilt, not accumulated, so
-  // the distribution tracks the latest stage set after an ECO update).
-  h_fan_in_.reset();
-  const TriggerIndex& by_trigger = design_->stages_by_trigger();
-  for (std::size_t k = 0; k < by_trigger.key_count(); ++k) {
-    const std::size_t fan_in = by_trigger[k].size();
-    if (fan_in != 0) h_fan_in_.add(static_cast<double>(fan_in));
-  }
 }
 
 const MetricsRegistry& Session::metrics() const {
@@ -80,7 +67,8 @@ const MetricsRegistry& Session::metrics() const {
       .set(static_cast<double>(stats_.max_batch_size));
   metrics_.histogram("propagate.batch_size", 0.0, 4096.0, 16) =
       h_batch_size_;
-  metrics_.histogram("extract.stage_fan_in", 0.0, 64.0, 16) = h_fan_in_;
+  metrics_.histogram("extract.stage_fan_in", 0.0, 64.0, 16) =
+      design_->stage_fan_in();
   metrics_.histogram("propagate.rc_path_depth", 0.0, 16.0, 16) = h_rc_depth_;
   metrics_.histogram("propagate.eval_us", 0.0, 50.0, 20) = h_eval_us_;
   metrics_.histogram("propagate.queue_depth", 0.0, 4096.0, 16) =
@@ -114,8 +102,8 @@ void Session::add_input_event(NodeId input, Transition dir, Seconds time,
   const std::size_t k = key(input, dir);
   arrival_time_[k] = time;
   arrival_slope_[k] = slope;
-  arrival_from_[k] = UINT32_MAX;
-  arrival_via_[k] = SIZE_MAX;
+  arrival_from_[k] = kNone;
+  arrival_via_[k] = kNone;
   arrival_valid_[k] = 1;
   seeds_.push_back(static_cast<std::uint32_t>(k));
 }
@@ -138,17 +126,44 @@ void Session::run() {
   TraceSpan span("propagate", "timing");
   const Seconds t0 = now_seconds();
   const std::size_t evals_before = stats_.stage_evaluations;
-
-  // Explicit FIFO worklist of packed (node, dir) keys with in-queue
-  // deduplication: an event already awaiting processing is not enqueued
-  // again, it simply gets processed with its latest arrival.
-  std::deque<std::uint32_t> work(seeds_.begin(), seeds_.end());
-  std::vector<char> queued(arrival_valid_.size(), 0);
-  for (const std::uint32_t k : seeds_) queued[k] = 1;
   stats_.worklist_pushes += seeds_.size();
-  propagate(work, queued);
+
+  // One sweep: each level's keys are priced from the final arrivals of
+  // the lower levels, and a cyclic component settles at its own level.
+  Tracer& tracer = Tracer::instance();
+  const bool tracing = tracer.enabled();
+  const LevelSchedule& levels = design_->levels();
+  const std::span<const LevelSchedule::Cycle> cycles = levels.cycles();
+  std::size_t next_cycle = 0;
+  std::vector<std::uint32_t> changed;
+  for (std::size_t level = 1; level <= levels.level_count(); ++level) {
+    // Cooperative deadline: checked once per level (not per stage), so
+    // the token never perturbs pricing -- a run that completes under a
+    // deadline is bit-identical to one without.
+    if (cancel_) cancel_->check("propagate");
+    const double wave_t0_us = tracing ? tracer.now_us() : 0.0;
+    const std::size_t evals = stats_.stage_evaluations;
+    const std::span<const std::uint32_t> keys = levels.keys(level);
+    price(keys, changed);
+    for (; next_cycle < cycles.size() && cycles[next_cycle].level == level;
+         ++next_cycle) {
+      settle(static_cast<std::uint32_t>(next_cycle), changed);
+    }
+    changed.clear();
+    if (tracing) {
+      tracer.record(
+          "propagate-wave", "timing", wave_t0_us,
+          tracer.now_us() - wave_t0_us,
+          {{"level", static_cast<double>(level)},
+           {"keys", static_cast<double>(keys.size())},
+           {"evaluations",
+            static_cast<double>(stats_.stage_evaluations - evals)}});
+    }
+  }
+  fold_rc_depths();
   stats_.propagate_seconds = now_seconds() - t0;
   span.arg("seeds", static_cast<double>(seeds_.size()));
+  span.arg("levels", static_cast<double>(levels.level_count()));
   span.arg("stage_evaluations",
            static_cast<double>(stats_.stage_evaluations - evals_before));
   publish_telemetry();
@@ -165,137 +180,202 @@ void Session::publish_telemetry() const {
   telemetry_.publish(std::move(labels), metrics());
 }
 
-void Session::propagate(std::deque<std::uint32_t>& work,
-                        std::vector<char>& queued) {
-  Tracer& tracer = Tracer::instance();
-  const bool tracing = tracer.enabled();
-  const StageTable& stages = design_->stages();
+void Session::price(std::span<const std::uint32_t> keys,
+                    std::vector<std::uint32_t>& changed) {
+  if (keys.empty()) return;
   const StageStore& store = design_->stage_store();
   const TriggerIndex& by_trigger = design_->stages_by_trigger();
+  const LevelSchedule& levels = design_->levels();
 
-  // Wavefront buffers, reused across rounds of the drain loop.
-  std::vector<StageStore::StageId> ids;
-  std::vector<Seconds> slopes;
-  std::vector<std::uint32_t> fire_keys;
-  std::vector<Seconds> fire_times;
-  std::vector<DelayEstimate> ests;
-
-  while (!work.empty()) {
-    // Cooperative deadline: checked once per wavefront (not per stage),
-    // so the token never perturbs pricing or commit order -- a run that
-    // completes under a deadline is bit-identical to one without.
-    if (cancel_) cancel_->check("propagate");
-    const double wave_t0_us = tracing ? tracer.now_us() : 0.0;
-
-    // --- Gather: snapshot the ready frontier.  Every event currently
-    // in the worklist fires all its stages this round; candidates are
-    // priced against the arrivals as of this snapshot, and any arrival
-    // the commit phase changes re-enqueues its key into the *next*
-    // wavefront, so the drain still reaches the same canonical
-    // fixpoint as one-event-at-a-time processing.
-    const std::size_t wave_events = work.size();
-    h_queue_depth_.add(static_cast<double>(wave_events));
-    ids.clear();
-    slopes.clear();
-    fire_keys.clear();
-    fire_times.clear();
-    for (std::size_t e = 0; e < wave_events; ++e) {
-      const std::uint32_t fire_key = work.front();
-      work.pop_front();
-      queued[fire_key] = 0;
-      SLDM_ASSERT(arrival_valid_[fire_key]);
-      for (const std::uint32_t s : by_trigger[fire_key]) {
-        ids.push_back(s);
-        slopes.push_back(arrival_slope_[fire_key]);
-        fire_keys.push_back(fire_key);
-        fire_times.push_back(arrival_time_[fire_key]);
-      }
+  // --- Gather: the stages into each key whose fire key has an arrival,
+  // ascending stage index per key; ends_[j] closes key j's candidates.
+  ids_.clear();
+  slopes_.clear();
+  fire_times_.clear();
+  ends_.clear();
+  for (const std::uint32_t k : keys) {
+    const auto [begin, end] = levels.rows(k);
+    for (std::uint32_t s = begin; s < end; ++s) {
+      const std::uint32_t f = by_trigger.fire_key(s);
+      if (!arrival_valid_[f]) continue;
+      ids_.push_back(s);
+      slopes_.push_back(arrival_slope_[f]);
+      fire_times_.push_back(arrival_time_[f]);
     }
-    if (ids.empty()) continue;  // frontier of sink events
+    ends_.push_back(static_cast<std::uint32_t>(ids_.size()));
+  }
+  stats_.worklist_pushes += keys.size();
+  h_queue_depth_.add(static_cast<double>(keys.size()));
 
-    // --- Evaluate the whole wavefront through the batch kernel.
-    const std::size_t n = ids.size();
-    ests.resize(n);
+  // --- Evaluate the whole level through the batch kernel.
+  const std::size_t n = ids_.size();
+  if (n != 0) {
+    ests_.resize(n);
+    Tracer& tracer = Tracer::instance();
     const double eval_t0_us = tracer.now_us();
-    model_.estimate_batch(store, ids, slopes, ests);
-    h_eval_us_.add((tracer.now_us() - eval_t0_us) /
-                   static_cast<double>(n));
+    model_.estimate_batch(store, ids_, slopes_, ests_);
+    h_eval_us_.add((tracer.now_us() - eval_t0_us) / static_cast<double>(n));
     stats_.stage_evaluations += n;
     ++stats_.batches;
     stats_.mean_batch_size = static_cast<double>(stats_.stage_evaluations) /
                              static_cast<double>(stats_.batches);
     stats_.max_batch_size = std::max(stats_.max_batch_size, n);
     h_batch_size_.add(static_cast<double>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      h_rc_depth_.add(static_cast<double>(store.length(ids[i])));
+    for (const StageStore::StageId s : ids_) {
+      const std::uint32_t depth = store.length(s);
+      if (depth >= rc_depths_.size()) rc_depths_.resize(depth + 1, 0);
+      ++rc_depths_[depth];
     }
+  }
 
-    // --- Commit in gather order (FIFO event order, then ascending
-    // stage index per event), so the accepted arrivals -- and the next
-    // wavefront's contents -- follow from the snapshot alone.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t s = ids[i];
-      const std::uint32_t fire_key = fire_keys[i];
-      const std::size_t dest_key =
-          key(stages.destination(s), stages.output_dir(s));
-      const Seconds t_new = fire_times[i] + ests[i].delay;
-      bool tie = false;
-      if (arrival_valid_[dest_key]) {
-        if (t_new < arrival_time_[dest_key]) continue;
-        if (t_new == arrival_time_[dest_key]) {
-          // Canonical tie-break: among equal-time candidates the one
-          // with the smallest (stage index, predecessor key) wins, so
-          // no tie is settled by processing order.  That keeps
-          // update() bit-identical to a rebuild only when every
-          // arrival is also its predecessor's *final* value plus the
-          // stage delay, which holds when delay ignores the input
-          // slope.  Under the slope model a superseded predecessor
-          // (earlier, slower edge) can leave a larger time here than
-          // its final arrival produces, and whether it does depends on
-          // drain order (DESIGN.md "Incrementality invariant").
-          if (arrival_via_[dest_key] < s ||
-              (arrival_via_[dest_key] == s &&
-               arrival_from_[dest_key] <= fire_key)) {
-            continue;
-          }
-          tie = true;
-        }
+  // --- Commit: each key takes its latest candidate; the first of equal
+  // times has the smallest stage index, so no tie depends on order.
+  std::uint32_t i = 0;
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    const std::uint32_t k = keys[j];
+    const std::uint32_t end = ends_[j];
+    const bool was_valid = arrival_valid_[k] != 0;
+    if (i == end) {
+      if (was_valid) {
+        arrival_valid_[k] = 0;
+        changed.push_back(k);
       }
-      // Tie rewrites strictly decrease the stored (stage, predecessor)
-      // pair, so they terminate on their own and don't count toward
-      // the loop bound.
-      if (!tie &&
-          ++update_counts_[dest_key] > options_.max_updates_per_arrival) {
+      continue;
+    }
+    std::uint32_t best = i;
+    Seconds best_time = fire_times_[i] + ests_[i].delay;
+    for (++i; i < end; ++i) {
+      const Seconds t = fire_times_[i] + ests_[i].delay;
+      if (t > best_time) {
+        best = i;
+        best_time = t;
+      }
+    }
+    const Seconds slope = ests_[best].output_slope;
+    if (!was_valid || arrival_time_[k] != best_time ||
+        arrival_slope_[k] != slope) {
+      changed.push_back(k);
+      ++stats_.arrival_updates;
+    }
+    arrival_time_[k] = best_time;
+    arrival_slope_[k] = slope;
+    arrival_from_[k] = by_trigger.fire_key(ids_[best]);
+    arrival_via_[k] = ids_[best];
+    arrival_valid_[k] = 1;
+  }
+}
+
+void Session::settle(std::uint32_t cycle,
+                     std::vector<std::uint32_t>& changed) {
+  const LevelSchedule& levels = design_->levels();
+  const std::span<const std::uint32_t> keys =
+      levels.cycle_keys(levels.cycles()[cycle]);
+  // Start from no arrivals, as a rebuild does, and remember the values
+  // the caller saw so only real changes reach `changed`.
+  std::vector<char> old_valid(keys.size());
+  std::vector<Seconds> old_time(keys.size());
+  std::vector<Seconds> old_slope(keys.size());
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    old_valid[j] = arrival_valid_[keys[j]];
+    old_time[j] = arrival_time_[keys[j]];
+    old_slope[j] = arrival_slope_[keys[j]];
+    arrival_valid_[keys[j]] = 0;
+  }
+  std::vector<int> updates(keys.size(), 0);
+  std::vector<std::uint32_t> pass;
+  do {
+    pass.clear();
+    price(keys, pass);
+    for (const std::uint32_t k : pass) {
+      const std::size_t j = static_cast<std::size_t>(
+          std::lower_bound(keys.begin(), keys.end(), k) - keys.begin());
+      if (++updates[j] > options_.max_updates_per_arrival) {
         throw Error("timing loop detected at node '" +
-                    design_->netlist().node(stages.destination(s)).name +
+                    design_->netlist().node(NodeId(k / 2)).name +
                     "': arrival keeps increasing");
       }
-      arrival_time_[dest_key] = t_new;
-      arrival_slope_[dest_key] = ests[i].output_slope;
-      arrival_from_[dest_key] = fire_key;
-      arrival_via_[dest_key] = s;
-      arrival_valid_[dest_key] = 1;
-      ++stats_.arrival_updates;
-      if (!queued[dest_key]) {
-        queued[dest_key] = 1;
-        work.push_back(static_cast<std::uint32_t>(dest_key));
-        ++stats_.worklist_pushes;
-      }
     }
-
-    if (tracing) {
-      tracer.record("propagate-wave", "timing", wave_t0_us,
-                    tracer.now_us() - wave_t0_us,
-                    {{"events", static_cast<double>(wave_events)},
-                     {"evaluations", static_cast<double>(n)},
-                     {"queue_depth", static_cast<double>(work.size())}});
+  } while (!pass.empty());
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    const std::uint32_t k = keys[j];
+    if (old_valid[j] != arrival_valid_[k] ||
+        (old_valid[j] && (old_time[j] != arrival_time_[k] ||
+                          old_slope[j] != arrival_slope_[k]))) {
+      changed.push_back(k);
     }
   }
 }
 
+void Session::reprice(std::span<const std::uint32_t> base) {
+  const LevelSchedule& levels = design_->levels();
+  const TriggerIndex& by_trigger = design_->stages_by_trigger();
+  const StageTable& stages = design_->stages();
+  // Pending keys ordered by (level, key): a min-heap of packed pairs.
+  std::vector<std::uint64_t> heap;
+  std::vector<char> pending(arrival_valid_.size(), 0);
+  const auto push = [&](std::uint32_t k) {
+    if (pending[k]) return;
+    pending[k] = 1;
+    heap.push_back(std::uint64_t{levels.level(k)} << 32 | k);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+  };
+  for (const std::uint32_t k : base) {
+    if (arrival_valid_[k] && arrival_via_[k] == kNone) continue;  // seed
+    push(k);
+  }
+  std::size_t repriced = 0;
+  std::vector<std::uint32_t> keys;
+  std::vector<std::uint32_t> cycles;
+  std::vector<std::uint32_t> changed;
+  while (!heap.empty()) {
+    if (cancel_) cancel_->check("propagate");
+    const std::uint64_t level = heap.front() >> 32;
+    keys.clear();
+    cycles.clear();
+    while (!heap.empty() && heap.front() >> 32 == level) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const auto k = static_cast<std::uint32_t>(heap.back());
+      heap.pop_back();
+      const std::uint32_t c = levels.cycle_of(k);
+      if (c == LevelSchedule::kNoCycle) {
+        keys.push_back(k);
+      } else if (std::find(cycles.begin(), cycles.end(), c) == cycles.end()) {
+        cycles.push_back(c);
+      }
+    }
+    repriced += keys.size();
+    changed.clear();
+    price(keys, changed);
+    for (const std::uint32_t c : cycles) {
+      for (const std::uint32_t k : levels.cycle_keys(levels.cycles()[c])) {
+        pending[k] = 1;
+      }
+      repriced += levels.cycle_keys(levels.cycles()[c]).size();
+      settle(c, changed);
+    }
+    // A changed arrival re-prices every key it fires into; those lie
+    // on higher levels (or in the component just settled).
+    for (const std::uint32_t k : changed) {
+      for (const std::uint32_t s : by_trigger[k]) {
+        const std::uint32_t d = stages.destination_key(s);
+        if (levels.level(d) > level) push(d);
+      }
+    }
+  }
+  fold_rc_depths();
+  stats_.frontier_keys = repriced;
+  h_frontier_.add(static_cast<double>(repriced));
+}
+
+void Session::fold_rc_depths() {
+  for (std::size_t depth = 0; depth < rc_depths_.size(); ++depth) {
+    h_rc_depth_.add(static_cast<double>(depth), rc_depths_[depth]);
+  }
+  rc_depths_.clear();
+}
+
 void Session::reset() {
   std::fill(arrival_valid_.begin(), arrival_valid_.end(), 0);
-  std::fill(update_counts_.begin(), update_counts_.end(), 0);
   seeds_.clear();
   ran_ = false;
 }
@@ -307,12 +387,12 @@ std::optional<ArrivalInfo> Session::arrival(NodeId node,
   ArrivalInfo info;
   info.time = arrival_time_[k];
   info.slope = arrival_slope_[k];
-  if (arrival_from_[k] != UINT32_MAX) {
+  if (arrival_from_[k] != kNone) {
     info.from_node = NodeId(arrival_from_[k] / 2);
     info.from_dir =
         arrival_from_[k] % 2 == 0 ? Transition::kRise : Transition::kFall;
   }
-  info.via_stage = arrival_via_[k];
+  info.via_stage = arrival_via_[k] == kNone ? SIZE_MAX : arrival_via_[k];
   return info;
 }
 

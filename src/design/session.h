@@ -2,22 +2,28 @@
 //
 // A Session borrows an immutable CompiledDesign and owns everything a
 // single analysis needs that the design does not: the declared input
-// events, the structure-of-arrays arrival store, the propagation
-// worklist scratch, and the session's work counters and phase timings
-// (one AnalyzerStats) plus its distribution histograms.  N sessions --
+// events, the structure-of-arrays arrival store, the pricing scratch,
+// and the session's work counters and phase timings (one
+// AnalyzerStats) plus its distribution histograms.  N sessions --
 // different delay models or input slopes -- run concurrently over one
 // shared design with no cloning, and each produces results
 // bit-identical to a standalone analyzer over the same inputs
 // (tests/design_test.cpp).
 //
-// Propagation runs on the calling thread and drains an explicit FIFO
-// worklist with in-queue deduplication in *wavefronts*: each round
-// snapshots the ready frontier, gathers every (stage, firing event)
-// candidate it triggers into one batch, prices the whole batch with one
-// DelayModel::estimate_batch call, and commits the results in canonical
-// order (FIFO event order, ascending stage index per event).  A stage
-// costs a handful of arithmetic operations, too little to hand to
-// another thread (EXPERIMENTS.md "Sequential propagation").
+// Propagation runs on the calling thread and sweeps the design's level
+// schedule (CompiledDesign::levels()) once, level by level.  Every
+// stage into a level's keys fires from a key of a lower level, whose
+// arrival is therefore final; the stages whose fire key has an arrival
+// are priced in one DelayModel::estimate_batch call per level, and each
+// key takes the latest candidate (ties: the smallest stage index).  So
+// every stage is priced at most once, from its predecessor's final time
+// and slope, and no answer depends on an evaluation order.  A cyclic
+// component of the trigger graph is re-priced by the same step until
+// none of its arrivals changes.  TimingAnalyzer::update() re-prices the
+// damaged cone through the same step in level order (reprice()), so an
+// update equals a rebuild for every delay model.  A stage costs a
+// handful of arithmetic operations, too little to hand to another
+// thread (EXPERIMENTS.md "Sequential propagation").
 //
 // TimingAnalyzer (timing/analyzer.h) is the Session that owns its
 // design: it adds update(), the ECO path, because that path mutates the
@@ -25,9 +31,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,8 +47,9 @@ namespace sldm {
 
 /// Session configuration (the query half of AnalyzerOptions).
 struct SessionOptions {
-  /// Safety valve: maximum times a (node, direction) arrival may be
-  /// improved before the session reports a structural loop.
+  /// Safety valve: maximum times a (node, direction) arrival inside a
+  /// cyclic component may change before the session reports a timing
+  /// loop.
   int max_updates_per_arrival = 64;
 };
 
@@ -62,16 +69,20 @@ struct AnalyzerStats {
   std::size_t ccc_count = 0;        ///< channel-connected components
   std::size_t widest_ccc = 0;       ///< member nodes in the largest CCC
   std::size_t stage_count = 0;      ///< total extracted stages
-  std::size_t stage_evaluations = 0;  ///< delay-model calls during run()
-  std::size_t worklist_pushes = 0;  ///< events enqueued (incl. seeds)
-  std::size_t arrival_updates = 0;  ///< arrival improvements committed
+  std::size_t stage_evaluations = 0;  ///< stages priced
+  /// Seeds plus arrival keys priced (every scheduled key in run(), the
+  /// re-priced cone in update(), each pass of a cyclic component).
+  std::size_t worklist_pushes = 0;
+  /// Priced keys whose arrival changed (in run(), every key that
+  /// receives one).
+  std::size_t arrival_updates = 0;
   Seconds extract_seconds = 0.0;    ///< design build wall clock (0: loaded)
   Seconds propagate_seconds = 0.0;  ///< run() wall clock
   int threads = 1;                  ///< the design's extraction workers
 
-  // Batch shape of wavefront propagation.  `batches` accumulates like
+  // Batch shape of levelized propagation.  `batches` accumulates like
   // stage_evaluations; mean/max describe the whole session lifetime.
-  std::size_t batches = 0;          ///< wavefront batches evaluated
+  std::size_t batches = 0;          ///< non-empty level batches priced
   double mean_batch_size = 0.0;     ///< stage_evaluations / batches
   std::size_t max_batch_size = 0;   ///< largest single batch
 
@@ -81,7 +92,7 @@ struct AnalyzerStats {
   std::size_t dirty_cccs = 0;           ///< components re-extracted
   std::size_t reextracted_stages = 0;   ///< stages rebuilt by update()
   std::size_t reused_stages = 0;        ///< stages carried over untouched
-  std::size_t frontier_keys = 0;        ///< (node, dir) arrivals invalidated
+  std::size_t frontier_keys = 0;        ///< (node, dir) arrivals re-priced
   Seconds update_seconds = 0.0;         ///< update() wall clock
 };
 
@@ -124,8 +135,9 @@ class Session {
   /// add_input_event.
   void add_all_input_events(Seconds slope);
 
-  /// Propagates to fixpoint.  Throws Error if a structural loop exceeds
-  /// the update bound, or if run() already completed (reset() first),
+  /// Prices every level of the design once.  Throws Error if a cyclic
+  /// component does not settle within the update bound (a timing loop),
+  /// or if run() already completed (reset() first),
   /// or if the design's netlist was mutated since the design was built
   /// (TimingAnalyzer::update() first).
   void run();
@@ -166,7 +178,7 @@ class Session {
   /// sorted latest first -- Crystal's "show me the N worst paths".
   /// Slopes are propagated along each candidate path independently, so
   /// alternative paths get their own slope history (unlike the arrival
-  /// fixpoint, which keeps only the worst predecessor).
+  /// sweep, which keeps only the worst predecessor).
   /// Precondition: run() has completed; k >= 1.
   std::vector<EnumeratedPath> k_worst_paths(
       NodeId node, Transition dir, std::size_t k,
@@ -196,7 +208,7 @@ class Session {
   /// The named metric registry: the counters and phase timings of
   /// stats() under their FORMATS.md names, plus distribution histograms
   /// (stage fan-in, RC path depth, sampled delay-model evaluation time,
-  /// worklist queue depth, ECO frontier size).  Materialized on each
+  /// keys per priced level, ECO frontier size).  Materialized on each
   /// call, so observers pay for the name table and the hot paths do
   /// not; the reference stays valid (and is re-refreshed by later
   /// calls) for the session's lifetime.
@@ -231,7 +243,7 @@ class Session {
   }
 
   /// Attaches a cooperative cancellation token (deadline-aware serve).
-  /// Propagation consults it once per wavefront batch and aborts with
+  /// Propagation consults it once per level and aborts with
   /// CancelledError once expired -- coarse enough that a run which
   /// *completes* is bit-identical to the same run with no token, since
   /// the token can only abort work, never reorder or reprice it.  The
@@ -241,34 +253,34 @@ class Session {
 
  protected:
   // The ECO repair in TimingAnalyzer::update() grows the key arrays,
-  // invalidates damaged arrivals, and re-propagates in place.
+  // remaps stage ids and re-prices the damaged cone in place.
 
   /// Re-reads the structural fields of stats_ (component and stage
-  /// counts, extract_seconds, threads) from the design (construction
-  /// and after ECO updates).
+  /// counts, widest CCC, extract_seconds, threads) from the design
+  /// (construction and after ECO updates).
   void refresh_census();
 
-  /// Re-censuses the trigger fan-in histogram from the design
-  /// structure (construction and after ECO splices).
-  void refresh_fan_in();
-
-  /// Drains the worklist to fixpoint in wavefront batches.  `queued` is
-  /// the in-queue deduplication mark, sized like the arrival arrays.
-  void propagate(std::deque<std::uint32_t>& work, std::vector<char>& queued);
+  /// Re-prices `base` (arrival keys of dirty components) and, level by
+  /// level, every key downstream of a key whose arrival changed, each
+  /// from its predecessors' final values -- the same step run() sweeps
+  /// with.  Seeds keep their declared arrivals.
+  void reprice(std::span<const std::uint32_t> base);
 
   const DelayModel& model_;
 
   // Arrival store: structure-of-arrays keyed by arrival_key(node, dir).
-  // The hot propagation loop touches time_/slope_/valid_ only;
-  // predecessor bookkeeping lives in parallel arrays instead of an
+  // The hot pricing loop touches time_/slope_/valid_ only; predecessor
+  // bookkeeping lives in parallel arrays instead of an
   // optional-of-struct so the inner loop stays on dense doubles.
   std::vector<Seconds> arrival_time_;
   std::vector<Seconds> arrival_slope_;
-  std::vector<std::uint32_t> arrival_from_;  ///< packed key; UINT32_MAX none
-  std::vector<std::size_t> arrival_via_;     ///< stage idx; SIZE_MAX seeds
+  std::vector<std::uint32_t> arrival_from_;  ///< packed key; kNone seeds
+  std::vector<std::uint32_t> arrival_via_;   ///< stage id; kNone seeds
   std::vector<char> arrival_valid_;
-  std::vector<int> update_counts_;
   bool ran_ = false;
+
+  /// "No predecessor" / "no stage" in arrival_from_ and arrival_via_.
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
   /// Work counters and phase timings, written where the work happens.
   AnalyzerStats stats_;
@@ -287,6 +299,22 @@ class Session {
   /// pointing at TimingAnalyzer::update() otherwise).
   void require_synced(const char* what) const;
 
+  /// The one pricing step.  Prices every stage into `keys` whose fire
+  /// key has an arrival in one estimate_batch call, then gives each key
+  /// its latest candidate (ties: the smallest stage index) or no
+  /// arrival when none fired.  Candidates read the fire keys' values
+  /// as they were before the commit, so keys of one cyclic component
+  /// price from one consistent state.  Appends to `changed` the keys
+  /// whose time, slope or validity differs from before.
+  void price(std::span<const std::uint32_t> keys,
+             std::vector<std::uint32_t>& changed);
+
+  /// Settles cyclic component `cycle`: clears its arrivals, then prices
+  /// its keys until none changes.  Throws Error once an arrival changes
+  /// more than max_updates_per_arrival times.  Appends to `changed` the
+  /// keys whose final value differs from the one before the call.
+  void settle(std::uint32_t cycle, std::vector<std::uint32_t>& changed);
+
   std::shared_ptr<const CompiledDesign> design_;
   SessionOptions options_;
   /// Dense process-unique id (see session_id()).
@@ -299,11 +327,22 @@ class Session {
   /// Borrowed cooperative deadline; null outside deadline-aware serve.
   const CancelToken* cancel_ = nullptr;
 
-  Histogram h_fan_in_{0.0, 64.0, 16};
   Histogram h_batch_size_{0.0, 4096.0, 16};
   Histogram h_rc_depth_{0.0, 16.0, 16};
   Histogram h_eval_us_{0.0, 50.0, 20};
-  Histogram h_queue_depth_{0.0, 4096.0, 16};
+  Histogram h_queue_depth_{0.0, 4096.0, 16};  ///< keys per priced level
+
+  // Pricing scratch, reused across levels: the gathered batch (stage,
+  // fire key's slope and time), each key's end in it, and the results.
+  std::vector<StageStore::StageId> ids_;
+  std::vector<Seconds> slopes_;
+  std::vector<Seconds> fire_times_;
+  std::vector<std::uint32_t> ends_;
+  std::vector<DelayEstimate> ests_;
+  /// RC path depth counts of priced stages (index: path length), folded
+  /// into h_rc_depth_ at the end of each sweep.
+  std::vector<std::size_t> rc_depths_;
+  void fold_rc_depths();
 
   /// Named export refreshed from stats_ and the histograms by metrics().
   mutable MetricsRegistry metrics_;

@@ -918,8 +918,9 @@ struct SnapshotAccess {
     design->ccc_.emplace(*design->nl_);
     design->stages_ = std::move(stages);
     design->store_ = std::move(store);
-    design->index_stages_by_trigger();
+    design->index_stages();
     design->recount_stages_per_ccc();
+    design->refresh_census();
     design->fingerprint_ = tech_fingerprint(*design->tech_);
     design->built_revision_ = design->nl_->revision();
     design->extract_seconds_ = 0.0;  // the whole point of loading

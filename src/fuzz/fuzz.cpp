@@ -6,7 +6,9 @@
 #include <sstream>
 
 #include "compare/harness.h"
+#include "delay/lumped.h"
 #include "delay/rctree.h"
+#include "delay/slope.h"
 #include "fuzz/eco_fuzzer.h"
 #include "fuzz/netlist_fuzzer.h"
 #include "fuzz/oracles.h"
@@ -123,6 +125,8 @@ FuzzReport run_fuzz(const FuzzOptions& options, std::ostream& log) {
   FuzzReport report;
   report.options = options;
   const RcTreeModel model;
+  const LumpedRcModel lumped;
+  const SlopeModel slope(fuzz_slope_tables());
   FailureSink sink(options, report, log);
   int new_nodes = 0;
 
@@ -177,6 +181,29 @@ FuzzReport run_fuzz(const FuzzOptions& options, std::ostream& log) {
               return an && !check_sanity(c.netlist, *an).ok;
             });
         sink.record(i, "sanity", small, r.detail, "", iter_seed);
+        continue;
+      }
+    }
+
+    {
+      // Every model's arrivals follow from their predecessors' final
+      // values; rc-tree reuses the analysis above.
+      OracleResult r = check_self_consistency(*analyzer);
+      const DelayModel* failed = r.ok ? nullptr : &model;
+      for (const DelayModel* m : {static_cast<const DelayModel*>(&lumped),
+                                  static_cast<const DelayModel*>(&slope)}) {
+        if (failed) break;
+        const auto an = analyze(g, *m, options.input_slope);
+        r = an ? check_self_consistency(*an) : OracleResult::pass();
+        if (!r.ok) failed = m;
+      }
+      if (!count("self-consistency", r)) {
+        const GeneratedCircuit small =
+            shrink_circuit(g, [&](const GeneratedCircuit& c) {
+              const auto an = analyze(c, *failed, options.input_slope);
+              return an && !check_self_consistency(*an).ok;
+            });
+        sink.record(i, "self-consistency", small, r.detail, "", iter_seed);
         continue;
       }
     }

@@ -6,6 +6,7 @@
 #include "delay/bounds.h"
 #include "delay/lumped.h"
 #include "delay/rctree.h"
+#include "delay/slope.h"
 #include "design/compiled_design.h"
 #include "design/snapshot.h"
 #include "netlist/checks.h"
@@ -62,6 +63,84 @@ OracleResult check_sanity(const Netlist& nl, const Session& session) {
             "%g after %g",
             i, nl.node(path[i].node).name.c_str(), path[i].time,
             path[i - 1].time));
+      }
+    }
+  }
+  return OracleResult::pass();
+}
+
+const SlopeTables& fuzz_slope_tables() {
+  static const SlopeTables tables = [] {
+    SlopeTables t;
+    const std::vector<double> rho = {0.1, 1.0, 10.0};
+    for (const TransistorType type :
+         {TransistorType::kNEnhancement, TransistorType::kNDepletion,
+          TransistorType::kPEnhancement}) {
+      for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+        t.set(type, dir,
+              SlopeEntry{PiecewiseLinear(rho, {1.0, 1.4, 3.0}),
+                         PiecewiseLinear(rho, {1.0, 1.3, 2.5})});
+      }
+    }
+    return t;
+  }();
+  return tables;
+}
+
+OracleResult check_self_consistency(const Session& session) {
+  const CompiledDesign& design = session.design();
+  const Netlist& nl = design.netlist();
+  const TriggerIndex& by_trigger = design.stages_by_trigger();
+  const LevelSchedule& levels = design.levels();
+  const auto price = [&](std::size_t s, Seconds slope) {
+    const auto id = static_cast<StageStore::StageId>(s);
+    DelayEstimate est;
+    session.delay_model().estimate_batch(design.stage_store(), {&id, 1},
+                                         {&slope, 1}, {&est, 1});
+    return est;
+  };
+  const auto where = [&](std::size_t k) {
+    return nl.node(NodeId(static_cast<std::uint32_t>(k / 2))).name.str() +
+           (k % 2 == 0 ? " rise" : " fall");
+  };
+  for (std::size_t k = 0; k < by_trigger.key_count(); ++k) {
+    const NodeId node(static_cast<std::uint32_t>(k / 2));
+    const Transition dir = k % 2 == 0 ? Transition::kRise : Transition::kFall;
+    const auto a = session.arrival(node, dir);
+    if (a && a->via_stage == SIZE_MAX) continue;  // a declared seed
+    if (a) {
+      const auto pred = session.arrival(a->from_node, a->from_dir);
+      if (!pred) {
+        return OracleResult::fail("self-consistency: " + where(k) +
+                                  " names a predecessor with no arrival");
+      }
+      const DelayEstimate est = price(a->via_stage, pred->slope);
+      if (pred->time + est.delay != a->time ||
+          est.output_slope != a->slope) {
+        return OracleResult::fail(format(
+            "self-consistency: %s is %.17g s (slope %.17g) but its "
+            "predecessor's final value gives %.17g s (slope %.17g)",
+            where(k).c_str(), a->time, a->slope, pred->time + est.delay,
+            est.output_slope));
+      }
+    }
+    const auto [begin, end] = levels.rows(k);
+    for (std::size_t s = begin; s < end; ++s) {
+      const std::uint32_t f = by_trigger.fire_key(s);
+      const auto fired = session.arrival(
+          NodeId(f / 2), f % 2 == 0 ? Transition::kRise : Transition::kFall);
+      if (!fired) continue;
+      if (!a) {
+        return OracleResult::fail("self-consistency: " + where(k) +
+                                  " has no arrival though a stage into it "
+                                  "fired");
+      }
+      const Seconds t = fired->time + price(s, fired->slope).delay;
+      if (t > a->time || (t == a->time && s < a->via_stage)) {
+        return OracleResult::fail(format(
+            "self-consistency: stage %zu gives %s at %.17g s, which beats "
+            "the recorded %.17g s via stage %zu",
+            s, where(k).c_str(), t, a->time, a->via_stage));
       }
     }
   }
@@ -188,19 +267,17 @@ OracleResult check_analog(const GeneratedCircuit& g,
   return OracleResult::pass();
 }
 
-OracleResult check_eco_identity(const GeneratedCircuit& g,
+namespace {
+
+OracleResult eco_identity_under(const DelayModel& model,
+                                const GeneratedCircuit& g,
                                 const std::string& eco_script,
                                 const std::vector<int>& thread_counts,
                                 Seconds input_slope) {
-  const RcTreeModel model;
   const Tech& tech = tech_for_style(g.style);
   for (const int threads : thread_counts) {
     AnalyzerOptions opts;
     opts.threads = threads;
-    // Same headroom rationale as tests/eco_timing_test.cpp: update()
-    // and a rebuild count arrival improvements along different
-    // schedules, so only genuine loops may trip the default limit.
-    opts.max_updates_per_arrival = 512;
 
     Netlist nl = g.netlist;
     TimingAnalyzer inc(nl, tech, model, opts);
@@ -229,9 +306,9 @@ OracleResult check_eco_identity(const GeneratedCircuit& g,
     }
     if (inc_looped != fresh_looped) {
       return OracleResult::fail(format(
-          "eco-identity: loop detection diverged at %d thread(s): "
-          "update() %s, rebuild %s (%s)",
-          threads, inc_looped ? "looped" : "converged",
+          "eco-identity: loop detection diverged at %d thread(s) under "
+          "%s: update() %s, rebuild %s (%s)",
+          threads, model.name().c_str(), inc_looped ? "looped" : "converged",
           fresh_looped ? "looped" : "converged", inc_error.c_str()));
     }
     if (inc_looped) continue;  // both looped: states are unspecified
@@ -253,14 +330,33 @@ OracleResult check_eco_identity(const GeneratedCircuit& g,
                     a->via_stage == b->via_stage));
         if (!same) {
           return OracleResult::fail(format(
-              "eco-identity: arrival mismatch at %s %s with %d thread(s): "
-              "update()=%s rebuild=%s",
+              "eco-identity: arrival mismatch at %s %s with %d thread(s) "
+              "under %s: update()=%s rebuild=%s",
               nl.node(n).name.c_str(), to_string(dir).c_str(), threads,
+              model.name().c_str(),
               a ? format("%.17g", a->time).c_str() : "none",
               b ? format("%.17g", b->time).c_str() : "none"));
         }
       }
     }
+  }
+  return OracleResult::pass();
+}
+
+}  // namespace
+
+OracleResult check_eco_identity(const GeneratedCircuit& g,
+                                const std::string& eco_script,
+                                const std::vector<int>& thread_counts,
+                                Seconds input_slope) {
+  const RcTreeModel rc_tree;
+  const SlopeModel slope(fuzz_slope_tables());
+  for (const DelayModel* model :
+       {static_cast<const DelayModel*>(&rc_tree),
+        static_cast<const DelayModel*>(&slope)}) {
+    const OracleResult r =
+        eco_identity_under(*model, g, eco_script, thread_counts, input_slope);
+    if (!r.ok) return r;
   }
   return OracleResult::pass();
 }

@@ -11,6 +11,11 @@
 //  * netlist-check     structural validity of a generated circuit;
 //  * sanity            arrivals finite/non-negative, critical path
 //                      monotone in time;
+//  * self-consistency  every arrival is its recorded predecessor's
+//                      final arrival plus the via stage's delay at that
+//                      predecessor's final slope, and no other fired
+//                      stage into the key beats it (run for rc-tree,
+//                      lumped and slope);
 //  * stage-bounds      per extracted stage: rph-lower <= elmore point
 //                      estimate <= rph-upper, and elmore <= lumped
 //                      (Elmore never exceeds R_tot*C_tot on a chain);
@@ -24,7 +29,7 @@
 //                      transient reference;
 //  * eco-identity      after an eco script, update() must be
 //                      bit-identical to a from-scratch rebuild at every
-//                      requested thread count;
+//                      requested thread count, under rc-tree and slope;
 //  * snapshot-roundtrip  analysis over a compile -> serialize ->
 //                      deserialize round trip of the design must be
 //                      bit-identical to direct analysis at every
@@ -35,6 +40,7 @@
 #include <vector>
 
 #include "compare/harness.h"
+#include "delay/slope_table.h"
 #include "gen/generators.h"
 #include "timing/analyzer.h"
 
@@ -63,6 +69,21 @@ OracleResult check_netlist(const Netlist& nl);
 /// worst critical path's event times non-decreasing.
 OracleResult check_sanity(const Netlist& nl, const Session& session);
 
+/// Slope tables whose multipliers grow with the slope ratio, the same
+/// for every (trigger type, transition): the fuzzer's slope model, so a
+/// slope oracle runs without a calibration.  A later input edge that is
+/// also faster can then give an earlier candidate downstream, the case
+/// self-consistency and eco-identity exist to catch.
+const SlopeTables& fuzz_slope_tables();
+
+/// Every arrival of `session` (a completed run() or update()) is its
+/// recorded predecessor's final arrival plus the via stage's delay at
+/// that predecessor's final slope, with that stage's output slope; no
+/// other stage into the key whose fire key has an arrival yields a later
+/// time, or an equal time from a smaller stage index (the canonical tie
+/// key); and a key with no arrival has no such stage.
+OracleResult check_self_consistency(const Session& session);
+
 /// The RPH/Elmore/lumped inequalities on every extracted stage, with a
 /// relative tolerance for floating-point noise.
 OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
@@ -83,7 +104,8 @@ OracleResult check_analog(const GeneratedCircuit& g,
 
 /// Applies `eco_script` to a copy of g.netlist and checks that
 /// TimingAnalyzer::update() is bit-identical to a rebuild at each entry
-/// of `thread_counts`.  A timing loop is only a failure if the two
+/// of `thread_counts`, under the rc-tree model and under the slope model
+/// over fuzz_slope_tables().  A timing loop is only a failure if the two
 /// sides disagree about it.
 OracleResult check_eco_identity(const GeneratedCircuit& g,
                                 const std::string& eco_script,

@@ -57,7 +57,7 @@ struct ServeRequest {
   double slope_ns = 1.0;
   /// Cooperative per-request deadline in milliseconds; 0 (the default)
   /// means no request-level deadline (the server-wide default, if any,
-  /// still applies).  Expiry aborts propagation between wavefronts and
+  /// still applies).  Expiry aborts propagation between levels and
   /// answers with the named "deadline" envelope; partial arrivals are
   /// discarded, so the design cache is untouched.
   double deadline_ms = 0.0;

@@ -70,13 +70,6 @@ bool known_model(const std::string& name) {
   return name == "slope" || make_closed_form_model(name) != nullptr;
 }
 
-/// Whether an eco under `model` may leave a warm analysis behind.
-/// update() equals a rebuild only when a stage's delay ignores its
-/// input slope (DESIGN.md "Incrementality invariant"); under `slope` a
-/// kept analysis would carry one update's divergence into every later
-/// eco, so each slope eco takes the cold path: run(), apply, update().
-bool keeps_warm_state(const std::string& model) { return model != "slope"; }
-
 /// Builds the per-request delay model through the CLI's own mapping
 /// (make_closed_form_model), which is half of the cold-run parity
 /// contract (the other half is that the design was compiled with the
@@ -606,7 +599,7 @@ struct TimingService::ServeRequestDispatch {
       if (auto design = master.lock();
           design && design->netlist().revision() == pristine) {
         entry->design = std::move(design);
-        if (!propagated || !keeps_warm_state(req.model)) warm.reset();
+        if (!propagated) warm.reset();
         entry->warm = std::move(warm);
         svc.insert_entry(req.design, entry);
       }
@@ -639,11 +632,8 @@ struct TimingService::ServeRequestDispatch {
     // Re-adopt the master pointer (the analyzer still holds it, so the
     // weak_ptr is live) and publish the rewritten design, with the
     // analysis that now describes it, under its new identity; the old
-    // fingerprint now reports unknown-design.  An analysis that is not
-    // kept dies before the entry is visible again, so the next eco's
-    // update() never sees its reference to the design.
+    // fingerprint now reports unknown-design.
     entry->design = master.lock();
-    if (!keeps_warm_state(req.model)) warm.reset();
     entry->warm = std::move(warm);
     svc.insert_entry(new_hex, entry);
     return os.str();

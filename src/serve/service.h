@@ -64,7 +64,7 @@ struct ServeOptions {
   /// Server-wide default deadline for time/explain/eco requests, in
   /// milliseconds; 0 disables.  A request's own "deadline_ms" member
   /// overrides it.  Expiry is cooperative (checked between propagation
-  /// wavefronts) and answers with the named "deadline" envelope.
+  /// levels) and answers with the named "deadline" envelope.
   double default_deadline_ms = 0.0;
 };
 

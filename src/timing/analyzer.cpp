@@ -8,24 +8,6 @@
 
 namespace sldm {
 
-void close_damage(const StageTable& stages, const TriggerIndex& by_trigger,
-                  std::span<const std::uint32_t> arrival_from,
-                  std::span<const char> arrival_valid,
-                  std::vector<char>& damaged,
-                  std::vector<std::uint32_t>& damage) {
-  for (std::size_t i = 0; i < damage.size(); ++i) {
-    const std::uint32_t k = damage[i];
-    for (const std::uint32_t s : by_trigger[k]) {
-      const std::size_t d =
-          arrival_key(stages.destination(s), stages.output_dir(s));
-      if (!damaged[d] && arrival_valid[d] && arrival_from[d] == k) {
-        damaged[d] = 1;
-        damage.push_back(static_cast<std::uint32_t>(d));
-      }
-    }
-  }
-}
-
 TimingAnalyzer::TimingAnalyzer(const Netlist& nl, const Tech& tech,
                                const DelayModel& model,
                                AnalyzerOptions options)
@@ -102,10 +84,9 @@ void TimingAnalyzer::update() {
   if (grew) {
     arrival_time_.resize(nkeys, 0.0);
     arrival_slope_.resize(nkeys, 0.0);
-    arrival_from_.resize(nkeys, UINT32_MAX);
-    arrival_via_.resize(nkeys, SIZE_MAX);
+    arrival_from_.resize(nkeys, kNone);
+    arrival_via_.resize(nkeys, kNone);
     arrival_valid_.resize(nkeys, 0);
-    update_counts_.resize(nkeys, 0);
   }
 
   // --- Structure: re-bake the dirty components' stages where they sit
@@ -135,84 +116,39 @@ void TimingAnalyzer::update() {
     return;
   }
 
-  // --- Damage: every (node, dir) arrival whose value may have changed.
-  // Base set: all keys of dirty components (their stages changed);
-  // closure: everything downstream through the recorded predecessor
-  // links (close_damage).  Primary-input seeds are never stage
-  // destinations, so they keep their declared arrivals.
-  const TriggerIndex& by_trigger = compiled_->stages_by_trigger_;
-  std::vector<char> damaged(nkeys, 0);
-  std::vector<std::uint32_t> damage;  // the damaged keys, BFS order
+  // --- Damage: every arrival key of a dirty component (its stages
+  // changed).  reprice() re-prices them in level order, and with them
+  // every key downstream of an arrival that changes.
+  std::vector<std::uint32_t> damage;
   {
     TraceSpan invalidate_span("update-invalidate", "timing");
     for (const std::size_t c : dirty) {
       for (NodeId n : ccc.members(c)) {
-        for (const Transition dir :
-             {Transition::kRise, Transition::kFall}) {
-          const std::size_t k = arrival_key(n, dir);
-          if (arrival_valid_[k] &&
-              arrival_via_[k] == SIZE_MAX) {
-            continue;
-          }
-          if (!damaged[k]) {
-            damaged[k] = 1;
-            damage.push_back(static_cast<std::uint32_t>(k));
-          }
+        for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+          damage.push_back(static_cast<std::uint32_t>(arrival_key(n, dir)));
         }
       }
-    }
-    close_damage(stages, by_trigger, arrival_from_,
-                 arrival_valid_, damaged, damage);
-
-    std::size_t invalidated = 0;
-    for (const std::uint32_t k : damage) {
-      if (arrival_valid_[k]) ++invalidated;
-      arrival_valid_[k] = 0;
-      update_counts_[k] = 0;
     }
     // Retained arrivals follow a splice's renumbering (their stages
-    // survived it by construction).
+    // survived it by construction); damaged keys are re-priced anyway.
     if (!keeps_paths) {
+      std::vector<char> damaged(nkeys, 0);
+      for (const std::uint32_t k : damage) damaged[k] = 1;
       for (std::size_t k = 0; k < nkeys; ++k) {
-        if (arrival_valid_[k] &&
-            arrival_via_[k] != SIZE_MAX) {
-          SLDM_ASSERT(remap[arrival_via_[k]] != SIZE_MAX);
-          arrival_via_[k] = remap[arrival_via_[k]];
+        if (damaged[k] || !arrival_valid_[k] || arrival_via_[k] == kNone) {
+          continue;
         }
+        SLDM_ASSERT(remap[arrival_via_[k]] != SIZE_MAX);
+        arrival_via_[k] = static_cast<std::uint32_t>(remap[arrival_via_[k]]);
       }
     }
-    stats_.frontier_keys = invalidated;
-    h_frontier_.add(static_cast<double>(invalidated));
-    invalidate_span.arg("frontier_keys", static_cast<double>(invalidated));
+    invalidate_span.arg("damaged", static_cast<double>(damage.size()));
   }
-
-  // --- Re-propagate from the frontier: every stage targeting a damaged
-  // key whose firing event is currently valid re-fires now; damaged
-  // keys revalidated during propagation enqueue themselves through the
-  // normal accept path.  The firing keys enter in ascending order, as
-  // a scan over all keys would find them.
-  TraceSpan repropagate_span("update-propagate", "timing");
-  std::vector<std::uint32_t> seeds;
-  for (const std::uint32_t k : damage) {
-    const Transition dir =
-        k % 2 == 0 ? Transition::kRise : Transition::kFall;
-    const auto [begin, end] = stages.rows_to(NodeId(k / 2));
-    for (std::size_t s = begin; s < end; ++s) {
-      if (stages.output_dir(s) != dir) continue;
-      const std::size_t f = fire_key(stages[s], nl);
-      if (arrival_valid_[f]) {
-        seeds.push_back(static_cast<std::uint32_t>(f));
-      }
-    }
+  {
+    TraceSpan reprice_span("update-propagate", "timing");
+    reprice(damage);
+    reprice_span.arg("repriced", static_cast<double>(stats_.frontier_keys));
   }
-  std::sort(seeds.begin(), seeds.end());
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  std::deque<std::uint32_t> work(seeds.begin(), seeds.end());
-  std::vector<char> queued(nkeys, 0);
-  for (const std::uint32_t k : seeds) queued[k] = 1;
-  stats_.worklist_pushes += seeds.size();
-  repropagate_span.arg("seeds", static_cast<double>(work.size()));
-  propagate(work, queued);
   stats_.update_seconds = now_seconds() - t0;
   publish_telemetry();
 }
@@ -280,14 +216,14 @@ std::vector<std::size_t> TimingAnalyzer::resplice(
   compiled_->recount_stages_per_ccc();
   stats_.reused_stages = reused;
   stats_.reextracted_stages = fresh_total;
-  compiled_->index_stages_by_trigger();
+  compiled_->index_stages();
   // The splice renumbered stages, so the SoA mirror must follow; a
   // full rebuild keeps store ids == stage indices (the invariant the
   // propagation and explain paths rely on).
   compiled_->rebuild_store();
+  compiled_->refresh_census();
   // A new device may trigger a stage kind the model cannot price.
-  model_.require_covers(compiled_->stage_store());
-  refresh_fan_in();
+  model_.require_covers(compiled_->stage_kinds());
   splice_span.arg("reused", static_cast<double>(reused));
   splice_span.arg("reextracted", static_cast<double>(fresh_total));
   return remap;

@@ -20,18 +20,20 @@
 //     in the StageStore (stage ids, table and trigger index stay);
 //   * any other batch re-extracts the dirty components and splices them
 //     into the globally ordered stage table, renumbering stages;
-//   * only arrivals reachable from the damage are invalidated (a walk
-//     over the forward trigger index, close_damage), and re-propagation
-//     starts from the stages that fire into the damage instead of from
-//     all seeds.  Because other sessions may be borrowing the design,
-// update() refuses to run while share_design() handles are outstanding.
-// Invariant (enforced by tests/eco_timing_test.cpp): the analyzer state
-// after update() is bit-identical to a freshly constructed-and-run
-// analyzer over the mutated netlist.
+//   * only the dirty components' arrival keys are re-priced, in level
+//     order through the same pricing step as run() (Session::reprice),
+//     and with them every key downstream of an arrival that changes;
+//     the rest of the design keeps its arrivals.
+// Because other sessions may be borrowing the design, update() refuses
+// to run while share_design() handles are outstanding.  Invariant
+// (enforced by tests/eco_timing_test.cpp): the analyzer state after
+// update() is bit-identical to a freshly constructed-and-run analyzer
+// over the mutated netlist, for every delay model, because every
+// re-priced arrival is computed from its predecessors' final values
+// exactly as a rebuild computes it.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "design/compiled_design.h"
@@ -42,27 +44,15 @@ namespace sldm {
 /// Analyzer configuration.
 struct AnalyzerOptions {
   ExtractOptions extract;
-  /// Safety valve: maximum times a (node, direction) arrival may be
-  /// improved before the analyzer reports a structural loop.
+  /// Safety valve: maximum times a (node, direction) arrival inside a
+  /// cyclic component may change before the analyzer reports a timing
+  /// loop.
   int max_updates_per_arrival = 64;
   /// Worker threads for stage extraction, at construction and in
   /// update()'s re-extraction (1 = fully sequential; results are
   /// bit-identical for any value).  Must be >= 1.
   int threads = 1;
 };
-
-/// The damage closure of an ECO update.  `damaged` (one byte per
-/// arrival key) and `damage` (those keys, in discovery order) enter as
-/// the base set; every key whose valid arrival was set by a damaged key
-/// -- arrival_from[d] == k -- through a stage k fires is added,
-/// transitively, found by walking the forward trigger index.  Stages
-/// that k fires into other keys are skipped, so the result is the set a
-/// reverse (predecessor -> successors) map would give.
-void close_damage(const StageTable& stages, const TriggerIndex& by_trigger,
-                  std::span<const std::uint32_t> arrival_from,
-                  std::span<const char> arrival_valid,
-                  std::vector<char>& damaged,
-                  std::vector<std::uint32_t>& damage);
 
 class TimingAnalyzer : public Session {
  public:
@@ -84,8 +74,8 @@ class TimingAnalyzer : public Session {
   /// Absorbs all netlist mutations since the analyzer last
   /// synchronized (construction or previous update()): synchronizes the
   /// component partition, re-extracts stages for dirty components only,
-  /// invalidates the arrivals transitively reachable from the damage,
-  /// and re-propagates from that frontier.  Postcondition: stages,
+  /// and re-prices their arrival keys and everything downstream of an
+  /// arrival that changes, in level order.  Postcondition: stages,
   /// arrivals, and critical paths are bit-identical to a freshly
   /// constructed analyzer over the mutated netlist with the same input
   /// events (and run(), if this analyzer had run).  No-op when already

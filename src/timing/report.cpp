@@ -61,18 +61,18 @@ std::string format_analyzer_stats(const Netlist& nl, const Session& session,
                st.extract_seconds * 1e3, st.stage_count, st.ccc_count,
                st.threads, st.threads == 1 ? "" : "s")
      << format("  propagation: %9.3f ms  (%zu stage evaluations, "
-               "%zu worklist pushes, %zu arrival updates)\n",
+               "%zu keys priced, %zu arrival updates)\n",
                st.propagate_seconds * 1e3, st.stage_evaluations,
                st.worklist_pushes, st.arrival_updates);
   if (st.batches > 0) {
-    os << format("  wavefronts : %9zu batches  (mean %.1f, max %zu "
+    os << format("  levels     : %9zu batches  (mean %.1f, max %zu "
                  "evaluations per batch)\n",
                  st.batches, st.mean_batch_size, st.max_batch_size);
   }
   if (st.incremental_updates > 0) {
     os << format("  eco update : %9.3f ms  (%zu absorbed; last: %zu dirty "
                  "CCC%s, %zu reused / %zu re-extracted stages, "
-                 "%zu invalidated arrivals)\n",
+                 "%zu re-priced arrivals)\n",
                  st.update_seconds * 1e3, st.incremental_updates,
                  st.dirty_cccs, st.dirty_cccs == 1 ? "" : "s",
                  st.reused_stages, st.reextracted_stages, st.frontier_keys);

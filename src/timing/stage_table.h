@@ -22,7 +22,6 @@
 // path span) taken from it before the append.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -61,15 +60,6 @@ struct TimingStage {
 /// array.
 inline std::size_t arrival_key(NodeId node, Transition dir) {
   return node.index() * 2 + (dir == Transition::kRise ? 0 : 1);
-}
-
-/// The arrival_key of the event that fires `ts` (the key TriggerIndex
-/// files it under): the source's own edge for source-triggered stages,
-/// else the trigger's gate edge.
-inline std::size_t fire_key(const TimingStage& ts, const Netlist& nl) {
-  const NodeId fire =
-      ts.source_triggered ? ts.source : nl.device(ts.trigger).gate;
-  return arrival_key(fire, ts.trigger_gate_dir);
 }
 
 /// One stage's window of a StageTable: rows [begin, end) of table
@@ -159,14 +149,20 @@ class StageTable {
   std::span<const DeviceId> path(std::size_t s) const {
     return {device_.data() + offset_[s], device_.data() + offset_[s + 1]};
   }
-  /// The rows whose destination is `n`, as [first, second).  Requires
-  /// canonical order (ascending destination), which every design's
-  /// table is in.
-  std::pair<std::size_t, std::size_t> rows_to(NodeId n) const {
-    const auto [lo, hi] =
-        std::equal_range(destination_.begin(), destination_.end(), n);
-    return {static_cast<std::size_t>(lo - destination_.begin()),
-            static_cast<std::size_t>(hi - destination_.begin())};
+  /// arrival_key(destination(s), output_dir(s)).
+  std::uint32_t destination_key(std::size_t s) const {
+    return static_cast<std::uint32_t>(destination_[s].index() * 2 +
+                                      (bits_[s] & kOutputFalls));
+  }
+  /// The arrival_key of the event that fires row `s` (the key
+  /// TriggerIndex files it under): the source's own edge for
+  /// source-triggered stages, else the trigger's gate edge.
+  std::uint32_t fire_key(std::size_t s, const Netlist& nl) const {
+    const NodeId fire = (bits_[s] & kSourceTriggered)
+                            ? source_[s]
+                            : nl.device(trigger_[s]).gate;
+    return static_cast<std::uint32_t>(
+        fire.index() * 2 + ((bits_[s] & kTriggerGateFalls) ? 1 : 0));
   }
 
   /// Appends one stage, copying `path` into the shared path array.
@@ -224,7 +220,8 @@ StageTable stitch_stages(std::span<const StageTable* const> tables,
 
 /// Stage ids grouped by firing event, in compressed-sparse-row form:
 /// the stages fired by key k (an arrival_key) are stages_[offsets_[k]
-/// .. offsets_[k+1]), ascending.
+/// .. offsets_[k+1]), ascending.  The index also keeps each stage's
+/// fire key, the reverse direction of the same map.
 class TriggerIndex {
  public:
   /// Indexes every stage of `table` under the arrival_key of the event
@@ -239,10 +236,85 @@ class TriggerIndex {
   std::span<const std::uint32_t> operator[](std::size_t key) const {
     return {stages_.data() + offsets_[key], stages_.data() + offsets_[key + 1]};
   }
+  /// The arrival key of the event that fires stage `s`.
+  std::uint32_t fire_key(std::size_t s) const { return fire_[s]; }
 
  private:
   std::vector<std::uint32_t> offsets_{0};
   std::vector<std::uint32_t> stages_;
+  std::vector<std::uint32_t> fire_;  ///< per stage
+};
+
+/// The arrival keys of a design in topological order over its trigger
+/// graph, whose edges run from each stage's fire key to its destination
+/// key.  A key that no stage drives has level 0 and is not scheduled;
+/// any other key's level is one more than the highest level among the
+/// fire keys of the stages into it, so every stage into a level-L key
+/// fires from a key of a lower level.  Keys on a cycle of the graph
+/// form cyclic components (strongly connected components with an inner
+/// edge); a component takes one level, one more than the highest level
+/// of a key driving it from outside.  Propagation prices one level at a
+/// time (design/session.h).
+///
+/// Built by one Kahn pass over the CSR trigger index; Tarjan's
+/// algorithm runs only over the keys Kahn could not order, which no
+/// acyclic design has.
+class LevelSchedule {
+ public:
+  static constexpr std::uint32_t kNoCycle = UINT32_MAX;
+
+  /// A cyclic component: its level and its keys, ascending.
+  struct Cycle {
+    std::uint32_t level = 0;
+    std::uint32_t begin = 0;  ///< range into the component key array
+    std::uint32_t end = 0;
+  };
+
+  /// `by_trigger` must index `table` (TriggerIndex::build).  Requires
+  /// the table in canonical order (ascending destination key).
+  void build(const StageTable& table, const TriggerIndex& by_trigger);
+
+  /// The highest level (levels 1..level_count() are scheduled).
+  std::size_t level_count() const { return level_begin_.size() - 1; }
+  /// The acyclic keys of scheduled level `level`, ascending.
+  std::span<const std::uint32_t> keys(std::size_t level) const {
+    return {keys_.data() + level_begin_[level - 1],
+            keys_.data() + level_begin_[level]};
+  }
+  /// The level of key `k` (0: no stage drives it).
+  std::uint32_t level(std::size_t k) const { return level_[k]; }
+  /// The stages into key `k`: rows [first, second) of the table.
+  std::pair<std::uint32_t, std::uint32_t> rows(std::size_t k) const {
+    return {rows_[k], rows_[k + 1]};
+  }
+  /// Cyclic components, by ascending level.
+  std::span<const Cycle> cycles() const { return cycles_; }
+  std::span<const std::uint32_t> cycle_keys(const Cycle& c) const {
+    return {cycle_keys_.data() + c.begin, cycle_keys_.data() + c.end};
+  }
+  /// The index into cycles() of the component holding `k`, or kNoCycle.
+  std::uint32_t cycle_of(std::size_t k) const {
+    return cycle_of_.empty() ? kNoCycle : cycle_of_[k];
+  }
+
+ private:
+  /// Levels every key in one ascending sweep; false when some key has
+  /// a fire key that is not levelled before it.
+  bool level_in_key_order(const TriggerIndex& by_trigger);
+  /// Kahn's algorithm over the trigger graph, then order_cycles() for
+  /// the keys it cannot order.
+  void level_by_kahn(const StageTable& table, const TriggerIndex& by_trigger);
+  /// Levels and components of the keys Kahn left (rem[k] > 0).
+  void order_cycles(const StageTable& table, const TriggerIndex& by_trigger,
+                    const std::vector<std::uint32_t>& rem);
+
+  std::vector<std::uint32_t> rows_{0};         ///< per key + 1
+  std::vector<std::uint32_t> level_;           ///< per key
+  std::vector<std::uint32_t> level_begin_{0};  ///< per level + 1
+  std::vector<std::uint32_t> keys_;            ///< acyclic, by level
+  std::vector<Cycle> cycles_;
+  std::vector<std::uint32_t> cycle_keys_;
+  std::vector<std::uint32_t> cycle_of_;  ///< per key; empty when acyclic
 };
 
 }  // namespace sldm

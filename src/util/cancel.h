@@ -3,8 +3,8 @@
 // A CancelToken carries an optional monotonic-clock deadline; code on a
 // cancellable path calls check() at its own safe points and the token
 // throws CancelledError once the deadline has passed.  The checkpoints
-// are deliberately coarse -- Session::propagate consults the token once
-// per wavefront batch, never inside the delay kernels -- so a run that
+// are deliberately coarse -- Session::run() consults the token once per
+// level, never inside the delay kernels -- so a run that
 // completes is bit-identical to the same run with no token attached:
 // cancellation can only abort work, never reorder or reprice it.
 //

@@ -57,6 +57,16 @@ void Histogram::add(double x) {
   sum_ += x;
 }
 
+void Histogram::add(double x, std::size_t times) {
+  if (times == 0) return;
+  const double t = (x - lo_) / (hi_ - lo_);
+  auto bin = static_cast<long>(t * static_cast<double>(counts_.size()));
+  bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
+  counts_[static_cast<std::size_t>(bin)] += times;
+  total_ += times;
+  sum_ += x * static_cast<double>(times);
+}
+
 double Histogram::mean() const {
   return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
 }

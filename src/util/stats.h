@@ -34,6 +34,9 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
+  /// `times` samples of value `x` (exactly `times` calls of add(x) when
+  /// x * times is exact, as for integer-valued samples).
+  void add(double x, std::size_t times);
 
   /// Zeroes all counts and the sum; the bucket layout is kept.
   void reset();

@@ -2,10 +2,15 @@
 // paths, worst-arrival queries, and loop detection.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "delay/lumped.h"
 #include "delay/rctree.h"
 #include "delay/slope.h"
 #include "util/contracts.h"
+#include "design/session.h"
+#include "gen/builder.h"
 #include "gen/generators.h"
 #include "tech/tech.h"
 #include "timing/analyzer.h"
@@ -196,6 +201,121 @@ TEST(Analyzer, RingOscillatorLoopIsDetected) {
   TimingAnalyzer an(nl, tech, model, opts);
   an.add_input_event(start, Transition::kRise, 0.0, 1e-9);
   EXPECT_THROW(an.run(), Error);
+}
+
+/// rc-tree pricing, except that the stages a latch node fires into the
+/// latch itself are free: its feedback loop then adds no delay, so the
+/// cyclic component of the trigger graph settles instead of racing.
+class FreeFeedbackModel final : public DelayModel {
+ public:
+  explicit FreeFeedbackModel(std::vector<char> free) : free_(std::move(free)) {}
+  std::string name() const override { return "free-feedback"; }
+  void estimate_batch(const StageStore& store,
+                      std::span<const StageStore::StageId> ids,
+                      std::span<const Seconds> input_slopes,
+                      std::span<DelayEstimate> out) const override {
+    rc_tree_.estimate_batch(store, ids, input_slopes, out);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (free_[ids[i]]) out[i].delay = 0.0;
+    }
+  }
+
+ private:
+  RcTreeModel rc_tree_;
+  std::vector<char> free_;
+};
+
+// A cross-coupled CMOS NOR latch (q = NOR(r, qb), qb = NOR(s, q)) with
+// an inverter on q.  Its keys form a cyclic component, which propagation
+// settles by re-pricing it until no arrival changes.  The pinned values
+// are what FIFO propagation computed for the same circuit and model.
+TEST(Analyzer, CrossCoupledLatchSettlesToPinnedArrivals) {
+  CircuitBuilder b(Style::kCmos);
+  const NodeId s = b.input("s");
+  const NodeId r = b.input("r");
+  const NodeId qb = b.node("qb");
+  const NodeId q = b.nor_gate({r, qb}, "q");
+  b.nor_gate({s, q}, "qb");
+  const NodeId y = b.inverter(q, "y");
+  b.output("y");
+  const Netlist& nl = b.netlist();
+  const Tech tech = cmos3();
+
+  const auto design = CompiledDesign::compile(nl, tech);
+  // One component through each pair of opposite edges: q rise -> qb
+  // fall -> q rise, and q fall -> qb rise -> q fall.
+  ASSERT_EQ(design->levels().cycles().size(), 2u);
+  std::vector<char> free(design->stages().size(), 0);
+  for (std::size_t i = 0; i < free.size(); ++i) {
+    const NodeId fire(design->stages_by_trigger().fire_key(i) / 2);
+    free[i] = (fire == q || fire == qb) &&
+              design->stages().destination(i) != y;
+  }
+  const FreeFeedbackModel model(free);
+  Session session(design, model);
+  session.add_all_input_events(1e-9);
+  session.run();
+
+  struct Pinned {
+    const char* node;
+    Transition dir;
+    Seconds time;
+    Seconds slope;
+    const char* from;
+  };
+  const Pinned pinned[] = {
+      {"qb", Transition::kRise, 5.7853670884044103e-10,
+       2.2923974720068322e-09, "q"},
+      {"qb", Transition::kFall, 1.0332971354380348e-09,
+       7.9834256267956483e-10, "q"},
+      {"q", Transition::kRise, 1.0332971354380348e-09,
+       4.0943430294296877e-09, "qb"},
+      {"q", Transition::kFall, 5.7853670884044103e-10,
+       1.4740721467131353e-09, "qb"},
+      {"pu0", Transition::kRise, 1.0332971354380348e-09,
+       1.6348397152799247e-10, "qb"},
+      {"pu0", Transition::kFall, 6.5479394189589656e-10,
+       2.5945596090109591e-09, "r"},
+      {"pu1", Transition::kRise, 5.7853670884044103e-10,
+       1.6348397152799247e-10, "q"},
+      {"pu1", Transition::kFall, 1.0332971354380348e-09,
+       1.9188300249773887e-09, "q"},
+      {"y", Transition::kRise, 6.0948077940115289e-10,
+       1.2261297864599435e-10, "q"},
+      {"y", Transition::kFall, 1.0565051883585686e-09,
+       9.1959733984495753e-11, "q"},
+  };
+  for (const Pinned& p : pinned) {
+    const auto a = session.arrival(*nl.find_node(p.node), p.dir);
+    ASSERT_TRUE(a.has_value()) << p.node;
+    EXPECT_EQ(a->time, p.time) << p.node << ' ' << to_string(p.dir);
+    EXPECT_EQ(a->slope, p.slope) << p.node << ' ' << to_string(p.dir);
+    EXPECT_EQ(nl.node(a->from_node).name.str(), p.from) << p.node;
+  }
+
+  // Re-sizing a latch device re-settles the component inside update(),
+  // and the result equals a rebuild.  (A width edit keeps stage ids, so
+  // the free-feedback flags still name the same stages.)
+  Netlist edited = nl;
+  TimingAnalyzer inc(edited, tech, model);
+  inc.add_all_input_events(1e-9);
+  inc.run();
+  edited.set_width(DeviceId(0), edited.device(DeviceId(0)).width * 3.0);
+  inc.update();
+  TimingAnalyzer fresh(edited, tech, model);
+  fresh.add_all_input_events(1e-9);
+  fresh.run();
+  for (const NodeId n : edited.all_nodes()) {
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      const auto a = inc.arrival(n, dir);
+      const auto f = fresh.arrival(n, dir);
+      ASSERT_EQ(a.has_value(), f.has_value()) << edited.node(n).name;
+      if (!a) continue;
+      EXPECT_EQ(a->time, f->time) << edited.node(n).name;
+      EXPECT_EQ(a->slope, f->slope) << edited.node(n).name;
+      EXPECT_EQ(a->via_stage, f->via_stage) << edited.node(n).name;
+    }
+  }
 }
 
 TEST(Report, AllArrivalsTableListsInternalNodes) {

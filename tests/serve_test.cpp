@@ -779,9 +779,23 @@ std::string generated_sim(int layers, int width) {
   return out.str();
 }
 
-/// The slope-independent serve models, built as the service builds
-/// them.
+/// A coarse nMOS calibration (three slope ratios), computed once: the
+/// tech and tables every slope case here runs under.
+const CalibrationResult& coarse_calibration() {
+  static const CalibrationResult cal = [] {
+    CalibrationOptions options;
+    options.ratios = {0.1, 1.0, 8.0};
+    return calibrate(nmos4(), Style::kNmos, options);
+  }();
+  return cal;
+}
+
+/// The serve models, built as the service builds them (`slope` over
+/// coarse_calibration()'s tables).
 std::unique_ptr<DelayModel> test_model(const std::string& model) {
+  if (model == "slope") {
+    return std::make_unique<SlopeModel>(coarse_calibration().tables);
+  }
   if (model == "lumped") return std::make_unique<LumpedRcModel>();
   if (model == "rph-upper") {
     return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
@@ -826,7 +840,8 @@ std::string rendered_members(const TimingAnalyzer& analyzer,
 /// byte: everything between the envelope header and "stats".
 std::string cold_members(const Netlist& nl, const std::string& model) {
   const std::unique_ptr<DelayModel> dm = test_model(model);
-  TimingAnalyzer cold(nl, nmos4(), *dm);
+  TimingAnalyzer cold(nl, model == "slope" ? coarse_calibration().tech : nmos4(),
+                      *dm);
   cold.add_all_input_events(1e-9);
   cold.run();
   return rendered_members(cold, dm->name());
@@ -886,8 +901,16 @@ TEST_P(ServeWarmEco, ChainedEcosEqualAColdAnalyzerAtEveryStep) {
   const std::string model = GetParam();
   TimingService service;
   TempFile sim("warm_chain_" + model + ".sim", generated_sim(6, 16));
-  std::string fp = load_design(service, sim.path(), model);
   Netlist shadow = read_sim_file(sim.path());
+  // Slope loads a .sldc with embedded tables instead of calibrating.
+  TempFile sldc("warm_chain_" + model + ".sldc", "");
+  if (model == "slope") {
+    const CalibrationResult& cal = coarse_calibration();
+    save_design_file(*CompiledDesign::compile_owned(Netlist(shadow), cal.tech),
+                     sldc.path(), &cal.tables);
+  }
+  std::string fp = load_design(
+      service, model == "slope" ? sldc.path() : sim.path(), model);
   for (int i = 0; i < 20; ++i) {
     const std::string script = chained_edit(shadow, i);
     std::istringstream in(script);
@@ -906,48 +929,43 @@ std::string model_case_name(
     const ::testing::TestParamInfo<std::string>& param) {
   if (param.param == "rc-tree") return "RcTree";
   if (param.param == "rph-upper") return "RphUpper";
+  if (param.param == "slope") return "Slope";
   return param.param == "unit" ? "Unit" : "Lumped";
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, ServeWarmEco,
                          ::testing::Values("rc-tree", "lumped", "rph-upper",
-                                           "unit"),
+                                           "unit", "slope"),
                          model_case_name);
 
-// The slope model keeps no warm state: update() is not bit-identical to
-// a rebuild when delay depends on input slope (ROADMAP item 4), and a
-// kept analysis would carry one eco's divergence into the next.  So
-// every slope eco in a chain runs the full pre-edit propagate, and its
-// answer is exactly that of a fresh analyzer over the pre-edit design
-// that runs, applies the script and updates.
-TEST(ServeWarmEcoKeys, SlopeEcosAlwaysMissAndMatchRunThenUpdate) {
+// The slope model keeps warm state like every other model: update()
+// re-prices each arrival from its predecessors' final values, so it
+// equals a rebuild under any model (DESIGN.md "Incrementality
+// invariant").  Every slope eco after the first answers with update()
+// alone, and its answer is byte-equal to a fresh analyzer over the
+// edited netlist.
+TEST(ServeWarmEcoKeys, SlopeEcosHitAndMatchAFreshAnalyzer) {
   HubGuard guard;
-  CalibrationOptions calibration;
-  calibration.ratios = {0.1, 1.0, 8.0};
-  const CalibrationResult cal =
-      calibrate(nmos4(), Style::kNmos, calibration);
-  const SlopeTables& tables = cal.tables;
-  const SlopeModel model(tables);
-  Netlist pre = random_logic(Style::kNmos, 6, 16, 11).netlist;
+  const CalibrationResult& cal = coarse_calibration();
+  const SlopeModel model(cal.tables);
+  Netlist nl = random_logic(Style::kNmos, 6, 16, 11).netlist;
   TempFile sldc("warm_slope.sldc", "");
-  save_design_file(*CompiledDesign::compile_owned(Netlist(pre), cal.tech),
-                   sldc.path(), &tables);
+  save_design_file(*CompiledDesign::compile_owned(Netlist(nl), cal.tech),
+                   sldc.path(), &cal.tables);
   TimingService service;
   std::string fp = load_design(service, sldc.path(), "slope");
   for (int i = 0; i < 10; ++i) {
-    const std::string script = chained_edit(pre, i);
-    // The analyzer borrows `pre`, so the script edits it in place.
-    TimingAnalyzer reference(pre, cal.tech, model);
-    reference.add_all_input_events(1e-9);
-    reference.run();
+    const std::string script = chained_edit(nl, i);
     std::istringstream in(script);
-    apply_eco(in, pre, "<reference>");
-    reference.update();
+    apply_eco(in, nl, "<fresh>");
+    TimingAnalyzer fresh(nl, cal.tech, model);
+    fresh.add_all_input_events(1e-9);
+    fresh.run();
 
     const std::string r = service.handle_line(eco_request(fp, "slope", script));
     ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << i << ": " << r;
-    EXPECT_TRUE(ran_full_propagate(r)) << "step " << i;
-    EXPECT_EQ(answer_members(r), rendered_members(reference, "slope"))
+    EXPECT_EQ(ran_full_propagate(r), i == 0) << "step " << i;
+    EXPECT_EQ(answer_members(r), rendered_members(fresh, "slope"))
         << "step " << i << ": " << script;
     fp = design_member(r);
   }

@@ -427,6 +427,125 @@ TEST(Snapshot, RejectsANonPositiveVddWithValidChecksum) {
   expect_load_error(bytes, "TECH section: bad Vdd");
 }
 
+constexpr std::uint32_t kNode = 0x45444F4Eu;  // "NODE"
+constexpr std::uint32_t kOpts = 0x5354504Fu;  // "OPTS"
+
+/// Where the NODE arrays' elements start: [count u64], then name
+/// lengths (u32), names (bytes), capacitances (f64), flags and pinned
+/// values (bytes), each array [count u64][elements].
+struct NodeLayout {
+  std::size_t count, name_len, names, caps, flags, pinned;
+};
+
+NodeLayout node_layout(const std::vector<std::uint8_t>& b) {
+  const std::size_t p = payload_of(b, kNode);
+  NodeLayout l{};
+  l.count = get_le(b, p, 8);
+  const std::size_t len_at = p + 8;
+  const std::size_t names_at = skip_array(b, len_at, 4);
+  const std::size_t caps_at = skip_array(b, names_at, 1);
+  const std::size_t flags_at = skip_array(b, caps_at, 8);
+  const std::size_t pinned_at = skip_array(b, flags_at, 1);
+  l.name_len = len_at + 8;
+  l.names = names_at + 8;
+  l.caps = caps_at + 8;
+  l.flags = flags_at + 8;
+  l.pinned = pinned_at + 8;
+  return l;
+}
+
+void put_u32(std::vector<std::uint8_t>& b, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Each NODE, DEVS and OPTS value check fails by name on a section whose
+// checksum was recomputed after the edit (the checksum is no defense
+// against a crafted file).
+TEST(Snapshot, RejectsBadNodeValuesWithValidChecksums) {
+  const auto clean = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
+  const NodeLayout l = node_layout(clean);
+  ASSERT_GE(l.count, 3u);
+  const auto edited = [&](auto edit, const std::string& expected) {
+    auto bytes = clean;
+    edit(bytes);
+    reseal(bytes, payload_of(bytes, kNode));
+    expect_load_error(std::move(bytes), "NODE section: " + expected);
+  };
+  const auto len = [&](std::size_t i) {
+    return static_cast<std::uint32_t>(get_le(clean, l.name_len + 4 * i, 4));
+  };
+  edited([&](auto& b) { put_u32(b, l.name_len, 0); }, "empty node name");
+  edited([&](auto& b) { put_u32(b, l.name_len, 0x7FFFFFFFu); },
+         "names overrun their array");
+  // The last name one byte shorter leaves a byte no name claims.
+  const std::size_t last = l.count - 1;
+  edited([&](auto& b) { put_u32(b, l.name_len + 4 * last, len(last) - 1); },
+         "names do not match their lengths");
+  edited([&](auto& b) {
+    put_le(b, l.caps, std::bit_cast<std::uint64_t>(-1.0));
+  }, "bad node capacitance");
+  edited([&](auto& b) { b[l.flags] = 32; }, "bad node flags");
+  edited([&](auto& b) { b[l.pinned] = 2; }, "bad pinned value");
+
+  // Two names of one length: the second copies the first.
+  std::size_t first = l.count;
+  std::size_t second = l.count;
+  std::size_t first_at = 0;
+  std::size_t second_at = 0;
+  for (std::size_t i = 0, at = l.names; i < l.count && second == l.count;
+       at += len(i), ++i) {
+    for (std::size_t j = 0, at_j = l.names; j < i; at_j += len(j), ++j) {
+      if (len(j) == len(i)) {
+        first = j;
+        first_at = at_j;
+        second = i;
+        second_at = at;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(second, l.count);
+  edited([&](auto& b) {
+    std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(first_at), len(first),
+                b.begin() + static_cast<std::ptrdiff_t>(second_at));
+  }, "duplicate node name");
+}
+
+TEST(Snapshot, RejectsBadDeviceAndOptionValuesWithValidChecksums) {
+  const GeneratedCircuit g = inverter_chain(Style::kCmos, 3, 1);
+  const auto clean = snapshot_of(g);
+  // DEVS: [count u64], then types (u8), gates, sources, drains (u32),
+  // widths, lengths (f64) and flows (u8), each [count u64][elements].
+  const std::size_t p = payload_of(clean, kDevs);
+  const std::size_t gates = skip_array(clean, p + 8, 1);
+  const std::size_t sources = skip_array(clean, gates, 4);
+  const std::size_t drains = skip_array(clean, sources, 4);
+  const std::size_t widths = skip_array(clean, drains, 4);
+  auto bytes = clean;
+  put_u32(bytes, gates + 8, 0xFFFFFFF0u);
+  reseal(bytes, p);
+  expect_load_error(std::move(bytes),
+                    "DEVS section: device terminal out of range");
+  bytes = clean;
+  put_le(bytes, widths + 8, std::bit_cast<std::uint64_t>(0.0));
+  reseal(bytes, p);
+  expect_load_error(std::move(bytes), "DEVS section: bad device geometry");
+
+  // OPTS: [max depth u32][inputs as sources u8], then the pinned nodes
+  // (u32) and their values (u8), each [count u64][elements].
+  CompileOptions options;
+  options.extract.fixed_values[g.input] = true;
+  const auto design = CompiledDesign::compile(g.netlist, tech_for(g), options);
+  bytes = serialize_design(*design);
+  const std::size_t o = payload_of(bytes, kOpts);
+  ASSERT_EQ(get_le(bytes, o + 5, 8), 1u);
+  put_u32(bytes, o + 5 + 8, 0xFFFFFFF0u);
+  reseal(bytes, o);
+  expect_load_error(std::move(bytes), "OPTS section: pinned node out of range");
+}
+
 TEST(Snapshot, RejectsNonMonotonicPathOffsets) {
   auto bytes = snapshot_of(inverter_chain(Style::kCmos, 3, 1));
   const StgsLayout l = stgs_layout(bytes);

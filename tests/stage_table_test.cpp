@@ -8,12 +8,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "delay/rctree.h"
 #include "design/compiled_design.h"
+#include "gen/builder.h"
 #include "gen/generators.h"
+#include "netlist/sim_io.h"
 #include "tech/tech.h"
 #include "timing/analyzer.h"
 #include "timing/stage_table.h"
@@ -298,6 +302,81 @@ void expect_index_matches(const CompiledDesign& design,
   }
 }
 
+/// Longest-path levels by relaxation to a fixpoint: 0 for keys no stage
+/// drives, else one more than the highest level firing into them.  For
+/// designs without cycles only (the relaxation would not end).
+std::vector<std::uint32_t> reference_levels(const CompiledDesign& design) {
+  const StageTable& stages = design.stages();
+  const TriggerIndex& by_trigger = design.stages_by_trigger();
+  std::vector<std::uint32_t> level(by_trigger.key_count(), 0);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t s = 0; s < stages.size(); ++s) {
+      const std::uint32_t d = stages.destination_key(s);
+      const std::uint32_t l = level[by_trigger.fire_key(s)] + 1;
+      if (l > level[d]) {
+        level[d] = l;
+        changed = true;
+      }
+    }
+  }
+  return level;
+}
+
+/// The schedule of an acyclic design: every key at its longest-path
+/// level, each level's keys ascending, rows(k) exactly the stages into k.
+void expect_levels_match(const CompiledDesign& design,
+                         const std::string& tag) {
+  const LevelSchedule& levels = design.levels();
+  const StageTable& stages = design.stages();
+  ASSERT_TRUE(levels.cycles().empty()) << tag;
+  const std::vector<std::uint32_t> reference = reference_levels(design);
+  std::vector<std::size_t> per_level(levels.level_count() + 1, 0);
+  std::size_t rows = 0;
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    ASSERT_EQ(levels.level(k), reference[k]) << tag << " key " << k;
+    ASSERT_LE(reference[k], levels.level_count()) << tag;
+    ++per_level[reference[k]];
+    const auto [begin, end] = levels.rows(k);
+    EXPECT_EQ(begin == end, reference[k] == 0) << tag << " key " << k;
+    for (std::uint32_t s = begin; s < end; ++s) {
+      EXPECT_EQ(stages.destination_key(s), k) << tag;
+    }
+    rows += end - begin;
+  }
+  EXPECT_EQ(rows, stages.size()) << tag;
+  for (std::size_t l = 1; l <= levels.level_count(); ++l) {
+    const auto keys = levels.keys(l);
+    EXPECT_EQ(keys.size(), per_level[l]) << tag << " level " << l;
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << tag;
+    for (const std::uint32_t k : keys) EXPECT_EQ(reference[k], l) << tag;
+  }
+}
+
+/// `nl` written as .sim with its device lines in reverse order and read
+/// back, which renumbers its nodes roughly against the signal flow.
+Netlist reversed_sim(const Netlist& nl) {
+  std::ostringstream os;
+  write_sim(nl, os);
+  std::istringstream in(os.str());
+  std::vector<std::string> devices;
+  std::string rest;
+  for (std::string line; std::getline(in, line);) {
+    if (line.size() > 1 && line[1] == ' ' &&
+        (line[0] == 'e' || line[0] == 'd' || line[0] == 'p')) {
+      devices.push_back(line);
+    } else {
+      rest += line + '\n';
+    }
+  }
+  std::string text;
+  for (auto it = devices.rbegin(); it != devices.rend(); ++it) {
+    text += *it + '\n';
+  }
+  std::istringstream sim(text + rest);
+  return read_sim(sim);
+}
+
 TEST(StageBake, GatherBakeEqualsMakeStageStoreForEveryFamily) {
   for (const GeneratedCircuit& g : generator_suite()) {
     const auto design = CompiledDesign::compile(g.netlist, tech_for(g));
@@ -386,8 +465,88 @@ TEST(TriggerIndex, CsrAndBakeMatchReferencesAfterRandomEcoEdits) {
         expect_same_arrays(design.stages(), node_order_reference(nl), tag);
         expect_same_arrays(design.stage_store(), reference_store(design),
                            tag);
+        expect_levels_match(design, tag);
       }
     }
+  }
+}
+
+TEST(LevelSchedule, LevelsAreLongestPathsOverTheTriggerGraph) {
+  const std::vector<GeneratedCircuit> suite = generator_suite();
+  std::size_t reordered = 0;
+  for (const GeneratedCircuit& g : suite) {
+    const auto design = CompiledDesign::compile(g.netlist, tech_for(g));
+    expect_levels_match(*design, g.name);
+    // The same circuit with its device lines reversed numbers nodes
+    // against the signal flow, so the one ascending sweep cannot level
+    // it and Kahn's algorithm does; the levels by name must not move.
+    const Netlist reversed = reversed_sim(g.netlist);
+    const auto other = CompiledDesign::compile(reversed, tech_for(g));
+    expect_levels_match(*other, g.name + " reversed");
+    const auto key_of = [](const Netlist& from, const Netlist& to,
+                           std::size_t k) {
+      return arrival_key(*to.find_node(from.node(NodeId(
+                             static_cast<std::uint32_t>(k / 2))).name.str()),
+                         k % 2 == 0 ? Transition::kRise : Transition::kFall);
+    };
+    bool against_flow = false;  // some driven key fires a lower key
+    for (std::size_t s = 0; s < other->stages().size(); ++s) {
+      const std::uint32_t f = other->stages_by_trigger().fire_key(s);
+      against_flow |= f > other->stages().destination_key(s) &&
+                      other->levels().level(f) != 0;
+    }
+    reordered += against_flow ? 1 : 0;
+    for (std::size_t k = 0; k < g.netlist.node_count() * 2; ++k) {
+      EXPECT_EQ(design->levels().level(k),
+                other->levels().level(key_of(g.netlist, reversed, k)))
+          << g.name << " key " << k;
+    }
+  }
+  // Single-level circuits (one gate) cannot be numbered against flow.
+  EXPECT_GE(reordered * 2, suite.size());
+}
+
+TEST(LevelSchedule, LatchLoopsBecomeCyclicComponentsLevelledAfterDrivers) {
+  // q = NOR(r, qb), qb = NOR(s, q), y = NOT q.
+  CircuitBuilder b(Style::kCmos);
+  const NodeId s = b.input("s");
+  const NodeId r = b.input("r");
+  const NodeId qb = b.node("qb");
+  const NodeId q = b.nor_gate({r, qb}, "q");
+  b.nor_gate({s, q}, "qb");
+  const NodeId y = b.inverter(q, "y");
+  const auto design = CompiledDesign::compile(b.netlist(), cmos3());
+  const LevelSchedule& levels = design->levels();
+  const TriggerIndex& by_trigger = design->stages_by_trigger();
+  ASSERT_EQ(levels.cycles().size(), 2u);
+  for (std::size_t c = 0; c < levels.cycles().size(); ++c) {
+    const LevelSchedule::Cycle& cycle = levels.cycles()[c];
+    const auto keys = levels.cycle_keys(cycle);
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    std::vector<std::uint32_t> nodes;
+    for (const std::uint32_t k : keys) {
+      EXPECT_EQ(levels.cycle_of(k), c);
+      EXPECT_EQ(levels.level(k), cycle.level);
+      nodes.push_back(k / 2);
+      // Stages from outside fire from lower levels.
+      const auto [begin, end] = levels.rows(k);
+      for (std::uint32_t st = begin; st < end; ++st) {
+        const std::uint32_t f = by_trigger.fire_key(st);
+        if (levels.cycle_of(f) != c) {
+          EXPECT_LT(levels.level(f), cycle.level);
+        }
+      }
+    }
+    EXPECT_NE(std::find(nodes.begin(), nodes.end(), q.index()), nodes.end());
+    EXPECT_NE(std::find(nodes.begin(), nodes.end(), qb.index()),
+              nodes.end());
+  }
+  for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+    const std::size_t yk = arrival_key(y, dir);
+    EXPECT_EQ(levels.cycle_of(yk), LevelSchedule::kNoCycle);
+    EXPECT_GT(levels.level(yk), levels.level(arrival_key(q, dir)));
+    EXPECT_EQ(levels.level(arrival_key(s, dir)), 0u);
+    EXPECT_EQ(levels.level(arrival_key(r, dir)), 0u);
   }
 }
 
