@@ -57,7 +57,10 @@
 #   9. a serve smoke under asan: a pipe-mode load/time round-trip whose
 #      report field must match the cold `sldm time` stdout byte-for-
 #      byte, a malformed request line that must come back as a named
-#      error envelope (not a crash), and the checked-in corrupt ledger
+#      error envelope (not a crash), a load of
+#      testdata/sample_datapath.sim whose answered design id must be the
+#      fingerprint in FORMATS.md section 12's example record, and the
+#      checked-in corrupt ledger
 #      corpus (testdata/ledger/) that `sldm ledger summarize` must
 #      reject with located errors ("bad fingerprint" in corrupt.jsonl,
 #      "bad propagate_seconds" in huge_seconds.jsonl); and 30 time
@@ -486,6 +489,26 @@ if not eco or not eco.get("ok") or eco.get("applied") != 1 \
     sys.exit(f"serve smoke: eco request failed or did not re-key: {eco}")
 EOF
 echo "check.sh: serve pipe round-trip matches cold CLI, errors enveloped"
+
+# The design id FORMATS.md section 12's example record shows must be
+# the one serve answers for testdata/sample_datapath.sim, so the doc's
+# example cannot go stale when the fingerprint's definition changes.
+printf '%s\n' \
+  '{"id":1,"kind":"load","path":"testdata/sample_datapath.sim","model":"rc-tree"}' \
+  | out/asan/examples/sldm serve --workers 1 > "$smoke_dir/serve_sample.jsonl"
+python3 - "$smoke_dir/serve_sample.jsonl" FORMATS.md <<'EOF'
+import json, re, sys
+load = json.loads(open(sys.argv[1]).readline())
+if not load.get("ok"):
+    sys.exit(f"serve design-id smoke: load failed: {load}")
+doc = open(sys.argv[2]).read()
+section = re.search(r"^## 12\..*?(?=^## 13\.)", doc, re.M | re.S)
+if not section or f'"fingerprint":"{load["design"]}"' not in section.group(0):
+    sys.exit(f"serve design-id smoke: design {load['design']} of "
+             "testdata/sample_datapath.sim is not the fingerprint in "
+             "FORMATS.md section 12's example record")
+EOF
+echo "check.sh: serve design id of the sample matches FORMATS.md section 12"
 
 # Telemetry conservation through serve: each answered request's session
 # retires into its per-kind rollup when the request ends, and the

@@ -344,7 +344,8 @@ AnalysisSetup open_analysis(const Options& opts, const char* usage_msg,
 
 /// Fills a ledger record from a finished analysis: input identity
 /// (path + design fingerprint), model, phase timings, and the worst
-/// output arrival.
+/// output arrival.  Commands call it before writing --trace, so the
+/// fingerprint's span lands in the trace.
 void note_analysis(LedgerScope& ledger, const Options& opts,
                    const AnalysisSetup& s) {
   if (!ledger.active()) return;
@@ -390,12 +391,12 @@ int cmd_time(const Options& opts, std::ostream& out, std::ostream& err) {
   const DelayModel& model = *s.model;
   const Constraints constraints = seed_events(opts, nl, analyzer);
   analyzer.run();
+  note_analysis(ledger, opts, s);
   trace.write(out);
 
   out << "model: " << model.name() << "\n\n"
       << format_output_arrivals(nl, analyzer) << '\n';
   emit_stats(opts, nl, analyzer, out);
-  note_analysis(ledger, opts, s);
   ledger.complete("ok");
   write_prometheus(opts, out);
   if (constraints.required) {
@@ -488,11 +489,11 @@ int cmd_eco(const Options& opts, std::ostream& out, std::ostream& err) {
 
   const std::size_t applied = apply_eco_file(opts.positional.back(), nl);
   analyzer.update();
+  note_analysis(ledger, opts, s);
   trace.write(out);
   out << "applied " << applied << " edit(s); incremental re-timing:\n"
       << format_output_arrivals(nl, analyzer) << '\n';
   emit_stats(opts, nl, analyzer, out);
-  note_analysis(ledger, opts, s);
   ledger.complete("ok");
   write_prometheus(opts, out);
 
@@ -743,6 +744,16 @@ int cmd_compile(const Options& opts, std::ostream& out, std::ostream& err) {
   // Tables that cannot price every stage would fail each later load.
   if (tables) SlopeModel(*tables).require_covers(design->stage_kinds());
   save_design_file(*design, *out_path, tables ? &*tables : nullptr);
+  if (ledger.active()) {
+    LedgerRecord& r = ledger.record();
+    r.source = opts.positional[0];
+    r.model = opts.get("model").value_or("slope");
+    r.threads = aopts.threads;
+    r.fingerprint = design_fingerprint(design->netlist(), design->tech());
+    r.extract_seconds = design->extract_seconds();
+    r.detail = format("%zu stage(s) -> %s", design->stages().size(),
+                      out_path->c_str());
+  }
   trace.write(out);
   out << format(
       "compiled %zu node(s), %zu device(s) -> %zu ccc(s), %zu stage(s)\n",
@@ -764,16 +775,6 @@ int cmd_compile(const Options& opts, std::ostream& out, std::ostream& err) {
     labels.model = opts.get("model").value_or("slope");
     labels.threads = aopts.threads;
     hub.publish(labels, reg);
-  }
-  if (ledger.active()) {
-    LedgerRecord& r = ledger.record();
-    r.source = opts.positional[0];
-    r.model = opts.get("model").value_or("slope");
-    r.threads = aopts.threads;
-    r.fingerprint = design_fingerprint(design->netlist(), design->tech());
-    r.extract_seconds = design->extract_seconds();
-    r.detail = format("%zu stage(s) -> %s", design->stages().size(),
-                      out_path->c_str());
   }
   ledger.complete("ok");
   write_prometheus(opts, out);

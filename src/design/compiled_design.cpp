@@ -1,7 +1,10 @@
 #include "design/compiled_design.h"
 
+#include <bit>
 #include <cstring>
+#include <vector>
 
+#include "design/snapshot.h"
 #include "util/contracts.h"
 #include "util/error.h"
 #include "util/trace.h"
@@ -23,6 +26,43 @@ std::uint64_t fnv1a_double(std::uint64_t hash, double v) {
   std::memcpy(&bits, &v, sizeof bits);
   return fnv1a(hash, &bits, sizeof bits);
 }
+
+/// The design fingerprint's record stream: records are packed into a
+/// small buffer that is fed to a SnapshotChecksum whenever it fills, so
+/// the hash runs over 8-byte words and the stream is never held whole.
+/// Fields are copied in host order, which the static_assert below pins
+/// to the little-endian order FORMATS.md section 12 specifies.  The
+/// buffer grows only for a record longer than itself (a huge name).
+class RecordStream {
+ public:
+  /// Room for the next `n` bytes, to be filled before the next call.
+  std::uint8_t* claim(std::size_t n) {
+    if (size_ + n > buffer_.size()) {
+      flush();
+      if (n > buffer_.size()) buffer_.resize(n);
+    }
+    std::uint8_t* p = buffer_.data() + size_;
+    size_ += n;
+    return p;
+  }
+  std::uint64_t value() {
+    flush();
+    return sum_.value();
+  }
+
+ private:
+  void flush() {
+    sum_.update(buffer_.data(), size_);
+    size_ = 0;
+  }
+
+  SnapshotChecksum sum_;
+  std::vector<std::uint8_t> buffer_ = std::vector<std::uint8_t>(4096);
+  std::size_t size_ = 0;
+};
+
+static_assert(std::endian::native == std::endian::little,
+              "design_fingerprint packs host-order fields as little-endian");
 
 }  // namespace
 
@@ -47,36 +87,41 @@ std::uint64_t tech_fingerprint(const Tech& tech) {
 }
 
 std::uint64_t design_fingerprint(const Netlist& nl, const Tech& tech) {
-  std::uint64_t hash = tech_fingerprint(tech);
-  const std::uint64_t node_count = nl.node_count();
-  const std::uint64_t device_count = nl.device_count();
-  hash = fnv1a(hash, &node_count, sizeof node_count);
-  hash = fnv1a(hash, &device_count, sizeof device_count);
+  TraceSpan span("fingerprint", "design");
+  RecordStream stream;
+  const std::uint64_t header[3] = {tech_fingerprint(tech), nl.node_count(),
+                                   nl.device_count()};
+  std::memcpy(stream.claim(sizeof header), header, sizeof header);
   for (const NodeId id : nl.all_nodes()) {
     const Node& n = nl.node(id);
-    hash = fnv1a(hash, n.name.c_str(), n.name.size());
-    hash = fnv1a_double(hash, n.cap);
-    const unsigned char flags =
-        static_cast<unsigned char>((n.is_power ? 1u : 0u) |
-                                   (n.is_ground ? 2u : 0u) |
-                                   (n.is_input ? 4u : 0u) |
-                                   (n.is_output ? 8u : 0u) |
-                                   (n.is_precharged ? 16u : 0u));
-    hash = fnv1a(hash, &flags, sizeof flags);
-    hash = fnv1a(hash, &n.fixed, sizeof n.fixed);
+    // [name length u32][name][cap f64][role flags u8][pinned value i8]
+    const auto len = static_cast<std::uint32_t>(n.name.size());
+    std::uint8_t* rec = stream.claim(len + 14);
+    std::memcpy(rec, &len, 4);
+    std::memcpy(rec + 4, n.name.c_str(), len);
+    rec += 4 + len;
+    std::memcpy(rec, &n.cap, 8);
+    rec[8] = static_cast<std::uint8_t>(
+        (n.is_power ? 1u : 0u) | (n.is_ground ? 2u : 0u) |
+        (n.is_input ? 4u : 0u) | (n.is_output ? 8u : 0u) |
+        (n.is_precharged ? 16u : 0u));
+    std::memcpy(rec + 9, &n.fixed, 1);
   }
   for (const DeviceId id : nl.all_devices()) {
     const Transistor& t = nl.device(id);
-    const std::uint64_t terms[4] = {
-        static_cast<std::uint64_t>(t.type), t.gate.index(), t.source.index(),
-        t.drain.index()};
-    hash = fnv1a(hash, terms, sizeof terms);
-    hash = fnv1a_double(hash, t.width);
-    hash = fnv1a_double(hash, t.length);
-    const unsigned char flow = static_cast<unsigned char>(t.flow);
-    hash = fnv1a(hash, &flow, sizeof flow);
+    const std::uint32_t terms[3] = {
+        static_cast<std::uint32_t>(t.gate.index()),
+        static_cast<std::uint32_t>(t.source.index()),
+        static_cast<std::uint32_t>(t.drain.index())};
+    // [type u8][flow u8][gate, source, drain u32][width, length f64]
+    std::uint8_t* rec = stream.claim(30);
+    rec[0] = static_cast<std::uint8_t>(t.type);
+    rec[1] = static_cast<std::uint8_t>(t.flow);
+    std::memcpy(rec + 2, terms, sizeof terms);
+    std::memcpy(rec + 14, &t.width, 8);
+    std::memcpy(rec + 22, &t.length, 8);
   }
-  return hash;
+  return stream.value();
 }
 
 void require_priced(const Tech& tech, TransistorType type) {

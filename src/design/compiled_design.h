@@ -61,12 +61,18 @@ struct CompileOptions {
 /// reject loads against a different process.
 std::uint64_t tech_fingerprint(const Tech& tech);
 
-/// FNV-1a hash over the whole analysis input: tech_fingerprint(tech)
-/// plus every node (name, capacitance, role flags, pinned value) and
-/// every device (type, terminals, dimensions, flow) in id order.  Two
-/// (netlist, tech) pairs fingerprint equal iff analysis over them is
-/// bit-identical, so ledger records and bench results keyed by this
-/// value stay comparable across processes and versions.
+/// Hash of the whole analysis input: snapshot_checksum (FORMATS.md
+/// section 11) over a little-endian record stream of
+/// tech_fingerprint(tech), the node and device counts, every node (name,
+/// capacitance, role flags, pinned value) and every device (type, flow,
+/// terminals, dimensions) in id order -- FORMATS.md section 12 gives
+/// the layout.  Two (netlist, tech) pairs fingerprint equal iff
+/// analysis over them is bit-identical, so ledger records and bench
+/// results keyed by this value stay comparable across processes and
+/// machines.  Version 1.0.0 hashed the same fields with byte-wise
+/// FNV-1a, so its values do not join with later ones; records carry
+/// sldm_version() to tell the generations apart.  Runs in the
+/// "fingerprint" span (category "design").
 std::uint64_t design_fingerprint(const Netlist& nl, const Tech& tech);
 
 /// Throws Error, naming the device type and the technology and pointing

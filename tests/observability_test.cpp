@@ -354,17 +354,24 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
   EXPECT_FALSE(Tracer::instance().enabled());
 }
 
-/// The span names of a traced `sldm eco` run of `script` on the chain.
+/// The span names of a traced `sldm eco` run of `script` on the chain,
+/// appending to a run ledger when `ledger` is set.
 std::set<std::string> eco_span_names(const std::string& tag,
-                                     const std::string& script) {
+                                     const std::string& script,
+                                     bool ledger = false) {
   TempFile sim(tag + ".sim", kChainSim);
   TempFile eco(tag + ".eco", script);
   TempFile trace(tag + "_trace.json");
+  TempFile ledger_file(tag + "_ledger.jsonl");
+  std::vector<std::string> args = {"eco",     sim.path(), eco.path(),
+                                   "--model", "rc-tree",  "--trace",
+                                   trace.path()};
+  if (ledger) {
+    args.push_back("--ledger");
+    args.push_back(ledger_file.path());
+  }
   std::string out;
-  EXPECT_EQ(run({"eco", sim.path(), eco.path(), "--model", "rc-tree",
-                 "--trace", trace.path()},
-                &out),
-            0);
+  EXPECT_EQ(run(args, &out), 0);
   const JsonValue doc = parse_json_file(trace.path());
   std::set<std::string> span_names;
   for (const JsonValue& e : doc.at("traceEvents").items()) {
@@ -389,12 +396,13 @@ TEST(Trace, CliEcoTraceCarriesUpdatePhases) {
     EXPECT_EQ(parametric.find(phase), parametric.end()) << phase;
   }
 
-  // A new device may change paths: re-extract and splice instead.
+  // A new device may change paths: re-extract and splice instead.  The
+  // ledger record's design fingerprint is traced too.
   const std::set<std::string> structural = eco_span_names(
-      "eco_struct", "transistor e in gnd out 4 8\n");
+      "eco_struct", "transistor e in gnd out 4 8\n", /*ledger=*/true);
   for (const char* phase :
        {"update", "update-partition", "update-extract", "update-splice",
-        "update-invalidate", "update-propagate"}) {
+        "update-invalidate", "update-propagate", "fingerprint"}) {
     EXPECT_NE(structural.find(phase), structural.end()) << phase;
   }
   EXPECT_EQ(structural.find("update-rebake"), structural.end());
