@@ -3,8 +3,8 @@
 // Every bench_* binary accepts `--json <file>`; when given, one JSON
 // object is appended to the file (JSONL) describing the run: bench
 // name, engine version, wall seconds, the largest circuit exercised
-// (with its design fingerprint when noted), the extraction thread
-// count, and the worst absolute model error observed.  The flag
+// (with its design fingerprint when noted), and the worst absolute
+// model error observed.  The flag
 // is stripped from argv before google-benchmark sees it (it rejects
 // unknown flags), so benches that call benchmark::Initialize construct
 // the BenchMain guard first.  Schema: FORMATS.md, "Bench records".
@@ -67,11 +67,6 @@ class Reporter {
     has_error_ = true;
   }
 
-  /// Remembers the highest thread count exercised.
-  void note_threads(int threads) {
-    if (threads > threads_) threads_ = threads;
-  }
-
   /// Appends the record; no-op without `--json`.  Idempotent.
   void finish() {
     if (path_.empty()) return;
@@ -87,7 +82,6 @@ class Reporter {
     out << "{\"bench\":\"" << json_escape(bench_) << '"';
     out << ",\"version\":\"" << json_escape(sldm_version()) << '"';
     out << ",\"wall_seconds\":" << json_number(wall);
-    out << ",\"threads\":" << threads_;
     if (!circuit_.empty()) {
       out << ",\"circuit\":\"" << json_escape(circuit_) << '"'
           << ",\"devices\":" << devices_;
@@ -112,7 +106,6 @@ class Reporter {
   std::string circuit_;
   std::size_t devices_ = 0;
   std::uint64_t fingerprint_ = 0;
-  int threads_ = 1;
   double error_pct_ = 0.0;
   bool has_error_ = false;
   std::chrono::steady_clock::time_point t0_;
@@ -156,9 +149,6 @@ inline void note_circuit(const std::string& name, std::size_t devices,
 }
 inline void note_error_pct(double pct) {
   Reporter::instance().note_error_pct(pct);
-}
-inline void note_threads(int threads) {
-  Reporter::instance().note_threads(threads);
 }
 
 }  // namespace benchio

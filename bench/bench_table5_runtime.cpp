@@ -2,13 +2,12 @@
 //
 // The paper's speed claim: switch-level timing analysis runs orders of
 // magnitude faster than circuit simulation, with the gap widening with
-// circuit size.  google-benchmark measures the analyzer per model (and
-// per extraction thread count) on growing random-logic networks; the
-// simulator is timed directly (it is far too slow to iterate) and a
-// speedup table is printed at the end, followed by a cold-vs-warm table
-// (full .sim parse + extraction against a .sldc snapshot load) and an
-// extraction thread-scaling table that sets the sequential propagation
-// time beside stage extraction at each thread count (AnalyzerStats).
+// circuit size.  google-benchmark measures the analyzer per model on
+// growing random-logic networks; the simulator is timed directly (it is
+// far too slow to iterate) and a speedup table is printed at the end,
+// followed by a cold-vs-warm table (full .sim parse + extraction
+// against a .sldc snapshot load) and a phase table that sets stage
+// extraction beside propagation (AnalyzerStats).
 #include <benchmark/benchmark.h>
 
 #include "bench_io.h"
@@ -28,7 +27,6 @@
 #include "netlist/sim_io.h"
 #include "util/strings.h"
 #include "util/text_table.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -48,37 +46,31 @@ void BM_Analyzer(benchmark::State& state) {
   const auto layers = static_cast<int>(state.range(0));
   const auto width = static_cast<int>(state.range(1));
   const auto model_index = static_cast<std::size_t>(state.range(2));
-  const auto threads = static_cast<int>(state.range(3));
   const CompareContext& ctx = CompareContext::get(Style::kCmos);
   const GeneratedCircuit& g = circuit_for(layers, width);
   const DelayModel* model = ctx.models()[model_index];
-  AnalyzerOptions opts;
-  opts.threads = threads;
 
   for (auto _ : state) {
-    const AnalyzeOnlyResult r =
-        run_analyzer(g, ctx.tech(), *model, 1e-9, opts);
+    const AnalyzeOnlyResult r = run_analyzer(g, ctx.tech(), *model, 1e-9);
     benchmark::DoNotOptimize(r.delay);
   }
   state.counters["devices"] =
       static_cast<double>(g.netlist.device_count());
-  state.counters["threads"] = static_cast<double>(threads);
   state.SetLabel(model->name());
 }
 
 BENCHMARK(BM_Analyzer)
-    ->ArgsProduct({{2, 4, 8}, {4, 8, 16}, {0, 1, 2}, {1, 4}})
+    ->ArgsProduct({{2, 4, 8}, {4, 8, 16}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 /// Best-of-n analyzer run (the analyzer is fast enough to repeat).
 AnalyzeOnlyResult best_analyzer_run(const GeneratedCircuit& g,
-                                    const CompareContext& ctx,
-                                    const AnalyzerOptions& opts, int n) {
+                                    const CompareContext& ctx, int n) {
   AnalyzeOnlyResult best;
   best.analyze_time = 1e9;
   for (int i = 0; i < n; ++i) {
     const AnalyzeOnlyResult r =
-        run_analyzer(g, ctx.tech(), *ctx.models()[2], 1e-9, opts);
+        run_analyzer(g, ctx.tech(), *ctx.models()[2], 1e-9);
     if (r.analyze_time < best.analyze_time) best = r;
   }
   return best;
@@ -101,8 +93,7 @@ void print_speedup_table() {
     benchio::note_circuit(g.name, g.netlist.device_count(),
                           design_fingerprint(g.netlist, ctx.tech()));
     const SimulateOnlyResult sim = run_simulation(g, ctx.tech(), 1e-9);
-    const AnalyzeOnlyResult ar =
-        best_analyzer_run(g, ctx, AnalyzerOptions{}, 3);
+    const AnalyzeOnlyResult ar = best_analyzer_run(g, ctx, 3);
     table.add_row({g.name, std::to_string(g.netlist.device_count()),
                    format("%.4f", sim.simulate_time),
                    format("%.6f", ar.analyze_time),
@@ -111,54 +102,24 @@ void print_speedup_table() {
   std::cout << table.to_string();
 }
 
-void print_thread_scaling_table() {
+/// Where the analyzer's time goes: stage extraction (sequential, in
+/// node order) beside propagation, best of 5 by total analysis time.
+void print_phase_table() {
   const CompareContext& ctx = CompareContext::get(Style::kCmos);
-  const int hw = ThreadPool::hardware_threads();
-  std::cout << "\nExtraction thread scaling (slope model): stage "
-               "extraction is per-CCC parallel,\narrival propagation is "
-               "sequential (shown once, from the t=1 run);\n"
-               "hardware_concurrency = "
-            << hw << "\n\n";
-  std::vector<int> thread_counts = {1, 2, 4, hw};
-  benchio::note_threads(hw);
-  std::sort(thread_counts.begin(), thread_counts.end());
-  thread_counts.erase(
-      std::unique(thread_counts.begin(), thread_counts.end()),
-      thread_counts.end());
-
-  std::vector<std::string> header = {"circuit", "devices", "stages",
-                                     "cccs", "prop (ms)"};
-  for (int t : thread_counts) {
-    header.push_back(format("extract t=%d (ms)", t));
-  }
-  header.push_back("speedup");
-  TextTable table(header);
-
+  std::cout << "\nAnalyzer phases (slope model, best of 5):\n\n";
+  TextTable table({"circuit", "devices", "stages", "cccs", "extract (ms)",
+                   "prop (ms)"});
   std::vector<GeneratedCircuit> circuits;
   circuits.push_back(inverter_chain(Style::kCmos, 24, 4));
   circuits.push_back(barrel_shifter(Style::kCmos, 6));
   circuits.push_back(random_logic(Style::kCmos, 8, 16, 0x5DC + 8u));
   circuits.push_back(random_logic(Style::kCmos, 12, 24, 0x5DC + 12u));
   for (const GeneratedCircuit& g : circuits) {
-    std::vector<std::string> row = {
-        g.name, std::to_string(g.netlist.device_count())};
-    Seconds base_extract = 0.0;
-    Seconds last_extract = 0.0;
-    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-      AnalyzerOptions opts;
-      opts.threads = thread_counts[i];
-      const AnalyzeOnlyResult r = best_analyzer_run(g, ctx, opts, 5);
-      if (i == 0) {
-        base_extract = r.extract_time;
-        row.push_back(std::to_string(r.stage_count));
-        row.push_back(std::to_string(r.ccc_count));
-        row.push_back(format("%.3f", r.propagate_time * 1e3));
-      }
-      last_extract = r.extract_time;
-      row.push_back(format("%.3f", r.extract_time * 1e3));
-    }
-    row.push_back(format("%.2fx", base_extract / last_extract));
-    table.add_row(row);
+    const AnalyzeOnlyResult r = best_analyzer_run(g, ctx, 5);
+    table.add_row({g.name, std::to_string(g.netlist.device_count()),
+                   std::to_string(r.stage_count), std::to_string(r.ccc_count),
+                   format("%.3f", r.extract_time * 1e3),
+                   format("%.3f", r.propagate_time * 1e3)});
   }
   std::cout << table.to_string();
 }
@@ -241,6 +202,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   print_speedup_table();
   print_cold_warm_table();
-  print_thread_scaling_table();
+  print_phase_table();
   return 0;
 }

@@ -10,10 +10,11 @@
 #      and runs its unit tests, so an engine change that breaks the
 #      benchmark's build fails here;
 #   2. asan preset: the full test suite under AddressSanitizer/UBSan;
-#   3. tsan preset: the concurrency-sensitive suites (parallel stage
-#      extraction and its per-node stitch, the incremental-update
-#      pipeline's parallel re-extraction, telemetry, and the serve
-#      request workers) under ThreadSanitizer;
+#   3. tsan preset: the suites that run threads (the thread pool, the
+#      telemetry hub under concurrent publishers, and the serve request
+#      workers sharing cached designs and re-keying them by eco), plus
+#      the eco and stage-table suites that serve's writers run, under
+#      ThreadSanitizer;
 #   4. ubsan preset: the timing suites, and the analog reference's
 #      sparse LU, transient and calibration suites (int-indexed CSC
 #      arithmetic), under standalone UBSan with -fno-sanitize-recover
@@ -22,14 +23,13 @@
 #      --trace` capture must parse as JSON, a `sldm compile --trace`
 #      capture must carry the `netlist.read_sim`, `extract` and
 #      `design.write` spans, a bench run with `--json`
-#      must append a parseable record, and `sldm time --stats --json`
-#      must report identical propagation work counters at --threads 1
-#      and --threads 4 (propagation is sequential, so this guards the
-#      stage order parallel extraction hands it);
+#      must append a parseable record, and the benchmark's compile
+#      spelling (`sldm compile <sim> -o a.sldc --tech cmos --threads 4`)
+#      must exit 0 and write the bytes the same compile writes without
+#      `--threads`, which every command accepts and ignores;
 #   6. a compiled-design snapshot smoke under asan and ubsan: `sldm
 #      compile` + `sldm time --load` must match the direct path
-#      byte-for-byte at 1 and 4 threads, `sldm compile` at --threads 1
-#      and 4 must write byte-identical .sldc files, and a .sldc with a byte
+#      byte-for-byte, and a .sldc with a byte
 #      flipped in its first section or in its STOR arrays must be
 #      rejected by checksum, and one cut inside its header, inside a
 #      section header or inside STOR must be refused as truncated;
@@ -56,8 +56,9 @@
 #      identity diff and fail on an injected 2x wall-time regression;
 #   9. a serve smoke under asan: a pipe-mode load/time round-trip whose
 #      report field must match the cold `sldm time` stdout byte-for-
-#      byte, a malformed request line that must come back as a named
-#      error envelope (not a crash), a load of
+#      byte, a malformed request line and a line of 30,000 nested `[`
+#      that must each come back as a named parse envelope (not a
+#      crash) with a stats answer after them, a load of
 #      testdata/sample_datapath.sim whose answered design id must be the
 #      fingerprint in FORMATS.md section 12's example record, and the
 #      checked-in corrupt ledger
@@ -129,7 +130,7 @@ trap 'rm -rf "$smoke_dir"' EXIT
 printf 'e in gnd s1 4 8\nd s1 s1 vdd 8 4\ne s1 gnd out 4 8\nd out out vdd 8 4\n@in in\n@out out\n' \
   > "$smoke_dir/chain.sim"
 out/ubsan/examples/sldm time "$smoke_dir/chain.sim" --model rc-tree \
-  --threads 2 --trace "$smoke_dir/trace.json" > /dev/null
+  --trace "$smoke_dir/trace.json" > /dev/null
 python3 - "$smoke_dir/trace.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -152,31 +153,20 @@ if missing:
 EOF
 echo "check.sh: trace smoke files parsed"
 
-# Propagation-metrics sanity: propagation must do identical work (and
-# reach identical arrivals) whatever the extraction thread count, i.e.
-# parallel extraction must hand it the same stage order.
-for t in 1 4; do
-  out/ubsan/examples/sldm time "$smoke_dir/chain.sim" --model rc-tree \
-    --threads "$t" --stats --json > "$smoke_dir/stats$t.json"
-done
-python3 - "$smoke_dir/stats1.json" "$smoke_dir/stats4.json" <<'EOF'
-import json, sys
-def record(path):
-    with open(path) as f:
-        return next(json.loads(l) for l in f if l.lstrip().startswith("{"))
-a, b = record(sys.argv[1]), record(sys.argv[2])
-for key in ("stage_evaluations", "worklist_pushes", "arrival_updates",
-            "batches", "max_batch_size"):
-    if a[key] != b[key]:
-        sys.exit(f"stats smoke: {key} differs across thread counts: "
-                 f"{a[key]} vs {b[key]}")
-if a["metrics"]["counters"]["propagate.stage_evaluations"] != \
-   b["metrics"]["counters"]["propagate.stage_evaluations"]:
-    sys.exit("stats smoke: propagate.stage_evaluations differs")
-if a["batches"] < 1 or a["stage_evaluations"] < 1:
-    sys.exit("stats smoke: no propagation work recorded")
-EOF
-echo "check.sh: propagation metrics identical at 1 and 4 threads"
+# `--threads` is accepted and ignored (extraction is sequential) until
+# the benchmark stops passing it: its compile spelling must succeed and
+# write the same bytes as the compile without the option.
+out/ubsan/examples/sldm gen random_logic --style cmos --layers 8 \
+  --width 16 --seed 7 -o "$smoke_dir/k2.sim" > /dev/null
+out/ubsan/examples/sldm compile "$smoke_dir/k2.sim" -o "$smoke_dir/k2_t4.sldc" \
+  --tech cmos --threads 4 > /dev/null 2>&1 \
+  || { echo "check.sh: compile --threads 4 failed" >&2; exit 1; }
+out/ubsan/examples/sldm compile "$smoke_dir/k2.sim" -o "$smoke_dir/k2.sldc" \
+  --tech cmos > /dev/null 2>&1
+cmp "$smoke_dir/k2_t4.sldc" "$smoke_dir/k2.sldc" \
+  || { echo "check.sh: compile --threads 4 wrote different bytes" >&2
+       exit 1; }
+echo "check.sh: compile --threads 4 writes the bytes of a plain compile"
 
 cmake --build --preset ubsan -j "$jobs" --target bench_ablation_flow
 out/ubsan/bench/bench_ablation_flow --json "$smoke_dir/bench.json" \
@@ -193,8 +183,8 @@ echo "check.sh: bench --json record parsed"
 # Compiled-design snapshot smoke under asan and under ubsan (whose
 # -fno-sanitize-recover traps any UB in the codec's bulk memcpy
 # decoding): `sldm compile` then `time --load` must print byte-identical
-# timing reports to the direct path at 1 and 4 threads (the .sldc
-# round-trip contract, FORMATS.md section 11), and a snapshot with one
+# timing reports to the direct path (the .sldc round-trip contract,
+# FORMATS.md section 11), and a snapshot with one
 # byte flipped -- inside the first section payload, or inside the STOR
 # section's arrays -- must be rejected by checksum.
 out/ubsan/examples/sldm gen random_logic --style cmos --layers 64 \
@@ -204,26 +194,13 @@ for build in asan ubsan; do
   sldm_bin="out/$build/examples/sldm"
   "$sldm_bin" compile "$smoke_dir/chain.sim" \
     -o "$smoke_dir/chain.sldc" > /dev/null
-  for t in 1 4; do
-    "$sldm_bin" time "$smoke_dir/chain.sim" --threads "$t" \
-      > "$smoke_dir/direct$t.txt" 2> /dev/null
-    "$sldm_bin" time --load "$smoke_dir/chain.sldc" \
-      --threads "$t" > "$smoke_dir/loaded$t.txt" 2> /dev/null
-    cmp "$smoke_dir/direct$t.txt" "$smoke_dir/loaded$t.txt" \
-      || { echo "check.sh: --load timing differs from direct at" \
-           "--threads $t ($build)" >&2; exit 1; }
-  done
-  # The per-node stitch makes the artifact independent of the thread
-  # count: compiles at 1 and 4 threads must write identical bytes.
-  for sim in "$smoke_dir/chain.sim" testdata/sample_datapath.sim; do
-    for t in 1 4; do
-      "$sldm_bin" compile "$sim" --model rc-tree --threads "$t" \
-        -o "$smoke_dir/threads$t.sldc" > /dev/null
-    done
-    cmp "$smoke_dir/threads1.sldc" "$smoke_dir/threads4.sldc" \
-      || { echo "check.sh: compile of $sim differs between --threads 1" \
-           "and 4 ($build)" >&2; exit 1; }
-  done
+  "$sldm_bin" time "$smoke_dir/chain.sim" > "$smoke_dir/direct.txt" \
+    2> /dev/null
+  "$sldm_bin" time --load "$smoke_dir/chain.sldc" \
+    > "$smoke_dir/loaded.txt" 2> /dev/null
+  cmp "$smoke_dir/direct.txt" "$smoke_dir/loaded.txt" \
+    || { echo "check.sh: --load timing differs from direct ($build)" >&2
+         exit 1; }
   for where in first STOR; do
     python3 - "$smoke_dir/chain.sldc" "$smoke_dir/corrupt.sldc" "$where" <<'EOF'
 import sys
@@ -345,8 +322,7 @@ EOF
   grep -q 'bit-identical to a full rebuild' "$smoke_dir/eco_witness.txt" \
     || { echo "check.sh: slope witness did not verify ($build)" >&2; exit 1; }
 done
-echo "check.sh: snapshot compile/load parity holds, compile is" \
-  "thread-count independent, corruption rejected"
+echo "check.sh: snapshot compile/load parity holds, corruption rejected"
 echo "check.sh: .sim refuses directories and FIFOs, CRLF times identically"
 echo "check.sh: cut snapshots, FIFO options and empty tables refused by name"
 echo "check.sh: parametric, structural and slope eco --verify bit-identical"
@@ -354,9 +330,9 @@ echo "check.sh: parametric, structural and slope eco --verify bit-identical"
 # Differential fuzzing smoke under asan: a fixed-seed campaign must run
 # clean twice with byte-identical reports (determinism contract), and
 # every checked-in repro case must replay green.
-out/asan/examples/sldm fuzz --seed 2026 --iterations 200 --threads 4 \
+out/asan/examples/sldm fuzz --seed 2026 --iterations 200 \
   > "$smoke_dir/fuzz1.txt"
-out/asan/examples/sldm fuzz --seed 2026 --iterations 200 --threads 4 \
+out/asan/examples/sldm fuzz --seed 2026 --iterations 200 \
   > "$smoke_dir/fuzz2.txt"
 cmp "$smoke_dir/fuzz1.txt" "$smoke_dir/fuzz2.txt" \
   || { echo "check.sh: fuzz report not deterministic" >&2; exit 1; }
@@ -429,17 +405,19 @@ fi
 echo "check.sh: bench diff gate passes identity, catches regression"
 
 # Serve smoke under asan: drive the pipe-mode service with a load/time
-# pair plus one malformed line.  The service must answer the malformed
-# line with a named error envelope instead of crashing, and the timing
+# pair plus one malformed line and one nested 30,000 levels deep.  The
+# service must answer each with a named parse envelope instead of
+# crashing (the nesting one naming the depth cap), and the timing
 # response's report field must be byte-identical to a cold `sldm time`
 # run of the same netlist (the serve parity contract, FORMATS.md
 # section 14).
 out/asan/examples/sldm time "$smoke_dir/chain.sim" --model lumped \
   > "$smoke_dir/cold_time.txt" 2> /dev/null
-printf '%s\n%s\n%s\n' \
-  '{"id":1,"kind":"load","path":"'"$smoke_dir"'/chain.sim","model":"lumped"}' \
-  '{this line is not json' \
-  '{"id":2,"kind":"stats"}' \
+{ printf '%s\n%s\n' \
+    '{"id":1,"kind":"load","path":"'"$smoke_dir"'/chain.sim","model":"lumped"}' \
+    '{this line is not json'
+  python3 -c 'print("[" * 30000)'
+  printf '%s\n' '{"id":2,"kind":"stats"}'; } \
   | out/asan/examples/sldm serve > "$smoke_dir/serve1.jsonl"
 python3 - "$smoke_dir/serve1.jsonl" "$smoke_dir/serve_time.req" <<'EOF'
 import json, sys
@@ -449,8 +427,11 @@ load = by_id.get(1)
 if not load or not load.get("ok"):
     sys.exit(f"serve smoke: load failed: {load}")
 bad = [r for r in lines if r.get("error") == "parse"]
-if not bad:
-    sys.exit("serve smoke: malformed line produced no parse envelope")
+if len(bad) != 2:
+    sys.exit(f"serve smoke: want 2 parse envelopes, got {len(bad)}")
+if not any("nesting deeper than 64 levels" in r.get("detail", "")
+           for r in bad):
+    sys.exit(f"serve smoke: nested line not refused by depth: {bad}")
 if not by_id.get(2, {}).get("ok"):
     sys.exit("serve smoke: stats request after the bad line failed")
 fp = load["design"]

@@ -9,6 +9,7 @@
 #include "timing/stage_extract.h"
 #include "util/contracts.h"
 #include "util/error.h"
+#include "util/trace.h"
 
 namespace sldm {
 namespace {
@@ -153,6 +154,7 @@ CalibrationResult calibrate(const Tech& tech, Style style,
   SLDM_EXPECTS(!options.ratios.empty());
   SLDM_EXPECTS(std::is_sorted(options.ratios.begin(), options.ratios.end()));
   SLDM_EXPECTS(options.ratios.front() > 0.0);
+  TraceSpan span("calibrate", "calib");
 
   CalibrationResult result;
   result.tech = tech;
@@ -202,6 +204,7 @@ CalibrationResult calibrate(const Tech& tech, Style style,
                       SlopeEntry{PiecewiseLinear(xs, dm),
                                  PiecewiseLinear(std::move(xs), sm)});
   }
+  span.arg("curves", static_cast<double>(result.curves.size()));
   return result;
 }
 

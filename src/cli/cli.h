@@ -25,8 +25,6 @@
 //        --constraints <file.ct>             input events + budget
 //        --slope-ns <x>                      default input slope
 //        --paths <k>                         report k worst paths
-//        --threads <n>                       stage-extraction workers
-//                                            (results identical for any n)
 //        --stats                             per-phase timing + per-CCC
 //                                            stage census
 //        --json                              with --stats: emit the
@@ -76,7 +74,7 @@
 //        (inputs rise at t=2ns unless --constraints is given)
 //   sldm calibrate nmos|cmos --out <prefix>  fit + write tech/tables
 //   sldm compile <file.sim> -o <out.sldc>    bake a CompiledDesign
-//        (tech/model/threads/trace options   snapshot: parse, partition,
+//        (tech/model/trace options           snapshot: parse, partition,
 //        above)                              extract stages, cache the
 //                                            StageStore; with the slope
 //                                            model (the default) also
@@ -91,8 +89,7 @@
 //                                            usage error
 //   sldm fuzz [options]                      differential fuzzing
 //        --seed <n> --iterations <n>         campaigns + repro replay
-//        --threads <n> --out <dir>           (see src/fuzz/)
-//        --replay <path>
+//        --out <dir> --replay <path>         (see src/fuzz/)
 //   sldm ledger summarize <file.jsonl>       per-design-fingerprint
 //                                            latency table over a run
 //                                            ledger (--ledger /
@@ -145,8 +142,13 @@
 // deterministic fault injection at I/O boundaries (grammar and site
 // inventory in FORMATS.md section 15).
 //
+// An option the command does not read is a usage error.  `--threads
+// <n>` is the one exception: every command accepts and ignores it
+// (extraction is sequential) until the next benchmark change.
+//
 // The command table in cli.cpp (kCommands) is the single source of
-// truth for dispatch and the usage() synopsis list.
+// truth for dispatch, the usage() synopsis list and each command's
+// options.
 // Returns 0 on success, 1 on analysis errors, 2 on usage errors.
 #pragma once
 

@@ -66,10 +66,9 @@ const ModelResult& ComparisonResult::model(const std::string& name) const {
 }
 
 AnalyzeOnlyResult run_analyzer(const GeneratedCircuit& g, const Tech& tech,
-                               const DelayModel& model, Seconds input_slope,
-                               const AnalyzerOptions& options) {
+                               const DelayModel& model, Seconds input_slope) {
   const Seconds t0 = now_seconds();
-  TimingAnalyzer analyzer(g.netlist, tech, model, options);
+  TimingAnalyzer analyzer(g.netlist, tech, model);
   analyzer.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
   analyzer.run();
   AnalyzeOnlyResult out;
@@ -84,11 +83,6 @@ AnalyzeOnlyResult run_analyzer(const GeneratedCircuit& g, const Tech& tech,
   out.ccc_count = st.ccc_count;
   out.stats = st;
   return out;
-}
-
-AnalyzeOnlyResult run_analyzer(const GeneratedCircuit& g, const Tech& tech,
-                               const DelayModel& model, Seconds input_slope) {
-  return run_analyzer(g, tech, model, input_slope, AnalyzerOptions{});
 }
 
 SimulateOnlyResult run_simulation(const GeneratedCircuit& g, const Tech& tech,

@@ -94,9 +94,6 @@ struct AnalyzeOnlyResult {
   AnalyzerStats stats;            ///< full counter set (analyzer_stats_json)
 };
 AnalyzeOnlyResult run_analyzer(const GeneratedCircuit& g, const Tech& tech,
-                               const DelayModel& model, Seconds input_slope,
-                               const AnalyzerOptions& options);
-AnalyzeOnlyResult run_analyzer(const GeneratedCircuit& g, const Tech& tech,
                                const DelayModel& model, Seconds input_slope);
 
 /// Analog-only run; returns the reference delay and wall time.

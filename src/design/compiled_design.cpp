@@ -145,7 +145,7 @@ std::shared_ptr<CompiledDesign> CompiledDesign::compile_owned(
   design->nl_ = design->owned_nl_.get();
   design->tech_ = design->owned_tech_.get();
   design->extract_ = options.extract;
-  design->build(options.threads);
+  design->build();
   return design;
 }
 
@@ -155,12 +155,11 @@ std::shared_ptr<CompiledDesign> CompiledDesign::build_over(
   design->nl_ = &nl;
   design->tech_ = &tech;
   design->extract_ = options.extract;
-  design->build(options.threads);
+  design->build();
   return design;
 }
 
-void CompiledDesign::build(int threads) {
-  SLDM_EXPECTS(threads >= 1);
+void CompiledDesign::build() {
   TraceSpan span("extract", "timing");
   const Seconds t0 = now_seconds();
   // A device type the tech cannot price is a named error here, not a
@@ -170,18 +169,16 @@ void CompiledDesign::build(int threads) {
   }
   ccc_.emplace(*nl_);
   PartitionedStages extracted =
-      extract_stages_partitioned(*nl_, extract_, *ccc_, threads);
+      extract_stages_partitioned(*nl_, extract_, *ccc_);
   stages_ = std::move(extracted.stages);
   per_ccc_ = std::move(extracted.per_ccc);
   span.arg("cccs", static_cast<double>(ccc_->count()));
   span.arg("stages", static_cast<double>(stages_.size()));
-  span.arg("threads", static_cast<double>(threads));
   index_stages();
   rebuild_store();
   refresh_census();
   fingerprint_ = tech_fingerprint(*tech_);
   built_revision_ = nl_->revision();
-  build_threads_ = threads;
   extract_seconds_ = now_seconds() - t0;
 }
 

@@ -50,8 +50,8 @@ struct SnapshotAccess;
 /// Compilation parameters (the structural half of AnalyzerOptions).
 struct CompileOptions {
   ExtractOptions extract;
-  /// Worker threads for component-parallel stage extraction.  Purely a
-  /// build-time knob: the artifact is bit-identical for any value.
+  /// Unread: extraction is sequential.  perfbench/ still sets it; the
+  /// next benchmark change removes it.
   int threads = 1;
 };
 
@@ -85,7 +85,7 @@ class CompiledDesign {
  public:
   /// Compiles an owned copy of the netlist and technology.  The
   /// returned design is self-contained: it outlives every caller-side
-  /// object and is safe to share across threads.
+  /// object and is safe to share between concurrent sessions.
   static std::shared_ptr<const CompiledDesign> compile(
       Netlist nl, Tech tech, const CompileOptions& options = {});
 
@@ -147,14 +147,12 @@ class CompiledDesign {
   /// Wall clock of the structural build (stage extraction + store
   /// bake); 0 for snapshot loads, which skip it entirely.
   Seconds extract_seconds() const { return extract_seconds_; }
-  /// Worker threads the build fanned extraction over.
-  int build_threads() const { return build_threads_; }
 
  private:
   CompiledDesign() = default;
 
   /// Runs partition + extraction + store bake over nl_/tech_.
-  void build(int threads);
+  void build();
   /// Rebuilds stages_by_trigger_ (span "trigger-index") and levels_
   /// (span "levels") from stages_.
   void index_stages();
@@ -205,7 +203,6 @@ class CompiledDesign {
   std::uint64_t fingerprint_ = 0;
   std::uint64_t built_revision_ = 0;
   Seconds extract_seconds_ = 0.0;
-  int build_threads_ = 1;
 };
 
 }  // namespace sldm

@@ -42,14 +42,13 @@ void Session::refresh_census() {
   stats_.ccc_count = design_->components().count();
   stats_.widest_ccc = design_->widest_ccc();
   stats_.stage_count = design_->stages().size();
-  stats_.threads = design_->build_threads();
   stats_.extract_seconds = design_->extract_seconds();
 }
 
 const MetricsRegistry& Session::metrics() const {
   metrics_.counter("propagate.stage_evaluations")
       .set(stats_.stage_evaluations);
-  metrics_.counter("propagate.worklist_pushes").set(stats_.worklist_pushes);
+  metrics_.counter("propagate.keys_priced").set(stats_.keys_priced);
   metrics_.counter("propagate.arrival_updates").set(stats_.arrival_updates);
   metrics_.counter("propagate.batches").set(stats_.batches);
   metrics_.counter("eco.updates").set(stats_.incremental_updates);
@@ -126,7 +125,7 @@ void Session::run() {
   TraceSpan span("propagate", "timing");
   const Seconds t0 = now_seconds();
   const std::size_t evals_before = stats_.stage_evaluations;
-  stats_.worklist_pushes += seeds_.size();
+  stats_.keys_priced += seeds_.size();
 
   // One sweep: each level's keys are priced from the final arrivals of
   // the lower levels, and a cyclic component settles at its own level.
@@ -175,7 +174,6 @@ void Session::publish_telemetry() const {
   labels.session =
       format("s%llu", static_cast<unsigned long long>(session_id_));
   labels.model = model_.name();
-  labels.threads = design_->build_threads();
   labels.request = telemetry_request_;
   telemetry_.publish(std::move(labels), metrics());
 }
@@ -204,7 +202,7 @@ void Session::price(std::span<const std::uint32_t> keys,
     }
     ends_.push_back(static_cast<std::uint32_t>(ids_.size()));
   }
-  stats_.worklist_pushes += keys.size();
+  stats_.keys_priced += keys.size();
   h_queue_depth_.add(static_cast<double>(keys.size()));
 
   // --- Evaluate the whole level through the batch kernel.

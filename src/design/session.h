@@ -57,8 +57,8 @@ struct SessionOptions {
 /// go (extraction vs propagation), and how much work did each phase do.
 /// Counter fields accumulate across run()/reset() cycles; wall-clock
 /// fields hold the most recent phase execution.  Structural fields
-/// (component and stage counts, extract_seconds, threads) mirror the
-/// borrowed CompiledDesign.
+/// (component and stage counts, extract_seconds) mirror the borrowed
+/// CompiledDesign.
 ///
 /// This struct is the session's counter store: propagate() and
 /// TimingAnalyzer::update() write it directly, stats() returns it, and
@@ -72,13 +72,12 @@ struct AnalyzerStats {
   std::size_t stage_evaluations = 0;  ///< stages priced
   /// Seeds plus arrival keys priced (every scheduled key in run(), the
   /// re-priced cone in update(), each pass of a cyclic component).
-  std::size_t worklist_pushes = 0;
+  std::size_t keys_priced = 0;
   /// Priced keys whose arrival changed (in run(), every key that
   /// receives one).
   std::size_t arrival_updates = 0;
   Seconds extract_seconds = 0.0;    ///< design build wall clock (0: loaded)
   Seconds propagate_seconds = 0.0;  ///< run() wall clock
-  int threads = 1;                  ///< the design's extraction workers
 
   // Batch shape of levelized propagation.  `batches` accumulates like
   // stage_evaluations; mean/max describe the whole session lifetime.
@@ -222,13 +221,13 @@ class Session {
   std::uint64_t session_id() const { return session_id_; }
 
   /// Publishes a labeled snapshot of metrics() into the process-wide
-  /// TelemetryHub (labels: "s<id>", delay-model name, the design's
-  /// extraction thread count, plus the request label when set).
+  /// TelemetryHub (labels: "s<id>", delay-model name, plus the request
+  /// label when set).
   /// Re-publishing replaces this session's earlier snapshot, so the hub
   /// always holds the registry's latest cumulative state.  The snapshot
   /// stays live under "s<id>" while the session exists; destroying the
   /// session retires it into the hub's `session="retired"` rollup for
-  /// the same (model, threads, request) (TelemetryHub::retire), so the
+  /// the same (model, request) (TelemetryHub::retire), so the
   /// hub does not grow with the number of sessions ever run.  A moved-from session retires
   /// nothing.  No-op (one relaxed atomic load) while the hub is
   /// disabled; run() and TimingAnalyzer::update() call this at
@@ -256,7 +255,7 @@ class Session {
   // remaps stage ids and re-prices the damaged cone in place.
 
   /// Re-reads the structural fields of stats_ (component and stage
-  /// counts, widest CCC, extract_seconds, threads) from the design
+  /// counts, widest CCC, extract_seconds) from the design
   /// (construction and after ECO updates).
   void refresh_census();
 

@@ -924,7 +924,6 @@ struct SnapshotAccess {
     design->fingerprint_ = tech_fingerprint(*design->tech_);
     design->built_revision_ = design->nl_->revision();
     design->extract_seconds_ = 0.0;  // the whole point of loading
-    design->build_threads_ = 1;
     return design;
   }
 };

@@ -22,7 +22,7 @@ namespace sldm {
 /// to any structurally identical reload of the netlist.  `protect` (the
 /// stimulated input) is never pinned to a constant, so the circuit
 /// keeps a switching source.  Node names created by the script are
-/// drawn from `*new_nodes`, which the caller threads across scripts to
+/// drawn from `*new_nodes`, which the caller carries across scripts to
 /// keep names unique.
 std::vector<std::string> random_eco_script(const Netlist& nl, FuzzRng& rng,
                                            int edits, NodeId protect,

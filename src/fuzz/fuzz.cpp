@@ -74,7 +74,6 @@ class FailureSink {
       ReproCase c;
       c.oracle = oracle;
       c.seed = iter_seed;
-      c.threads = options_.threads;
       c.slope_ns = options_.input_slope / units::ns;
       c.detail = detail;
       const std::string name =
@@ -228,17 +227,13 @@ FuzzReport run_fuzz(const FuzzOptions& options, std::ostream& log) {
     }
 
     {
-      // ISSUE acceptance: bit-identity through the .sldc round trip at
-      // one worker and at four.
-      const std::vector<int> snapshot_threads{1, 4};
-      const OracleResult r = check_snapshot_roundtrip(
-          g, snapshot_threads, options.input_slope);
+      // Bit-identity through the .sldc round trip.
+      const OracleResult r =
+          check_snapshot_roundtrip(g, options.input_slope);
       if (!count("snapshot-roundtrip", r)) {
         const GeneratedCircuit small =
             shrink_circuit(g, [&](const GeneratedCircuit& c) {
-              return !check_snapshot_roundtrip(c, snapshot_threads,
-                                               options.input_slope)
-                          .ok;
+              return !check_snapshot_roundtrip(c, options.input_slope).ok;
             });
         sink.record(i, "snapshot-roundtrip", small, r.detail, "",
                     iter_seed);
@@ -278,20 +273,17 @@ FuzzReport run_fuzz(const FuzzOptions& options, std::ostream& log) {
           g.netlist, rng, 1 + static_cast<int>(rng.below(6)), g.input,
           &new_nodes);
       if (lines.empty()) continue;
-      std::vector<int> threads{1, 2};
-      if (options.threads > 2) threads.push_back(options.threads);
       const auto eco_fails = [&](const GeneratedCircuit& c,
                                  const std::vector<std::string>& ls) {
         try {
-          return !check_eco_identity(c, join_script(ls), threads,
-                                     options.input_slope)
+          return !check_eco_identity(c, join_script(ls), options.input_slope)
                       .ok;
         } catch (const Error&) {
           return false;  // script no longer applies to the candidate
         }
       };
-      const OracleResult r = check_eco_identity(
-          g, join_script(lines), threads, options.input_slope);
+      const OracleResult r =
+          check_eco_identity(g, join_script(lines), options.input_slope);
       if (!count("eco-identity", r)) {
         // Shrink the script first (cheap), then the circuit under the
         // reduced script.

@@ -9,7 +9,7 @@
 //
 // Determinism contract: the same FuzzOptions produce the same circuits,
 // the same oracle verdicts, and byte-identical report text on every
-// platform.  Nothing in a verdict depends on wall clock, thread timing,
+// platform.  Nothing in a verdict depends on wall clock, scheduling,
 // or the filesystem.
 #pragma once
 
@@ -26,9 +26,6 @@ namespace sldm {
 struct FuzzOptions {
   std::uint64_t seed = 1;
   int iterations = 100;
-  /// Largest extraction thread count exercised by the eco-identity
-  /// oracle (1 and 2 are always included).
-  int threads = 4;
   /// Run the analog-reference oracle every k-th iteration on circuits
   /// small enough (0 disables it; analog runs dominate wall time).
   int analog_every = 0;

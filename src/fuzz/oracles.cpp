@@ -272,71 +272,65 @@ namespace {
 OracleResult eco_identity_under(const DelayModel& model,
                                 const GeneratedCircuit& g,
                                 const std::string& eco_script,
-                                const std::vector<int>& thread_counts,
                                 Seconds input_slope) {
   const Tech& tech = tech_for_style(g.style);
-  for (const int threads : thread_counts) {
-    AnalyzerOptions opts;
-    opts.threads = threads;
+  Netlist nl = g.netlist;
+  TimingAnalyzer inc(nl, tech, model);
+  inc.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
+  inc.run();
 
-    Netlist nl = g.netlist;
-    TimingAnalyzer inc(nl, tech, model, opts);
-    inc.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
-    inc.run();
+  std::istringstream in(eco_script);
+  apply_eco(in, nl, "<fuzz-eco>");
 
-    std::istringstream in(eco_script);
-    apply_eco(in, nl, "<fuzz-eco>");
+  bool inc_looped = false;
+  std::string inc_error;
+  try {
+    inc.update();
+  } catch (const Error& e) {
+    inc_looped = true;
+    inc_error = e.what();
+  }
 
-    bool inc_looped = false;
-    std::string inc_error;
-    try {
-      inc.update();
-    } catch (const Error& e) {
-      inc_looped = true;
-      inc_error = e.what();
-    }
+  TimingAnalyzer fresh(nl, tech, model);
+  fresh.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
+  bool fresh_looped = false;
+  try {
+    fresh.run();
+  } catch (const Error&) {
+    fresh_looped = true;
+  }
+  if (inc_looped != fresh_looped) {
+    return OracleResult::fail(format(
+        "eco-identity: loop detection diverged under %s: update() %s, "
+        "rebuild %s (%s)",
+        model.name().c_str(), inc_looped ? "looped" : "converged",
+        fresh_looped ? "looped" : "converged", inc_error.c_str()));
+  }
+  if (inc_looped) return OracleResult::pass();  // states are unspecified
 
-    TimingAnalyzer fresh(nl, tech, model, opts);
-    fresh.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
-    bool fresh_looped = false;
-    try {
-      fresh.run();
-    } catch (const Error&) {
-      fresh_looped = true;
-    }
-    if (inc_looped != fresh_looped) {
-      return OracleResult::fail(format(
-          "eco-identity: loop detection diverged at %d thread(s) under "
-          "%s: update() %s, rebuild %s (%s)",
-          threads, model.name().c_str(), inc_looped ? "looped" : "converged",
-          fresh_looped ? "looped" : "converged", inc_error.c_str()));
-    }
-    if (inc_looped) continue;  // both looped: states are unspecified
-
-    if (inc.stages().size() != fresh.stages().size()) {
-      return OracleResult::fail(format(
-          "eco-identity: stage count %zu vs %zu at %d thread(s)",
-          inc.stages().size(), fresh.stages().size(), threads));
-    }
-    for (NodeId n : nl.all_nodes()) {
-      for (Transition dir : {Transition::kRise, Transition::kFall}) {
-        const auto a = inc.arrival(n, dir);
-        const auto b = fresh.arrival(n, dir);
-        const bool same =
-            a.has_value() == b.has_value() &&
-            (!a || (a->time == b->time && a->slope == b->slope &&
-                    a->from_node == b->from_node &&
-                    a->from_dir == b->from_dir &&
-                    a->via_stage == b->via_stage));
-        if (!same) {
-          return OracleResult::fail(format(
-              "eco-identity: arrival mismatch at %s %s with %d thread(s) "
-              "under %s: update()=%s rebuild=%s",
-              nl.node(n).name.c_str(), to_string(dir).c_str(), threads,
-              model.name().c_str(),
-              a ? format("%.17g", a->time).c_str() : "none",
-              b ? format("%.17g", b->time).c_str() : "none"));
-        }
+  if (inc.stages().size() != fresh.stages().size()) {
+    return OracleResult::fail(format("eco-identity: stage count %zu vs %zu",
+                                     inc.stages().size(),
+                                     fresh.stages().size()));
+  }
+  for (NodeId n : nl.all_nodes()) {
+    for (Transition dir : {Transition::kRise, Transition::kFall}) {
+      const auto a = inc.arrival(n, dir);
+      const auto b = fresh.arrival(n, dir);
+      const bool same =
+          a.has_value() == b.has_value() &&
+          (!a || (a->time == b->time && a->slope == b->slope &&
+                  a->from_node == b->from_node &&
+                  a->from_dir == b->from_dir &&
+                  a->via_stage == b->via_stage));
+      if (!same) {
+        return OracleResult::fail(format(
+            "eco-identity: arrival mismatch at %s %s under %s: "
+            "update()=%s rebuild=%s",
+            nl.node(n).name.c_str(), to_string(dir).c_str(),
+            model.name().c_str(),
+            a ? format("%.17g", a->time).c_str() : "none",
+            b ? format("%.17g", b->time).c_str() : "none"));
       }
     }
   }
@@ -347,7 +341,6 @@ OracleResult eco_identity_under(const DelayModel& model,
 
 OracleResult check_eco_identity(const GeneratedCircuit& g,
                                 const std::string& eco_script,
-                                const std::vector<int>& thread_counts,
                                 Seconds input_slope) {
   const RcTreeModel rc_tree;
   const SlopeModel slope(fuzz_slope_tables());
@@ -355,14 +348,13 @@ OracleResult check_eco_identity(const GeneratedCircuit& g,
        {static_cast<const DelayModel*>(&rc_tree),
         static_cast<const DelayModel*>(&slope)}) {
     const OracleResult r =
-        eco_identity_under(*model, g, eco_script, thread_counts, input_slope);
+        eco_identity_under(*model, g, eco_script, input_slope);
     if (!r.ok) return r;
   }
   return OracleResult::pass();
 }
 
 OracleResult check_snapshot_roundtrip(const GeneratedCircuit& g,
-                                      const std::vector<int>& thread_counts,
                                       Seconds input_slope) {
   const RcTreeModel model;
   const Tech& tech = tech_for_style(g.style);
@@ -385,74 +377,66 @@ OracleResult check_snapshot_roundtrip(const GeneratedCircuit& g,
         loaded.design->stages().size(), compiled->stages().size()));
   }
 
-  for (const int threads : thread_counts) {
-    AnalyzerOptions opts;
-    opts.threads = threads;
+  TimingAnalyzer direct(g.netlist, tech, model);
+  TimingAnalyzer reloaded(loaded.design, model);
+  direct.add_all_input_events(input_slope);
+  reloaded.add_all_input_events(input_slope);
+  bool direct_looped = false;
+  bool reloaded_looped = false;
+  try {
+    direct.run();
+  } catch (const Error&) {
+    direct_looped = true;
+  }
+  try {
+    reloaded.run();
+  } catch (const Error&) {
+    reloaded_looped = true;
+  }
+  if (direct_looped != reloaded_looped) {
+    return OracleResult::fail(format(
+        "snapshot-roundtrip: loop detection diverged: direct %s, "
+        "reloaded %s",
+        direct_looped ? "looped" : "converged",
+        reloaded_looped ? "looped" : "converged"));
+  }
+  if (direct_looped) return OracleResult::pass();  // states are unspecified
 
-    TimingAnalyzer direct(g.netlist, tech, model, opts);
-    TimingAnalyzer reloaded(loaded.design, model, opts);
-    direct.add_all_input_events(input_slope);
-    reloaded.add_all_input_events(input_slope);
-    bool direct_looped = false;
-    bool reloaded_looped = false;
-    try {
-      direct.run();
-    } catch (const Error&) {
-      direct_looped = true;
-    }
-    try {
-      reloaded.run();
-    } catch (const Error&) {
-      reloaded_looped = true;
-    }
-    if (direct_looped != reloaded_looped) {
-      return OracleResult::fail(format(
-          "snapshot-roundtrip: loop detection diverged at %d thread(s): "
-          "direct %s, reloaded %s",
-          threads, direct_looped ? "looped" : "converged",
-          reloaded_looped ? "looped" : "converged"));
-    }
-    if (direct_looped) continue;  // both looped: states are unspecified
-
-    for (NodeId n : g.netlist.all_nodes()) {
-      for (Transition dir : {Transition::kRise, Transition::kFall}) {
-        const auto a = direct.arrival(n, dir);
-        const auto b = reloaded.arrival(n, dir);
-        const bool same =
-            a.has_value() == b.has_value() &&
-            (!a || (a->time == b->time && a->slope == b->slope &&
-                    a->from_node == b->from_node &&
-                    a->from_dir == b->from_dir &&
-                    a->via_stage == b->via_stage));
-        if (!same) {
-          return OracleResult::fail(format(
-              "snapshot-roundtrip: arrival mismatch at %s %s with %d "
-              "thread(s): direct=%s reloaded=%s",
-              g.netlist.node(n).name.c_str(), to_string(dir).c_str(),
-              threads, a ? format("%.17g", a->time).c_str() : "none",
-              b ? format("%.17g", b->time).c_str() : "none"));
-        }
-      }
-    }
-
-    const auto worst = direct.worst_arrival(/*outputs_only=*/false);
-    if (worst) {
-      const auto pa = direct.critical_path(worst->node, worst->dir);
-      const auto pb = reloaded.critical_path(worst->node, worst->dir);
-      if (pa.size() != pb.size()) {
+  for (NodeId n : g.netlist.all_nodes()) {
+    for (Transition dir : {Transition::kRise, Transition::kFall}) {
+      const auto a = direct.arrival(n, dir);
+      const auto b = reloaded.arrival(n, dir);
+      const bool same =
+          a.has_value() == b.has_value() &&
+          (!a || (a->time == b->time && a->slope == b->slope &&
+                  a->from_node == b->from_node &&
+                  a->from_dir == b->from_dir &&
+                  a->via_stage == b->via_stage));
+      if (!same) {
         return OracleResult::fail(format(
-            "snapshot-roundtrip: critical path length %zu vs %zu at %d "
-            "thread(s)",
-            pa.size(), pb.size(), threads));
+            "snapshot-roundtrip: arrival mismatch at %s %s: direct=%s "
+            "reloaded=%s",
+            g.netlist.node(n).name.c_str(), to_string(dir).c_str(),
+            a ? format("%.17g", a->time).c_str() : "none",
+            b ? format("%.17g", b->time).c_str() : "none"));
       }
-      for (std::size_t i = 0; i < pa.size(); ++i) {
-        if (pa[i].node != pb[i].node || pa[i].dir != pb[i].dir ||
-            pa[i].time != pb[i].time || pa[i].slope != pb[i].slope) {
-          return OracleResult::fail(format(
-              "snapshot-roundtrip: critical path step %zu differs at %d "
-              "thread(s)",
-              i, threads));
-        }
+    }
+  }
+
+  const auto worst = direct.worst_arrival(/*outputs_only=*/false);
+  if (worst) {
+    const auto pa = direct.critical_path(worst->node, worst->dir);
+    const auto pb = reloaded.critical_path(worst->node, worst->dir);
+    if (pa.size() != pb.size()) {
+      return OracleResult::fail(
+          format("snapshot-roundtrip: critical path length %zu vs %zu",
+                 pa.size(), pb.size()));
+    }
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      if (pa[i].node != pb[i].node || pa[i].dir != pb[i].dir ||
+          pa[i].time != pb[i].time || pa[i].slope != pb[i].slope) {
+        return OracleResult::fail(
+            format("snapshot-roundtrip: critical path step %zu differs", i));
       }
     }
   }

@@ -28,12 +28,11 @@
 //                      land within a generous band of the analog
 //                      transient reference;
 //  * eco-identity      after an eco script, update() must be
-//                      bit-identical to a from-scratch rebuild at every
-//                      requested thread count, under rc-tree and slope;
+//                      bit-identical to a from-scratch rebuild, under
+//                      rc-tree and slope;
 //  * snapshot-roundtrip  analysis over a compile -> serialize ->
 //                      deserialize round trip of the design must be
-//                      bit-identical to direct analysis at every
-//                      requested thread count.
+//                      bit-identical to direct analysis.
 #pragma once
 
 #include <string>
@@ -103,22 +102,18 @@ OracleResult check_analog(const GeneratedCircuit& g,
                           double max_error_pct);
 
 /// Applies `eco_script` to a copy of g.netlist and checks that
-/// TimingAnalyzer::update() is bit-identical to a rebuild at each entry
-/// of `thread_counts`, under the rc-tree model and under the slope model
-/// over fuzz_slope_tables().  A timing loop is only a failure if the two
-/// sides disagree about it.
+/// TimingAnalyzer::update() is bit-identical to a rebuild, under the
+/// rc-tree model and under the slope model over fuzz_slope_tables().  A
+/// timing loop is only a failure if the two sides disagree about it.
 OracleResult check_eco_identity(const GeneratedCircuit& g,
                                 const std::string& eco_script,
-                                const std::vector<int>& thread_counts,
                                 Seconds input_slope);
 
 /// Compiles g.netlist into a CompiledDesign, serializes it to the
 /// .sldc byte layout, deserializes, and checks that analysis over the
 /// round-tripped design (arrivals, stage count, the worst critical
-/// path) is bit-identical to direct analysis at each entry of
-/// `thread_counts`.
+/// path) is bit-identical to direct analysis.
 OracleResult check_snapshot_roundtrip(const GeneratedCircuit& g,
-                                      const std::vector<int>& thread_counts,
                                       Seconds input_slope);
 
 }  // namespace sldm

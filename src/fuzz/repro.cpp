@@ -80,7 +80,6 @@ std::string write_repro(const std::string& dir, const std::string& name,
   manifest << "| sldm fuzz repro case (FORMATS.md section 10)\n";
   manifest << "oracle " << c.oracle << '\n';
   manifest << "seed " << c.seed << '\n';
-  manifest << "threads " << c.threads << '\n';
   manifest << format("slope-ns %g\n", c.slope_ns);
   if (!sim_text.empty()) {
     write_text_file(base + ".sim", sim_text);
@@ -124,12 +123,6 @@ ReproCase load_repro(const std::string& path) {
       const auto v = parse_u64(value);
       if (!v) throw ParseError(path, lineno, "bad seed '" + value + "'");
       c.seed = *v;
-    } else if (key == "threads") {
-      const auto v = parse_long(value);
-      if (!v || *v < 1) {
-        throw ParseError(path, lineno, "bad threads '" + value + "'");
-      }
-      c.threads = static_cast<int>(*v);
     } else if (key == "slope-ns") {
       const auto v = parse_finite_double(value);
       if (!v || *v < 0.0) {
@@ -205,9 +198,7 @@ OracleResult replay_repro(const ReproCase& c) {
   if (!r.ok) return r;
   r = check_stage_bounds(g.netlist, tech, analyzer.stages(), slope);
   if (!r.ok) return r;
-  std::vector<int> snapshot_threads{1, 4};
-  if (c.threads > 4) snapshot_threads.push_back(c.threads);
-  r = check_snapshot_roundtrip(g, snapshot_threads, slope);
+  r = check_snapshot_roundtrip(g, slope);
   if (!r.ok) return r;
 
   if (!c.eco_path.empty()) {
@@ -219,9 +210,7 @@ OracleResult replay_repro(const ReproCase& c) {
     if (!eco) return OracleResult::fail("cannot open " + c.eco_path);
     std::ostringstream text;
     text << eco.rdbuf();
-    std::vector<int> threads{1, 2};
-    if (c.threads > 2) threads.push_back(c.threads);
-    r = check_eco_identity(g, text.str(), threads, slope);
+    r = check_eco_identity(g, text.str(), slope);
     if (!r.ok) return r;
   }
   return OracleResult::pass();

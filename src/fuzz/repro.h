@@ -11,7 +11,6 @@
 // Manifest records, one per line ('|' introduces a comment):
 //   oracle <kind>          which oracle the case exercises (required)
 //   seed <u64>             originating fuzz seed (provenance)
-//   threads <n>            max thread count for identity checks
 //   slope-ns <x>           input transition time in ns
 //   sim <relpath>          netlist, relative to the manifest
 //   eco <relpath>          eco script, relative to the manifest
@@ -23,9 +22,9 @@
 //                                (ParseError); parsing it is the bug;
 //   anything else                the netlist must pass the static
 //                                oracles (netlist-check, sanity,
-//                                stage-bounds), and when an eco script
-//                                is present, eco-identity at 1, 2, and
-//                                `threads` threads.
+//                                stage-bounds, snapshot-roundtrip),
+//                                and when an eco script is present,
+//                                eco-identity.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,6 @@ namespace sldm {
 struct ReproCase {
   std::string oracle;
   std::uint64_t seed = 0;
-  int threads = 1;
   double slope_ns = 1.0;
   std::string sim_path;     ///< absolute after load_repro
   std::string eco_path;     ///< "" when absent

@@ -59,15 +59,6 @@ double optional_number(const JsonValue& obj, const char* key,
   return v->as_number();
 }
 
-int optional_threads(const JsonValue& obj) {
-  const double v = optional_number(obj, "threads", 1.0);
-  if (v < 1.0 || v > 1024.0 || v != std::floor(v)) {
-    throw RequestError(kBadRequest,
-                       "\"threads\" must be an integer in [1, 1024]");
-  }
-  return static_cast<int>(v);
-}
-
 double optional_slope_ns(const JsonValue& obj) {
   const double v = optional_number(obj, "slope_ns", 1.0);
   if (!std::isfinite(v) || v < 0.0) {
@@ -114,15 +105,12 @@ ServeRequest parse_request(const std::string& line) {
     req.path = require_string(obj, "path");
     req.tech = optional_string(obj, "tech", "");
     req.model = optional_string(obj, "model", "slope");
-    req.threads = optional_threads(obj);
   } else if (k == "time" || k == "explain" || k == "eco") {
     req.kind = k == "time" ? RequestKind::kTime
                : k == "explain" ? RequestKind::kExplain
                                 : RequestKind::kEco;
     req.design = require_string(obj, "design");
     req.model = optional_string(obj, "model", "slope");
-    // Threads size extraction, which time and explain never run.
-    if (req.kind == RequestKind::kEco) req.threads = optional_threads(obj);
     req.slope_ns = optional_slope_ns(obj);
     req.deadline_ms = optional_deadline_ms(obj);
     if (req.kind == RequestKind::kExplain) {

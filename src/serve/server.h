@@ -32,7 +32,7 @@ struct ServeLoopOptions {
   /// Maximum requests dispatched concurrently; further lines are
   /// rejected with {"error":"overloaded"}.  Must be >= 1.
   int max_inflight = 64;
-  /// Worker threads executing requests.  Must be >= 1.
+  /// Worker pool size: requests executing at once.  Must be >= 1.
   int workers = 4;
   /// Maximum bytes in one request line; longer lines are rejected with
   /// {"error":"too-large"} and their bytes discarded.  Must be >= 64.

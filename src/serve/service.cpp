@@ -29,19 +29,15 @@ namespace sldm {
 /// The analysis the last successful eco left on a design, kept so the
 /// next eco with the same key answers with update() alone instead of a
 /// full propagate of the pre-edit design.  The key is everything that
-/// shapes the arrivals besides the design: model token, input slope and
-/// thread count (threads cannot change an answer, but they size the
-/// analyzer's re-extraction in update()).
+/// shapes the arrivals besides the design: model token and input slope.
 struct WarmEco {
   std::string model;
   double slope_ns = 0.0;
-  int threads = 1;
   std::unique_ptr<DelayModel> delay_model;
   std::unique_ptr<TimingAnalyzer> analyzer;
 
   bool serves(const ServeRequest& req) const {
-    return req.model == model && req.slope_ns == slope_ns &&
-           req.threads == threads;
+    return req.model == model && req.slope_ns == slope_ns;
   }
 };
 
@@ -151,7 +147,6 @@ LedgerRecord session_record(const char* kind, const Session& session,
   r.detail = "serve";
   r.fingerprint = fingerprint;
   r.model = model;
-  r.threads = st.threads;
   r.extract_seconds = st.extract_seconds;
   r.propagate_seconds = st.propagate_seconds;
   r.update_seconds = st.update_seconds;
@@ -174,7 +169,7 @@ LedgerRecord session_record(const char* kind, const Session& session,
 AnalyzerStats request_share(AnalyzerStats st, const AnalyzerStats& before,
                             bool ran_propagate) {
   st.stage_evaluations -= before.stage_evaluations;
-  st.worklist_pushes -= before.worklist_pushes;
+  st.keys_priced -= before.keys_priced;
   st.arrival_updates -= before.arrival_updates;
   st.batches -= before.batches;
   st.incremental_updates -= before.incremental_updates;
@@ -374,8 +369,7 @@ struct TimingService::ServeRequestDispatch {
         tech = cal.tech;
         tables = std::make_shared<SlopeTables>(std::move(cal.tables));
       }
-      design = CompiledDesign::compile_owned(std::move(nl), std::move(tech),
-                                             CompileOptions{{}, req.threads});
+      design = CompiledDesign::compile_owned(std::move(nl), std::move(tech));
     }
 
     const std::uint64_t fp =
@@ -410,7 +404,6 @@ struct TimingService::ServeRequestDispatch {
       r.detail = "serve";
       r.source = req.path;
       r.model = req.model;
-      r.threads = design->build_threads();
       r.fingerprint = fp;
       r.extract_seconds = design->extract_seconds();
       svc.append_ledger(r);
@@ -540,11 +533,9 @@ struct TimingService::ServeRequestDispatch {
     auto warm = std::make_unique<WarmEco>();
     warm->model = req.model;
     warm->slope_ns = req.slope_ns;
-    warm->threads = req.threads;
     warm->delay_model = make_request_model(req.model, entry.tables);
     warm->analyzer = std::make_unique<TimingAnalyzer>(
-        std::move(entry.design), *warm->delay_model,
-        AnalyzerOptions{{}, 64, req.threads});
+        std::move(entry.design), *warm->delay_model);
     warm->analyzer->set_telemetry_request("eco");
     warm->analyzer->add_all_input_events(req.slope_ns * 1e-9);
     return warm;
@@ -622,8 +613,7 @@ struct TimingService::ServeRequestDispatch {
     begin_response(os, req, "eco")
         << ",\"design\":\"" << new_hex << "\",\"was\":\"" << req.design
         << "\",\"applied\":" << applied << ",\"model\":\""
-        << json_escape(model_name) << "\",\"threads\":" << req.threads
-        << ",\"report\":\""
+        << json_escape(model_name) << "\",\"report\":\""
         << json_escape(report_text(model_name, nl, session))
         << "\",\"arrivals\":" << arrivals_json(nl, session);
     append_worst(os, nl, session);

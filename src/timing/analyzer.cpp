@@ -11,17 +11,15 @@ namespace sldm {
 TimingAnalyzer::TimingAnalyzer(const Netlist& nl, const Tech& tech,
                                const DelayModel& model,
                                AnalyzerOptions options)
-    : TimingAnalyzer(CompiledDesign::build_over(
-                         nl, tech,
-                         CompileOptions{options.extract, options.threads}),
-                     model, options) {}
+    : TimingAnalyzer(
+          CompiledDesign::build_over(nl, tech, CompileOptions{options.extract}),
+          model, options) {}
 
 TimingAnalyzer::TimingAnalyzer(std::shared_ptr<CompiledDesign> design,
                                const DelayModel& model,
                                AnalyzerOptions options)
     : Session(design, model, SessionOptions{options.max_updates_per_arrival}),
-      compiled_(std::move(design)),
-      threads_(options.threads) {}
+      compiled_(std::move(design)) {}
 
 Netlist& TimingAnalyzer::mutable_netlist() {
   if (!compiled_->owns_netlist()) {
@@ -164,30 +162,27 @@ std::vector<std::size_t> TimingAnalyzer::resplice(
     for (NodeId n : ccc.members(c)) node_dirty[n.index()] = 1;
   }
 
-  // --- Re-extract the dirty components only (same fan-out and per-node
-  // stage order as a full extraction).
-  ExtractedChunks fresh;
-  std::size_t fresh_total = 0;
+  // --- Re-extract the dirty components only (the same driver and
+  // per-node stage order as a full extraction).
+  ExtractedStages fresh;
   {
     TraceSpan extract_span("update-extract", "timing");
-    fresh = extract_components(nl, compiled_->extract_, ccc, dirty,
-                               threads_);
-    for (const StageTable& t : fresh.tables) fresh_total += t.size();
+    fresh = extract_components(nl, compiled_->extract_, ccc, dirty);
     extract_span.arg("cccs", static_cast<double>(dirty.size()));
-    extract_span.arg("stages", static_cast<double>(fresh_total));
+    extract_span.arg("stages", static_cast<double>(fresh.table.size()));
   }
+  const std::size_t fresh_total = fresh.table.size();
 
-  // --- Splice: the extraction stitch over node windows in ascending id
-  // order (the global stage order).  A dirty node takes its window from
-  // the fresh tables, a clean node keeps its window of the old table.
-  // remap[] carries surviving old stage indices to their new positions
-  // so retained arrivals' via_stage links stay valid.
+  // --- Splice: the node windows in ascending id order (the global
+  // stage order).  A dirty node takes its window from the fresh table,
+  // a clean node keeps its window of the old table.  remap[] carries
+  // surviving old stage indices to their new positions so retained
+  // arrivals' via_stage links stay valid.
   TraceSpan splice_span("update-splice", "timing");
   std::vector<std::size_t> remap(stages.size(), SIZE_MAX);
   std::size_t reused = 0;
-  // Table 0 is the old table; fresh chunk k is table k + 1.
-  std::vector<const StageTable*> tables{&stages};
-  for (const StageTable& t : fresh.tables) tables.push_back(&t);
+  // Table 0 is the old table, table 1 the fresh one.
+  const StageTable* const tables[] = {&stages, &fresh.table};
   std::vector<StageWindow> windows(nl.node_count());
   std::size_t old_i = 0;
   std::size_t new_i = 0;
@@ -198,7 +193,7 @@ std::vector<std::size_t> TimingAnalyzer::resplice(
     while (old_i < stages.size() && stages.destination(old_i) == n) ++old_i;
     if (node_dirty[n.index()]) {
       const StageWindow w = fresh.windows[n.index()];
-      windows[n.index()] = StageWindow{w.table + 1, w.begin, w.end};
+      windows[n.index()] = StageWindow{1, w.begin, w.end};
       new_i += w.end - w.begin;
     } else {
       windows[n.index()] =

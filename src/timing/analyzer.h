@@ -2,14 +2,12 @@
 // compiled design and may therefore edit it.
 //
 // Construction compiles the netlist into a CompiledDesign
-// (design/compiled_design.h: CCC partition, per-component stage
-// extraction fanned over AnalyzerOptions::threads workers with a
-// deterministic merge, and the baked StageStore), or adopts one (a
+// (design/compiled_design.h: CCC partition, stage extraction in
+// ascending node order, and the baked StageStore), or adopts one (a
 // .sldc load), and attaches the Session (design/session.h) half over
 // it.  Every query -- arrivals, critical paths, k-worst enumeration,
-// stats, metrics -- is the Session's own.  The thread count sizes
-// extraction only -- at construction and in update()'s re-extraction;
-// propagation is sequential.
+// stats, metrics -- is the Session's own.  Extraction and propagation
+// both run on the calling thread.
 //
 // What TimingAnalyzer adds is the ECO path: update() is the single
 // sanctioned writer of a CompiledDesign.  After mutating the netlist
@@ -48,16 +46,11 @@ struct AnalyzerOptions {
   /// cyclic component may change before the analyzer reports a timing
   /// loop.
   int max_updates_per_arrival = 64;
-  /// Worker threads for stage extraction, at construction and in
-  /// update()'s re-extraction (1 = fully sequential; results are
-  /// bit-identical for any value).  Must be >= 1.
-  int threads = 1;
 };
 
 class TimingAnalyzer : public Session {
  public:
-  /// Compiles the design up-front (per channel-connected component,
-  /// over options.threads workers) and attaches the session.  `nl`,
+  /// Compiles the design up-front and attaches the session.  `nl`,
   /// `tech`, and `model` must outlive the analyzer.
   TimingAnalyzer(const Netlist& nl, const Tech& tech, const DelayModel& model,
                  AnalyzerOptions options = {});
@@ -101,8 +94,6 @@ class TimingAnalyzer : public Session {
 
   /// The same design the Session half reads, held writable.
   std::shared_ptr<CompiledDesign> compiled_;
-  /// Extraction workers for update()'s re-extraction.
-  int threads_;
 };
 
 }  // namespace sldm

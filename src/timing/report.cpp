@@ -56,14 +56,12 @@ std::string format_analyzer_stats(const Netlist& nl, const Session& session,
   const AnalyzerStats& st = session.stats();
   std::ostringstream os;
   os << "analyzer stats:\n"
-     << format("  extraction : %9.3f ms  (%zu stages, %zu CCCs, "
-               "%d thread%s)\n",
-               st.extract_seconds * 1e3, st.stage_count, st.ccc_count,
-               st.threads, st.threads == 1 ? "" : "s")
+     << format("  extraction : %9.3f ms  (%zu stages, %zu CCCs)\n",
+               st.extract_seconds * 1e3, st.stage_count, st.ccc_count)
      << format("  propagation: %9.3f ms  (%zu stage evaluations, "
                "%zu keys priced, %zu arrival updates)\n",
                st.propagate_seconds * 1e3, st.stage_evaluations,
-               st.worklist_pushes, st.arrival_updates);
+               st.keys_priced, st.arrival_updates);
   if (st.batches > 0) {
     os << format("  levels     : %9zu batches  (mean %.1f, max %zu "
                  "evaluations per batch)\n",
@@ -106,14 +104,13 @@ std::string analyzer_stats_json(const AnalyzerStats& st) {
      << format(",\"widest_ccc\":%zu", st.widest_ccc)
      << format(",\"stage_count\":%zu", st.stage_count)
      << format(",\"stage_evaluations\":%zu", st.stage_evaluations)
-     << format(",\"worklist_pushes\":%zu", st.worklist_pushes)
+     << format(",\"keys_priced\":%zu", st.keys_priced)
      << format(",\"arrival_updates\":%zu", st.arrival_updates)
      << format(",\"batches\":%zu", st.batches)
      << ",\"mean_batch_size\":" << json_number(st.mean_batch_size)
      << format(",\"max_batch_size\":%zu", st.max_batch_size)
      << ",\"extract_seconds\":" << json_number(st.extract_seconds)
      << ",\"propagate_seconds\":" << json_number(st.propagate_seconds)
-     << format(",\"threads\":%d", st.threads)
      << format(",\"incremental_updates\":%zu", st.incremental_updates)
      << format(",\"dirty_cccs\":%zu", st.dirty_cccs)
      << format(",\"reextracted_stages\":%zu", st.reextracted_stages)

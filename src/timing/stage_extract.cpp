@@ -5,8 +5,6 @@
 #include <sstream>
 
 #include "util/contracts.h"
-#include "util/thread_pool.h"
-#include "util/trace.h"
 
 namespace sldm {
 namespace {
@@ -261,101 +259,46 @@ StageTable stages_to(const Netlist& nl, NodeId dest, Transition dir,
   return stages;
 }
 
-ExtractedChunks extract_components(const Netlist& nl,
-                                   const ExtractOptions& options,
-                                   const CccPartition& ccc,
-                                   const std::vector<std::size_t>& components,
-                                   int threads) {
-  SLDM_EXPECTS(threads >= 1);
-  const NodeRoles roles(nl, options);
-
-  // Group components into contiguous chunks of roughly equal device
-  // weight so a few big CCCs don't serialize the tail and thousands of
-  // tiny ones don't drown the queue in task overhead.
-  std::size_t total_weight = 0;
+ExtractedStages extract_components(
+    const Netlist& nl, const ExtractOptions& options, const CccPartition& ccc,
+    const std::vector<std::size_t>& components) {
+  std::vector<char> selected(ccc.count(), 0);
   for (const std::size_t c : components) {
-    total_weight += ccc.device_count(c) + 1;
+    SLDM_EXPECTS(c < ccc.count());
+    selected[c] = 1;
   }
-  const std::size_t target_chunks =
-      std::max<std::size_t>(1, static_cast<std::size_t>(threads) * 8);
-  const std::size_t chunk_weight =
-      std::max<std::size_t>(1, total_weight / target_chunks);
-  std::vector<std::size_t> bounds{0};  // chunk k: [bounds[k], bounds[k+1])
-  std::vector<std::size_t> weights;
-  while (bounds.back() < components.size()) {
-    std::size_t end = bounds.back();
-    std::size_t weight = 0;
-    while (end < components.size() && weight < chunk_weight) {
-      weight += ccc.device_count(components[end]) + 1;
-      ++end;
-    }
-    bounds.push_back(end);
-    weights.push_back(weight);
-  }
-
-  // Each chunk appends to its own table and writes the windows of its
-  // own components' nodes only, so no synchronization is needed beyond
-  // the pool's wait() barrier.
-  ExtractedChunks out;
-  out.tables.resize(weights.size());
+  const NodeRoles roles(nl, options);
+  ExtractScratch scratch;
+  ExtractedStages out;
   out.windows.assign(nl.node_count(), StageWindow{});
-  ThreadPool pool(threads);
-  for (std::size_t k = 0; k < weights.size(); ++k) {
-    pool.submit([&nl, &options, &ccc, &components, &roles, &out, &bounds,
-                 &weights, k] {
-      // The span runs on the worker thread, so the chunk is attributed
-      // to the worker that actually extracted it.
-      TraceSpan span("extract-chunk", "timing");
-      StageTable& table = out.tables[k];
-      ExtractScratch scratch;
-      for (std::size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        for (NodeId n : ccc.members(components[i])) {
-          StageWindow& w = out.windows[n.index()];
-          w.table = static_cast<std::uint32_t>(k);
-          w.begin = static_cast<std::uint32_t>(table.size());
-          for (Transition dir : {Transition::kRise, Transition::kFall}) {
-            stages_to(nl, n, dir, options, roles, scratch, table);
-          }
-          w.end = static_cast<std::uint32_t>(table.size());
-        }
-      }
-      span.arg("components", static_cast<double>(bounds[k + 1] - bounds[k]));
-      span.arg("devices", static_cast<double>(weights[k]));
-      span.arg("stages", static_cast<double>(table.size()));
-    });
+  for (const NodeId n : nl.all_nodes()) {
+    const std::size_t c = ccc.component_of(n);
+    if (c == CccPartition::kNone || !selected[c]) continue;
+    StageWindow& w = out.windows[n.index()];
+    w.begin = static_cast<std::uint32_t>(out.table.size());
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      stages_to(nl, n, dir, options, roles, scratch, out.table);
+    }
+    w.end = static_cast<std::uint32_t>(out.table.size());
   }
-  pool.wait();
   return out;
 }
 
 PartitionedStages extract_stages_partitioned(const Netlist& nl,
                                              const ExtractOptions& options,
-                                             const CccPartition& ccc,
-                                             int threads) {
-  SLDM_EXPECTS(threads >= 1);
+                                             const CccPartition& ccc, int) {
   std::vector<std::size_t> all(ccc.count());
   std::iota(all.begin(), all.end(), std::size_t{0});
-  const ExtractedChunks chunks =
-      extract_components(nl, options, ccc, all, threads);
-
-  // Stitch into global node-id order, the canonical stage order.
-  // Component members are ascending and components are numbered by
-  // smallest member, but component *ranges* of node ids interleave, so
-  // the order is fixed per node, not per component.
-  TraceSpan span("extract-stitch", "timing");
-  std::vector<const StageTable*> tables;
-  tables.reserve(chunks.tables.size());
-  for (const StageTable& t : chunks.tables) tables.push_back(&t);
+  ExtractedStages extracted = extract_components(nl, options, ccc, all);
   PartitionedStages out;
-  out.stages = stitch_stages(tables, chunks.windows);
+  out.stages = std::move(extracted.table);
   out.per_ccc.assign(ccc.count(), 0);
-  for (NodeId n : nl.all_nodes()) {
+  for (const NodeId n : nl.all_nodes()) {
     const std::size_t c = ccc.component_of(n);
     if (c == CccPartition::kNone) continue;
-    const StageWindow& w = chunks.windows[n.index()];
+    const StageWindow& w = extracted.windows[n.index()];
     out.per_ccc[c] += w.end - w.begin;
   }
-  span.arg("stages", static_cast<double>(out.stages.size()));
   return out;
 }
 

@@ -105,8 +105,8 @@ class NodeRoles {
   std::vector<std::uint8_t> bits_;
 };
 
-/// Reusable workspace for stage extraction.  One scratch per thread;
-/// queries through the same scratch must not run concurrently.  All
+/// Reusable workspace for stage extraction.  Queries through the same
+/// scratch must not run concurrently.  All
 /// buffers grow to the high-water mark of the netlist and stay
 /// allocated, which removes the per-(node, direction) allocation churn
 /// of the DFS hot path.
@@ -131,47 +131,44 @@ void stages_to(const Netlist& nl, NodeId dest, Transition dir,
 StageTable stages_to(const Netlist& nl, NodeId dest, Transition dir,
                      const ExtractOptions& options = {});
 
-/// Result of a component-partitioned whole-netlist extraction.
+/// Result of a whole-netlist extraction.
 struct PartitionedStages {
   /// Every stage in ascending (destination node id, rise-then-fall)
-  /// order -- bit-identical for any thread count.
+  /// order: the canonical stage order.
   StageTable stages;
   /// Stage count per CCC of the partition used for extraction.
   std::vector<std::size_t> per_ccc;
 };
 
-/// Extracts the whole netlist by fanning the channel-connected
-/// components of `ccc` out over `threads` workers (threads == 1 runs
-/// inline with no pool).  Each chunk of components fills its own table;
-/// one stitch pass (span "extract-stitch") then copies each node's
-/// window in node-id order, so stage indices are identical for any
-/// thread count.  Precondition: threads >= 1; ccc was built from `nl`.
+/// Extracts the whole netlist: extract_components over every component
+/// of `ccc`, whose table is already in canonical order.  The trailing
+/// int is unread; perfbench/ still passes a thread count, and the next
+/// benchmark change removes the parameter.  Precondition: ccc was built
+/// from `nl`.
 PartitionedStages extract_stages_partitioned(const Netlist& nl,
                                              const ExtractOptions& options,
                                              const CccPartition& ccc,
-                                             int threads);
+                                             int = 1);
 
-/// Output of extract_components: one table per worker chunk, and per
-/// node (indexed by node id) its window of rows in those tables.  Nodes
-/// outside the extracted components have empty windows.
-struct ExtractedChunks {
-  std::vector<StageTable> tables;
+/// Output of extract_components: one table, and per node (indexed by
+/// node id) its window of rows in it.  Nodes outside the extracted
+/// components have empty windows.
+struct ExtractedStages {
+  StageTable table;
   std::vector<StageWindow> windows;
 };
 
-/// Extracts only the listed components, fanned out over `threads`
-/// workers exactly like extract_stages_partitioned.  Each node's window
-/// holds its stages in rise-then-fall order -- bit-identical to the
-/// node's rows of a whole-netlist extraction.  This is the
+/// The extraction driver: walks node ids in ascending order and appends
+/// the rise-then-fall stages of every node in one of the listed
+/// components to a single table, so each node's window holds exactly
+/// its rows of a whole-netlist extraction.  This is also the
 /// re-extraction primitive of TimingAnalyzer::update(): dirty
-/// components pay, clean ones don't.
-/// Preconditions: threads >= 1; components are valid ids of `ccc`,
-/// ascending and unique.
-ExtractedChunks extract_components(const Netlist& nl,
+/// components pay, clean ones don't.  Precondition: components are
+/// valid ids of `ccc`.
+ExtractedStages extract_components(const Netlist& nl,
                                    const ExtractOptions& options,
                                    const CccPartition& ccc,
-                                   const std::vector<std::size_t>& components,
-                                   int threads);
+                                   const std::vector<std::size_t>& components);
 
 /// The channel walk every stage bake shares (make_stage, the design's
 /// gather bake and its in-place ECO re-bake): visits ts.path source to

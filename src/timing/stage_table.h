@@ -13,9 +13,9 @@
 //   * one shared DeviceId array holding every path back to back; stage
 //     s owns [offset[s], offset[s+1]).
 //
-// Extraction appends straight into a table, the per-node stitch
-// (stitch_stages) assembles the canonical order by copying windows of
-// flat arrays, and the .sldc STGS section is these arrays verbatim.
+// Extraction appends straight into a table in canonical order, the ECO
+// splice (stitch_stages) assembles a table by copying windows of flat
+// arrays, and the .sldc STGS section is these arrays verbatim.
 //
 // TimingStage is a non-owning view of one row.  Appending to a table
 // may reallocate its arrays, which invalidates every view (and every
@@ -210,11 +210,9 @@ class StageTable {
 };
 
 /// Builds one table from windows of several: for each window in order,
-/// rows [begin, end) of `*tables[w.table]` are appended.  Extraction
-/// passes one window per node in id order (which fixes the canonical
-/// global stage order for any chunking), and the ECO splice passes the
-/// old table's windows for clean nodes and the fresh tables' for dirty
-/// ones.
+/// rows [begin, end) of `*tables[w.table]` are appended.  The ECO
+/// splice passes one window per node in id order: the old table's for
+/// clean nodes and the re-extracted table's for dirty ones.
 StageTable stitch_stages(std::span<const StageTable* const> tables,
                          std::span<const StageWindow> windows);
 

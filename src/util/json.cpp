@@ -63,9 +63,30 @@ class JsonParser {
   }
 
  private:
+  /// Arrays and objects nest at most this deep.  The parser recurses
+  /// once per level, so without a cap one short line of `[` overflows
+  /// the stack; no record the project writes comes near it.
+  static constexpr int kMaxDepth = 64;
+
   [[noreturn]] void fail(const std::string& what) const {
     throw Error(format("JSON parse error at offset %zu: ", pos_) + what);
   }
+
+  /// One array or object level, open for the guard's lifetime.
+  class Nesting {
+   public:
+    explicit Nesting(JsonParser& p) : p_(p) {
+      if (++p_.depth_ > kMaxDepth) {
+        p_.fail(format("nesting deeper than %d levels", kMaxDepth));
+      }
+    }
+    ~Nesting() { --p_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    JsonParser& p_;
+  };
 
   void skip_ws() {
     while (pos_ < text_.size() &&
@@ -112,6 +133,7 @@ class JsonParser {
   }
 
   JsonValue parse_object() {
+    const Nesting nesting(*this);
     JsonValue v;
     v.kind_ = JsonValue::Kind::kObject;
     expect('{');
@@ -131,6 +153,7 @@ class JsonParser {
   }
 
   JsonValue parse_array() {
+    const Nesting nesting(*this);
     JsonValue v;
     v.kind_ = JsonValue::Kind::kArray;
     expect('[');
@@ -272,6 +295,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 JsonValue parse_json(std::string_view text) {

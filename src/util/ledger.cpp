@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <climits>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -65,7 +64,6 @@ std::string LedgerRecord::to_json() const {
   }
   if (!source.empty()) os << ",\"source\":\"" << json_escape(source) << '"';
   if (!model.empty()) os << ",\"model\":\"" << json_escape(model) << '"';
-  os << ",\"threads\":" << threads;
   if (extract_seconds != 0.0) {
     os << ",\"extract_seconds\":" << json_number(extract_seconds);
   }
@@ -167,8 +165,6 @@ std::vector<LedgerRecord> read_ledger_file(const std::string& path) {
     }
     r.source = string_or(obj, "source");
     r.model = string_or(obj, "model");
-    r.threads =
-        static_cast<int>(checked_number(obj, "threads", INT_MAX, true, where));
     r.extract_seconds =
         checked_number(obj, "extract_seconds", kMaxSeconds, false, where);
     r.propagate_seconds =

@@ -4,10 +4,9 @@
 //
 // The hub (util/telemetry.h) answers "what is this process doing right
 // now"; the ledger answers "what has been analyzed, ever": each record
-// carries the design fingerprint, engine version, model, thread count,
-// phase timings, a critical-path summary, and the outcome, so latency
-// trajectories stay attributable across processes, versions, and
-// machines.  Enabled per CLI command via `--ledger <file>` or the
+// carries the design fingerprint, engine version, model, phase timings,
+// a critical-path summary, and the outcome, so latency trajectories
+// stay attributable across processes, versions, and machines.  Enabled per CLI command via `--ledger <file>` or the
 // SLDM_LEDGER environment variable; `sldm ledger summarize <file>`
 // renders a per-fingerprint latency table.  Schema: FORMATS.md
 // section 12.
@@ -25,8 +24,7 @@
 namespace sldm {
 
 /// One ledger line.  String fields left empty and numeric fields left
-/// zero are omitted from the JSON (`threads` excepted, it is always
-/// meaningful).
+/// zero are omitted from the JSON.
 struct LedgerRecord {
   std::string kind;     ///< "run" | "eco" | "compile" | "fuzz"
   std::string version;  ///< sldm_version()
@@ -35,7 +33,6 @@ struct LedgerRecord {
   std::uint64_t fingerprint = 0;
   std::string source;  ///< input path (.sim / .sldc) as given
   std::string model;   ///< DelayModel::name()
-  int threads = 1;
 
   // Phase timings (seconds) and the headline work counter.
   double extract_seconds = 0.0;

@@ -4,7 +4,7 @@
 // Per-session metrics (design/session.h) die with their session, which
 // is the wrong lifetime for a process serving many analyses: fleet
 // questions ("how much propagation work has this process done, across
-// which models and thread counts?") need an aggregation point that
+// which models and request kinds?") need an aggregation point that
 // outlives any one session.  The TelemetryHub is that point: Sessions
 // publish a labeled snapshot of their registry at run()/update()
 // completion, the ECO and compile paths do the same, and observers
@@ -77,7 +77,9 @@ struct TelemetryLabels {
 
   std::string session;  ///< publisher id: "s12", "retired", "compile", ...
   std::string model;    ///< DelayModel::name(), "-" when not applicable
-  int threads = 1;      ///< worker threads the publisher ran with
+  /// Every engine publisher leaves it at 1; perfbench/ still sets it,
+  /// and the next benchmark change removes the label.
+  int threads = 1;
   /// Serve-traffic request kind ("time", "eco", ...); empty outside the
   /// service, in which case the label is omitted from renderings.
   std::string request;
@@ -95,7 +97,7 @@ std::string prometheus_name(const std::string& name);
 
 /// Renders one registry in Prometheus text-exposition v0.0.4.
 /// `label_text` is the pre-rendered label body (e.g.
-/// `session="s1",model="slope",threads="4"`), empty for no labels.
+/// `session="s1",model="slope",threads="1"`), empty for no labels.
 /// Counters gain the conventional `_total` suffix; histograms emit
 /// cumulative `_bucket{le=...}` series (the layout clamps out-of-range
 /// samples into the edge buckets, so the last finite `le` already

@@ -27,10 +27,10 @@ void set_current_thread_name(const std::string& name) {
   Tracer::instance().set_thread_name(name);
 }
 
-ThreadPool::ThreadPool(int threads) : threads_(threads) {
-  SLDM_EXPECTS(threads >= 1);
-  workers_.reserve(static_cast<std::size_t>(threads - 1));
-  for (int i = 1; i < threads; ++i) {
+ThreadPool::ThreadPool(int size) : size_(size) {
+  SLDM_EXPECTS(size >= 1);
+  workers_.reserve(static_cast<std::size_t>(size - 1));
+  for (int i = 1; i < size; ++i) {
     workers_.emplace_back([this, i] {
       set_current_thread_name("sldm-w" + std::to_string(i));
       worker_loop();
@@ -64,10 +64,10 @@ void ThreadPool::submit(std::function<void()> task) {
   // Failpoint "pool.submit" (error only): the task is refused *before*
   // it is enqueued or counted, modeling resource exhaustion at
   // dispatch.  Callers own the recovery -- the serve loops answer the
-  // request inline, batched propagation drains its in-flight chunks
+  // request inline, and parallel_for drains the tasks already in flight
   // before rethrowing.
   failpoint("pool.submit");
-  if (threads_ == 1) {
+  if (size_ == 1) {
     // Inline path: execution order is submission order; the only shared
     // state touched is the error slot.
     ++in_flight_;
@@ -87,9 +87,9 @@ void ThreadPool::submit(std::function<void()> task) {
 }
 
 void ThreadPool::wait() {
-  if (threads_ > 1) {
-    // Drain the queue from the coordinating thread too, so a pool of k
-    // threads applies k-way parallelism, not k-1.
+  if (size_ > 1) {
+    // Drain the queue from the coordinating thread too, so a pool of
+    // size k applies k-way parallelism, not k-1.
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
       if (!queue_.empty()) {
@@ -151,11 +151,6 @@ void ThreadPool::worker_loop() {
     lock.lock();
     if (--in_flight_ == 0) all_done_.notify_all();
   }
-}
-
-int ThreadPool::hardware_threads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
 }
 
 void parallel_for(ThreadPool& pool, std::size_t count,

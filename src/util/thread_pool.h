@@ -1,7 +1,7 @@
-// A small fixed-size worker pool for fanning independent tasks out over
-// threads.
+// A small fixed-size worker pool: serve's request workers
+// (serve/server.cpp) are its one user.
 //
-// Design constraints (shared by every parallel pass in sldm):
+// Design constraints:
 //  * determinism is the caller's problem -- the pool only promises that
 //    every submitted task runs exactly once and that wait() establishes a
 //    happens-before edge from all task bodies to the caller;
@@ -14,7 +14,7 @@
 //    silently hiding a multi-task failure;
 //  * a pool of size 1 runs tasks inline on the calling thread at submit
 //    time: no worker is spawned, no synchronization happens, and the
-//    execution order is exactly the submission order.  Thread count 1 is
+//    execution order is exactly the submission order.  Size 1 is
 //    therefore bit-identical (and cost-identical) to not having a pool.
 #pragma once
 
@@ -36,11 +36,12 @@ void set_current_thread_name(const std::string& name);
 
 class ThreadPool {
  public:
-  /// Spawns `threads - 1` workers (the calling thread participates via
-  /// inline execution when threads == 1).  Workers are named
-  /// "sldm-w<i>" (see set_current_thread_name) so profiler and tsan
-  /// output is attributable.  Precondition: threads >= 1.
-  explicit ThreadPool(int threads);
+  /// Spawns `size - 1` workers (the calling thread participates: it
+  /// runs every task inline when size == 1, and drains the queue in
+  /// wait() otherwise).  Workers are named "sldm-w<i>" (see
+  /// set_current_thread_name) so profiler and tsan output is
+  /// attributable.  Precondition: size >= 1.
+  explicit ThreadPool(int size);
 
   /// Joins all workers.  Pending tasks are finished first.
   ~ThreadPool();
@@ -48,7 +49,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues one task.  With a single-thread pool the task runs inline
+  /// Enqueues one task.  With a pool of size 1 the task runs inline
   /// before submit() returns (exceptions still surface from wait()).
   void submit(std::function<void()> task);
 
@@ -61,16 +62,11 @@ class ThreadPool {
   /// reusable after wait() returns.
   void wait();
 
-  int thread_count() const { return threads_; }
-
-  /// The parallelism the host offers (>= 1 even when unknown).
-  static int hardware_threads();
-
  private:
   void worker_loop();
   void run_one(std::function<void()>& task);
 
-  int threads_ = 1;
+  int size_ = 1;
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable work_available_;

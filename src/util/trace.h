@@ -3,10 +3,10 @@
 // A process-wide Tracer collects scoped spans (name, category, wall-clock
 // interval, thread) and exports them as Chrome trace-event JSON -- the
 // format chrome://tracing and Perfetto load directly (see FORMATS.md).
-// The engine's phases (elaboration, CCC partitioning, per-chunk stage
-// extraction inside the thread pool, propagation batches, incremental
-// update phases) are instrumented with TraceSpan; `sldm time --trace
-// out.json` turns collection on for one analysis.
+// The engine's phases (calibration, elaboration, CCC partitioning,
+// stage extraction, propagation levels, incremental update phases) are
+// instrumented with TraceSpan; `sldm time --trace out.json` turns
+// collection on for one analysis.
 //
 // Cost model: tracing is OFF by default and spans are placed at phase /
 // work-chunk granularity, never per delay-model evaluation.  A disabled
@@ -17,9 +17,9 @@
 // pointers).
 //
 // Thread attribution: every thread that opens a span is assigned a
-// small stable id (registration order).  ThreadPool workers register
+// small stable id (registration order).  Pool workers register
 // themselves with their worker name (see Tracer::set_thread_name), so
-// extraction chunks are attributable to the worker that ran them.
+// a serve request's spans are attributable to the worker that ran it.
 #pragma once
 
 #include <atomic>

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -66,6 +67,61 @@ TEST(Cli, OptionWithoutValueIsUsageError) {
   const CliRun r = run({"time", "x.sim", "--model"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("needs a value"), std::string::npos);
+}
+
+TEST(Cli, OptionTheCommandDoesNotReadIsUsageError) {
+  TempFile sim("unread.sim", kInverterSim);
+  const CliRun typo = run({"time", sim.path(), "--modle", "rc-tree"});
+  EXPECT_EQ(typo.code, 2);
+  EXPECT_NE(typo.err.find("time does not take option --modle (it takes "
+                          "--load --tech --model"),
+            std::string::npos)
+      << typo.err;
+  // Options and flags another command reads are refused too.
+  const CliRun flag = run({"time", sim.path(), "--verify"});
+  EXPECT_EQ(flag.code, 2);
+  EXPECT_NE(flag.err.find("--verify"), std::string::npos) << flag.err;
+  const CliRun none = run({"check", sim.path(), "--tech", "cmos"});
+  EXPECT_EQ(none.code, 2);
+  EXPECT_NE(none.err.find("check does not take option --tech (it takes "
+                          "none)"),
+            std::string::npos)
+      << none.err;
+  // -o is --out, which `time` does not read.
+  EXPECT_EQ(run({"time", sim.path(), "-o", "x"}).code, 2);
+}
+
+TEST(Cli, EveryCommandAcceptsAndIgnoresThreads) {
+  TempFile sim("threads.sim", kInverterSim);
+  const CliRun plain = run({"time", sim.path(), "--model", "rc-tree"});
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  const CliRun threads =
+      run({"time", sim.path(), "--model", "rc-tree", "--threads", "4"});
+  EXPECT_EQ(threads.code, 0) << threads.err;
+  EXPECT_EQ(threads.out, plain.out);
+  EXPECT_EQ(run({"version", "--threads", "4"}).code, 0);
+
+  // The benchmark's compile spelling writes the same bytes as without.
+  TempFile cmos("threads_cmos.sim",
+                "e in gnd a 3 6\np in a vdd 3 12\n"
+                "e a gnd out 3 6\np a out vdd 3 12\n@in in\n@out out\n");
+  const std::string a = "/tmp/sldm_cli_test_threads_a.sldc";
+  const std::string b = "/tmp/sldm_cli_test_threads_b.sldc";
+  ASSERT_EQ(run({"compile", cmos.path(), "-o", a, "--tech", "cmos",
+                 "--threads", "4"})
+                .code,
+            0);
+  ASSERT_EQ(run({"compile", cmos.path(), "-o", b, "--tech", "cmos"}).code,
+            0);
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_FALSE(bytes(a).empty());
+  EXPECT_EQ(bytes(a), bytes(b));
+  std::remove(a.c_str());
+  std::remove(b.c_str());
 }
 
 TEST(Cli, GenWritesTheGeneratorsNetlist) {
@@ -633,13 +689,22 @@ TEST(Cli, LedgerSummarizeRejectsOutOfRangeNumbers) {
       << huge.err;
   EXPECT_EQ(huge.out.find("inf"), std::string::npos) << huge.out;
 
+  // The checked-in nesting witness: well-formed JSON nested deeper than
+  // the parser's cap is a located error, not a deep recursion.
+  const CliRun deep =
+      run({"ledger", "summarize",
+           std::string(SLDM_SOURCE_DIR) + "/testdata/ledger/deep_nesting.jsonl"});
+  EXPECT_EQ(deep.code, 1);
+  EXPECT_NE(deep.err.find("deep_nesting.jsonl:2: JSON parse error at offset "),
+            std::string::npos)
+      << deep.err;
+  EXPECT_NE(deep.err.find("nesting deeper than 64 levels"), std::string::npos)
+      << deep.err;
+
   // Numbers no cast may take: out of the member's range or fractional.
-  const std::string good = "{\"kind\":\"run\",\"threads\":1}\n";
+  const std::string good = "{\"kind\":\"run\",\"model\":\"slope\"}\n";
   for (const auto& [member, value] :
        std::vector<std::pair<std::string, std::string>>{
-           {"threads", "1e300"},
-           {"threads", "-1"},
-           {"threads", "2.5"},
            {"unix_ms", "-5"},
            {"unix_ms", "1e300"},
            {"stage_evaluations", "1e300"},

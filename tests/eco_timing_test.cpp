@@ -5,7 +5,7 @@
 // predecessor provenance), same critical paths.  The fuzz test below
 // drives every generator in src/gen through randomized edit batches
 // (device resizes, capacitance changes, flow annotations, device adds
-// with fresh nodes, value pinning) at 1 and 4 extraction threads.
+// with fresh nodes, value pinning), two random streams per generator.
 // Batches of sizes and capacitances only take update()'s in-place
 // re-bake; the tests below hold its store, table and trigger index to a
 // fresh compile array for array, and pin the forward damage walk to the
@@ -218,11 +218,10 @@ void expect_equivalent(const Netlist& nl, const TimingAnalyzer& inc,
 
 TEST(EcoTiming, UpdateBitIdenticalToRebuildUnderRandomEdits) {
   const RcTreeModel model;
-  for (const int threads : {1, 4}) {
+  for (const std::uint64_t seed : {1u, 4u}) {
     for (const GeneratedCircuit& g : generator_suite()) {
       Netlist nl = g.netlist;  // mutable working copy
       AnalyzerOptions opts;
-      opts.threads = threads;
       // Headroom over the default loop guard: update() and a rebuild
       // count arrival improvements along different schedules, so only
       // genuine loops may trip the limit in either.
@@ -232,7 +231,7 @@ TEST(EcoTiming, UpdateBitIdenticalToRebuildUnderRandomEdits) {
       inc.add_input_event(g.input, Transition::kRise, 0.0, 1e-9);
       inc.run();
 
-      Rng rng(0xC0FFEE ^ (static_cast<std::uint64_t>(threads) << 32) ^
+      Rng rng(0xC0FFEE ^ (seed << 32) ^
               std::hash<std::string>{}(g.name));
       int new_nodes = 0;
       for (int step = 0; step < 10; ++step) {
@@ -240,9 +239,8 @@ TEST(EcoTiming, UpdateBitIdenticalToRebuildUnderRandomEdits) {
         for (std::size_t e = 0; e < edits;) {
           if (random_edit(nl, rng, g.input, &new_nodes)) ++e;
         }
-        const std::string tag = g.name + " threads=" +
-                                std::to_string(threads) + " step=" +
-                                std::to_string(step);
+        const std::string tag = g.name + " seed=" + std::to_string(seed) +
+                                " step=" + std::to_string(step);
         bool inc_looped = false;
         try {
           inc.update();
@@ -314,17 +312,16 @@ std::string traced_update(TimingAnalyzer& an) {
 
 TEST(EcoTiming, ParametricBatchesRebakeInPlaceBitIdenticalToRebuild) {
   const RcTreeModel model;
-  for (const int threads : {1, 4}) {
+  for (const std::uint64_t seed : {1u, 4u}) {
     for (const GeneratedCircuit& g : generator_suite()) {
       Netlist nl = g.netlist;
       AnalyzerOptions opts;
-      opts.threads = threads;
       opts.max_updates_per_arrival = 512;
       TimingAnalyzer inc(nl, tech_for(g), model, opts);
       inc.add_input_event(g.input, Transition::kRise, 0.0, 1e-9);
       inc.run();
 
-      Rng rng(0x5EED ^ (static_cast<std::uint64_t>(threads) << 32) ^
+      Rng rng(0x5EED ^ (seed << 32) ^
               std::hash<std::string>{}(g.name));
       int new_nodes = 0;
       for (int step = 0; step < 8; ++step) {
@@ -335,9 +332,8 @@ TEST(EcoTiming, ParametricBatchesRebakeInPlaceBitIdenticalToRebuild) {
             ++e;
           }
         }
-        const std::string tag = g.name + " threads=" +
-                                std::to_string(threads) + " step=" +
-                                std::to_string(step);
+        const std::string tag = g.name + " seed=" + std::to_string(seed) +
+                                " step=" + std::to_string(step);
         const std::string spans = traced_update(inc);
         ASSERT_NE(spans.find("\"update-rebake\""), std::string::npos)
             << tag;
@@ -531,7 +527,7 @@ TEST(EcoTiming, StatsAccumulateAcrossRunResetAndTrackSplicedStages) {
 
   const AnalyzerStats first = an.stats();  // snapshot, not the view
   EXPECT_GT(first.stage_evaluations, 0u);
-  EXPECT_GT(first.worklist_pushes, 0u);
+  EXPECT_GT(first.keys_priced, 0u);
   EXPECT_GT(first.arrival_updates, 0u);
   EXPECT_GT(first.propagate_seconds, 0.0);
 
@@ -542,7 +538,7 @@ TEST(EcoTiming, StatsAccumulateAcrossRunResetAndTrackSplicedStages) {
   an.run();
   const AnalyzerStats second = an.stats();
   EXPECT_GT(second.stage_evaluations, first.stage_evaluations);
-  EXPECT_GT(second.worklist_pushes, first.worklist_pushes);
+  EXPECT_GT(second.keys_priced, first.keys_priced);
   EXPECT_GT(second.arrival_updates, first.arrival_updates);
   EXPECT_EQ(second.stage_count, first.stage_count);
   EXPECT_EQ(second.extract_seconds, first.extract_seconds);
@@ -576,8 +572,8 @@ TEST(EcoTiming, StatsAccumulateAcrossRunResetAndTrackSplicedStages) {
   const MetricsRegistry& m = an.metrics();
   EXPECT_EQ(m.find_counter("propagate.stage_evaluations")->value(),
             st.stage_evaluations);
-  EXPECT_EQ(m.find_counter("propagate.worklist_pushes")->value(),
-            st.worklist_pushes);
+  EXPECT_EQ(m.find_counter("propagate.keys_priced")->value(),
+            st.keys_priced);
   EXPECT_EQ(m.find_counter("eco.updates")->value(), st.incremental_updates);
 }
 

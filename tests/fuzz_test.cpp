@@ -107,7 +107,6 @@ TEST(FuzzCampaign, DeterministicAndCleanOnSeededRun) {
   FuzzOptions opts;
   opts.seed = 11;
   opts.iterations = 60;
-  opts.threads = 4;
   std::ostringstream log1, log2;
   const FuzzReport r1 = run_fuzz(opts, log1);
   const FuzzReport r2 = run_fuzz(opts, log2);
@@ -119,24 +118,6 @@ TEST(FuzzCampaign, DeterministicAndCleanOnSeededRun) {
   EXPECT_GT(r1.oracle_runs.at("sanity"), 0u);
   EXPECT_GT(r1.oracle_runs.at("stage-bounds"), 0u);
   EXPECT_GT(r1.oracle_runs.at("eco-identity"), 0u);
-}
-
-TEST(FuzzCampaign, SingleThreadMatchesMultiThread) {
-  // The eco-identity oracle varies its thread list with opts.threads,
-  // but verdicts and accounting must not change.
-  FuzzOptions a;
-  a.seed = 23;
-  a.iterations = 40;
-  a.threads = 1;
-  FuzzOptions b = a;
-  b.threads = 8;
-  std::ostringstream log;
-  const FuzzReport ra = run_fuzz(a, log);
-  const FuzzReport rb = run_fuzz(b, log);
-  EXPECT_TRUE(ra.clean()) << ra.to_string();
-  EXPECT_TRUE(rb.clean()) << rb.to_string();
-  EXPECT_EQ(ra.oracle_runs, rb.oracle_runs);
-  EXPECT_EQ(ra.oracle_skips, rb.oracle_skips);
 }
 
 // --- shrinking -----------------------------------------------------------
@@ -200,7 +181,6 @@ TEST(Repro, WriteLoadRoundTrip) {
   ReproCase c;
   c.oracle = "stage-bounds";
   c.seed = 1234567;
-  c.threads = 4;
   c.slope_ns = 2.5;
   c.detail = "round-trip fixture";
   const std::string manifest =
@@ -208,7 +188,6 @@ TEST(Repro, WriteLoadRoundTrip) {
   const ReproCase loaded = load_repro(manifest);
   EXPECT_EQ(loaded.oracle, c.oracle);
   EXPECT_EQ(loaded.seed, c.seed);
-  EXPECT_EQ(loaded.threads, c.threads);
   EXPECT_DOUBLE_EQ(loaded.slope_ns, c.slope_ns);
   EXPECT_EQ(loaded.detail, c.detail);
   const OracleResult r = replay_repro(loaded);
@@ -390,7 +369,7 @@ TEST(DegenerateStages, EcoIdentityHoldsOnPassMuxCase) {
   }
   g.netlist = nl;
   const OracleResult r =
-      check_eco_identity(g, script.str(), {1, 2, 4}, 1e-9);
+      check_eco_identity(g, script.str(), 1e-9);
   EXPECT_TRUE(r.ok) << r.detail;
 }
 

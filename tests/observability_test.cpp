@@ -162,7 +162,7 @@ TEST(Metrics, AnalyzerRegistryCarriesTheDocumentedNames) {
 
   const MetricsRegistry& m = an.metrics();
   for (const char* name :
-       {"propagate.stage_evaluations", "propagate.worklist_pushes",
+       {"propagate.stage_evaluations", "propagate.keys_priced",
         "propagate.arrival_updates", "eco.updates"}) {
     ASSERT_NE(m.find_counter(name), nullptr) << name;
   }
@@ -297,8 +297,8 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
   TempFile trace("trace.json");
 
   std::string out;
-  ASSERT_EQ(run({"time", sim.path(), "--model", "rc-tree", "--threads", "2",
-                 "--trace", trace.path()},
+  ASSERT_EQ(run({"time", sim.path(), "--model", "rc-tree", "--trace",
+                 trace.path()},
                 &out),
             0);
   EXPECT_NE(out.find("wrote trace"), std::string::npos);
@@ -326,13 +326,14 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
           ts, ts + e.at("dur").as_number());
     }
   }
-  for (const char* phase :
-       {"ccc-partition", "extract", "extract-chunk", "propagate"}) {
+  for (const char* phase : {"ccc-partition", "extract", "propagate"}) {
     EXPECT_NE(span_names.find(phase), span_names.end()) << phase;
   }
-  // The extract span's wall clock is covered by named children: every
-  // one of them runs inside an extract span (chunks on the workers).
-  // Timestamps are printed to the nanosecond, hence the slack.
+  // Extraction is one sequential pass: no per-chunk spans, no stitch.
+  EXPECT_EQ(span_names.count("extract-chunk"), 0u);
+  EXPECT_EQ(span_names.count("extract-stitch"), 0u);
+  // The extract span's named children all run inside it.  Timestamps
+  // are printed to the nanosecond, hence the slack.
   const auto inside_extract = [&](const std::pair<double, double>& span) {
     constexpr double kSlackUs = 0.01;
     for (const auto& [begin, end] : intervals["extract"]) {
@@ -343,7 +344,7 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
     return false;
   };
   for (const char* child :
-       {"extract-chunk", "extract-stitch", "trigger-index", "build-store"}) {
+       {"ccc-partition", "trigger-index", "levels", "build-store"}) {
     ASSERT_FALSE(intervals[child].empty()) << child;
     for (const auto& span : intervals[child]) {
       EXPECT_TRUE(inside_extract(span)) << child << " outside extract";
@@ -352,6 +353,39 @@ TEST(Trace, CliTraceFileRoundTripsWithEnginePhases) {
   // The capture is scoped to the traced analysis: no stale spans from
   // other tests, and the file ends the capture.
   EXPECT_FALSE(Tracer::instance().enabled());
+}
+
+// In-process calibration (the default slope model with no --tables) is
+// one `calibrate` span, and every analog elaboration it runs lies
+// inside it.
+TEST(Trace, CalibrationIsOneSpanAroundItsElaborations) {
+  TracerSandbox sandbox;
+  TempFile trace("calibrate_trace.json");
+  ASSERT_EQ(run({"time",
+                 std::string(SLDM_SOURCE_DIR) + "/testdata/sample_datapath.sim",
+                 "--trace", trace.path()},
+                nullptr),
+            0);
+  const JsonValue doc = parse_json_file(trace.path());
+  std::vector<std::pair<double, double>> calibrate;
+  std::vector<std::pair<double, double>> elaborate;
+  for (const JsonValue& e : doc.at("traceEvents").items()) {
+    if (e.at("ph").as_string() != "X") continue;
+    const double ts = e.at("ts").as_number();
+    const std::pair<double, double> span{ts, ts + e.at("dur").as_number()};
+    if (e.at("name").as_string() == "calibrate") {
+      EXPECT_EQ(e.at("cat").as_string(), "calib");
+      calibrate.push_back(span);
+    }
+    if (e.at("name").as_string() == "elaborate") elaborate.push_back(span);
+  }
+  ASSERT_EQ(calibrate.size(), 1u);
+  ASSERT_FALSE(elaborate.empty());
+  constexpr double kSlackUs = 0.01;  // timestamps print to the nanosecond
+  for (const auto& [begin, end] : elaborate) {
+    EXPECT_GE(begin, calibrate[0].first - kSlackUs);
+    EXPECT_LE(end, calibrate[0].second + kSlackUs);
+  }
 }
 
 /// The span names of a traced `sldm eco` run of `script` on the chain,
@@ -610,9 +644,9 @@ TEST(StatsJson, EcoScalarsFollowTheDocumentedOrderAndTheRegistry) {
 
   const std::vector<std::string> documented = {
       "ccc_count",         "widest_ccc",      "stage_count",
-      "stage_evaluations", "worklist_pushes", "arrival_updates",
+      "stage_evaluations", "keys_priced",     "arrival_updates",
       "batches",           "mean_batch_size", "max_batch_size",
-      "extract_seconds",   "propagate_seconds", "threads",
+      "extract_seconds",   "propagate_seconds",
       "incremental_updates", "dirty_cccs",    "reextracted_stages",
       "reused_stages",     "frontier_keys",   "update_seconds",
       "metrics"};
@@ -623,7 +657,7 @@ TEST(StatsJson, EcoScalarsFollowTheDocumentedOrderAndTheRegistry) {
   const JsonValue& metrics = doc.at("metrics");
   const std::vector<std::pair<std::string, std::string>> counters = {
       {"stage_evaluations", "propagate.stage_evaluations"},
-      {"worklist_pushes", "propagate.worklist_pushes"},
+      {"keys_priced", "propagate.keys_priced"},
       {"arrival_updates", "propagate.arrival_updates"},
       {"batches", "propagate.batches"},
       {"incremental_updates", "eco.updates"}};

