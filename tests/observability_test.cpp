@@ -367,24 +367,24 @@ TEST(Trace, CalibrationIsOneSpanAroundItsElaborations) {
                 nullptr),
             0);
   const JsonValue doc = parse_json_file(trace.path());
-  std::vector<std::pair<double, double>> calibrate;
-  std::vector<std::pair<double, double>> elaborate;
+  std::vector<std::pair<double, double>> calib_spans;
+  std::vector<std::pair<double, double>> elab_spans;
   for (const JsonValue& e : doc.at("traceEvents").items()) {
     if (e.at("ph").as_string() != "X") continue;
     const double ts = e.at("ts").as_number();
     const std::pair<double, double> span{ts, ts + e.at("dur").as_number()};
     if (e.at("name").as_string() == "calibrate") {
       EXPECT_EQ(e.at("cat").as_string(), "calib");
-      calibrate.push_back(span);
+      calib_spans.push_back(span);
     }
-    if (e.at("name").as_string() == "elaborate") elaborate.push_back(span);
+    if (e.at("name").as_string() == "elaborate") elab_spans.push_back(span);
   }
-  ASSERT_EQ(calibrate.size(), 1u);
-  ASSERT_FALSE(elaborate.empty());
+  ASSERT_EQ(calib_spans.size(), 1u);
+  ASSERT_FALSE(elab_spans.empty());
   constexpr double kSlackUs = 0.01;  // timestamps print to the nanosecond
-  for (const auto& [begin, end] : elaborate) {
-    EXPECT_GE(begin, calibrate[0].first - kSlackUs);
-    EXPECT_LE(end, calibrate[0].second + kSlackUs);
+  for (const auto& [begin, end] : elab_spans) {
+    EXPECT_GE(begin, calib_spans[0].first - kSlackUs);
+    EXPECT_LE(end, calib_spans[0].second + kSlackUs);
   }
 }
 

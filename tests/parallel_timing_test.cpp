@@ -15,6 +15,7 @@
 #include "timing/analyzer.h"
 #include "timing/ccc.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace sldm {
@@ -137,9 +138,7 @@ TEST(Ccc, ChannelConnectedNodesShareAComponent) {
   const std::size_t c = ccc.component_of(*g.netlist.find_node("p1"));
   ASSERT_NE(c, CccPartition::kNone);
   for (int i = 2; i <= 4; ++i) {
-    EXPECT_EQ(ccc.component_of(
-                  *g.netlist.find_node("p" + std::to_string(i))),
-              c);
+    EXPECT_EQ(ccc.component_of(*g.netlist.find_node(format("p%d", i))), c);
   }
 }
 
