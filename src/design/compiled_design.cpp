@@ -162,6 +162,9 @@ std::shared_ptr<CompiledDesign> CompiledDesign::build_over(
 void CompiledDesign::build() {
   TraceSpan span("extract", "timing");
   const Seconds t0 = now_seconds();
+  // Rebuild the adjacency here if an added device left it stale, so
+  // that readers of the design never do (Netlist's thread-safety rule).
+  nl_->refresh_adjacency();
   // A device type the tech cannot price is a named error here, not a
   // contract failure inside the bake.
   for (const DeviceId d : nl_->all_devices()) {
@@ -180,6 +183,7 @@ void CompiledDesign::build() {
   fingerprint_ = tech_fingerprint(*tech_);
   built_revision_ = nl_->revision();
   extract_seconds_ = now_seconds() - t0;
+  SLDM_ENSURES(nl_->adjacency_fresh());
 }
 
 void CompiledDesign::index_stages() {

@@ -707,8 +707,10 @@ Netlist build_netlist(NodeArrays nodes, DeviceArrays devs,
   const auto dev_fail = [&origin](const char* why) {
     fail_in(origin, "DEVS section", why);
   };
+  TraceSpan span("build-netlist", "design");
   const std::size_t node_count = nodes.name_len.size();
   Netlist nl;
+  nl.set_journaling(false);  // a construction: see ChangeLog's baseline
   nl.reserve_nodes(node_count);
   std::size_t at = 0;
   for (std::size_t i = 0; i < node_count; ++i) {
@@ -764,6 +766,7 @@ Netlist build_netlist(NodeArrays nodes, DeviceArrays devs,
                                      .flow = devs.flow[i]});
   }
   nl.add_transistors(std::move(transistors));
+  nl.set_journaling(true);
   return nl;
 }
 
@@ -924,6 +927,7 @@ struct SnapshotAccess {
     design->fingerprint_ = tech_fingerprint(*design->tech_);
     design->built_revision_ = design->nl_->revision();
     design->extract_seconds_ = 0.0;  // the whole point of loading
+    SLDM_ENSURES(design->nl_->adjacency_fresh());  // add_transistors
     return design;
   }
 };

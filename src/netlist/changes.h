@@ -1,12 +1,17 @@
 // Per-edit change log for incremental (ECO) analysis.
 //
-// Every Netlist mutation appends one Change entry describing what was
-// touched.  The log length doubles as a monotonic revision counter:
-// a consumer that remembers the revision it last synchronized to can
-// later replay exactly the entries it missed (log.entry(i) for
+// Every Netlist mutation advances a monotonic revision counter, and a
+// journaled one also appends one Change entry describing what was
+// touched.  A consumer that remembers the revision it last synchronized
+// to can later replay exactly the entries it missed (log.entry(i) for
 // i in [synced, revision())) and recompute only the affected state.
 // This is the contract between the netlist layer and the incremental
 // consumers (CccPartition::update, TimingAnalyzer::update).
+//
+// A bulk build (read_sim, the snapshot loader) runs with the journal
+// off: its edits only advance the counter and form the log's baseline,
+// below which entry() is a precondition failure.  No consumer replays
+// a construction; each starts at the revision it was built at.
 //
 // Entries are intentionally tiny (kind + index): consumers resolve the
 // index against the netlist at replay time, when terminals, gating
@@ -55,24 +60,43 @@ struct Change {
 /// Append-only mutation journal owned by a Netlist.
 class ChangeLog {
  public:
-  /// Current revision == number of entries ever recorded.
-  std::uint64_t revision() const { return entries_.size(); }
+  /// Current revision == number of mutations ever recorded, journaled
+  /// or not.
+  std::uint64_t revision() const { return baseline_ + entries_.size(); }
 
-  /// Entry `i`.  Precondition: i < revision().
+  /// Revision of the first journaled entry: the mutations below it were
+  /// counted with the journal off.
+  std::uint64_t baseline() const { return baseline_; }
+
+  /// Entry `i`.  Precondition: baseline() <= i < revision().
   const Change& entry(std::uint64_t i) const {
-    SLDM_EXPECTS(i < entries_.size());
-    return entries_[static_cast<std::size_t>(i)];
+    SLDM_EXPECTS(i >= baseline_ && i < revision());
+    return entries_[static_cast<std::size_t>(i - baseline_)];
   }
 
   void record(ChangeKind kind, std::uint32_t index) {
-    entries_.push_back(Change{kind, index});
+    if (journaling_) {
+      entries_.push_back(Change{kind, index});
+    } else {
+      ++baseline_;
+    }
   }
 
-  /// Grows capacity ahead of `n` more records.
-  void reserve_more(std::size_t n) { entries_.reserve(entries_.size() + n); }
+  /// Turns journaling off (later records only count) or back on.
+  /// Precondition for turning it off: no entry journaled yet, so the
+  /// unjournaled mutations are a prefix of the log.
+  void set_journaling(bool on) {
+    SLDM_EXPECTS(on || entries_.empty());
+    journaling_ = on;
+  }
+
+  /// Heap bytes held by the journal.
+  std::size_t bytes() const { return entries_.capacity() * sizeof(Change); }
 
  private:
+  std::uint64_t baseline_ = 0;
   std::vector<Change> entries_;
+  bool journaling_ = true;
 };
 
 }  // namespace sldm

@@ -96,8 +96,10 @@ Netlist::Netlist(const Netlist& other)
     : nodes_(other.nodes_),
       devices_(other.devices_),
       name_slots_(other.name_slots_),
-      gated_by_(other.gated_by_),
-      channels_at_(other.channels_at_),
+      gate_start_(other.gate_start_),
+      channel_start_(other.channel_start_),
+      gate_ids_(other.gate_ids_),
+      channel_ids_(other.channel_ids_),
       log_(other.log_) {
   reintern_names();
 }
@@ -107,8 +109,10 @@ Netlist& Netlist::operator=(const Netlist& other) {
   nodes_ = other.nodes_;
   devices_ = other.devices_;
   name_slots_ = other.name_slots_;
-  gated_by_ = other.gated_by_;
-  channels_at_ = other.channels_at_;
+  gate_start_ = other.gate_start_;
+  channel_start_ = other.channel_start_;
+  gate_ids_ = other.gate_ids_;
+  channel_ids_ = other.channel_ids_;
   log_ = other.log_;
   names_ = Interner();
   reintern_names();
@@ -152,10 +156,12 @@ NodeId Netlist::add_node(std::string_view name) {
   reserve_name_index(nodes_.size() + 1);
   const std::size_t at = find_slot(name, hash);
   if (name_slots_[at] != kEmptySlot) return slot_node(name_slots_[at]);
+  if (adjacency_fresh()) {  // the new node has no devices yet
+    gate_start_.push_back(gate_start_.back());
+    channel_start_.push_back(channel_start_.back());
+  }
   const NodeId id(static_cast<NodeId::underlying_type>(nodes_.size()));
   nodes_.push_back(Node{.name = names_.intern(name)});
-  gated_by_.emplace_back();
-  channels_at_.emplace_back();
   name_slots_[at] = pack_slot(hash, id);
   log_.record(ChangeKind::kNodeAdded, id.value());
   return id;
@@ -184,9 +190,6 @@ DeviceId Netlist::add_transistor(TransistorType type, NodeId gate,
                                 .width = width,
                                 .length = length,
                                 .flow = flow});
-  gated_by_[gate.index()].push_back(id);
-  channels_at_[source.index()].push_back(id);
-  channels_at_[drain.index()].push_back(id);
   log_.record(ChangeKind::kDeviceAdded, id.value());
   return id;
 }
@@ -194,39 +197,64 @@ DeviceId Netlist::add_transistor(TransistorType type, NodeId gate,
 void Netlist::reserve_nodes(std::size_t n) {
   nodes_.reserve(nodes_.size() + n);
   reserve_name_index(nodes_.size() + n);
-  gated_by_.reserve(gated_by_.size() + n);
-  channels_at_.reserve(channels_at_.size() + n);
-  log_.reserve_more(n);
 }
 
 void Netlist::add_transistors(std::vector<Transistor> devices) {
   SLDM_EXPECTS(devices_.empty());
-  std::vector<std::uint32_t> gates(nodes_.size(), 0);
-  std::vector<std::uint32_t> channels(nodes_.size(), 0);
   for (const Transistor& t : devices) {
     check_node(t.gate);
     check_node(t.source);
     check_node(t.drain);
     SLDM_EXPECTS(t.source != t.drain);
     SLDM_EXPECTS(t.width > 0.0 && t.length > 0.0);
-    ++gates[t.gate.index()];
-    ++channels[t.source.index()];
-    ++channels[t.drain.index()];
-  }
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    gated_by_[n].reserve(gates[n]);
-    channels_at_[n].reserve(channels[n]);
   }
   devices_ = std::move(devices);
-  log_.reserve_more(devices_.size());
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    log_.record(ChangeKind::kDeviceAdded, static_cast<std::uint32_t>(i));
+  }
+  build_adjacency();
+}
+
+void Netlist::build_adjacency() const {
+  // Node v's counts go to start[v + 2], so that after the prefix sum
+  // start[v + 1] is v's first slot.  The fill advances it to v's end,
+  // which is v + 1's first slot, so dropping the last entry leaves
+  // start[v] at v's first slot.  Offsets are 32-bit.
+  SLDM_ASSERT(devices_.size() <= UINT32_MAX / 2);
+  const std::size_t n = nodes_.size();
+  gate_start_.assign(n + 2, 0);
+  channel_start_.assign(n + 2, 0);
+  for (const Transistor& t : devices_) {
+    ++gate_start_[t.gate.index() + 2];
+    ++channel_start_[t.source.index() + 2];
+    ++channel_start_[t.drain.index() + 2];
+  }
+  for (std::size_t i = 2; i < n + 2; ++i) {
+    gate_start_[i] += gate_start_[i - 1];
+    channel_start_[i] += channel_start_[i - 1];
+  }
+  gate_ids_.assign(devices_.size(), DeviceId());  // exact, unlike resize
+  channel_ids_.assign(2 * devices_.size(), DeviceId());
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const DeviceId id(static_cast<DeviceId::underlying_type>(i));
     const Transistor& t = devices_[i];
-    gated_by_[t.gate.index()].push_back(id);
-    channels_at_[t.source.index()].push_back(id);
-    channels_at_[t.drain.index()].push_back(id);
-    log_.record(ChangeKind::kDeviceAdded, id.value());
+    gate_ids_[gate_start_[t.gate.index() + 1]++] = id;
+    channel_ids_[channel_start_[t.source.index() + 1]++] = id;
+    channel_ids_[channel_start_[t.drain.index() + 1]++] = id;
   }
+  gate_start_.pop_back();
+  channel_start_.pop_back();
+}
+
+std::size_t Netlist::bytes() const {
+  return nodes_.capacity() * sizeof(Node) +
+         devices_.capacity() * sizeof(Transistor) + names_.bytes() +
+         name_slots_.capacity() * sizeof(std::uint64_t) +
+         (gate_start_.capacity() + channel_start_.capacity()) *
+             sizeof(std::uint32_t) +
+         (gate_ids_.capacity() + channel_ids_.capacity()) *
+             sizeof(DeviceId) +
+         log_.bytes();
 }
 
 const Node& Netlist::node(NodeId id) const {
@@ -296,14 +324,20 @@ std::vector<DeviceId> Netlist::device_ids() const {
   return out;
 }
 
-const std::vector<DeviceId>& Netlist::gated_by(NodeId n) const {
+std::span<const DeviceId> Netlist::gated_by(NodeId n) const {
   check_node(n);
-  return gated_by_[n.index()];
+  refresh_adjacency();
+  return std::span<const DeviceId>(gate_ids_).subspan(
+      gate_start_[n.index()],
+      gate_start_[n.index() + 1] - gate_start_[n.index()]);
 }
 
-const std::vector<DeviceId>& Netlist::channels_at(NodeId n) const {
+std::span<const DeviceId> Netlist::channels_at(NodeId n) const {
   check_node(n);
-  return channels_at_[n.index()];
+  refresh_adjacency();
+  return std::span<const DeviceId>(channel_ids_).subspan(
+      channel_start_[n.index()],
+      channel_start_[n.index() + 1] - channel_start_[n.index()]);
 }
 
 NodeId Netlist::mark_power(std::string_view name) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -85,12 +86,27 @@ struct Transistor {
 /// Node and device ids are dense indices assigned in creation order, so
 /// they can index parallel arrays in analysis passes.
 ///
-/// Every mutation is journaled in a ChangeLog (changes()), and the log
-/// length is the netlist's revision().  Incremental consumers
-/// (CccPartition::update, TimingAnalyzer::update) replay the entries
-/// recorded since the revision they last synchronized to, so ECO edits
-/// (resizing, re-annotating, or growing an already-analyzed circuit)
-/// cost work proportional to the damage, not the circuit.
+/// Every mutation advances revision() and, unless the journal is off
+/// for a bulk build (set_journaling), is journaled in a ChangeLog
+/// (changes()).  Incremental consumers (CccPartition::update,
+/// TimingAnalyzer::update) replay the entries recorded since the
+/// revision they last synchronized to, so ECO edits (resizing,
+/// re-annotating, or growing an already-analyzed circuit) cost work
+/// proportional to the damage, not the circuit.
+///
+/// Adjacency (gated_by, channels_at) is CSR: per node, an offset into
+/// one flat device-id array each.  add_transistor() only appends the
+/// device, leaving the adjacency stale; the next adjacency read
+/// rebuilds it in one O(nodes + devices) pass, so a netlist built
+/// device by device pays for one rebuild, not one per device.
+///
+/// Thread-safety rule: a read of stale adjacency writes (it rebuilds),
+/// so a netlist may be read from several threads at once only while
+/// adjacency_fresh().  Only add_transistor() makes it stale, and a
+/// mutation already needs exclusive access, so calling
+/// refresh_adjacency() after the last mutation and before sharing is
+/// enough.  CompiledDesign construction and TimingAnalyzer::update() do
+/// so, and assert it, before a design can be read concurrently.
 class Netlist {
  public:
   Netlist() = default;
@@ -119,16 +135,23 @@ class Netlist {
                           NodeId drain, Meters width, Meters length,
                           Flow flow = Flow::kBidirectional);
 
-  /// Grows the node, name-map, adjacency and journal storage ahead of
-  /// `n` more add_node() calls, so none of them regrows mid-build.
+  /// Grows the node and name-index storage ahead of `n` more add_node()
+  /// calls, so none of them regrows mid-build.
   void reserve_nodes(std::size_t n);
 
   /// Adds `devices` to a netlist that has none yet, exactly as
   /// add_transistor() on each in order would (same ids, adjacency order
-  /// and journal entries), but sizes every adjacency list once instead
-  /// of growing it device by device.  Preconditions: device_count() ==
-  /// 0, and those of add_transistor() for every device.
+  /// and journal entries), and leaves the adjacency fresh.
+  /// Preconditions: device_count() == 0, and those of add_transistor()
+  /// for every device.
   void add_transistors(std::vector<Transistor> devices);
+
+  /// Turns the journal off for a bulk build, or back on after it.  With
+  /// it off, mutations advance revision() but journal nothing: they
+  /// become the log's baseline (ChangeLog::baseline()), which no
+  /// consumer replays.  Precondition for turning it off: nothing
+  /// journaled yet.
+  void set_journaling(bool on) { log_.set_journaling(on); }
 
   /// Changes a device's flow annotation.
   void set_flow(DeviceId id, Flow flow);
@@ -164,10 +187,28 @@ class Netlist {
     return IdRange<DeviceId>(devices_.size());
   }
 
-  /// Devices whose gate is `n`, in ascending id order.
-  const std::vector<DeviceId>& gated_by(NodeId n) const;
-  /// Devices with a channel terminal on `n`.
-  const std::vector<DeviceId>& channels_at(NodeId n) const;
+  /// Devices whose gate is `n`, in ascending id order.  The span is
+  /// valid until the next add_node() or add_transistor().  Rebuilds
+  /// stale adjacency first (see the thread-safety rule above).
+  std::span<const DeviceId> gated_by(NodeId n) const;
+  /// Devices with a channel terminal on `n`, in ascending id order.
+  std::span<const DeviceId> channels_at(NodeId n) const;
+
+  /// True when the adjacency covers every node and device, so reading
+  /// it writes nothing.
+  bool adjacency_fresh() const {
+    return gate_start_.size() == nodes_.size() + 1 &&
+           gate_ids_.size() == devices_.size();
+  }
+  /// Rebuilds stale adjacency now.  Not safe concurrently with any
+  /// other read while the adjacency is stale.
+  void refresh_adjacency() const {
+    if (!adjacency_fresh()) build_adjacency();
+  }
+
+  /// Heap bytes the netlist holds, from capacities: node and device
+  /// records, the name arena and index, the adjacency and the journal.
+  std::size_t bytes() const;
 
   // --- Role helpers -------------------------------------------------------
   /// Marks by name, creating the node if needed.
@@ -204,6 +245,8 @@ class Netlist {
   std::size_t find_slot(std::string_view name, std::uint32_t hash) const;
   /// Grows name_slots_ to hold `nodes` names at a load factor <= 1/2.
   void reserve_name_index(std::size_t nodes);
+  /// Fills the CSR adjacency from devices_ in one counting pass.
+  void build_adjacency() const;
 
   std::vector<Node> nodes_;
   std::vector<Transistor> devices_;
@@ -215,8 +258,14 @@ class Netlist {
   /// only on a hash match and a rehash never rehashes a name; the name
   /// itself is nodes_[id].name.  kEmptySlot marks a free slot.
   std::vector<std::uint64_t> name_slots_;
-  std::vector<std::vector<DeviceId>> gated_by_;
-  std::vector<std::vector<DeviceId>> channels_at_;
+  /// CSR adjacency, a cache of devices_: node n's gate fan-out is
+  /// gate_ids_[gate_start_[n], gate_start_[n + 1]), in ascending device
+  /// id, and likewise for channels.  Fresh iff it spans every node and
+  /// device (adjacency_fresh()); add_node() keeps fresh offsets fresh.
+  mutable std::vector<std::uint32_t> gate_start_;
+  mutable std::vector<std::uint32_t> channel_start_;
+  mutable std::vector<DeviceId> gate_ids_;
+  mutable std::vector<DeviceId> channel_ids_;
   ChangeLog log_;
 };
 

@@ -30,18 +30,31 @@ bool is_ground_name(std::string_view name) {
          iequals(name, "vss") || iequals(name, "vss!");
 }
 
-NodeId intern_node(Netlist& nl, std::string_view name) {
-  const NodeId id = nl.add_node(name);
-  if (is_power_name(name)) nl.node(id).is_power = true;
-  if (is_ground_name(name)) nl.node(id).is_ground = true;
-  return id;
-}
-
 /// Parses one .sim buffer.  Nodes are interned in line order; devices
-/// are staged and added in one bulk call at the end, so every adjacency
-/// list is sized once.
+/// are staged and added in one bulk call at the end, which builds the
+/// adjacency in one pass.  The parse is the netlist's construction, so
+/// it is not journaled (ChangeLog baseline).
 Netlist parse_sim(std::string_view text, const std::string& origin) {
   Netlist nl;
+  nl.set_journaling(false);
+  // The node a device, cap or @set record names, created on first use.
+  // Such a record makes a rail-named node (vdd, gnd!, ...) that rail
+  // (role records alone do not): the name is classified when such a
+  // record creates the node, or first meets one a role record created
+  // (`unmet`), not on every reference.
+  std::vector<NodeId> unmet;
+  const auto intern = [&nl, &unmet](std::string_view name) {
+    const std::size_t before = nl.node_count();
+    const NodeId id = nl.add_node(name);
+    if (id.index() != before) {
+      const auto it = std::ranges::find(unmet, id);
+      if (it == unmet.end()) return id;
+      unmet.erase(it);
+    }
+    if (is_power_name(name)) nl.node(id).is_power = true;
+    if (is_ground_name(name)) nl.node(id).is_ground = true;
+    return id;
+  };
   // Nearly every line of a large netlist is a transistor record.  None
   // is shorter than "e a b c 1 1", so a file of blank lines cannot
   // reserve more than a few times its own size.
@@ -99,9 +112,9 @@ Netlist parse_sim(std::string_view text, const std::string& origin) {
                                std::string(tokens[i]) + "'");
         }
       }
-      t.gate = intern_node(nl, tokens[1]);
-      t.source = intern_node(nl, tokens[2]);
-      t.drain = intern_node(nl, tokens[3]);
+      t.gate = intern(tokens[1]);
+      t.source = intern(tokens[2]);
+      t.drain = intern(tokens[3]);
       if (t.source == t.drain) {
         throw ParseError(origin, lineno,
                          "transistor source and drain are the same node");
@@ -114,8 +127,7 @@ Netlist parse_sim(std::string_view text, const std::string& origin) {
       if (tokens.size() != 3) {
         throw ParseError(origin, lineno, "cap record: c <node> <cap_fF>");
       }
-      nl.add_cap(intern_node(nl, tokens[1]),
-                 parse_cap(tokens[2], origin, lineno));
+      nl.add_cap(intern(tokens[1]), parse_cap(tokens[2], origin, lineno));
       continue;
     }
 
@@ -126,8 +138,8 @@ Netlist parse_sim(std::string_view text, const std::string& origin) {
       }
       const double cap = parse_cap(tokens[3], origin, lineno);
       // Crystal lumps internodal capacitance to ground at both ends.
-      nl.add_cap(intern_node(nl, tokens[1]), cap);
-      nl.add_cap(intern_node(nl, tokens[2]), cap);
+      nl.add_cap(intern(tokens[1]), cap);
+      nl.add_cap(intern(tokens[2]), cap);
       continue;
     }
 
@@ -146,7 +158,7 @@ Netlist parse_sim(std::string_view text, const std::string& origin) {
                            "@set entry must be <name>=<0|1>, got '" +
                                std::string(entry) + "'");
         }
-        nl.set_fixed(intern_node(nl, entry.substr(0, eq)), value == "1");
+        nl.set_fixed(intern(entry.substr(0, eq)), value == "1");
       }
       continue;
     }
@@ -156,19 +168,25 @@ Netlist parse_sim(std::string_view text, const std::string& origin) {
         throw ParseError(origin, lineno, "role record needs node names");
       }
       for (std::size_t i = 1; i < tokens.size(); ++i) {
+        const std::size_t before = nl.node_count();
+        NodeId id;
         if (kind == "@vdd") {
-          nl.mark_power(tokens[i]);
+          id = nl.mark_power(tokens[i]);
         } else if (kind == "@gnd") {
-          nl.mark_ground(tokens[i]);
+          id = nl.mark_ground(tokens[i]);
         } else if (kind == "@in") {
-          nl.mark_input(tokens[i]);
+          id = nl.mark_input(tokens[i]);
         } else if (kind == "@out") {
-          nl.mark_output(tokens[i]);
+          id = nl.mark_output(tokens[i]);
         } else if (kind == "@precharged") {
-          nl.mark_precharged(tokens[i]);
+          id = nl.mark_precharged(tokens[i]);
         } else {
           throw ParseError(origin, lineno,
                            "unknown role record " + std::string(kind));
+        }
+        if (id.index() == before &&
+            (is_power_name(tokens[i]) || is_ground_name(tokens[i]))) {
+          unmet.push_back(id);
         }
       }
       continue;
@@ -178,6 +196,7 @@ Netlist parse_sim(std::string_view text, const std::string& origin) {
                      "unknown record type '" + std::string(kind) + "'");
   }
   nl.add_transistors(std::move(devices));
+  nl.set_journaling(true);
   return nl;
 }
 

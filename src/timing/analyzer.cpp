@@ -33,7 +33,10 @@ Netlist& TimingAnalyzer::mutable_netlist() {
 void TimingAnalyzer::update() {
   const Netlist& nl = compiled_->netlist();
   const ChangeLog& log = nl.changes();
-  if (log.revision() == compiled_->built_revision_) return;  // in sync
+  if (log.revision() == compiled_->built_revision_) {  // in sync
+    SLDM_ASSERT(nl.adjacency_fresh());  // as build() or update() left it
+    return;
+  }
   // Single-writer discipline: compiled_ and the Session half's handle
   // are the only two references when the design is unshared.  Any outstanding
   // share_design() handle (another session, a snapshot writer) sees the
@@ -46,6 +49,9 @@ void TimingAnalyzer::update() {
   }
   TraceSpan span("update", "timing");
   const Seconds t0 = now_seconds();
+  // Rebuild the adjacency here if an added device left it stale, so
+  // that readers of the design never do (Netlist's thread-safety rule).
+  nl.refresh_adjacency();
   const std::uint64_t since = compiled_->built_revision_;
   CccPartition& ccc = *compiled_->ccc_;
   const StageTable& stages = compiled_->stages_;

@@ -94,6 +94,7 @@ class Interner {
     if (need > kChunkSize - used_ || chunks_.empty()) {
       const std::size_t cap = need > kChunkSize ? need : kChunkSize;
       chunks_.push_back(std::make_unique<char[]>(cap));
+      chunk_bytes_ += cap;
       used_ = 0;
     }
     char* dst = chunks_.back().get() + used_;
@@ -103,10 +104,17 @@ class Interner {
     return Symbol(dst, s.size());
   }
 
+  /// Heap bytes held: the chunks and the table that owns them.
+  std::size_t bytes() const {
+    return chunk_bytes_ +
+           chunks_.capacity() * sizeof(std::unique_ptr<char[]>);
+  }
+
  private:
   static constexpr std::size_t kChunkSize = 1 << 14;
   std::vector<std::unique_ptr<char[]>> chunks_;
   std::size_t used_ = kChunkSize;  ///< bytes used in chunks_.back()
+  std::size_t chunk_bytes_ = 0;    ///< sum of the chunks' sizes
 };
 
 }  // namespace sldm

@@ -64,8 +64,7 @@ void ThreadPool::submit(std::function<void()> task) {
   // Failpoint "pool.submit" (error only): the task is refused *before*
   // it is enqueued or counted, modeling resource exhaustion at
   // dispatch.  Callers own the recovery -- the serve loops answer the
-  // request inline, and parallel_for drains the tasks already in flight
-  // before rethrowing.
+  // request inline.
   failpoint("pool.submit");
   if (size_ == 1) {
     // Inline path: execution order is submission order; the only shared
@@ -151,25 +150,6 @@ void ThreadPool::worker_loop() {
     lock.lock();
     if (--in_flight_ == 0) all_done_.notify_all();
   }
-}
-
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& fn) {
-  try {
-    for (std::size_t i = 0; i < count; ++i) {
-      pool.submit([&fn, i] { fn(i); });
-    }
-  } catch (...) {
-    // A refused submit must not unwind past tasks already in flight:
-    // they still reference `fn` in this frame.  Drain them (their own
-    // failures stay suppressed; the submit error is the diagnosis).
-    try {
-      pool.wait();
-    } catch (...) {
-    }
-    throw;
-  }
-  pool.wait();
 }
 
 }  // namespace sldm

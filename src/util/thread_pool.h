@@ -78,9 +78,4 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Runs `fn(i)` for i in [0, count) across `pool`, one task per index,
-/// and waits for completion.  Rethrows the first task exception.
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& fn);
-
 }  // namespace sldm

@@ -371,25 +371,28 @@ TEST(ChaosPool, RefusedSubmitIsAnsweredInlineWithOneEnvelope) {
       << text;
 }
 
-TEST(ChaosPool, RefusedSubmitDuringParallelForDrainsInFlightTasks) {
+TEST(ChaosPool, RefusedSubmitLeavesInFlightTasksForWaitToDrain) {
   FailpointGuard guard;
   // Fire on the 3rd of 8 submits: tasks 1-2 are already in flight and
-  // reference the closure below; parallel_for must drain them before
-  // rethrowing (asan would flag the use-after-free this hardens
-  // against).
+  // reference `ran` below; the refused one never runs, and wait() must
+  // still drain the two before the caller unwinds (asan would flag a
+  // use-after-free if it did not).
   FailpointRegistry::instance().configure("pool.submit=error*1in3@5");
   ThreadPool pool(4);
   std::atomic<int> ran{0};
+  int submitted = 0;
   bool threw = false;
   try {
-    parallel_for(pool, 64, [&ran](std::size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
+    for (; submitted < 64; ++submitted) {
+      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
   } catch (const FailpointError&) {
     threw = true;
   }
+  pool.wait();
   EXPECT_TRUE(threw);
-  EXPECT_LT(ran.load(), 64);
+  EXPECT_LT(submitted, 64);
+  EXPECT_EQ(ran.load(), submitted);
 }
 
 // --- fixed-seed randomized schedule over the pipe server ------------------

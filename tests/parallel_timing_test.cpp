@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <thread>
 
 #include "delay/rctree.h"
+#include "design/compiled_design.h"
 #include "gen/generators.h"
 #include "tech/tech.h"
 #include "timing/analyzer.h"
@@ -142,11 +144,62 @@ TEST(Ccc, ChannelConnectedNodesShareAComponent) {
   }
 }
 
-TEST(ThreadPool, ParallelForRunsEveryIndexOnce) {
+/// Reads every adjacency span of `nl` from 4 threads at once; each
+/// returns the number of (node, device) incidences it saw.
+std::vector<std::size_t> read_adjacency_concurrently(const Netlist& nl) {
+  std::vector<std::size_t> seen(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < seen.size(); ++r) {
+    readers.emplace_back([&nl, &seen, r] {
+      for (NodeId n : nl.all_nodes()) {
+        seen[r] += nl.gated_by(n).size() + nl.channels_at(n).size();
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  return seen;
+}
+
+TEST(ParallelTiming, AdjacencyIsFreshBeforeADesignIsShared) {
+  // Devices added one at a time leave the netlist's adjacency stale,
+  // and a stale read rebuilds it.  Compiling a design and updating an
+  // analyzer must rebuild it first, so that readers of the design
+  // never write (tsan runs this suite in scripts/check.sh).
+  const GeneratedCircuit g = random_logic(Style::kCmos, 6, 10, 0xABCD);
+  Netlist nl = g.netlist;
+  const NodeId grown = nl.add_node("grown");
+  for (int i = 0; i < 3; ++i) {
+    nl.add_transistor(TransistorType::kNEnhancement, g.input, grown,
+                      g.output, 2e-6, 2e-6);
+  }
+  ASSERT_FALSE(nl.adjacency_fresh());
+  auto design = CompiledDesign::compile_owned(std::move(nl), cmos3());
+  EXPECT_TRUE(design->netlist().adjacency_fresh());
+  for (const std::size_t seen :
+       read_adjacency_concurrently(design->netlist())) {
+    EXPECT_EQ(seen, 3 * design->netlist().device_count());
+  }
+
+  const RcTreeModel model;
+  TimingAnalyzer analyzer(std::move(design), model);
+  analyzer.mutable_netlist().add_transistor(
+      TransistorType::kNEnhancement, g.output, grown, g.input, 2e-6, 2e-6);
+  ASSERT_FALSE(analyzer.netlist().adjacency_fresh());
+  analyzer.update();
+  EXPECT_TRUE(analyzer.netlist().adjacency_fresh());
+  for (const std::size_t seen :
+       read_adjacency_concurrently(analyzer.netlist())) {
+    EXPECT_EQ(seen, 3 * analyzer.netlist().device_count());
+  }
+}
+
+TEST(ThreadPool, WaitDrainsEverySubmittedTask) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  parallel_for(pool, hits.size(),
-               [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    pool.submit([&hits, i] { hits[i].fetch_add(1); });
+  }
+  pool.wait();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

@@ -3,6 +3,7 @@
 // one-buffer tokenizer, and the physical-range checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
@@ -391,8 +392,10 @@ void expect_identical(const Netlist& a, const Netlist& b,
     EXPECT_EQ(x.is_output, y.is_output) << what << " " << x.name;
     EXPECT_EQ(x.is_precharged, y.is_precharged) << what << " " << x.name;
     EXPECT_EQ(x.fixed, y.fixed) << what << " " << x.name;
-    EXPECT_EQ(a.gated_by(n), b.gated_by(n)) << what << " " << x.name;
-    EXPECT_EQ(a.channels_at(n), b.channels_at(n)) << what << " " << x.name;
+    EXPECT_TRUE(std::ranges::equal(a.gated_by(n), b.gated_by(n)))
+        << what << " " << x.name;
+    EXPECT_TRUE(std::ranges::equal(a.channels_at(n), b.channels_at(n)))
+        << what << " " << x.name;
   }
   for (DeviceId d : a.all_devices()) {
     const Transistor& x = a.device(d);
@@ -431,8 +434,9 @@ void expect_same_circuit(const Netlist& gen, const Netlist& parsed,
     EXPECT_EQ(y.fixed, x.fixed) << what << " " << x.name;
     // Device ids survive (records are written in device order), so the
     // adjacency lists must match entry for entry.
-    EXPECT_EQ(parsed.gated_by(*m), gen.gated_by(n)) << what << " " << x.name;
-    EXPECT_EQ(parsed.channels_at(*m), gen.channels_at(n))
+    EXPECT_TRUE(std::ranges::equal(parsed.gated_by(*m), gen.gated_by(n)))
+        << what << " " << x.name;
+    EXPECT_TRUE(std::ranges::equal(parsed.channels_at(*m), gen.channels_at(n)))
         << what << " " << x.name;
   }
   for (DeviceId d : gen.all_devices()) {
