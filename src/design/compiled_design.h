@@ -100,7 +100,10 @@ class CompiledDesign {
   /// from a caller's netlist does).  `nl` and `tech` must outlive the
   /// design.  Returned non-const so the single owner may run ECO
   /// updates through TimingAnalyzer; share it onward as
-  /// shared_ptr<const ...>.
+  /// shared_ptr<const ...>.  The build rebuilds `nl`'s adjacency if an
+  /// added device left it stale (a write through the const reference;
+  /// see Netlist's thread-safety rule), so no other thread may read
+  /// `nl` while this runs unless nl.adjacency_fresh().
   static std::shared_ptr<CompiledDesign> build_over(
       const Netlist& nl, const Tech& tech, const CompileOptions& options = {});
 

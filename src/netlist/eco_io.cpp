@@ -23,11 +23,12 @@ NodeId lookup(const Netlist& nl, std::string_view name,
 
 /// All devices whose (gate, source, drain) names match, channel
 /// terminals in either order, in ascending id order (gated_by's order):
-/// only the gate's fan-out is searched.
+/// only the gate's fan-out is searched, without rebuilding the
+/// adjacency after each `transistor` record (gated_by_appending).
 std::vector<DeviceId> match_devices(const Netlist& nl, NodeId gate,
                                     NodeId src, NodeId drn) {
   std::vector<DeviceId> out;
-  for (DeviceId d : nl.gated_by(gate)) {
+  for (DeviceId d : nl.gated_by_appending(gate)) {
     const Transistor& t = nl.device(d);
     if ((t.source == src && t.drain == drn) ||
         (t.source == drn && t.drain == src)) {

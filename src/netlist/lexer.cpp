@@ -1,10 +1,8 @@
 #include "netlist/lexer.h"
 
-#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <iterator>
-#include <optional>
 
 #include "util/error.h"
 #include "util/strings.h"
@@ -20,20 +18,6 @@ constexpr double kMaxCap = 1e-9;        // farads (1 nF) per record
 /// C-locale isspace, without the locale lookup.
 constexpr bool is_space(char c) {
   return c == ' ' || (c >= '\t' && c <= '\r');
-}
-
-/// `token` as parse_finite_double reads it.  A run of at most 15
-/// decimal digits (the common .sim dimension or cap) is an integer
-/// below 2^53, which a double holds exactly -- the value from_chars
-/// would return -- so it skips the general parse.
-std::optional<double> parse_value(std::string_view token) {
-  if (token.empty() || token.size() > 15) return parse_finite_double(token);
-  std::uint64_t v = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return parse_finite_double(token);
-    v = 10 * v + static_cast<std::uint64_t>(c - '0');
-  }
-  return static_cast<double>(v);
 }
 
 }  // namespace
@@ -66,7 +50,7 @@ std::string read_stream(std::istream& in) {
 double parse_dimension(std::string_view token, double unit_m,
                        const char* what, const std::string& origin,
                        int lineno) {
-  const auto v = parse_value(token);
+  const auto v = parse_finite_double(token);
   if (!v || *v <= 0.0) {
     throw ParseError(origin, lineno,
                      format("bad transistor %s '%.*s' (finite positive "
@@ -89,7 +73,7 @@ double parse_dimension(std::string_view token, double unit_m,
 
 double parse_cap(std::string_view token, const std::string& origin,
                  int lineno) {
-  const auto v = parse_value(token);
+  const auto v = parse_finite_double(token);
   if (!v || *v < 0.0) {
     throw ParseError(origin, lineno,
                      format("bad cap '%.*s' (finite non-negative fF)",

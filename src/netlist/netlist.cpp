@@ -340,6 +340,24 @@ std::span<const DeviceId> Netlist::channels_at(NodeId n) const {
       channel_start_[n.index() + 1] - channel_start_[n.index()]);
 }
 
+std::vector<DeviceId> Netlist::gated_by_appending(NodeId n) const {
+  check_node(n);
+  // gate_ids_ covers the first gate_ids_.size() devices, and the
+  // offsets every node that existed at that build.
+  if (devices_.size() - gate_ids_.size() > kAppendScan) refresh_adjacency();
+  std::vector<DeviceId> out;
+  if (n.index() + 1 < gate_start_.size()) {
+    out.assign(gate_ids_.begin() + gate_start_[n.index()],
+               gate_ids_.begin() + gate_start_[n.index() + 1]);
+  }
+  for (std::size_t i = gate_ids_.size(); i < devices_.size(); ++i) {
+    if (devices_[i].gate == n) {
+      out.push_back(DeviceId(static_cast<DeviceId::underlying_type>(i)));
+    }
+  }
+  return out;
+}
+
 NodeId Netlist::mark_power(std::string_view name) {
   const NodeId id = add_node(name);
   nodes_[id.index()].is_power = true;

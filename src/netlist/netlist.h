@@ -106,7 +106,9 @@ struct Transistor {
 /// mutation already needs exclusive access, so calling
 /// refresh_adjacency() after the last mutation and before sharing is
 /// enough.  CompiledDesign construction and TimingAnalyzer::update() do
-/// so, and assert it, before a design can be read concurrently.
+/// so, and assert it, before a design can be read concurrently; a
+/// design compiled over a borrowed netlist (CompiledDesign::build_over)
+/// thus needs the same exclusive access to it while it is built.
 class Netlist {
  public:
   Netlist() = default;
@@ -193,6 +195,16 @@ class Netlist {
   std::span<const DeviceId> gated_by(NodeId n) const;
   /// Devices with a channel terminal on `n`, in ascending id order.
   std::span<const DeviceId> channels_at(NodeId n) const;
+
+  /// gated_by() for a caller that reads between add_transistor() calls
+  /// (an ECO script that edits a device it has just added).  While at
+  /// most kAppendScan devices were added since the adjacency was last
+  /// built, it returns the built span plus a scan of those devices
+  /// instead of rebuilding, so a read costs O(fan-out + kAppendScan) and
+  /// rebuilds come at most once per kAppendScan added devices.  Same
+  /// order as gated_by().
+  std::vector<DeviceId> gated_by_appending(NodeId n) const;
+  static constexpr std::size_t kAppendScan = 4096;
 
   /// True when the adjacency covers every node and device, so reading
   /// it writes nothing.

@@ -51,7 +51,10 @@ void TimingAnalyzer::update() {
   const Seconds t0 = now_seconds();
   // Rebuild the adjacency here if an added device left it stale, so
   // that readers of the design never do (Netlist's thread-safety rule).
-  nl.refresh_adjacency();
+  if (!nl.adjacency_fresh()) {
+    TraceSpan adjacency_span("update-adjacency", "timing");
+    nl.refresh_adjacency();
+  }
   const std::uint64_t since = compiled_->built_revision_;
   CccPartition& ccc = *compiled_->ccc_;
   const StageTable& stages = compiled_->stages_;

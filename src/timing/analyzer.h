@@ -51,7 +51,9 @@ struct AnalyzerOptions {
 class TimingAnalyzer : public Session {
  public:
   /// Compiles the design up-front and attaches the session.  `nl`,
-  /// `tech`, and `model` must outlive the analyzer.
+  /// `tech`, and `model` must outlive the analyzer.  Construction may
+  /// rebuild `nl`'s stale adjacency (CompiledDesign::build_over), so no
+  /// other thread may read `nl` meanwhile unless nl.adjacency_fresh().
   TimingAnalyzer(const Netlist& nl, const Tech& tech, const DelayModel& model,
                  AnalyzerOptions options = {});
 

@@ -18,6 +18,7 @@
 #include "netlist/sim_io.h"
 #include "tech/tech.h"
 #include "util/contracts.h"
+#include "util/strings.h"
 
 namespace sldm {
 namespace {
@@ -166,6 +167,56 @@ TEST(CsrAdjacency, RandomEcoStreamsMatchScan) {
     }
   }
   EXPECT_GT(checked_growth, 0);  // some rounds did add devices
+}
+
+TEST(CsrAdjacency, AppendingReadsMatchScanWithoutRebuilding) {
+  const GeneratedCircuit g = random_logic(Style::kCmos, 4, 6, 3);
+  Netlist nl = reparse(g.netlist);
+  ASSERT_TRUE(nl.adjacency_fresh());
+  const std::size_t built = nl.device_count();
+  const NodeId vdd = *nl.find_node("vdd");
+  // Grow while reading: new gates, old gates, new and old nodes.
+  for (int i = 0; i < 40; ++i) {
+    const NodeId gate = i % 3 == 0 ? nl.add_node(format("eg%d", i))
+                                   : NodeId(static_cast<std::uint32_t>(i));
+    const NodeId out = nl.add_node(format("eo%d", i));
+    nl.add_transistor(TransistorType::kPEnhancement, gate, vdd, out, 4e-6,
+                      2e-6);
+    for (const NodeId n : {gate, out, vdd, NodeId(0u)}) {
+      EXPECT_EQ(nl.gated_by_appending(n), scan_gated_by(nl, n)) << i;
+    }
+  }
+  EXPECT_FALSE(nl.adjacency_fresh());  // no read rebuilt it
+  // Past kAppendScan added devices a read rebuilds once.
+  const NodeId in0 = *nl.find_node("in0");
+  const NodeId eo0 = *nl.find_node("eo0");
+  while (nl.device_count() - built <= Netlist::kAppendScan) {
+    nl.add_transistor(TransistorType::kPEnhancement, in0, vdd, eo0, 4e-6,
+                      2e-6);
+  }
+  EXPECT_EQ(nl.gated_by_appending(in0), scan_gated_by(nl, in0));
+  EXPECT_TRUE(nl.adjacency_fresh());
+  expect_adjacency(nl, "after appending reads");
+}
+
+TEST(CsrAdjacency, EcoInterleavingAddsAndEditsDoesNotRebuild) {
+  const GeneratedCircuit g = random_logic(Style::kCmos, 4, 6, 5);
+  Netlist nl = reparse(g.netlist);
+  const std::size_t before = nl.device_count();
+  std::string script;
+  for (int i = 0; i < 30; ++i) {
+    script += format("transistor p in0 vdd x%d 2 4\n", i);
+    script += format("width in0 vdd x%d 7\n", i);
+  }
+  std::istringstream in(script);
+  apply_eco(in, nl, "interleaved.eco");
+  EXPECT_FALSE(nl.adjacency_fresh());
+  ASSERT_EQ(nl.device_count(), before + 30);
+  for (std::size_t d = before; d < nl.device_count(); ++d) {
+    EXPECT_DOUBLE_EQ(
+        nl.device(DeviceId(static_cast<std::uint32_t>(d))).width, 7e-6);
+  }
+  expect_adjacency(nl, "after the interleaved eco");
 }
 
 // --- construction journal ---------------------------------------------
